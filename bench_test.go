@@ -134,7 +134,7 @@ func BenchmarkAllPairsReachable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		reach.AllPairs(run.Spec, labels, labels, func(int, int) { count++ })
+		reach.AllPairs(run.Spec, labels, labels, 1, func(int, int) { count++ })
 	}
 }
 
@@ -475,10 +475,10 @@ func BenchmarkPlanAuto(b *testing.B) {
 				fn   func() error
 			}{
 				{"RPL", func() error {
-					return env.AllPairsSafe(labels, labels, core.RPL, func(i, j int) {})
+					return env.AllPairsSafeParallel(labels, labels, core.RPL, 1, func(i, j int) {})
 				}},
 				{"OptRPL", func() error {
-					return env.AllPairsSafe(labels, labels, core.OptRPL, func(i, j int) {})
+					return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
 				}},
 				{"Seeded", func() error {
 					return runSeeded(pl.Plan(env, len(nodes), len(nodes)))
@@ -487,11 +487,11 @@ func BenchmarkPlanAuto(b *testing.B) {
 					dec := pl.Plan(env, len(nodes), len(nodes))
 					switch dec.Strategy {
 					case plan.RPL:
-						return env.AllPairsSafe(labels, labels, core.RPL, func(i, j int) {})
+						return env.AllPairsSafeParallel(labels, labels, core.RPL, 1, func(i, j int) {})
 					case plan.Seeded:
 						return runSeeded(dec)
 					default:
-						return env.AllPairsSafe(labels, labels, core.OptRPL, func(i, j int) {})
+						return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
 					}
 				}},
 			}

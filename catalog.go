@@ -56,6 +56,9 @@ type Catalog struct {
 	subsMu    sync.Mutex
 	subs      map[int]func(AppendEvent)
 	nextSubID int
+
+	// legacyBases is set once by NewCatalogFromStore (see LegacyRunBases).
+	legacyBases int
 }
 
 // CatalogOptions configure a Catalog.
@@ -125,6 +128,12 @@ func (c *Catalog) RegisterSpec(name string, s *Spec) error {
 // Store returns the catalog's attached store (nil for an in-memory-only
 // catalog).
 func (c *Catalog) Store() *Store { return c.store }
+
+// LegacyRunBases reports how many run bases NewCatalogFromStore had to
+// decode from legacy JSON instead of opening zero-copy over the columnar
+// format (always 0 for a catalog not booted from a store). CompactRun
+// rewrites such a base as columnar, so the next boot no longer counts it.
+func (c *Catalog) LegacyRunBases() int { return c.legacyBases }
 
 // Spec returns the specification registered under name.
 func (c *Catalog) Spec(name string) (*Spec, bool) { return c.reg.Spec(name) }

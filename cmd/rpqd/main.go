@@ -102,14 +102,15 @@ func main() {
 	if *dataDir != "" {
 		st, err := provrpq.OpenStore(*dataDir)
 		fatal(err)
-		if n := st.MigratedRuns(); n > 0 {
-			fmt.Printf("rpqd: migrated %d run base(s) from JSON to the columnar format\n", n)
-		}
 		cat, err = provrpq.NewCatalogFromStore(st, opts)
 		fatal(err)
 		ns, nr := len(cat.SpecNames()), len(cat.RunNames())
 		fmt.Printf("rpqd: restored %d specification(s) and %d run(s) from %s (no re-derivation)\n", ns, nr, *dataDir)
-		fmt.Printf("rpqd: run bases opened via the columnar fast path (mmap, zero-copy labels)\n")
+		if k := cat.LegacyRunBases(); k == 0 {
+			fmt.Printf("rpqd: run bases opened via the columnar fast path (mmap, zero-copy labels)\n")
+		} else {
+			fmt.Printf("rpqd: %d of %d run bases opened zero-copy; %d decoded from legacy JSON — compact to convert\n", nr-k, nr, k)
+		}
 		replayed := 0
 		for _, rn := range cat.RunNames() {
 			if v, ok := cat.RunVersion(rn); ok {

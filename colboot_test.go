@@ -1,6 +1,10 @@
 package provrpq
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"provrpq/internal/derive"
@@ -8,8 +12,8 @@ import (
 )
 
 // legacyJSONDir hand-builds a pre-columnar (PR-5-era) data directory:
-// JSON run bases, a JSON growth batch in the append log, a compaction
-// epoch above zero, and no format marker in the manifest. Returns the
+// JSON run bases, a JSON growth batch in the append log and a compaction
+// epoch above zero. Returns the
 // directory and the expected final state of each run (base + replayed
 // growth), built independently of the store.
 func legacyJSONDir(t *testing.T) (string, *Spec, map[string]*Run) {
@@ -86,9 +90,6 @@ func legacyJSONDir(t *testing.T) (string, *Spec, map[string]*Run) {
 	}
 	want["r2"] = w2
 
-	if f, err := raw.Format(); err != nil || f != 0 {
-		t.Fatalf("legacy dir format = %d, %v; want 0", f, err)
-	}
 	return dir, sp, want
 }
 
@@ -106,72 +107,22 @@ func sameRun(t *testing.T, name string, want, got *Run) {
 	}
 }
 
-// TestStoreMigratesLegacyJSONDir opens a hand-built PR-5-era JSON data
-// directory and checks the one-time columnar migration: every base is
-// rewritten in place (same epoch, append log and versions intact), replay
-// still applies the JSON batches, answers match a from-scratch build, and
-// a second open takes the format fast path without rescanning.
-func TestStoreMigratesLegacyJSONDir(t *testing.T) {
-	dir, _, want := legacyJSONDir(t)
-
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := st.MigratedRuns(); n != 2 {
-		t.Fatalf("MigratedRuns = %d, want 2", n)
-	}
-	// The rewrite preserved the manifest's replay state: r1's batch still
-	// pending replay, r2's compaction epoch still 1.
-	runs, appends, bases, err := st.st.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if appends["r1"] != 1 || appends["r2"] != 0 {
-		t.Fatalf("appends = %v, want r1:1", appends)
-	}
-	if bases["r1"] != 0 || bases["r2"] != 1 {
-		t.Fatalf("bases = %v, want r1:0 r2:1", bases)
-	}
-	if runs["r1"] != "intro" || runs["r2"] != "intro" {
-		t.Fatalf("runs = %v", runs)
-	}
-	// Both bases are now columnar on disk.
-	for name, epoch := range bases {
-		data, err := st.st.GetRunData(name, epoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !derive.IsColumnar(data) {
-			t.Fatalf("run %q base still JSON after migration", name)
-		}
-	}
-
-	cat, err := NewCatalogFromStore(st, CatalogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// sameAnswers checks that every run of cat answers "_*" exactly like a
+// from-scratch engine over the expected run.
+func sameAnswers(t *testing.T, cat *Catalog, want map[string]*Run) {
+	t.Helper()
+	q := MustParseQuery("_*")
 	for name, w := range want {
 		got, ok := cat.Run(name)
 		if !ok {
-			t.Fatalf("run %q missing after migration", name)
+			t.Fatalf("run %q missing", name)
 		}
 		sameRun(t, name, w, got)
-	}
-	if v, _ := cat.RunVersion("r1"); v != 1 {
-		t.Fatalf("r1 version = %d, want 1 (replayed batch counts)", v)
-	}
-	if v, _ := cat.RunVersion("r2"); v != 0 {
-		t.Fatalf("r2 version = %d, want 0 (compacted)", v)
-	}
-	// Answers over the migrated catalog match a from-scratch engine.
-	q := MustParseQuery("_*")
-	for name, w := range want {
 		eng, err := cat.Engine(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Evaluate(q)
+		gotPairs, err := eng.Evaluate(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,33 +130,98 @@ func TestStoreMigratesLegacyJSONDir(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(wantPairs) {
-			t.Fatalf("run %q: %d pairs, want %d", name, len(got), len(wantPairs))
+		if !slices.Equal(gotPairs, wantPairs) {
+			t.Fatalf("run %q: %d pairs differ from the expected %d", name, len(gotPairs), len(wantPairs))
 		}
-		for i := range got {
-			if got[i] != wantPairs[i] {
-				t.Fatalf("run %q pair %d: %v, want %v", name, i, got[i], wantPairs[i])
-			}
+	}
+}
+
+// TestLegacyJSONDirBootsThroughFallback opens a hand-built PR-5-era JSON
+// data directory: the bases stay JSON on disk and boot through the
+// DecodeRun fallback (replaying the JSON batch) with answers identical to
+// a from-scratch build, CompactRun rewrites each base as columnar, and the
+// reopen then takes the zero-copy path with the same answers.
+func TestLegacyJSONDirBootsThroughFallback(t *testing.T) {
+	dir, _, want := legacyJSONDir(t)
+
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := NewCatalogFromStore(st, CatalogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cat.LegacyRunBases(); n != 2 {
+		t.Fatalf("LegacyRunBases = %d, want 2", n)
+	}
+	_, _, bases, err := st.st.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, epoch := range map[string]int{"r1": 0, "r2": 1} {
+		data, err := st.st.GetRunData(name, bases[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bases[name] != epoch || derive.IsColumnar(data) {
+			t.Fatalf("run %q: epoch %d columnar=%v after open; opening must not rewrite a base", name, bases[name], derive.IsColumnar(data))
+		}
+	}
+	sameAnswers(t, cat, want)
+	if v, _ := cat.RunVersion("r1"); v != 1 {
+		t.Fatalf("r1 version = %d, want 1 (replayed batch counts)", v)
+	}
+	if v, _ := cat.RunVersion("r2"); v != 0 {
+		t.Fatalf("r2 version = %d, want 0 (compacted)", v)
+	}
+
+	for name := range want {
+		if err := cat.CompactRun(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, appends, bases, err := st.st.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, epoch := range map[string]int{"r1": 1, "r2": 2} {
+		data, err := st.st.GetRunData(name, bases[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bases[name] != epoch || appends[name] != 0 || !derive.IsColumnar(data) {
+			t.Fatalf("run %q after CompactRun: epoch %d appends %d columnar=%v", name, bases[name], appends[name], derive.IsColumnar(data))
 		}
 	}
 
-	// Second open: fast path — nothing to migrate, format already marked.
+	// An old build that had run its migration left a "format" marker in
+	// the manifest; the store must keep opening such a manifest.
+	mpath := filepath.Join(dir, "manifest.json")
+	mdata, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdata = append([]byte(`{"format":1,`), bytes.TrimPrefix(mdata, []byte("{"))...)
+	if err := os.WriteFile(mpath, mdata, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	st2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := st2.MigratedRuns(); n != 0 {
-		t.Fatalf("second open MigratedRuns = %d, want 0", n)
-	}
-	if f, err := st2.st.Format(); err != nil || f != storeFormatColumnar {
-		t.Fatalf("format after migration = %d, %v", f, err)
-	}
-	// And growth still works on the migrated store: append through a
-	// catalog, reboot, replay.
 	cat2, err := NewCatalogFromStore(st2, CatalogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := cat2.LegacyRunBases(); n != 0 {
+		t.Fatalf("LegacyRunBases after compaction = %d, want 0 (zero-copy boot)", n)
+	}
+	sameAnswers(t, cat2, want)
+
+	// And growth still works on the converted store: append through a
+	// catalog, reboot, replay.
 	sp2, _ := cat2.Spec("intro")
 	r1, _ := cat2.Run("r1")
 	bdata, err := derive.EncodeBatch(sp2.s, derive.Batch{
@@ -222,8 +238,8 @@ func TestStoreMigratesLegacyJSONDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 2 {
-		t.Fatalf("post-migration append version = %d, want 2", res.Version)
+	if res.Version != 1 {
+		t.Fatalf("post-compaction append version = %d, want 1", res.Version)
 	}
 	st3, err := OpenStore(dir)
 	if err != nil {

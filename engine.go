@@ -28,22 +28,6 @@ var (
 		metrics.WorkBuckets, "strategy")
 )
 
-// observeEval feeds one completed all-pairs evaluation back into the
-// measured cost model and the exported histograms: the strategy that
-// ran, the decode units the model estimated for it, and the elapsed
-// wall time. This is the calibration loop behind plan.NewWithTimings —
-// after enough observations the planner weighs estimates by what a unit
-// of each strategy actually costs here, not by the static constant.
-func observeEval(s plan.Strategy, units float64, start time.Time) {
-	d := time.Since(start)
-	plan.SharedTimings().Observe(s, units, d)
-	name := s.String()
-	mEvalSeconds.With(name).Observe(d.Seconds())
-	if units > 0 {
-		mEvalUnits.With(name).Observe(units)
-	}
-}
-
 // observeEvalLatency records latency for evaluation paths outside the
 // measured cost model (the G1 baseline, unsafe-query decomposition).
 func observeEvalLatency(name string, start time.Time) {
@@ -170,10 +154,6 @@ var defaultPlanCache = &PlanCache{c: sharedPlans}
 // every engine not configured with an explicit cache, for stats
 // inspection (e.g. rpqcli -stats) or for passing to a Catalog.
 func DefaultPlanCache() *PlanCache { return defaultPlanCache }
-
-// crossParallelCutoff is the pair-count floor below which the unsafe-query
-// cross-product stays serial, matching the cutoffs of the safe scans.
-const crossParallelCutoff = 2048
 
 // EngineOptions configure an Engine beyond its run.
 type EngineOptions struct {
@@ -391,19 +371,25 @@ func (e *Engine) Reachable(u, v NodeID) (bool, error) {
 // in the lists and the output (Lemma 4.1's side effect), sharded across the
 // engine's worker pool.
 func (e *Engine) AllPairsReachable(l1, l2 []NodeID) ([]Pair, error) {
-	la, err := e.labelsOf(l1)
-	if err != nil {
+	if err := e.checkNodes(l1); err != nil {
 		return nil, err
 	}
-	lb, err := e.labelsOf(l2)
-	if err != nil {
+	if err := e.checkNodes(l2); err != nil {
 		return nil, err
 	}
 	var out []Pair
-	reach.AllPairsParallel(e.run.r.Spec, la, lb, e.workers, func(i, j int) {
+	reach.AllPairs(e.run.r.Spec, e.labelsOf(l1), e.labelsOf(l2), e.workers, func(i, j int) {
 		out = append(out, Pair{From: l1[i], To: l2[j]})
 	})
 	return out, nil
+}
+
+// forcedStrategies maps the caller-forced public strategies onto the
+// planner's enum; Auto and StrategyG1 are absent.
+var forcedStrategies = map[Strategy]plan.Strategy{
+	StrategyRPL:    plan.RPL,
+	StrategyOptRPL: plan.OptRPL,
+	StrategySeeded: plan.Seeded,
 }
 
 // AllPairs returns all pairs (u,v) ∈ l1 × l2 with u —R→ v.
@@ -422,90 +408,89 @@ func (e *Engine) AllPairs(q *Query, l1, l2 []NodeID, strategy Strategy) ([]Pair,
 	emit := func(i, j int) {
 		out = append(out, Pair{From: l1[i], To: l2[j]})
 	}
-	// Label slices are built only by the branches that scan them — the
-	// seeded and relational paths work from node ids.
-	safeScan := func(st core.AllPairsStrategy) error {
-		return env.AllPairsSafeParallel(e.labelsUnchecked(l1), e.labelsUnchecked(l2), st, e.workers, emit)
-	}
-	start := time.Now()
 	switch strategy {
+	case StrategyG1:
+		start := time.Now()
+		baseline.NewG1(e.index()).AllPairs(q.node, toDerive(l1), toDerive(l2), emit)
+		observeEvalLatency("g1", start)
+		return out, nil
 	case StrategyRPL, StrategyOptRPL:
 		if !env.Safe() {
 			return nil, fmt.Errorf("provrpq: query %s is unsafe; RPL/OptRPL require a safe query", q)
 		}
-		st, ps := core.OptRPL, plan.OptRPL
-		if strategy == StrategyRPL {
-			st, ps = core.RPL, plan.RPL
-		}
-		dec := e.planner().Plan(env, len(l1), len(l2))
-		if err := safeScan(st); err != nil {
-			return nil, err
-		}
-		observeEval(ps, dec.UnitCost(ps), start)
-		return out, nil
-	case StrategyG1:
-		g1 := baseline.NewG1(e.index())
-		g1.AllPairs(q.node, toDerive(l1), toDerive(l2), emit)
-		observeEvalLatency("g1", start)
-		return out, nil
-	case StrategySeeded:
-		dec := e.planner().Plan(env, len(l1), len(l2))
-		if err := plan.AllPairsSeeded(env, e.index(), dec, toDerive(l1), toDerive(l2), emit); err != nil {
-			return nil, err
-		}
-		observeEval(plan.Seeded, dec.CostSeeded, start)
-		return out, nil
+	case StrategySeeded: // verifies its own candidates, safe query or not
 	default: // Auto
-		if env.Safe() {
-			dec := e.planner().Plan(env, len(l1), len(l2))
-			var err error
-			switch dec.Strategy {
-			case plan.RPL:
-				err = safeScan(core.RPL)
-			case plan.Seeded:
-				err = plan.AllPairsSeeded(env, e.index(), dec, toDerive(l1), toDerive(l2), emit)
-			default:
-				err = safeScan(core.OptRPL)
-			}
-			if err != nil {
-				return nil, err
-			}
-			observeEval(dec.Strategy, dec.UnitCost(dec.Strategy), start)
-			return out, nil
+		if !env.Safe() {
+			return e.crossDecomposed(q, l1, l2)
 		}
-		rel, _, err := e.general().Eval(q.node)
-		if err != nil {
-			return nil, err
-		}
-		// Cross the lists against the materialized relation in parallel:
-		// Rel is read-only here, and contiguous shards of l1 merged in
-		// order reproduce the serial nested-loop output order. Small
-		// products stay serial — goroutine fan-out costs more than the
-		// map lookups it would split.
-		du, dv := toDerive(l1), toDerive(l2)
-		if len(l1)*len(l2) < crossParallelCutoff {
-			for i, u := range l1 {
-				for j, v := range l2 {
-					if rel.Has(du[i], dv[j]) {
-						out = append(out, Pair{From: u, To: v})
-					}
-				}
-			}
-			observeEvalLatency("decompose", start)
-			return out, nil
-		}
-		parallel.Gather(len(l1), e.workers, func(_, lo, hi int, emit func(Pair)) {
-			for i := lo; i < hi; i++ {
-				for j := range l2 {
-					if rel.Has(du[i], dv[j]) {
-						emit(Pair{From: l1[i], To: l2[j]})
-					}
-				}
-			}
-		}, func(p Pair) { out = append(out, p) })
-		observeEvalLatency("decompose", start)
-		return out, nil
 	}
+	dec := e.planner().Plan(env, len(l1), len(l2))
+	ps, forced := forcedStrategies[strategy]
+	if !forced {
+		ps = dec.Strategy
+	}
+	if err := e.scanSafe(env, dec, ps, l1, l2, emit); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// crossDecomposed answers an unsafe query over l1 × l2: the full relation
+// from the safe-subtree decomposition, crossed against the lists on the
+// worker pool. Rel is read-only here, and contiguous shards of l1 merged
+// in order reproduce the nested-loop output order.
+func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
+	start := time.Now()
+	rel, _, err := e.general().Eval(q.node)
+	if err != nil {
+		return nil, err
+	}
+	var out []Pair
+	du, dv := toDerive(l1), toDerive(l2)
+	parallel.Gather(len(l1), e.workers, func(_, lo, hi int, emit func(Pair)) {
+		for i := lo; i < hi; i++ {
+			for j := range l2 {
+				if rel.Has(du[i], dv[j]) {
+					emit(Pair{From: l1[i], To: l2[j]})
+				}
+			}
+		}
+	}, func(p Pair) { out = append(out, p) })
+	observeEvalLatency("decompose", start)
+	return out, nil
+}
+
+// scanSafe is the one label-scan entry: it runs the given strategy of one
+// planner decision over l1 × l2, then feeds the strategy, the decode units
+// the model estimated for it and the elapsed wall time back into the
+// measured cost model and the exported histograms. This is the calibration
+// loop behind plan.NewWithTimings — after enough observations the planner
+// weighs estimates by what a unit of each strategy actually costs here,
+// not by the static constant. RPL and OptRPL need a safe env; Seeded
+// verifies its candidates itself and also accepts an unsafe one. Label
+// slices are built only by the arms that scan them — the seeded path works
+// from node ids.
+func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strategy, l1, l2 []NodeID, emit func(i, j int)) error {
+	start := time.Now()
+	var err error
+	switch strategy {
+	case plan.Seeded:
+		err = plan.AllPairsSeeded(env, e.index(), dec, toDerive(l1), toDerive(l2), emit)
+	case plan.RPL:
+		err = env.AllPairsSafeParallel(e.labelsOf(l1), e.labelsOf(l2), core.RPL, e.workers, emit)
+	default:
+		err = env.AllPairsSafeParallel(e.labelsOf(l1), e.labelsOf(l2), core.OptRPL, e.workers, emit)
+	}
+	if err != nil {
+		return err
+	}
+	d, units := time.Since(start), dec.UnitCost(strategy)
+	plan.SharedTimings().Observe(strategy, units, d)
+	mEvalSeconds.With(strategy.String()).Observe(d.Seconds())
+	if units > 0 {
+		mEvalUnits.With(strategy.String()).Observe(units)
+	}
+	return nil
 }
 
 // PlanReport describes how the engine would evaluate a query: the safety
@@ -565,29 +550,44 @@ func (e *Engine) Explain(q *Query) (*PlanReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &PlanReport{Query: q.node.String(), Safe: env.Safe()}
 	if env.Safe() {
 		n := e.run.NumNodes()
-		dec := e.planner().Plan(env, n, n)
-		rep.Strategy = fromPlanStrategy(dec.Strategy)
-		rep.SeedTag, rep.SeedCount, rep.Reverse = dec.SeedTag, dec.SeedCount, dec.Reverse
-		rep.CostRPL, rep.CostOptRPL, rep.CostSeeded = dec.CostRPL, dec.CostOptRPL, dec.CostSeeded
-		rep.UnitNanosRPL, rep.UnitNanosOptRPL, rep.UnitNanosSeeded = dec.UnitNanosRPL, dec.UnitNanosOptRPL, dec.UnitNanosSeeded
-		rep.CostSource = "static"
-		if dec.Measured() {
-			rep.CostSource = "measured"
-		}
-		return rep, nil
+		return safeReport(q, e.planner().Plan(env, n, n)), nil
 	}
 	grep, err := e.general().Plan(q.node)
 	if err != nil {
 		return nil, err
 	}
-	rep.Strategy = Auto
-	rep.Decomposed = true
-	rep.SafeSubtrees = grep.SafeSubtrees
-	rep.RelationalNodes = grep.RelationalNodes
-	return rep, nil
+	return decomposedReport(q, grep), nil
+}
+
+// safeReport renders the planner's decision for a safe query.
+func safeReport(q *Query, dec plan.Decision) *PlanReport {
+	rep := &PlanReport{
+		Query:    q.node.String(),
+		Safe:     true,
+		Strategy: fromPlanStrategy(dec.Strategy),
+		SeedTag:  dec.SeedTag, SeedCount: dec.SeedCount, Reverse: dec.Reverse,
+		CostRPL: dec.CostRPL, CostOptRPL: dec.CostOptRPL, CostSeeded: dec.CostSeeded,
+		UnitNanosRPL: dec.UnitNanosRPL, UnitNanosOptRPL: dec.UnitNanosOptRPL, UnitNanosSeeded: dec.UnitNanosSeeded,
+		CostSource: "static",
+	}
+	if dec.Measured() {
+		rep.CostSource = "measured"
+	}
+	return rep
+}
+
+// decomposedReport renders the safe-subtree decomposition of an unsafe
+// query.
+func decomposedReport(q *Query, grep *core.EvalReport) *PlanReport {
+	return &PlanReport{
+		Query:           q.node.String(),
+		Strategy:        Auto,
+		Decomposed:      true,
+		SafeSubtrees:    grep.SafeSubtrees,
+		RelationalNodes: grep.RelationalNodes,
+	}
 }
 
 // Evaluate returns the query's full result relation over all node pairs:
@@ -602,7 +602,9 @@ func (e *Engine) Evaluate(q *Query) ([]Pair, error) {
 
 // EvaluatePlanned is Evaluate returning the plan report alongside the
 // pairs, so callers (the HTTP service, rpqcli) can surface which strategy
-// actually answered.
+// actually answered. A safe query is planned exactly once: the report, the
+// scan and the strategy label on provrpq_eval_seconds all come from that
+// one decision.
 func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 	env, err := e.env(q)
 	if err != nil {
@@ -615,26 +617,18 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rep := &PlanReport{
-			Query:           q.node.String(),
-			Strategy:        Auto,
-			Decomposed:      true,
-			SafeSubtrees:    grep.SafeSubtrees,
-			RelationalNodes: grep.RelationalNodes,
-		}
 		var out []Pair
 		for _, p := range rel.Pairs() {
 			out = append(out, Pair{From: NodeID(p[0]), To: NodeID(p[1])})
 		}
-		return out, rep, nil
-	}
-	rep, err := e.Explain(q)
-	if err != nil {
-		return nil, nil, err
+		return out, decomposedReport(q, grep), nil
 	}
 	all := e.run.AllNodes()
-	out, err := e.AllPairs(q, all, all, rep.Strategy)
-	if err != nil {
+	dec := e.planner().Plan(env, len(all), len(all))
+	var out []Pair
+	if err := e.scanSafe(env, dec, dec.Strategy, all, all, func(i, j int) {
+		out = append(out, Pair{From: all[i], To: all[j]})
+	}); err != nil {
 		return nil, nil, err
 	}
 	// Match the relational path's deterministic (From, To) order — the
@@ -645,7 +639,7 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 		}
 		return out[i].To < out[j].To
 	})
-	return out, rep, nil
+	return out, safeReport(q, dec), nil
 }
 
 // fromPlanStrategy maps the planner's choice onto the public enum.
@@ -659,20 +653,9 @@ func fromPlanStrategy(s plan.Strategy) Strategy {
 	return StrategyOptRPL
 }
 
-func (e *Engine) labelsOf(ids []NodeID) ([]label.Label, error) {
-	lbls := e.labels()
-	out := make([]label.Label, len(ids))
-	for i, id := range ids {
-		if err := e.checkNode(id); err != nil {
-			return nil, err
-		}
-		out[i] = lbls[id]
-	}
-	return out, nil
-}
-
-// labelsUnchecked is labelsOf for ids the caller already validated.
-func (e *Engine) labelsUnchecked(ids []NodeID) []label.Label {
+// labelsOf gathers the materialized labels of ids the caller already
+// validated.
+func (e *Engine) labelsOf(ids []NodeID) []label.Label {
 	lbls := e.labels()
 	out := make([]label.Label, len(ids))
 	for i, id := range ids {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"provrpq"
+	"provrpq/internal/metrics"
 )
 
 // planSpec is the package-doc grammar: S -> x A p over a linear A
@@ -27,6 +28,20 @@ func planSpec(t testing.TB) *provrpq.Spec {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+// evalCounts returns the observation count of provrpq_eval_seconds per
+// strategy label.
+func evalCounts() map[string]uint64 {
+	out := map[string]uint64{}
+	for _, fam := range metrics.Default().Snapshot() {
+		if fam.Name == "provrpq_eval_seconds" {
+			for _, s := range fam.Samples {
+				out[s.LabelValues[0]] = s.Histogram.Count
+			}
+		}
+	}
+	return out
 }
 
 func finite(c float64) bool { return !math.IsNaN(c) && !math.IsInf(c, 0) && c >= 0 }
@@ -66,13 +81,24 @@ func TestExplainSafeQuery(t *testing.T) {
 	checkCosts(t, rep)
 
 	// EvaluatePlanned reports the same plan and answers identically to
-	// Evaluate and to the forced strategy.
+	// Evaluate and to the forced strategy; the one scan it ran is
+	// observed under the strategy its report names.
+	before := evalCounts()
 	pairs, rep2, err := eng.EvaluatePlanned(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Strategy != rep.Strategy {
 		t.Errorf("EvaluatePlanned strategy %v != Explain strategy %v", rep2.Strategy, rep.Strategy)
+	}
+	for strategy, n := range evalCounts() {
+		want := uint64(0)
+		if strategy == rep2.Strategy.String() {
+			want = 1
+		}
+		if got := n - before[strategy]; got != want {
+			t.Errorf("provrpq_eval_seconds{strategy=%q} moved by %d, want %d (report says %v)", strategy, got, want, rep2.Strategy)
+		}
 	}
 	direct, err := eng.Evaluate(q)
 	if err != nil {

@@ -11,12 +11,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
+	"strings"
 
 	"provrpq"
 	"provrpq/internal/server"
@@ -75,12 +77,19 @@ func main() {
 		fmt.Printf("  %-7s %-22s %v pairs\n", m["run"], m["query"], m["count"])
 	}
 
-	// 5. The stats endpoint shows the economics: hits dominate misses
+	// 5. The metrics endpoint shows the economics: hits dominate misses
 	//    because runs of one specification share compiled plans.
-	stats := get(base + "/statsz")
-	pc := stats["plan_cache"].(map[string]any)
-	fmt.Printf("\nplan cache: %v plans, %v hits, %v misses (specs=%v runs=%v workers=%v)\n",
-		pc["plans"], pc["hits"], pc["misses"], stats["specs"], stats["runs"], stats["workers"])
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\ncatalog and plan cache, from /metrics:")
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		if l := sc.Text(); strings.HasPrefix(l, "provrpq_catalog_") || strings.HasPrefix(l, "provrpq_plan_cache_") {
+			fmt.Println(" ", l)
+		}
+	}
+	resp.Body.Close()
 
 	// 6. Tear down: close the listener and join the serve goroutine so
 	//    the walkthrough exits with nothing left running.
@@ -94,14 +103,6 @@ func post(url string, body any) map[string]any {
 		log.Fatal(err)
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return decode(resp)
-}
-
-func get(url string) map[string]any {
-	resp, err := http.Get(url)
 	if err != nil {
 		log.Fatal(err)
 	}

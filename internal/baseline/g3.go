@@ -124,7 +124,7 @@ func (g *G3) AllPairs(l1, l2 []derive.NodeID, emit func(i, j int)) {
 		return ls
 	}
 	if len(g.syms) == 0 {
-		reach.AllPairs(spec, labelsOf(l1), labelsOf(l2), emit)
+		reach.AllPairs(spec, labelsOf(l1), labelsOf(l2), 1, emit)
 		return
 	}
 

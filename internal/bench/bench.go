@@ -376,13 +376,13 @@ func allPairsIFQ(cfg Config, d *workload.Dataset) error {
 		matches := 0
 		rplT, err := timeOfErr(func() error {
 			matches = 0
-			return env.AllPairsSafe(labels, labels, core.RPL, func(i, j int) { matches++ })
+			return env.AllPairsSafeParallel(labels, labels, core.RPL, 1, func(i, j int) { matches++ })
 		})
 		if err != nil {
 			return err
 		}
 		optT, err := timeOfErr(func() error {
-			return env.AllPairsSafe(labels, labels, core.OptRPL, func(i, j int) {})
+			return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
 		})
 		if err != nil {
 			return err
@@ -450,13 +450,13 @@ func kleene(cfg Config, d *workload.Dataset) error {
 		matches := 0
 		rplT, err := timeOfErr(func() error {
 			matches = 0
-			return env.AllPairsSafe(labels, labels, core.RPL, func(i, j int) { matches++ })
+			return env.AllPairsSafeParallel(labels, labels, core.RPL, 1, func(i, j int) { matches++ })
 		})
 		if err != nil {
 			return err
 		}
 		optT, err := timeOfErr(func() error {
-			return env.AllPairsSafe(labels, labels, core.OptRPL, func(i, j int) {})
+			return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
 		})
 		if err != nil {
 			return err

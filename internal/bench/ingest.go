@@ -15,7 +15,9 @@ import (
 
 // IngestReport is the machine-readable record of the ingest experiment,
 // written as BENCH_ingest.json when Config.JSONDir is set. One row per
-// (writer count, commit mode, watcher count) cell.
+// (writer count, watcher count) cell. The committed ledger additionally
+// carries the rows of the retired serial commit protocol, frozen under
+// "frozen_serial_baseline"; this figure no longer produces them.
 type IngestReport struct {
 	Dataset string `json:"dataset"`
 	Quick   bool   `json:"quick"`
@@ -28,18 +30,18 @@ type IngestReport struct {
 	// fastest run is reported). Shared and virtualized devices degrade
 	// several-fold under sustained flush storms and recover after idle;
 	// keeping the best run filters that interference out instead of
-	// attributing the device's mood to whichever protocol ran later.
+	// attributing the device's mood to whichever cell ran later.
 	BestOf int         `json:"best_of"`
 	Rows   []IngestRow `json:"rows"`
 }
 
 // IngestRow measures one sustained-ingest cell: N concurrent writers,
 // each appending durable growth batches to its own run of a shared
-// catalog, under one commit protocol.
+// catalog.
 type IngestRow struct {
 	Writers int `json:"writers"`
-	// Mode is "serial" (one manifest fsync per batch, everything under
-	// the store mutex) or "group" (leader/follower coalesced commits).
+	// Mode is always "group" (leader/follower coalesced commits); the
+	// field keeps live rows comparable with the frozen "serial" ones.
 	Mode        string  `json:"mode"`
 	Watchers    int     `json:"watchers"`
 	Edges       int     `json:"edges"`
@@ -48,7 +50,7 @@ type IngestRow struct {
 	EdgesPerSec float64 `json:"edges_per_sec"`
 	// GroupCommits is the number of manifest writes the row's appends
 	// cost; Coalescing = batches / group_commits (1.0 means every batch
-	// paid its own manifest fsync — what the serial mode always reports).
+	// paid its own manifest fsync).
 	GroupCommits uint64  `json:"group_commits"`
 	Coalescing   float64 `json:"coalescing"`
 	// WatchPairs counts the standing-query delta pairs the row's
@@ -58,18 +60,17 @@ type IngestRow struct {
 }
 
 // FigIngest is the group-commit ingest experiment (beyond the paper):
-// sustained durable append throughput at varying writer counts, serial
-// commit (one manifest fsync per batch, everything under the store mutex)
-// versus group commit (payload staging outside the lock, coalesced
-// leader/follower manifest writes), and group commit again with standing
-// queries subscribed — the serving-while-watching cost. Each writer owns
-// one run, so payload staging never contends; the manifest is the single
-// shared commit point both protocols must fund, which is exactly what
-// group commit amortizes. Batches are node-bearing segments of a real
-// derivation (split, not synthesized), so every append also pays label
-// validation and the watchers' deltas are non-empty.
+// sustained durable append throughput at varying writer counts under
+// group commit (payload staging outside the lock, coalesced
+// leader/follower manifest writes), alone and again with standing queries
+// subscribed — the serving-while-watching cost. Each writer owns one run,
+// so payload staging never contends; the manifest is the single shared
+// commit point, which is exactly what group commit amortizes. Batches are
+// node-bearing segments of a real derivation (split, not synthesized), so
+// every append also pays label validation and the watchers' deltas are
+// non-empty.
 func FigIngest(cfg Config) error {
-	header(cfg, "ingest: durable append throughput — serial vs group commit")
+	header(cfg, "ingest: durable append throughput under group commit")
 	// Small, frequent batches (~5 edges) mirror the streaming-ingest
 	// regime the endpoint produces — time-bounded flushes of a live event
 	// feed — and are where commit overhead, the thing group commit
@@ -108,7 +109,7 @@ func FigIngest(cfg Config) error {
 
 	// One derived-and-split load per writer slot, shared by every cell:
 	// all cells ingest identical byte streams, so rows differ only in
-	// protocol and concurrency.
+	// concurrency and watchers.
 	maxWriters := 0
 	for _, w := range writerCounts {
 		if w > maxWriters {
@@ -130,15 +131,12 @@ func FigIngest(cfg Config) error {
 	fmt.Fprintf(cfg.W, "%-9s %-8s %-10s %-10s %-10s %-12s %-12s %-12s %-11s\n",
 		"writers", "mode", "watchers", "edges", "seconds", "edges/sec", "commits", "coalescing", "watch-pairs")
 	for _, writers := range writerCounts {
-		for _, cell := range []struct {
-			mode     string
-			watchers int
-		}{{"serial", 0}, {"group", 0}, {"group", watchers}} {
+		for _, cellWatchers := range []int{0, watchers} {
 			// Throughput cells run bestOf times, fastest kept (see
 			// IngestReport.BestOf); the watcher cells are dominated by the
 			// subscribers' delta CPU, not the device, so once is enough.
 			reps := bestOf
-			if cell.watchers > 0 {
+			if cellWatchers > 0 {
 				reps = 1
 			}
 			var row IngestRow
@@ -150,7 +148,7 @@ func FigIngest(cfg Config) error {
 					// slower disk than earlier ones.
 					time.Sleep(5 * time.Second)
 				}
-				r, err := ingestCell(spec, watchQuery, loads[:writers], cell.watchers, cell.mode == "serial")
+				r, err := ingestCell(spec, watchQuery, loads[:writers], cellWatchers)
 				if err != nil {
 					return err
 				}
@@ -255,7 +253,7 @@ func splitDerivedRun(spec *provrpq.Spec, seed int64, targetEdges, batches int) (
 // per writer load committing its growth batches to its own run, timed
 // wall-clock across all of them.
 func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
-	loads []writerLoad, watchers int, serial bool) (IngestRow, error) {
+	loads []writerLoad, watchers int) (IngestRow, error) {
 	dir, err := os.MkdirTemp("", "provrpq-bench-ingest-*")
 	if err != nil {
 		return IngestRow{}, err
@@ -265,7 +263,6 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 	if err != nil {
 		return IngestRow{}, err
 	}
-	st.SetSerialCommit(serial)
 	cat := provrpq.NewCatalog(provrpq.CatalogOptions{Store: st})
 	if err := cat.RegisterSpec("wf", spec); err != nil {
 		return IngestRow{}, err
@@ -337,28 +334,19 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 		totalBatches += len(load.batches)
 		totalEdges += load.batchEdges
 	}
-	mode := "group"
-	commits := uint64(0)
-	if serial {
-		mode = "serial"
-		// The serial path bypasses the commit queue; by construction it is
-		// one manifest write per batch.
-		commits = uint64(totalBatches)
-	} else if groupsAfter, _ := store.CommitStats(); groupsAfter > groupsBefore {
-		// CommitStats is process-wide; the delta across this cell's timed
-		// region is this cell's commits (cells run one at a time).
-		commits = groupsAfter - groupsBefore
-	}
+	// CommitStats is process-wide; the delta across this cell's timed
+	// region is this cell's commits (cells run one at a time).
+	groupsAfter, _ := store.CommitStats()
 	row := IngestRow{
-		Writers: writers, Mode: mode, Watchers: watchers,
+		Writers: writers, Mode: "group", Watchers: watchers,
 		Edges: totalEdges, Batches: totalBatches,
-		Seconds:     elapsed.Seconds(),
-		EdgesPerSec: float64(totalEdges) / elapsed.Seconds(),
-		WatchPairs:  watchPairs,
+		Seconds:      elapsed.Seconds(),
+		EdgesPerSec:  float64(totalEdges) / elapsed.Seconds(),
+		GroupCommits: groupsAfter - groupsBefore,
+		WatchPairs:   watchPairs,
 	}
-	row.GroupCommits = commits
-	if commits > 0 {
-		row.Coalescing = float64(totalBatches) / float64(commits)
+	if row.GroupCommits > 0 {
+		row.Coalescing = float64(totalBatches) / float64(row.GroupCommits)
 	}
 	return row, nil
 }

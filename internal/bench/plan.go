@@ -60,13 +60,13 @@ func FigPlan(cfg Config) error {
 			matches := 0
 			rplT, err := timeOfErr(func() error {
 				matches = 0
-				return env.AllPairsSafe(labels, labels, core.RPL, func(i, j int) { matches++ })
+				return env.AllPairsSafeParallel(labels, labels, core.RPL, 1, func(i, j int) { matches++ })
 			})
 			if err != nil {
 				return err
 			}
 			optT, err := timeOfErr(func() error {
-				return env.AllPairsSafe(labels, labels, core.OptRPL, func(i, j int) {})
+				return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
 			})
 			if err != nil {
 				return err
@@ -83,11 +83,11 @@ func FigPlan(cfg Config) error {
 				dec := pl.Plan(env, len(nodes), len(nodes))
 				switch dec.Strategy {
 				case plan.RPL:
-					return env.AllPairsSafe(labels, labels, core.RPL, func(i, j int) {})
+					return env.AllPairsSafeParallel(labels, labels, core.RPL, 1, func(i, j int) {})
 				case plan.Seeded:
 					return plan.AllPairsSeeded(env, ix, dec, nodes, nodes, func(i, j int) {})
 				default:
-					return env.AllPairsSafe(labels, labels, core.OptRPL, func(i, j int) {})
+					return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
 				}
 			})
 			if err != nil {

@@ -20,53 +20,38 @@ const (
 )
 
 // rplParallelCutoff is the nested-loop pair-count floor below which the RPL
-// scan stays serial, and optParallelCutoff the l1 size floor for OptRPL:
-// goroutine fan-out only pays off once there is enough per-shard work to
-// amortize it.
+// scan stays on one worker, and optParallelCutoff the l1 size floor for
+// OptRPL: goroutine fan-out only pays off once there is enough per-shard
+// work to amortize it.
 const (
 	rplParallelCutoff = 2048
 	optParallelCutoff = 512
 )
 
-// AllPairsSafe evaluates the safe all-pairs query over two label lists and
-// emits each matching pair by list indices, serially on the calling
-// goroutine. Pairs are emitted in a deterministic order (RPL: l1-major
-// nested-loop order; OptRPL: the reach-walk order of the coarse filter).
-func (e *Env) AllPairsSafe(l1, l2 []label.Label, strategy AllPairsStrategy, emit func(i, j int)) error {
-	return e.AllPairsSafeParallel(l1, l2, strategy, 1, emit)
-}
-
-// AllPairsSafeParallel is AllPairsSafe sharded across a bounded worker pool
-// of the given size (0 means one worker per CPU, 1 forces the serial scan).
-// l1 is split into contiguous shards, each scanned by its own goroutine
-// with its own Decoder; per-shard emits are buffered and merged in shard
-// order, so the emit callback runs on the calling goroutine and — for a
-// fixed worker count — observes a deterministic pair sequence. The RPL scan
-// reproduces the serial nested-loop order exactly; the OptRPL scan shards
-// the coarse reach filter itself (each shard walks its own sub-trie against
-// a shared l2 trie), so its order is shard-major rather than the serial
-// walk order, but the pair set is always identical.
+// AllPairsSafeParallel evaluates the safe all-pairs query over two label
+// lists and emits each matching pair by list indices, sharded across a
+// bounded worker pool of the given size (0 means one worker per CPU; 1, or
+// a scan below the cut-offs, is the serial scan, run inline on the calling
+// goroutine). l1 is split into contiguous shards, each scanned by its own
+// goroutine with its own Decoder; per-shard emits are buffered and merged
+// in shard order, so the emit callback runs on the calling goroutine and —
+// for a fixed worker count — observes a deterministic pair sequence. The
+// RPL scan emits in l1-major nested-loop order whatever the worker count;
+// the OptRPL scan shards the coarse reach filter itself (each shard walks
+// its own sub-trie against a shared l2 trie), so its order is shard-major
+// — the reach-walk order with one worker — but the pair set is always
+// identical.
 func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrategy, workers int, emit func(i, j int)) error {
 	st := e.state.Load()
 	if !st.safe {
 		return ErrUnsafe
 	}
 	e.artifactsFor(st) // build once up front, not per worker
-	workers = parallel.Workers(workers)
-
+	consume := func(p [2]int) { emit(p[0], p[1]) }
 	switch strategy {
 	case RPL:
-		if workers <= 1 || len(l1)*len(l2) < rplParallelCutoff {
-			d := e.decoder()
-			defer e.release(d)
-			for i, a := range l1 {
-				for j, b := range l2 {
-					if d.PairwiseUnchecked(a, b) {
-						emit(i, j)
-					}
-				}
-			}
-			return nil
+		if len(l1)*len(l2) < rplParallelCutoff {
+			workers = 1
 		}
 		parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
 			d := e.decoder() // pooled: each worker borrows a warm decoder
@@ -78,32 +63,21 @@ func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrate
 					}
 				}
 			}
-		}, func(p [2]int) { emit(p[0], p[1]) })
-		return nil
-
+		}, consume)
 	case OptRPL:
-		if workers <= 1 || len(l1) < optParallelCutoff {
-			d := e.decoder()
-			defer e.release(d)
-			reach.AllPairs(e.Spec, l1, l2, func(i, j int) {
-				if d.PairwiseUnchecked(l1[i], l2[j]) {
-					emit(i, j)
-				}
-			})
-			return nil
+		if len(l1) < optParallelCutoff {
+			workers = 1
 		}
 		t2 := reach.NewTrie(l2)
 		parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
 			d := e.decoder()
 			defer e.release(d)
-			t1 := reach.NewTrie(l1[lo:hi])
-			reach.AllPairsTries(e.Spec, t1, t2, func(i, j int) {
+			reach.AllPairsTries(e.Spec, reach.NewTrie(l1[lo:hi]), t2, func(i, j int) {
 				if d.PairwiseUnchecked(l1[lo+i], l2[j]) {
 					out([2]int{lo + i, j})
 				}
 			})
-		}, func(p [2]int) { emit(p[0], p[1]) })
-		return nil
+		}, consume)
 	}
 	return nil
 }

@@ -76,11 +76,11 @@ func TestSafetyVerdictsForkSpec(t *testing.T) {
 func TestUnsafeEntryPointsReject(t *testing.T) {
 	spec := wf.PaperSpec()
 	e := compile(t, spec, "_*.A._*")
-	if _, err := e.Pairwise(label.Label{label.Prod(0, 0)}, label.Label{label.Prod(0, 3)}); err != ErrUnsafe {
-		t.Errorf("Pairwise on unsafe query: err = %v, want ErrUnsafe", err)
+	if _, err := e.PairwiseBytes(label.Label{label.Prod(0, 0)}.Encode(), label.Label{label.Prod(0, 3)}.Encode()); err != ErrUnsafe {
+		t.Errorf("PairwiseBytes on unsafe query: err = %v, want ErrUnsafe", err)
 	}
-	if err := e.AllPairsSafe(nil, nil, OptRPL, func(i, j int) {}); err != ErrUnsafe {
-		t.Errorf("AllPairsSafe on unsafe query: err = %v, want ErrUnsafe", err)
+	if err := e.AllPairsSafeParallel(nil, nil, OptRPL, 1, func(i, j int) {}); err != ErrUnsafe {
+		t.Errorf("AllPairsSafeParallel on unsafe query: err = %v, want ErrUnsafe", err)
 	}
 }
 
@@ -149,9 +149,9 @@ func TestPairwiseR3OnPaperRun(t *testing.T) {
 	for _, c := range cases {
 		u, _ := run.NodeByName(c.u)
 		v, _ := run.NodeByName(c.v)
-		got, err := e.Pairwise(run.Label(u), run.Label(v))
+		got, err := e.PairwiseBytes(run.LabelBytes(u), run.LabelBytes(v))
 		if err != nil {
-			t.Fatalf("Pairwise: %v", err)
+			t.Fatalf("PairwiseBytes: %v", err)
 		}
 		if got != c.want {
 			t.Errorf("R3(%s, %s) = %v, want %v", c.u, c.v, got, c.want)
@@ -238,14 +238,12 @@ func TestPairwiseMatchesOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				oracle := baseline.NewOracle(run, automata.MustParse(q))
+				dec := env.NewDecoder()
 				n := run.NumNodes()
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
 						u, v := derive.NodeID(i), derive.NodeID(j)
-						got, err := env.Pairwise(run.Label(u), run.Label(v))
-						if err != nil {
-							t.Fatal(err)
-						}
+						got := dec.PairwiseUnchecked(run.Label(u), run.Label(v))
 						if want := oracle.Pairwise(u, v); got != want {
 							t.Fatalf("%s seed %d query %q: Pairwise(%s,%s)=%v oracle=%v\nlabels %s | %s",
 								name, seed, q, run.Nodes[i].Name, run.Nodes[j].Name,
@@ -286,7 +284,7 @@ func TestDeepRecursionChainPowers(t *testing.T) {
 			{as[3], as[4]},
 		}
 		for _, p := range pairs {
-			got, err := env.Pairwise(run.Label(p[0]), run.Label(p[1]))
+			got, err := env.PairwiseBytes(run.LabelBytes(p[0]), run.LabelBytes(p[1]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,11 +309,12 @@ func TestVectorAndMatrixDecodeAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dec := env.NewDecoder()
 		n := run.NumNodes()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				a, b := run.Label(derive.NodeID(i)), run.Label(derive.NodeID(j))
-				fast := env.PairwiseUnchecked(a, b)
+				fast := dec.PairwiseUnchecked(a, b)
 				slow, err := env.PairwiseMatrix(a, b)
 				if err != nil {
 					t.Fatal(err)
@@ -346,7 +345,7 @@ func TestAllPairsStrategiesAgree(t *testing.T) {
 	}
 	collect := func(s AllPairsStrategy) map[[2]int]bool {
 		out := map[[2]int]bool{}
-		if err := env.AllPairsSafe(l1, l2, s, func(i, j int) { out[[2]int{i, j}] = true }); err != nil {
+		if err := env.AllPairsSafeParallel(l1, l2, s, 1, func(i, j int) { out[[2]int{i, j}] = true }); err != nil {
 			t.Fatal(err)
 		}
 		return out

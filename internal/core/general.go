@@ -93,10 +93,8 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 		strategy: strategy,
 		workers:  opts.Workers,
 		source:   opts.Envs,
-	}
-	for _, id := range run.AllNodes() {
-		g.ids = append(g.ids, id)
-		g.labels = append(g.labels, run.Label(id))
+		labels:   run.MaterializeLabels(),
+		ids:      run.AllNodes(),
 	}
 	return g
 }

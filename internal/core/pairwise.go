@@ -13,24 +13,11 @@ import (
 // general evaluator (general.go) or a baseline.
 var ErrUnsafe = fmt.Errorf("core: query is not safe for this specification")
 
-// Pairwise answers u —R→ v from the two node labels alone (Algorithm 1 /
-// Theorem 1): does some path from u to v spell a word of L(R)? The cost is
-// O(depth · |Q|³/64) — independent of the run size. It requires a safe
-// query.
-func (e *Env) Pairwise(a, b label.Label) (bool, error) {
-	d := e.decoder()
-	if d == nil {
-		return false, ErrUnsafe
-	}
-	ok := d.PairwiseUnchecked(a, b)
-	e.release(d)
-	return ok, nil
-}
-
-// PairwiseMatrix answers the query via full transition-matrix products
-// rather than the row-vector fast path. Both compute the same answer; the
-// matrix form also yields every (q,q') transition and is kept for
-// diagnostics and as a cross-check in the tests.
+// PairwiseMatrix answers u —R→ v from the two node labels via full
+// transition-matrix products rather than the row-vector fast path. Both
+// compute the same answer; the matrix form also yields every (q,q')
+// transition and is kept for diagnostics and as a cross-check in the
+// tests.
 func (e *Env) PairwiseMatrix(a, b label.Label) (bool, error) {
 	d := e.decoder()
 	if d == nil {
@@ -44,23 +31,11 @@ func (e *Env) PairwiseMatrix(a, b label.Label) (bool, error) {
 	return m[e.DFA.Start]&e.AcceptMask() != 0, nil
 }
 
-// PairwiseUnchecked is Pairwise for callers that already verified e.Safe().
-// It borrows a pooled decoder; hot loops (the all-pairs scans, parallel
-// workers) should instead hold their own Decoder and call its
-// PairwiseUnchecked directly.
-func (e *Env) PairwiseUnchecked(a, b label.Label) bool {
-	d := e.decoder()
-	if d == nil {
-		panic("core: PairwiseUnchecked on an unsafe query")
-	}
-	ok := d.PairwiseUnchecked(a, b)
-	e.release(d)
-	return ok
-}
-
-// PairwiseBytes is Pairwise on encoded labels (see
-// Decoder.PairwiseBytesUnchecked): the answer is computed from the bytes
-// without materializing either label.
+// PairwiseBytes answers u —R→ v from the two encoded node labels alone
+// (Algorithm 1 / Theorem 1): does some path from u to v spell a word of
+// L(R)? The cost is O(depth · |Q|³/64) — independent of the run size — and
+// the answer is computed from the bytes without materializing either label
+// (see Decoder.PairwiseBytesUnchecked). It requires a safe query.
 func (e *Env) PairwiseBytes(a, b label.Bytes) (bool, error) {
 	d := e.decoder()
 	if d == nil {

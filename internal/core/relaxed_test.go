@@ -54,11 +54,12 @@ func TestRelaxedDecodeMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			oracle := baseline.NewOracle(run, automata.MustParse(qs))
+			dec := env.NewDecoder()
 			n := run.NumNodes()
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					u, v := derive.NodeID(i), derive.NodeID(j)
-					got := env.PairwiseUnchecked(run.Label(u), run.Label(v))
+					got := dec.PairwiseUnchecked(run.Label(u), run.Label(v))
 					if want := oracle.Pairwise(u, v); got != want {
 						t.Fatalf("seed %d %q (%s,%s): relaxed decode %v oracle %v",
 							seed, qs, run.Nodes[i].Name, run.Nodes[j].Name, got, want)

@@ -1,9 +1,8 @@
 // Package metrics is a dependency-free instrumentation layer: counters,
 // gauges and fixed-bucket histograms with lock-free atomic hot paths, a
 // registry that renders them in the Prometheus text exposition format
-// (served by rpqd's GET /metrics), and a structured snapshot API feeding
-// /statsz and rpqcli -stats — both endpoints read the same instruments,
-// so they can never disagree.
+// (served by rpqd's GET /metrics), and a structured snapshot API over the
+// same instruments for in-process readers (tests, the benchmark harness).
 //
 // Instruments are registered get-or-create: asking a registry twice for
 // the same name returns the same instrument, so independently-initialized
@@ -415,8 +414,7 @@ type FamilySnapshot struct {
 }
 
 // Snapshot copies every family, sorted by name with samples sorted by
-// label values — the structured equivalent of the exposition output,
-// consumed by /statsz and rpqcli -stats.
+// label values — the structured equivalent of the exposition output.
 func (r *Registry) Snapshot() []FamilySnapshot {
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))

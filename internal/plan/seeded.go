@@ -43,7 +43,7 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 	la, lb := labelsOf(run, l1), labelsOf(run, l2)
 	if seed == "" {
 		if env.Safe() {
-			return env.AllPairsSafe(la, lb, core.OptRPL, emit)
+			return env.AllPairsSafeParallel(la, lb, core.OptRPL, 1, emit)
 		}
 		return expandPairs(env, run, allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
 	}
@@ -69,12 +69,12 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 
 	candSources := func() []int {
 		in := make([]bool, len(l1))
-		reach.AllPairs(run.Spec, la, srcLabels, func(i, _ int) { in[i] = true })
+		reach.AllPairs(run.Spec, la, srcLabels, 1, func(i, _ int) { in[i] = true })
 		return collect(in)
 	}
 	candTargets := func() []int {
 		in := make([]bool, len(l2))
-		reach.AllPairs(run.Spec, dstLabels, lb, func(_, j int) { in[j] = true })
+		reach.AllPairs(run.Spec, dstLabels, lb, 1, func(_, j int) { in[j] = true })
 		return collect(in)
 	}
 	var L, R []int

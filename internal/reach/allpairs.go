@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"provrpq/internal/label"
+	"provrpq/internal/parallel"
 	"provrpq/internal/wf"
 )
 
@@ -73,12 +74,31 @@ func buildTrie(labels []label.Label, lo, hi, depth int) *TrieNode {
 // EmitFunc receives one result pair by the callers' original indices.
 type EmitFunc func(i, j int)
 
+// parallelCutoff is the l1 size below which AllPairs stays on one worker:
+// the per-shard trie build has to be worth the goroutine fan-out.
+const parallelCutoff = 512
+
 // AllPairs emits every pair (i, j) with l1[i] ⇝ l2[j] in any run containing
 // all the labeled nodes. It runs in O(|G|³·max(|l1|,|l2|) + N) where N is
 // the output size (Lemma 4.1's side effect: all-pairs reachability in
-// input+output linear time for fixed G).
-func AllPairs(spec *wf.Spec, l1, l2 []label.Label, emit EmitFunc) {
-	AllPairsTries(spec, NewTrie(l1), NewTrie(l2), emit)
+// input+output linear time for fixed G), sharded across a bounded worker
+// pool of the given size (0 means one worker per CPU; 1, or an l1 below the
+// cut-off, is the serial walk, run inline on the calling goroutine). l1 is
+// split into contiguous shards, each walked against a shared trie of l2 by
+// its own goroutine; per-shard emits are buffered and merged in shard
+// order, so emit runs on the calling goroutine, the sequence is
+// deterministic for a fixed worker count, and the pair set never depends
+// on it.
+func AllPairs(spec *wf.Spec, l1, l2 []label.Label, workers int, emit EmitFunc) {
+	if len(l1) < parallelCutoff {
+		workers = 1
+	}
+	t2 := NewTrie(l2)
+	parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
+		AllPairsTries(spec, NewTrie(l1[lo:hi]), t2, func(i, j int) {
+			out([2]int{lo + i, j})
+		})
+	}, func(p [2]int) { emit(p[0], p[1]) })
 }
 
 // AllPairsTries is AllPairs over prebuilt tries; indices refer to the

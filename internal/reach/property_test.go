@@ -85,7 +85,7 @@ func TestQuickAllPairsConsistent(t *testing.T) {
 		la := labelsOf(r, l1)
 		lb := labelsOf(r, l2)
 		got := map[[2]int]bool{}
-		AllPairs(spec, la, lb, func(i, j int) {
+		AllPairs(spec, la, lb, 1, func(i, j int) {
 			got[[2]int{i, j}] = true
 		})
 		for i := range la {

@@ -242,7 +242,7 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 				}
 			}
 			got := map[string]bool{}
-			AllPairs(spec, l1, l2, func(i, j int) {
+			AllPairs(spec, l1, l2, 1, func(i, j int) {
 				got[fmt.Sprintf("%d-%d", ids1[i], ids2[j])] = true
 			})
 			want := map[string]bool{}
@@ -268,11 +268,11 @@ func TestAllPairsMatchesPairwise(t *testing.T) {
 func TestAllPairsEmptyLists(t *testing.T) {
 	spec := wf.PaperSpec()
 	called := false
-	AllPairs(spec, nil, nil, func(i, j int) { called = true })
+	AllPairs(spec, nil, nil, 1, func(i, j int) { called = true })
 	if called {
 		t.Error("no pairs expected for empty lists")
 	}
-	AllPairs(spec, []label.Label{{label.Prod(0, 0)}}, nil, func(i, j int) { called = true })
+	AllPairs(spec, []label.Label{{label.Prod(0, 0)}}, nil, 1, func(i, j int) { called = true })
 	if called {
 		t.Error("no pairs expected for one empty list")
 	}
@@ -285,7 +285,7 @@ func TestAllPairsIdenticalLists(t *testing.T) {
 		labels = append(labels, n.Label)
 	}
 	count := 0
-	AllPairs(r.Spec, labels, labels, func(i, j int) { count++ })
+	AllPairs(r.Spec, labels, labels, 1, func(i, j int) { count++ })
 	truth := bfsReach(r)
 	want := 0
 	for i := range truth {
@@ -317,7 +317,7 @@ func TestPaperExampleAllPairs(t *testing.T) {
 		l2 = append(l2, r.Label(id))
 	}
 	got := map[string]bool{}
-	AllPairs(r.Spec, l1, l2, func(i, j int) {
+	AllPairs(r.Spec, l1, l2, 1, func(i, j int) {
 		got[names1[i]+">"+names2[j]] = true
 	})
 	// All three reach both b's in the chain run.

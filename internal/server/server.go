@@ -17,9 +17,9 @@
 //	GET  /v1/snapshot          durable-store contents (what a restart restores)
 //	GET  /healthz              liveness (never limited); 503 "wedged" when the
 //	                           durable store refused further mutations
-//	GET  /statsz               plan-cache / worker-pool / request metrics,
-//	                           uptime and build info (never limited)
-//	GET  /metrics              Prometheus text exposition (never limited)
+//	GET  /metrics              Prometheus text exposition: catalog, plan
+//	                           cache, request, uptime and build-info
+//	                           families (never limited)
 //
 // Every request is counted, timed and (optionally) logged: per-route
 // request counters and latency histograms land in the server's metrics
@@ -255,6 +255,17 @@ func New(cat *provrpq.Catalog, opts Options) *Server {
 		metrics.KindCounter, func() float64 { return float64(s.cat.Stats().PlanCache.Evictions) })
 	s.reg.Func("provrpq_plan_cache_plans", "Resident compiled plans.",
 		metrics.KindGauge, func() float64 { return float64(s.cat.Stats().PlanCache.Plans) })
+	revision := ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "vcs.revision" {
+				revision = kv.Value
+			}
+		}
+	}
+	s.reg.GaugeVec("provrpq_build_info",
+		"Constant 1, labeled with the serving binary's Go version and VCS revision (empty when not stamped).",
+		"go_version", "vcs_revision").With(runtime.Version(), revision).Set(1)
 	return s
 }
 
@@ -328,17 +339,16 @@ func (s *Server) Handler() http.Handler {
 		work.ServeHTTP(w, r)
 	}))
 
-	// healthz, statsz and metrics live outside the limiter and the
-	// timeout: probes must succeed and metrics must stay scrapeable
-	// precisely when the server is saturated — all three are reads of
-	// atomic state. The two long-lived routes — NDJSON ingest streams and
-	// standing-query SSE subscriptions — live here too: the TimeoutHandler
-	// would kill them mid-stream (and buffer SSE writes), and MaxBytesReader
-	// would cap an ingest stream's total size; each carries its own bound
-	// (MaxStreams / MaxWatchers, per-record limits) instead.
+	// healthz and metrics live outside the limiter and the timeout:
+	// probes must succeed and metrics must stay scrapeable precisely when
+	// the server is saturated — both are reads of atomic state. The two
+	// long-lived routes — NDJSON ingest streams and standing-query SSE
+	// subscriptions — live here too: the TimeoutHandler would kill them
+	// mid-stream (and buffer SSE writes), and MaxBytesReader would cap an
+	// ingest stream's total size; each carries its own bound (MaxStreams /
+	// MaxWatchers, per-record limits) instead.
 	outer := http.NewServeMux()
 	outer.HandleFunc("GET /healthz", s.handleHealth)
-	outer.HandleFunc("GET /statsz", s.handleStats)
 	outer.HandleFunc("GET /metrics", s.handleMetrics)
 	outer.HandleFunc("POST /v1/runs/{name}/stream", s.handleStreamRun)
 	outer.HandleFunc("POST /v1/watch", s.handleWatch)
@@ -428,7 +438,7 @@ func routeOf(r *http.Request) string {
 	}
 	switch p {
 	case "/v1/specs", "/v1/runs", "/v1/evaluate", "/v1/explain", "/v1/pairwise",
-		"/v1/batch", "/v1/snapshot", "/v1/watch", "/healthz", "/statsz", "/metrics":
+		"/v1/batch", "/v1/snapshot", "/v1/watch", "/healthz", "/metrics":
 		return r.Method + " " + p
 	}
 	return "other"
@@ -598,34 +608,6 @@ type batchResponse struct {
 	Results []batchItem `json:"results"`
 }
 
-type cacheStatsJSON struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Plans     int    `json:"plans"`
-}
-
-type statsResponse struct {
-	Specs       int            `json:"specs"`
-	Runs        int            `json:"runs"`
-	PlanCache   cacheStatsJSON `json:"plan_cache"`
-	Workers     int            `json:"workers"`
-	Requests    uint64         `json:"requests"`
-	Rejected    uint64         `json:"rejected"`
-	Failed      uint64         `json:"failed"`
-	InFlight    int64          `json:"in_flight"`
-	MaxInFlight int            `json:"max_in_flight"`
-	TimeoutMS   int64          `json:"timeout_ms"`
-	// UptimeSeconds, GoVersion and Revision describe the serving process;
-	// Revision is the VCS commit baked in by the toolchain, when present.
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	GoVersion     string  `json:"go_version"`
-	Revision      string  `json:"vcs_revision,omitempty"`
-	// RunGenerations maps each served run to the growth batches applied
-	// to it (the same figure the provrpq_run_generation gauge exports).
-	RunGenerations map[string]int `json:"run_generations,omitempty"`
-}
-
 type snapshotResponse struct {
 	Durable bool              `json:"durable"`
 	Dir     string            `json:"dir,omitempty"`
@@ -648,45 +630,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	cs := s.cat.Stats()
-	resp := statsResponse{
-		Specs: cs.Specs,
-		Runs:  cs.Runs,
-		PlanCache: cacheStatsJSON{
-			Hits:      cs.PlanCache.Hits,
-			Misses:    cs.PlanCache.Misses,
-			Evictions: cs.PlanCache.Evictions,
-			Plans:     cs.PlanCache.Plans,
-		},
-		Workers:       cs.Workers,
-		Requests:      s.mRequests.Value(),
-		Rejected:      s.mRejected.Value(),
-		Failed:        s.mFailed.Value(),
-		InFlight:      s.inFlight.Load(),
-		MaxInFlight:   s.maxInFlight,
-		TimeoutMS:     s.timeout.Milliseconds(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		GoVersion:     runtime.Version(),
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, kv := range bi.Settings {
-			if kv.Key == "vcs.revision" {
-				resp.Revision = kv.Value
-			}
-		}
-	}
-	if names := s.cat.RunNames(); len(names) > 0 {
-		resp.RunGenerations = make(map[string]int, len(names))
-		for _, name := range names {
-			if v, ok := s.cat.RunVersion(name); ok {
-				resp.RunGenerations[name] = v
-			}
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics serves the Prometheus text exposition of the server's

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -74,6 +75,34 @@ func (c *testClient) do(method, path string, body any, wantStatus int, out any) 
 			c.t.Fatalf("%s %s: bad response JSON %q: %v", method, path, raw, err)
 		}
 	}
+}
+
+// scrape reads /metrics and returns every sample keyed by its series
+// (family name plus rendered label set, exactly as exposed).
+func (c *testClient) scrape() map[string]float64 {
+	c.t.Helper()
+	resp, err := c.hc.Get(c.base + "/metrics")
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		c.t.Fatalf("GET /metrics = %d, %v", resp.StatusCode, err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			c.t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 // newService stands up a catalog, server and httptest front end.
@@ -190,23 +219,14 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	wg.Wait()
 
-	var stats struct {
-		Specs     int `json:"specs"`
-		Runs      int `json:"runs"`
-		PlanCache struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-		} `json:"plan_cache"`
-		Requests uint64 `json:"requests"`
+	m := c.scrape()
+	if specs, runs := m["provrpq_catalog_specs"], m["provrpq_catalog_runs"]; specs != 1 || runs != 3 {
+		t.Errorf("/metrics reports %v specs / %v runs, want 1 / 3", specs, runs)
 	}
-	c.do("GET", "/statsz", nil, http.StatusOK, &stats)
-	if stats.Specs != 1 || stats.Runs != 3 {
-		t.Errorf("statsz reports %d specs / %d runs, want 1 / 3", stats.Specs, stats.Runs)
+	if hits, misses := m["provrpq_plan_cache_hits_total"], m["provrpq_plan_cache_misses_total"]; hits <= misses {
+		t.Errorf("plan cache should hit more than it misses across runs of one spec: %v hits, %v misses", hits, misses)
 	}
-	if stats.PlanCache.Hits <= stats.PlanCache.Misses {
-		t.Errorf("plan cache should hit more than it misses across runs of one spec: %+v", stats.PlanCache)
-	}
-	if stats.Requests == 0 {
+	if m["provrpq_http_requests_total"] == 0 {
 		t.Error("request counter did not move")
 	}
 }
@@ -505,9 +525,9 @@ func TestServerInFlightLimit(t *testing.T) {
 		t.Errorf("rejection code = %q, want overloaded", eb.Error.Code)
 	}
 
-	// healthz, statsz and the metrics scrape stay reachable even while
+	// healthz and the metrics scrape stay reachable even while
 	// saturated — observability must not die with the service.
-	for _, path := range []string{"/healthz", "/statsz", "/metrics"} {
+	for _, path := range []string{"/healthz", "/metrics"} {
 		hr, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -1281,18 +1301,8 @@ func TestServerMetrics(t *testing.T) {
 		}
 	}
 
-	// statsz rides the same registry and adds process identity.
-	var stats struct {
-		Requests       uint64         `json:"requests"`
-		UptimeSeconds  float64        `json:"uptime_seconds"`
-		GoVersion      string         `json:"go_version"`
-		RunGenerations map[string]int `json:"run_generations"`
-	}
-	c.do("GET", "/statsz", nil, http.StatusOK, &stats)
-	if stats.Requests == 0 || stats.UptimeSeconds <= 0 || stats.GoVersion == "" {
-		t.Errorf("statsz = %+v, want non-zero requests/uptime and a go version", stats)
-	}
-	if _, ok := stats.RunGenerations["run-a"]; !ok {
-		t.Errorf("statsz run_generations = %v, want run-a present", stats.RunGenerations)
+	// Process identity is one constant gauge.
+	if want := `provrpq_build_info{go_version="` + runtime.Version() + `",vcs_revision="`; !strings.Contains(body, want) {
+		t.Errorf("/metrics is missing %q", want)
 	}
 }

@@ -26,23 +26,22 @@ import (
 // manifest write — flushes every member with one syncfs of the appends
 // directory's filesystem, which writes back their contents and commits
 // the journal carrying their directory entries. On a device that
-// serializes cache flushes this is what moves the ceiling: the serial
-// protocol pays four flushes per batch (payload file + dir, manifest
-// file + dir) while a group of C appends pays three *shared* ones
-// (syncfs, manifest file, manifest dir) — 3/C flushes per batch. Off
-// Linux there is no syncfs, so stage keeps the per-file content fsync
-// and the leader pins the entries with one appends-dir fsync (1 + 3/C).
+// serializes cache flushes this is what moves the ceiling: a group of C
+// appends pays three *shared* flushes (syncfs, manifest file, manifest
+// dir) — 3/C per batch — where committing each batch on its own would pay
+// four (payload file + dir, manifest file + dir). Off Linux there is no
+// syncfs, so stage keeps the per-file content fsync and the leader pins
+// the entries with one appends-dir fsync (1 + 3/C).
 //
-// Crash semantics are unchanged from the serial protocol: each batch file is
-// durable — content fsynced, rename pinned — before the manifest write that
-// counts it, and the group's manifest write is one atomic temp-file + fsync
-// + rename, so a crash anywhere leaves every in-flight batch either fully
-// committed or an invisible orphan at a dense sequence number the next
-// append overwrites — never a torn subset of one batch. A failed group
-// commit fails every member identically: none of their counts were
-// published, and an *ambiguous* failure (the staged-dir fsync or the
-// post-rename manifest dir fsync) wedges the store for all of them, exactly
-// as it did per-append.
+// Crash semantics: each batch file is durable — contents and directory
+// entry flushed — before the manifest write that counts it, and the
+// group's manifest write is one atomic temp-file + fsync + rename, so a
+// crash anywhere leaves every in-flight batch either fully committed or an
+// invisible orphan at a dense sequence number the next append overwrites —
+// never a torn subset of one batch. A failed group commit fails every
+// member identically: none of their counts were published, and an
+// *ambiguous* failure (the staged-data flush or the post-rename manifest
+// dir fsync) wedges the store for all of them.
 
 var (
 	mGroupCommits = metrics.Default().Counter("provrpq_store_group_commits_total",
@@ -79,46 +78,6 @@ type commitOp struct {
 func (s *Store) appendLock(name string) *sync.Mutex {
 	mu, _ := s.appendMus.LoadOrStore(name, &sync.Mutex{})
 	return mu.(*sync.Mutex)
-}
-
-// SetSerialCommit switches AppendRun between the coalescing group-commit
-// path (the default, false) and the legacy serial path that performs the
-// whole stage+commit under the store mutex with one manifest write per
-// batch. The serial path exists as an honest baseline for the ingest
-// benchmark and as a bisection tool; both paths provide identical crash
-// semantics.
-func (s *Store) SetSerialCommit(on bool) { s.serial.Store(on) }
-
-// appendRunSerial is the pre-group-commit append protocol: everything under
-// s.mu, one manifest write (and its two fsyncs) per batch. Callers hold the
-// run's append lock.
-func (s *Store) appendRunSerial(name string, data []byte) (seq int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wedged {
-		return 0, fmt.Errorf("store: run %q: %w", name, ErrWedged)
-	}
-	m, err := s.readManifest()
-	if err != nil {
-		return 0, err
-	}
-	if _, ok := m.Runs[name]; !ok {
-		return 0, fmt.Errorf("store: run %q: %w", name, ErrNotFound)
-	}
-	seq = m.Appends[name]
-	if err := s.noteAmbiguous(writeAtomic(s.appendPath(name, seq), data)); err != nil {
-		return 0, err
-	}
-	if m.Appends == nil {
-		m.Appends = map[string]int{}
-	}
-	m.Appends[name] = seq + 1
-	if err := s.noteAmbiguous(s.writeManifest(m)); err != nil {
-		return 0, err
-	}
-	mWrites.With("append").Inc()
-	mAppendBytes.Add(uint64(len(data)))
-	return seq, nil
 }
 
 // stage writes one batch payload outside the store mutex, directly at

@@ -80,34 +80,6 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSerialBaseline: the serial path (one manifest write per
-// batch, everything under the store mutex) must commit identically; the
-// ingest benchmark leans on this equivalence.
-func TestGroupCommitSerialBaseline(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetSerialCommit(true)
-	if err := s.PutRun("r1", "wf", []byte("base")); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.AppendRun("r1", []byte("b")); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if m, _ := s.Appends(); m["r1"] != 4 {
-		t.Fatalf("serial appends committed %d, want 4", m["r1"])
-	}
-}
-
 // TestGroupCommitCrashBeforeManifest: a failure while staging batch
 // payloads (the leader's pre-manifest staging flush — syncfs where the
 // group defers durability to it, the appends-directory fsync elsewhere)

@@ -52,7 +52,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"provrpq/internal/metrics"
 )
@@ -63,7 +62,7 @@ import (
 // wedged store refuses every mutation until reopened.
 var (
 	mWrites = metrics.Default().CounterVec("provrpq_store_writes_total",
-		"Durable store commits, by kind (spec, run, append, compact, rewrite, manifest).", "kind")
+		"Durable store commits, by kind (spec, run, append, compact, manifest).", "kind")
 	mFsyncs = metrics.Default().Counter("provrpq_store_fsyncs_total",
 		"File and directory fsyncs performed by the store's atomic-write protocol.")
 	mWedged = metrics.Default().Gauge("provrpq_store_wedged",
@@ -133,10 +132,6 @@ type Store struct {
 	//provrpq:lockrank commitQueueMu 16
 	qmu   sync.Mutex
 	queue []*commitOp
-
-	// serial disables manifest-commit coalescing (SetSerialCommit): the
-	// honest per-batch-fsync baseline for the ingest benchmark.
-	serial atomic.Bool
 
 	// man caches the manifest (guarded by mu): this process is the only
 	// manifest writer, so after one disk load the cache is authoritative
@@ -355,7 +350,7 @@ func (s *Store) GetRunData(name string, epoch int) ([]byte, error) {
 // demand instead of copying the whole payload through the heap. The
 // mapping is never unmapped — the zero-copy run opened over it aliases
 // the bytes for its whole lifetime — and it stays coherent across later
-// compactions or rewrites because writeAtomic always replaces the path
+// compactions because writeAtomic always replaces the path
 // with a fresh inode via rename, never writing a payload in place: the
 // mapping keeps referencing the old inode as a stable snapshot.
 //
@@ -461,68 +456,6 @@ func (s *Store) CompactRun(name string, data []byte) (int, error) {
 	return epoch, nil
 }
 
-// RewriteRunPayload atomically replaces a committed run's base payload at
-// its current compaction epoch, leaving every other piece of the run's
-// state — its specification binding, append-log count, generation-bearing
-// batches and base epoch — untouched. This is the format-migration
-// primitive: the caller hands it a re-encoding of the exact same logical
-// run, so whichever payload a crash leaves at the (single) base path is a
-// valid base for the unchanged manifest. Contrast PutRun (resets the run's
-// history) and CompactRun (advances the epoch and folds the log): neither
-// can rewrite a payload in place without destroying state a migration
-// must preserve.
-func (s *Store) RewriteRunPayload(name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wedged {
-		return fmt.Errorf("store: run %q: %w", name, ErrWedged)
-	}
-	m, err := s.readManifest()
-	if err != nil {
-		return err
-	}
-	if _, ok := m.Runs[name]; !ok {
-		return fmt.Errorf("store: run %q: %w", name, ErrNotFound)
-	}
-	if err := s.noteAmbiguous(writeAtomic(s.runPath(name, m.Bases[name]), data)); err != nil {
-		return err
-	}
-	mWrites.With("rewrite").Inc()
-	return nil
-}
-
-// Format returns the manifest's payload-format generation (see
-// manifest.Format).
-func (s *Store) Format() (int, error) {
-	s.mu.Lock()
-	m, err := s.readManifest()
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return m.Format, nil
-}
-
-// SetFormat durably records the payload-format generation. Callers set it
-// only after every base payload has been rewritten to the new format, so
-// the flag is a pure fast-path marker for subsequent opens.
-func (s *Store) SetFormat(v int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wedged {
-		return fmt.Errorf("store: %w", ErrWedged)
-	}
-	m, err := s.readManifest()
-	if err != nil {
-		return err
-	}
-	if m.Format == v {
-		return nil
-	}
-	m.Format = v
-	return s.noteAmbiguous(s.writeManifest(m))
-}
-
 // HasRun reports whether a run is committed under name.
 func (s *Store) HasRun(name string) bool {
 	s.mu.Lock()
@@ -537,18 +470,18 @@ func (s *Store) HasRun(name string) bool {
 
 // AppendRun durably commits one growth batch for the named run, which
 // must already be committed, and returns the batch's sequence number
-// (0-based, dense). The batch file lands before the manifest count that
-// makes it visible — the same commit protocol as PutRun — so a crash
-// between the two writes leaves an orphan batch file that replay never
-// reads and the next AppendRun atomically overwrites: growth is replayed
-// cleanly or is invisible, never torn.
+// (0-based, dense). The batch file is staged at its final path and becomes
+// visible only once the manifest's batch count covers it, so a crash
+// before that manifest write leaves an orphan batch file that replay never
+// reads and the next AppendRun overwrites: growth is replayed cleanly or
+// is invisible, never torn.
 //
 // Concurrent appends to different runs coalesce: each stages its payload
-// (paying only the file-content fsync) in parallel, then the group-commit
-// leader pins all the staged renames with one appends-directory fsync and
-// publishes the manifest bumps in one atomic manifest write (see
-// groupcommit.go) — so N in-flight appends cost one directory fsync plus
-// one manifest fsync pair, not N of each.
+// outside the store mutex, then the group-commit leader makes the whole
+// group durable with one flush (syncfs of the appends filesystem where
+// supported) and publishes every member's count in one atomic manifest
+// write (see groupcommit.go) — N in-flight appends share three device
+// flushes instead of paying their own.
 func (s *Store) AppendRun(name string, data []byte) (seq int, err error) {
 	if name == "" {
 		return 0, fmt.Errorf("store: empty run name")
@@ -556,9 +489,6 @@ func (s *Store) AppendRun(name string, data []byte) (seq int, err error) {
 	amu := s.appendLock(name)
 	amu.Lock()
 	defer amu.Unlock()
-	if s.serial.Load() {
-		return s.appendRunSerial(name, data)
-	}
 	// Reserve the sequence number: the append lock is held, so the
 	// manifest's committed count is the next free slot and stays so until
 	// this append commits or fails. The cached manifest is read in place —
@@ -714,13 +644,6 @@ type manifest struct {
 	// bases/<name>.<e>.json. The manifest switch is what commits a
 	// compaction.
 	Bases map[string]int `json:"bases,omitempty"`
-	// Format is the store-wide payload format generation, advanced by the
-	// owning layer once it has rewritten every base payload to a newer
-	// codec (0 = legacy/unmigrated, 1 = columnar-native run bases). It is
-	// a migration fast-path marker, not a decode directive — payloads are
-	// self-describing and readers sniff each one — so a crash anywhere
-	// during a migration simply re-runs it on the next open.
-	Format int `json:"format,omitempty"`
 }
 
 func (s *Store) specPath(name string) string {
@@ -833,37 +756,6 @@ func (s *Store) writeManifest(m manifest) error {
 // torn file, then fsyncs the parent directory so the rename survives power
 // loss. When writeAtomic returns nil the write IS the commit.
 func writeAtomic(path string, data []byte) error {
-	if err := writeAtomicDeferSync(path, data, true); err != nil {
-		return err
-	}
-	// Invariant: the rename above only updates the in-memory directory
-	// entry; until the directory is fsynced the old entry (or none) can
-	// reappear after a crash, which would silently undo a "committed"
-	// manifest or payload. Fsyncing the parent directory pins the rename,
-	// completing the temp-file + fsync + rename + dir-fsync sequence. A
-	// failure *here* is ambiguous — the rename already applied, so the
-	// write may or may not survive — and is classified as such so the
-	// store wedges instead of mutating on top of an unknowable disk state.
-	if err := FsyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("store: %s: %w: %w", path, errAmbiguousCommit, err)
-	}
-	return nil
-}
-
-// writeAtomicDeferSync is writeAtomic without the final parent-directory
-// fsync: the rename is atomic, but may not survive power loss until
-// someone fsyncs the directory. Callers must arrange that pin before
-// treating the write as committed — the group-commit leader does it once
-// per batch of staged appends (see groupcommit.go), which is what makes
-// deferral profitable. When dataSync is false the file-content fsync is
-// skipped too, for staged files whose data the leader will flush with one
-// filesystem-wide syncfs; with it true the content is durable on return
-// and only the rename is deferred. Unlike writeAtomic, no failure here is
-// ambiguous: if the rename did not return nil the target was never
-// published.
-//
-//provrpq:fsyncsafe writeAtomic's own body, split out so group commit can defer the directory fsync; every caller either is writeAtomic or routes the deferred pin through the commit leader
-func writeAtomicDeferSync(path string, data []byte, dataSync bool) error {
 	dir, base := filepath.Split(path)
 	tmp, err := os.CreateTemp(dir, base+".tmp-*")
 	if err != nil {
@@ -878,30 +770,38 @@ func writeAtomicDeferSync(path string, data []byte, dataSync bool) error {
 	if _, err := tmp.Write(data); err != nil {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
-	if dataSync {
-		if err := tmp.Sync(); err != nil {
-			return fmt.Errorf("store: %s: %w", path, err)
-		}
-		mFsyncs.Inc()
+	if err := tmp.Sync(); err != nil {
+		return fmt.Errorf("store: %s: %w", path, err)
 	}
+	mFsyncs.Inc()
 	if err := tmp.Chmod(0o644); err != nil {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("store: %s: %w", path, err)
 	}
-	//provlint:ignore fsyncorder deferring the parent-directory fsync is this function's contract; the group-commit leader pins the rename before the manifest write that publishes it
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	tmp = nil
+	// Invariant: the rename above only updates the in-memory directory
+	// entry; until the directory is fsynced the old entry (or none) can
+	// reappear after a crash, which would silently undo a "committed"
+	// manifest or payload. Fsyncing the parent directory pins the rename,
+	// completing the temp-file + fsync + rename + dir-fsync sequence. A
+	// failure *here* is ambiguous — the rename already applied, so the
+	// write may or may not survive — and is classified as such so the
+	// store wedges instead of mutating on top of an unknowable disk state.
+	if err := FsyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("store: %s: %w: %w", path, errAmbiguousCommit, err)
+	}
 	return nil
 }
 
 // writeStaged writes a staged append payload directly at its final path —
-// no temp file, no rename, and durability deferred exactly like
-// writeAtomicDeferSync (content fsync only when dataSync is true; the
-// directory entry is pinned by the group-commit leader). Skipping the
+// no temp file, no rename, and durability deferred to the group-commit
+// leader (content fsync here only when dataSync is true; the directory
+// entry is always the leader's to pin). Skipping the
 // atomic dance is safe *only* for staged files: a staged path is below no
 // manifest count, so readers can never observe it, and a torn write just
 // leaves invisible garbage the next append at that sequence rewrites with

@@ -3,6 +3,9 @@ package provrpq
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +61,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAllPairsStrategiesConsistent: every strategy that accepts a query
+// returns the identical pair set; RPL and OptRPL refuse an unsafe query
+// with the documented error, while Auto, G1 and Seeded answer it.
 func TestAllPairsStrategiesConsistent(t *testing.T) {
 	spec := introSpec(t)
 	run, err := spec.Derive(DeriveOptions{Seed: 7, TargetEdges: 150})
@@ -65,27 +71,45 @@ func TestAllPairsStrategiesConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(run)
-	q := MustParseQuery("_*.s._*")
-	safe, err := eng.IsSafe(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !safe {
-		t.Fatalf("%s should be safe here", q)
-	}
 	l1 := run.NodesOfModule("tool1")
 	l2 := run.NodesOfModule("publish")
-	var counts []int
-	for _, st := range []Strategy{Auto, StrategyRPL, StrategyOptRPL, StrategyG1} {
-		pairs, err := eng.AllPairs(q, l1, l2, st)
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range []struct {
+		query string
+		safe  bool
+	}{
+		{"_*.s._*", true},
+		{"_*.a1._*", false}, // a1 occurs only in the recursive production
+	} {
+		q := MustParseQuery(row.query)
+		if safe, err := eng.IsSafe(q); err != nil || safe != row.safe {
+			t.Fatalf("IsSafe(%s) = %v, %v; want %v", q, safe, err, row.safe)
 		}
-		counts = append(counts, len(pairs))
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Fatalf("strategies disagree: %v", counts)
+		var want []Pair
+		for i, st := range []Strategy{Auto, StrategyG1, StrategySeeded, StrategyRPL, StrategyOptRPL} {
+			pairs, err := eng.AllPairs(q, l1, l2, st)
+			if !row.safe && (st == StrategyRPL || st == StrategyOptRPL) {
+				if err == nil || !strings.Contains(err.Error(), "RPL/OptRPL require a safe query") {
+					t.Errorf("%s on unsafe %s: err = %v, want the safe-query error", st, q, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s on %s: %v", st, q, err)
+			}
+			sort.Slice(pairs, func(a, b int) bool {
+				if pairs[a].From != pairs[b].From {
+					return pairs[a].From < pairs[b].From
+				}
+				return pairs[a].To < pairs[b].To
+			})
+			if i == 0 {
+				want = pairs
+				if len(want) == 0 {
+					t.Fatalf("%s: no pairs; the row checks nothing", q)
+				}
+			} else if !slices.Equal(pairs, want) {
+				t.Errorf("%s on %s: %d pairs differ from Auto's %d", st, q, len(pairs), len(want))
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"provrpq/internal/derive"
@@ -35,15 +36,13 @@ var ErrStoreFailed = errors.New("provrpq: store persistence failed")
 // binary columnar format ("RPQC" — packed label column, endpoint columns,
 // trailing checksum), which a restart opens zero-copy and memory-mapped
 // instead of re-parsing JSON. Every run/batch reader sniffs the payload,
-// so a data directory written by an older JSON-only build opens
-// transparently: OpenStore rewrites legacy run bases to columnar once
-// (preserving append logs, versions and compaction epochs) and records the
-// migration in the manifest so subsequent opens skip the scan. The layout
-// is <dir>/specs/<name>.json, <dir>/runs/<name>.json and a manifest
-// binding each run to its specification. Writes are atomic (temp file +
-// fsync + rename) and a run becomes visible only once its manifest entry
-// lands, so a crash mid-save never surfaces a torn or half-registered
-// entry. A Store is safe for concurrent use.
+// so a run base written as JSON still boots — fully decoded — and becomes
+// columnar at its next CompactRun. The layout is <dir>/specs/<name>.json,
+// <dir>/runs/<name>.json and a manifest binding each run to its
+// specification. Writes are atomic (temp file + fsync + rename) and a run
+// becomes visible only once its manifest entry lands, so a crash mid-save
+// never surfaces a torn or half-registered entry. A Store is safe for
+// concurrent use.
 //
 // Attach a Store to a Catalog via CatalogOptions.Store to persist every
 // successful RegisterSpec/AddRun/DeriveRun, and rebuild the catalog after
@@ -51,93 +50,16 @@ var ErrStoreFailed = errors.New("provrpq: store persistence failed")
 // nothing is re-derived.
 type Store struct {
 	st *store.Store
-	// migrated counts the legacy JSON run bases this OpenStore rewrote to
-	// the columnar format (0 on every open after the first migration).
-	migrated int
 }
 
-// storeFormatColumnar is the manifest format generation recording that
-// every run base payload is columnar-native.
-const storeFormatColumnar = 1
-
-// OpenStore opens (creating if necessary) the store rooted at dir,
-// migrating any legacy JSON run bases to the columnar format (see Store).
+// OpenStore opens (creating if necessary) the store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
 	st, err := store.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("provrpq: %w", err)
 	}
-	s := &Store{st: st}
-	if err := s.migrate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return &Store{st: st}, nil
 }
-
-// migrate rewrites legacy JSON run bases as columnar payloads, in place at
-// their current compaction epoch — append logs, run versions and epochs
-// are untouched, so replay behaves exactly as before — then marks the
-// manifest so the next open skips the scan entirely. Each rewrite is an
-// atomic single-path replace of one logical run with a re-encoding of
-// itself, so a crash at any point leaves every base readable (old or new
-// bytes) and an unfinished migration simply resumes, skipping bases that
-// are already columnar.
-func (s *Store) migrate() error {
-	format, err := s.st.Format()
-	if err != nil {
-		return fmt.Errorf("provrpq: %w", err)
-	}
-	if format >= storeFormatColumnar {
-		return nil // fast path: migrated by a previous open
-	}
-	runs, _, bases, err := s.st.State()
-	if err != nil {
-		return fmt.Errorf("provrpq: %w", err)
-	}
-	names := make([]string, 0, len(runs))
-	for name := range runs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	specs := map[string]*Spec{}
-	for _, name := range names {
-		data, err := s.st.GetRunData(name, bases[name])
-		if err != nil {
-			return fmt.Errorf("provrpq: %w", err)
-		}
-		if derive.IsColumnar(data) {
-			continue // already rewritten (e.g. by a crashed migration)
-		}
-		specName := runs[name]
-		sp := specs[specName]
-		if sp == nil {
-			if sp, err = s.LoadSpec(specName); err != nil {
-				return fmt.Errorf("provrpq: store: migrating run %q: %w", name, err)
-			}
-			specs[specName] = sp
-		}
-		r, err := DecodeRun(sp, data)
-		if err != nil {
-			return fmt.Errorf("provrpq: store: migrating run %q: %w", name, err)
-		}
-		cdata, err := EncodeRunColumnar(r)
-		if err != nil {
-			return fmt.Errorf("provrpq: store: migrating run %q: %w", name, err)
-		}
-		if err := s.st.RewriteRunPayload(name, cdata); err != nil {
-			return fmt.Errorf("provrpq: %w", err)
-		}
-		s.migrated++
-	}
-	if err := s.st.SetFormat(storeFormatColumnar); err != nil {
-		return fmt.Errorf("provrpq: %w", err)
-	}
-	return nil
-}
-
-// MigratedRuns reports how many legacy JSON run bases this open rewrote to
-// the columnar format (0 when the store was already columnar-native).
-func (s *Store) MigratedRuns() int { return s.migrated }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.st.Dir() }
@@ -247,13 +169,6 @@ func (s *Store) AppendRun(name string, b *Batch) (int, error) {
 	return seq, nil
 }
 
-// SetSerialCommit switches the store's append path between the coalescing
-// group-commit protocol (the default, false) and the legacy serial
-// protocol with one manifest write per batch. Both provide identical
-// crash semantics; the serial path exists as the honest baseline for the
-// ingest benchmark and as a bisection tool.
-func (s *Store) SetSerialCommit(on bool) { s.st.SetSerialCommit(on) }
-
 // Wedged reports whether the underlying store has latched its wedge: an
 // ambiguous commit failure occurred and every further mutation is
 // refused until the process reopens the directory. Reads still serve.
@@ -337,6 +252,7 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 	// boot reports deterministically.
 	decoded := make([]*Run, len(runNames))
 	errs := make([]error, len(runNames))
+	var legacy atomic.Int64
 	parallel.Do(len(runNames), parallel.Workers(opts.Workers), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			name := runNames[i]
@@ -368,9 +284,14 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 					continue
 				}
 				r = &Run{r: dr, spec: sp}
-			} else if r, err = DecodeRun(sp, data); err != nil {
-				errs[i] = fmt.Errorf("provrpq: store: run %q: %w", name, err)
-				continue
+			} else {
+				// A base written as JSON by an older build: fully decoded,
+				// and rewritten as columnar by its next CompactRun.
+				if r, err = DecodeRun(sp, data); err != nil {
+					errs[i] = fmt.Errorf("provrpq: store: run %q: %w", name, err)
+					continue
+				}
+				legacy.Add(1)
 			}
 			// Replay the run's append log in commit order, growing the
 			// decoded base in place (nothing shares it yet): the restored
@@ -415,6 +336,7 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 		}
 	}
 	c.store = st
+	c.legacyBases = int(legacy.Load())
 	replayed := 0
 	for _, n := range appends {
 		replayed += n
