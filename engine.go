@@ -1,8 +1,9 @@
 package provrpq
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,7 +78,8 @@ const (
 	Auto Strategy = iota
 	// StrategyRPL forces the nested-loop pairwise scan (paper Option S1).
 	StrategyRPL
-	// StrategyOptRPL forces the reachability-filtered scan (Option S2).
+	// StrategyOptRPL forces the tree-walk scan (Option S2 over the
+	// query-intersected grammar): input + output time.
 	StrategyOptRPL
 	// StrategyG1 forces the relational baseline (Option G1).
 	StrategyG1
@@ -379,7 +381,7 @@ func (e *Engine) AllPairsReachable(l1, l2 []NodeID) ([]Pair, error) {
 	}
 	var out []Pair
 	reach.AllPairs(e.run.r.Spec, e.labelsOf(l1), e.labelsOf(l2), e.workers, func(i, j int) {
-		out = append(out, Pair{From: l1[i], To: l2[j]})
+		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
 	})
 	return out, nil
 }
@@ -406,7 +408,7 @@ func (e *Engine) AllPairs(q *Query, l1, l2 []NodeID, strategy Strategy) ([]Pair,
 	}
 	var out []Pair
 	emit := func(i, j int) {
-		out = append(out, Pair{From: l1[i], To: l2[j]})
+		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
 	}
 	switch strategy {
 	case StrategyG1:
@@ -469,17 +471,30 @@ func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 // not by the static constant. RPL and OptRPL need a safe env; Seeded
 // verifies its candidates itself and also accepts an unsafe one. Label
 // slices are built only by the arms that scan them — the seeded path works
-// from node ids.
+// from node ids — and an l1 that is l2 (a full evaluation) stays one list,
+// which the scans below recognise and sort once.
 func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strategy, l1, l2 []NodeID, emit func(i, j int)) error {
 	start := time.Now()
+	oneList := len(l1) == len(l2) && (len(l1) == 0 || &l1[0] == &l2[0])
 	var err error
-	switch strategy {
-	case plan.Seeded:
-		err = plan.AllPairsSeeded(env, e.index(), dec, toDerive(l1), toDerive(l2), emit)
-	case plan.RPL:
-		err = env.AllPairsSafeParallel(e.labelsOf(l1), e.labelsOf(l2), core.RPL, e.workers, emit)
-	default:
-		err = env.AllPairsSafeParallel(e.labelsOf(l1), e.labelsOf(l2), core.OptRPL, e.workers, emit)
+	if strategy == plan.Seeded {
+		d1 := toDerive(l1)
+		d2 := d1
+		if !oneList {
+			d2 = toDerive(l2)
+		}
+		err = plan.AllPairsSeeded(env, e.index(), dec, d1, d2, emit)
+	} else {
+		la := e.labelsOf(l1)
+		lb := la
+		if !oneList {
+			lb = e.labelsOf(l2)
+		}
+		cs := core.OptRPL
+		if strategy == plan.RPL {
+			cs = core.RPL
+		}
+		err = env.AllPairsSafeParallel(la, lb, cs, e.workers, emit)
 	}
 	if err != nil {
 		return err
@@ -627,19 +642,57 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 	dec := e.planner().Plan(env, len(all), len(all))
 	var out []Pair
 	if err := e.scanSafe(env, dec, dec.Strategy, all, all, func(i, j int) {
-		out = append(out, Pair{From: all[i], To: all[j]})
+		out = appendPair(out, Pair{From: all[i], To: all[j]})
 	}); err != nil {
 		return nil, nil, err
 	}
 	// Match the relational path's deterministic (From, To) order — the
 	// strategies emit in their own scan orders.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	return sortPairs(out, len(all)), safeReport(q, dec), nil
+}
+
+// appendPair is append with doubling growth: result lists run to millions of
+// pairs, where append's 1.25× steps copy the list five times over.
+func appendPair(out []Pair, p Pair) []Pair {
+	if len(out) == cap(out) {
+		out = slices.Grow(out, max(len(out), 256))
+	}
+	return append(out, p)
+}
+
+// sortPairs orders pairs over node ids [0, n) by (From, To) and
+// returns them. Ids are dense, so a result that is not tiny next to n takes
+// two stable counting passes — by To, then by From — instead of a
+// comparison sort; ps is the scratch of the first pass.
+func sortPairs(ps []Pair, n int) []Pair {
+	if len(ps) < n/8 {
+		slices.SortFunc(ps, func(a, b Pair) int {
+			if a.From != b.From {
+				return cmp.Compare(a.From, b.From)
+			}
+			return cmp.Compare(a.To, b.To)
+		})
+		return ps
+	}
+	next := make([]int, n+1)
+	scatter := func(dst, src []Pair, key func(Pair) NodeID) {
+		clear(next)
+		for _, p := range src {
+			next[key(p)+1]++
 		}
-		return out[i].To < out[j].To
-	})
-	return out, safeReport(q, dec), nil
+		for i := 1; i <= n; i++ {
+			next[i] += next[i-1]
+		}
+		for _, p := range src {
+			k := key(p)
+			dst[next[k]] = p
+			next[k]++
+		}
+	}
+	byTo := make([]Pair, len(ps))
+	scatter(byTo, ps, func(p Pair) NodeID { return p.To })
+	scatter(ps, byTo, func(p Pair) NodeID { return p.From })
+	return ps
 }
 
 // fromPlanStrategy maps the planner's choice onto the public enum.

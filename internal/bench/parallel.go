@@ -13,7 +13,7 @@ import (
 
 // FigPar is an experiment beyond the paper: parallel scaling of the
 // all-pairs scans on one large fork run. For each worker count it times the
-// RPL nested-loop scan and the optRPL reachability-filtered scan of a*
+// RPL nested-loop scan and the optRPL tree-walk scan of a*
 // over the fork distributor nodes, reporting the speedup over the serial
 // scan and cross-checking that every worker count finds the same matches.
 func FigPar(cfg Config) error {

@@ -3,7 +3,6 @@ package core
 import (
 	"provrpq/internal/label"
 	"provrpq/internal/parallel"
-	"provrpq/internal/reach"
 )
 
 // AllPairsStrategy selects how a safe all-pairs query is evaluated.
@@ -13,19 +12,23 @@ const (
 	// RPL is the paper's Option S1: a nested-loop scan testing every pair
 	// with the constant-time pairwise decode. Θ(|l1|·|l2|) decode calls.
 	RPL AllPairsStrategy = iota
-	// OptRPL is Option S2: first find the (coarsely) reachable pairs with
-	// the output-linear tree algorithm, then decode only those. The decode
-	// count drops to N, the number of reachable pairs.
+	// OptRPL is Option S2 run over the query-intersected grammar: one walk
+	// of the two lists' tree representations that carries DFA state vectors
+	// (walk.go), so a label's decode factors are applied once per tree node
+	// rather than once per pair and subtrees no match can come from are
+	// never enumerated. O((|l1|+|l2|)·depth) vector steps plus the output.
 	OptRPL
 )
 
 // rplParallelCutoff is the nested-loop pair-count floor below which the RPL
 // scan stays on one worker, and optParallelCutoff the l1 size floor for
 // OptRPL: goroutine fan-out only pays off once there is enough per-shard
-// work to amortize it.
+// work to amortize it. The walk costs under a microsecond per label and the
+// l2 half of it (one trie, one set of vectors) is not sharded, so two
+// workers measured no gain below several thousand labels.
 const (
 	rplParallelCutoff = 2048
-	optParallelCutoff = 512
+	optParallelCutoff = 4096
 )
 
 // AllPairsSafeParallel evaluates the safe all-pairs query over two label
@@ -37,17 +40,16 @@ const (
 // in shard order, so the emit callback runs on the calling goroutine and —
 // for a fixed worker count — observes a deterministic pair sequence. The
 // RPL scan emits in l1-major nested-loop order whatever the worker count;
-// the OptRPL scan shards the coarse reach filter itself (each shard walks
-// its own sub-trie against a shared l2 trie), so its order is shard-major
-// — the reach-walk order with one worker — but the pair set is always
-// identical.
+// the OptRPL scan walks each shard's own sub-trie against one shared l2
+// trie (and its state vectors, built once), so its order is shard-major —
+// the walk order with one worker — but the pair set is always identical.
+// Nothing built for a scan outlives it.
 func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrategy, workers int, emit func(i, j int)) error {
 	st := e.state.Load()
 	if !st.safe {
 		return ErrUnsafe
 	}
 	e.artifactsFor(st) // build once up front, not per worker
-	consume := func(p [2]int) { emit(p[0], p[1]) }
 	switch strategy {
 	case RPL:
 		if len(l1)*len(l2) < rplParallelCutoff {
@@ -63,21 +65,12 @@ func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrate
 					}
 				}
 			}
-		}, consume)
+		}, func(p [2]int) { emit(p[0], p[1]) })
 	case OptRPL:
 		if len(l1) < optParallelCutoff {
 			workers = 1
 		}
-		t2 := reach.NewTrie(l2)
-		parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
-			d := e.decoder()
-			defer e.release(d)
-			reach.AllPairsTries(e.Spec, reach.NewTrie(l1[lo:hi]), t2, func(i, j int) {
-				if d.PairwiseUnchecked(l1[lo+i], l2[j]) {
-					out([2]int{lo + i, j})
-				}
-			})
-		}, consume)
+		e.walkAllPairs(l1, l2, workers, emit)
 	}
 	return nil
 }

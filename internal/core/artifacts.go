@@ -28,13 +28,6 @@ type artifacts struct {
 	stepOut [][]Mat
 }
 
-// rangeKey identifies one chain range product.
-type rangeKey struct {
-	out      bool
-	s, t     int
-	from, to int
-}
-
 // artifactsFor returns the state's decode structures, building them exactly
 // once; callers must have verified st.safe.
 func (e *Env) artifactsFor(st *envState) *artifacts {
@@ -113,8 +106,8 @@ func (e *Env) bodyMidMats(lam []Mat, k int) []Mat {
 }
 
 // Decoder answers pairwise decodes against one compiled environment. It
-// owns the mutable memo tables of the decode hot path (the chain-power and
-// range-product caches), so a Decoder is NOT safe for concurrent use —
+// owns the mutable memo tables of the decode hot path (the chain range
+// products and loop powers), so a Decoder is NOT safe for concurrent use —
 // parallel scans give every worker goroutine its own. The underlying
 // artifacts and λ tables are shared and immutable.
 type Decoder struct {
@@ -122,11 +115,21 @@ type Decoder struct {
 	st  *envState
 	art *artifacts
 
-	chainCache map[chainKey]*powSeq
-	// rangeCache memoizes chainIn/chainOut range products; the decode fast
-	// path calls them with label-derived arguments that repeat heavily
-	// across an all-pairs scan. nil when Env.DisableRangeCache is set.
-	rangeCache map[rangeKey]Mat
+	// id is the identity every empty chain range answers with; live masks
+	// the dead state out of a state vector (see Env.liveMask).
+	id   Mat
+	live uint64
+
+	// chains[f][s][p][n] memoizes the product of n consecutive step factors
+	// of cycle s starting at cycle position p: flavorIn multiplies stepIn
+	// over ascending iterations, flavorOut stepOut over descending ones. A
+	// range product depends on nothing else, so the label-derived
+	// (s, t, from, to) arguments — which repeat heavily across a scan —
+	// resolve with two slice indexes. Rows grow on demand; nil is "not
+	// computed yet". loops[f][s][p] holds the powers of the full-loop
+	// product starting at p, which long ranges fold into.
+	chains [2][][][]Mat
+	loops  [2][][]*powSeq
 
 	// sa/sb are reusable scratch for PairwiseBytesUnchecked's suffix
 	// decode, so byte-path pairwise answers stop allocating once the
@@ -134,14 +137,25 @@ type Decoder struct {
 	sa, sb label.Label
 }
 
+// The two chain flavors, indexing Decoder.chains and Decoder.loops.
+const (
+	flavorIn = iota
+	flavorOut
+)
+
 // NewDecoder returns a fresh decoder over the environment's current state.
 // It panics when the query is not (relaxed-)safe.
 func (e *Env) NewDecoder() *Decoder { return e.newDecoder(e.state.Load()) }
 
 func (e *Env) newDecoder(st *envState) *Decoder {
-	d := &Decoder{e: e, st: st, art: e.artifactsFor(st), chainCache: map[chainKey]*powSeq{}}
-	if !e.DisableRangeCache {
-		d.rangeCache = map[rangeKey]Mat{}
+	d := &Decoder{e: e, st: st, art: e.artifactsFor(st), id: Identity(e.NQ), live: e.liveMask()}
+	for f, steps := range [2][][]Mat{d.art.stepIn, d.art.stepOut} {
+		d.chains[f] = make([][][]Mat, len(steps))
+		d.loops[f] = make([][]*powSeq, len(steps))
+		for s, step := range steps {
+			d.chains[f][s] = make([][]Mat, len(step))
+			d.loops[f][s] = make([]*powSeq, len(step))
+		}
 	}
 	return d
 }
@@ -158,15 +172,6 @@ func (e *Env) decoder() *Decoder {
 }
 
 func (e *Env) release(d *Decoder) { d.st.decPool.Put(d) }
-
-// chainKey identifies a cached power sequence: cycle, flavor (in/out),
-// starting cycle position and direction.
-type chainKey struct {
-	cycle    int
-	out      bool
-	startPos int
-	desc     bool
-}
 
 // powSeq caches successive powers of a loop-product matrix until the
 // sequence becomes periodic, giving O(1) lookups of arbitrary powers. A
@@ -215,86 +220,73 @@ func (p *powSeq) power(e int) Mat {
 // the input port of iteration toIter+1 of a recursion chain on cycle s
 // entered at cycle position t — the product of stepIn factors for
 // iterations fromIter..toIter ascending. fromIter > toIter yields the
-// identity.
+// identity. Callers must not mutate the result.
 func (d *Decoder) chainIn(s, t, fromIter, toIter int) Mat {
-	if d.rangeCache == nil {
-		return d.chainProd(d.art.stepIn[s], chainKey{cycle: s, out: false}, t, fromIter, toIter, false)
-	}
-	k := rangeKey{out: false, s: s, t: t, from: fromIter, to: toIter}
-	if m, ok := d.rangeCache[k]; ok {
-		return m
-	}
-	m := d.chainProd(d.art.stepIn[s], chainKey{cycle: s, out: false}, t, fromIter, toIter, false)
-	d.rangeCache[k] = m
-	return m
+	return d.chain(flavorIn, s, t+fromIter-1, toIter-fromIter+1)
 }
 
 // chainOut returns the matrix from the output port of iteration fromIter+1
 // to the output port of iteration toIter of the chain — the product of
 // stepOut factors for iterations fromIter..toIter descending. fromIter <
-// toIter yields the identity.
+// toIter yields the identity. Callers must not mutate the result.
 func (d *Decoder) chainOut(s, t, fromIter, toIter int) Mat {
-	if d.rangeCache == nil {
-		return d.chainProd(d.art.stepOut[s], chainKey{cycle: s, out: true}, t, fromIter, toIter, true)
-	}
-	k := rangeKey{out: true, s: s, t: t, from: fromIter, to: toIter}
-	if m, ok := d.rangeCache[k]; ok {
-		return m
-	}
-	m := d.chainProd(d.art.stepOut[s], chainKey{cycle: s, out: true}, t, fromIter, toIter, true)
-	d.rangeCache[k] = m
-	return m
+	return d.chain(flavorOut, s, t+fromIter-1, fromIter-toIter+1)
 }
 
-// chainProd multiplies step[pos(m)] over iterations m from fromIter to
-// toIter (ascending or descending), where pos(m) = (t + m - 1) mod L. Long
-// runs are folded into powers of the full-loop product, cached per starting
-// position.
-func (d *Decoder) chainProd(step []Mat, key chainKey, t, fromIter, toIter int, desc bool) Mat {
-	nq := d.e.NQ
-	L := len(step)
-	count := toIter - fromIter + 1
-	if desc {
-		count = fromIter - toIter + 1
-	}
+// chain looks up the product of count step factors of flavor f on cycle s,
+// the first taken at cycle position at mod L, computing it on first use.
+func (d *Decoder) chain(f, s, at, count int) Mat {
 	if count <= 0 {
-		return Identity(nq)
+		return d.id
 	}
-	pos := func(m int) int { return ((t+m-1)%L + L) % L }
-	dir := 1
-	if desc {
-		dir = -1
+	L := len(d.chains[f][s])
+	pos := (at%L + L) % L
+	row := d.chains[f][s][pos]
+	if count >= len(row) {
+		row = append(row, make([]Mat, max(count+1, 2*len(row))-len(row))...)
+		d.chains[f][s][pos] = row
 	}
+	if row[count] == nil {
+		row[count] = d.chainProd(f, s, pos, count)
+	}
+	return row[count]
+}
+
+// chainProd multiplies count step factors of flavor f on cycle s starting
+// at cycle position pos, stepping forward for flavorIn and backward for
+// flavorOut. Long runs are folded into powers of the full-loop product,
+// cached per starting position.
+func (d *Decoder) chainProd(f, s, pos, count int) Mat {
+	step, dir := d.art.stepIn[s], 1
+	if f == flavorOut {
+		step, dir = d.art.stepOut[s], -1
+	}
+	L := len(step)
+	next := func(p int) int { return (p + dir + L) % L }
 
 	// Short chains and the partial prefix: multiply directly.
-	prod := Identity(nq)
-	m := fromIter
+	prod := d.id
 	direct := count % L
 	if count < 2*L {
 		direct = count
 	}
 	for i := 0; i < direct; i++ {
-		prod = prod.Mul(step[pos(m)])
-		m += dir
+		prod = prod.Mul(step[pos])
+		pos = next(pos)
 	}
-	remaining := count - direct
-	if remaining == 0 {
+	if count == direct {
 		return prod
 	}
-	// remaining is a positive multiple of L: fold into loop powers.
-	e := remaining / L
-	key.startPos = pos(m)
-	key.desc = desc
-	ps, ok := d.chainCache[key]
-	if !ok {
-		loop := Identity(nq)
-		mm := m
+	// What remains is a positive multiple of L: fold into loop powers.
+	ps := d.loops[f][s][pos]
+	if ps == nil {
+		loop, p := d.id, pos
 		for i := 0; i < L; i++ {
-			loop = loop.Mul(step[pos(mm)])
-			mm += dir
+			loop = loop.Mul(step[p])
+			p = next(p)
 		}
 		ps = newPowSeq(loop)
-		d.chainCache[key] = ps
+		d.loops[f][s][pos] = ps
 	}
-	return prod.Mul(ps.power(e))
+	return prod.Mul(ps.power((count - direct) / L))
 }

@@ -11,8 +11,9 @@
 //   - pairwise queries u —R→ v in constant time from the two labels alone
 //     (Algorithm 1 / Theorem 1), and
 //   - all-pairs queries over node lists with either a nested-loop scan (the
-//     paper's Option S1, "RPL") or a reachability-filtered scan driven by
-//     the output-linear tree algorithm (Option S2, "optRPL"; Section IV-A).
+//     paper's Option S1, "RPL") or the output-linear tree algorithm run
+//     over G_R, carrying DFA state vectors down the pair of label tries
+//     (Option S2, "optRPL"; Section IV-A; walk.go).
 //
 // General (unsafe) queries are decomposed into maximal safe subtrees plus a
 // relational remainder (Section IV-B "Our approach") in general.go.
@@ -25,7 +26,7 @@
 // and decode artifacts live in an immutable state record behind an atomic
 // pointer; RelaxSafety is the only transition, publishing a complete
 // replacement state at most once. The mutable per-scan memo tables
-// (chain-power and range caches) are owned by Decoder values — one per
+// (chain range products and loop powers) are owned by Decoder values — one per
 // goroutine in parallel scans, pooled per state for the convenience entry
 // points — so the decode hot path never locks.
 package core
@@ -52,11 +53,6 @@ type Env struct {
 	DFA   *automata.DFA
 	// NQ is the minimal DFA's state count.
 	NQ int
-	// DisableRangeCache turns off the chain-range product memo (ablation
-	// knob: the decode falls back to recomputing loop-power products per
-	// pair). It must be set before the first decode and never concurrently
-	// with one.
-	DisableRangeCache bool
 
 	// state holds everything the safety verdict governs. It is replaced
 	// wholesale (never mutated) when RelaxSafety upgrades the verdict.
@@ -328,6 +324,18 @@ func (e *Env) AcceptMask() uint64 {
 		if e.DFA.Accept[q] {
 			mask |= 1 << uint(q)
 		}
+	}
+	return mask
+}
+
+// liveMask returns the bitset of DFA states from which an accepting state
+// is still reachable: every state but the completion sink (the minimal DFA
+// has at most one). A state vector with no live bit can never match,
+// whatever path follows.
+func (e *Env) liveMask() uint64 {
+	mask := uint64(1)<<uint(e.NQ) - 1
+	if dead := e.DFA.DeadState(); dead >= 0 {
+		mask &^= 1 << uint(dead)
 	}
 	return mask
 }

@@ -239,8 +239,8 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 	return nil, fmt.Errorf("core: unknown query node kind %d", q.Kind)
 }
 
-// safeEval computes the subquery's relation over all node pairs with optRPL,
-// sharded across the evaluator's worker pool.
+// safeEval computes the subquery's relation over all node pairs with the
+// optRPL walk, sharded across the evaluator's worker pool.
 func (g *General) safeEval(env *Env) (*baseline.Rel, error) {
 	out := baseline.NewRel()
 	err := env.AllPairsSafeParallel(g.labels, g.labels, OptRPL, g.workers, func(i, j int) {

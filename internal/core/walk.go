@@ -1,0 +1,410 @@
+package core
+
+import (
+	"math/bits"
+
+	"provrpq/internal/label"
+	"provrpq/internal/parallel"
+	"provrpq/internal/reach"
+)
+
+// This file is the OptRPL scan: Algorithm 2's pair-of-tries walk run over
+// the query-intersected grammar G_R instead of plain G. Algorithm 1 decides
+// a pair diverging at trie children ca ≠ cb as
+//
+//	start · Up(u) · mid[ca→cb] · Down(v)  ∩  accept ≠ ∅
+//
+// where Up(u) folds only u's label entries below ca and Down(v) only v's
+// entries below cb. So the walk carries, per trie node, the DFA state
+// vector of each leaf below it — for l1 the row vector x "climbed from the
+// leaf to this node's output port", for l2 the column vector y "states at
+// this node's input port that descend to the leaf accepting" — computed
+// once per node, bottom-up, and shared by every pair the leaf takes part
+// in. Leaves whose vector has no live state are dropped at that node, the
+// rest are bucketed by vector value, and a divergence tests (x·mid) ∩ y
+// once per bucket pair and emits the cross product of matching buckets: a
+// dead divergence prunes both subtrees without looking at their leaves.
+
+// bucket is the leaves below one trie node that share a state vector.
+type bucket struct {
+	vec    uint64
+	leaves []int32 // indices into the caller's label list
+	// at is the sorted position of leaves[0] while leaves is still a window
+	// of the trie's permutation — a subtree's leaves are contiguous there, so
+	// buckets merge by widening the window instead of copying — and -1 once
+	// a merge had to copy.
+	at int
+}
+
+// applyRow returns the row vector v·m: the states reached from v's states
+// by a path m describes.
+func applyRow(v uint64, m Mat) uint64 {
+	var out uint64
+	for v != 0 {
+		q := bits.TrailingZeros64(v)
+		v &^= 1 << uint(q)
+		out |= m[q]
+	}
+	return out
+}
+
+// applyCol returns the column vector m·y: the states from which a path m
+// describes reaches one of y's states.
+func applyCol(m Mat, y uint64) uint64 {
+	var out uint64
+	for q, row := range m {
+		if row&y != 0 {
+			out |= 1 << uint(q)
+		}
+	}
+	return out
+}
+
+// vectorFill computes the live buckets of every node of one trie.
+type vectorFill struct {
+	d    *Decoder
+	up   bool    // x vectors of an l1 trie, else y vectors of an l2 trie
+	leaf uint64  // a leaf's own vector: the start state, or the accept set
+	perm []int32 // the trie's Perm
+	vecs [][]bucket
+	// pool backs every vecs[id]; a finished node's buckets are never
+	// touched again, so growing it only strands the old array until the
+	// scan ends.
+	pool []bucket
+}
+
+// leafVectors computes the live buckets of every node of t, indexed by
+// TrieNode.ID: the x vectors of an l1 trie (up) or the y vectors of an l2
+// trie. O(leaves · depth) vector steps; the result is read-only afterwards.
+func (d *Decoder) leafVectors(t *reach.Trie, up bool) [][]bucket {
+	f := vectorFill{d: d, up: up, leaf: uint64(1) << uint(d.e.DFA.Start),
+		perm: make([]int32, len(t.Perm)),
+		vecs: make([][]bucket, t.NumNodes),
+		pool: make([]bucket, 0, t.NumNodes+t.NumNodes/4+16)}
+	if !up {
+		f.leaf = d.e.AcceptMask()
+	}
+	f.leaf &= d.live
+	for i, p := range t.Perm {
+		f.perm[i] = int32(p)
+	}
+	f.fill(t.Root)
+	return f.vecs
+}
+
+func (f *vectorFill) fill(n *reach.TrieNode) {
+	for _, c := range n.Children {
+		f.fill(c)
+	}
+	mark := len(f.pool)
+	if hi := ownLeavesEnd(n); hi > n.Lo && f.leaf != 0 {
+		f.pool = append(f.pool, bucket{f.leaf, f.perm[n.Lo:hi:hi], n.Lo})
+	}
+	d := f.d
+	for _, c := range n.Children {
+		if len(f.vecs[c.ID]) == 0 {
+			continue
+		}
+		// The factor of c's entry: out of (or into) body position Y of
+		// production X, or across iterations Z-1..1 of a recursion chain.
+		var m Mat
+		switch en := c.Entry; {
+		case f.up && !en.Rec:
+			m = d.art.out[en.X][en.Y]
+		case f.up:
+			m = d.chainOut(en.X, en.Y, en.Z-1, 1)
+		case !en.Rec:
+			m = d.art.in[en.X][en.Y]
+		default:
+			m = d.chainIn(en.X, en.Y, 1, en.Z-1)
+		}
+		for _, b := range f.vecs[c.ID] {
+			v := applyCol(m, b.vec)
+			if f.up {
+				v = applyRow(b.vec, m)
+			}
+			if v &= d.live; v != 0 {
+				f.add(mark, v, b)
+			}
+		}
+	}
+	f.vecs[n.ID] = f.pool[mark:len(f.pool):len(f.pool)]
+}
+
+// add files a child's bucket b under vector v among the open node's buckets
+// pool[mark:].
+func (f *vectorFill) add(mark int, v uint64, b bucket) {
+	for i := mark; i < len(f.pool); i++ {
+		have := &f.pool[i]
+		if have.vec != v {
+			continue
+		}
+		if have.at >= 0 && have.at+len(have.leaves) == b.at {
+			have.leaves = f.perm[have.at : b.at+len(b.leaves) : b.at+len(b.leaves)]
+		} else {
+			have.leaves = append(have.leaves, b.leaves...)
+			have.at = -1
+		}
+		return
+	}
+	f.pool = append(f.pool, bucket{v, b.leaves[:len(b.leaves):len(b.leaves)], b.at})
+}
+
+// ownLeavesEnd returns the end of the node's own leaves [n.Lo, end): the
+// list entries whose full label is the node's prefix sort before every
+// longer label below it.
+func ownLeavesEnd(n *reach.TrieNode) int {
+	if len(n.Children) > 0 {
+		return n.Children[0].Lo
+	}
+	return n.Hi
+}
+
+// walkAllPairs is the OptRPL scan of l1 × l2 on the given number of
+// workers: contiguous shards of l1, one sub-trie and one Decoder each,
+// walked against a single l2 trie whose vectors are built once and only
+// read by the shards. A shard that is l2 itself — an unsharded scan of a
+// list against itself — walks the l2 trie against itself.
+func (e *Env) walkAllPairs(l1, l2 []label.Label, workers int, emit func(i, j int)) {
+	if len(l1) == 0 || len(l2) == 0 {
+		return
+	}
+	d := e.decoder()
+	t2 := reach.NewTrie(l2)
+	y := d.leafVectors(t2, false)
+	e.release(d)
+	parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
+		d := e.decoder()
+		defer e.release(d)
+		t1 := t2
+		if hi-lo != len(l2) || &l1[lo] != &l2[0] {
+			t1 = reach.NewTrie(l1[lo:hi])
+		}
+		d.walkTries(t1, t2, y, func(i, j int) { out([2]int{lo + i, j}) })
+	}, func(p [2]int) { emit(p[0], p[1]) })
+}
+
+// AllPairsSafeTries is the OptRPL scan over prebuilt tree representations,
+// for a caller that already has them (the seeded strategy's candidate
+// joins): it emits by the indices of the lists the tries were built from,
+// on the calling goroutine.
+func (e *Env) AllPairsSafeTries(t1, t2 *reach.Trie, emit func(i, j int)) error {
+	d := e.decoder()
+	if d == nil {
+		return ErrUnsafe
+	}
+	defer e.release(d)
+	d.walkTries(t1, t2, d.leafVectors(t2, false), emit)
+	return nil
+}
+
+// walkTries walks t1 against t2, whose down vectors y the caller built.
+func (d *Decoder) walkTries(t1, t2 *reach.Trie, y [][]bucket, emit func(i, j int)) {
+	w := fusedWalk{d: d, t1: t1, t2: t2, x: d.leafVectors(t1, true), y: y, emit: emit}
+	w.walk(t1.Root, t2.Root)
+}
+
+// fusedWalk is one walk of an l1 trie against an l2 trie.
+type fusedWalk struct {
+	d      *Decoder
+	t1, t2 *reach.Trie
+	x, y   [][]bucket // leafVectors of t1 (up) and t2 (down)
+	emit   func(i, j int)
+	// parts is scratch for one iteration's mid-applied buckets in
+	// walkRecursive; tests counts bucket-pair tests for the work-bound test.
+	parts []bucket
+	tests int
+}
+
+// walk processes two trie nodes known to represent the same parse-tree node
+// (equal label prefixes).
+func (w *fusedWalk) walk(a, b *reach.TrieNode) {
+	// Own leaves on both sides carry the same full label: the same run
+	// node, matched by the empty path alone.
+	if w.d.e.MatchesEmpty() {
+		for i, ai := a.Lo, ownLeavesEnd(a); i < ai; i++ {
+			for j, bj := b.Lo, ownLeavesEnd(b); j < bj; j++ {
+				w.emit(w.t1.Perm[i], w.t2.Perm[j])
+			}
+		}
+	}
+	if len(a.Children) == 0 || len(b.Children) == 0 {
+		return
+	}
+	if !a.Children[0].Entry.Rec {
+		w.walkComposite(a, b)
+	} else {
+		w.walkRecursive(a, b)
+	}
+}
+
+// match tests one l1-side vector, already carried to the l2 side's port,
+// against the l2-side buckets and emits the cross product of each hit.
+func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
+	for _, yb := range ys {
+		w.tests++
+		if z&yb.vec == 0 {
+			continue
+		}
+		for _, i := range leaves {
+			for _, j := range yb.leaves {
+				w.emit(int(i), int(j))
+			}
+		}
+	}
+}
+
+// walkComposite is Case 1 of Algorithm 2: the children are body positions
+// of one production firing, and two distinct positions c1, c2 connect
+// through mid[c1→c2] — zero when c1 cannot reach c2 at all.
+func (w *fusedWalk) walkComposite(a, b *reach.TrieNode) {
+	for _, ca := range a.Children {
+		for _, cb := range b.Children {
+			ea, eb := ca.Entry, cb.Entry
+			if ea == eb {
+				w.walk(ca, cb)
+				continue
+			}
+			if ea.Rec || eb.Rec || ea.X != eb.X || len(w.x[ca.ID]) == 0 || len(w.y[cb.ID]) == 0 {
+				continue
+			}
+			n := len(w.d.e.Spec.Prods[ea.X].Body.Nodes)
+			mid := w.d.art.mid[ea.X][ea.Y*n+eb.Y]
+			if mid.IsZero() {
+				continue
+			}
+			for _, xb := range w.x[ca.ID] {
+				if z := applyRow(xb.vec, mid) & w.d.live; z != 0 {
+					w.match(z, xb.leaves, w.y[cb.ID])
+				}
+			}
+		}
+	}
+}
+
+// cyclePort returns the matrix between body position c of the iteration
+// child entry en (production k, position c) and the cycle-successor
+// position of k — from c's output to the successor's input when red, from
+// the successor's output to c's input otherwise — or nil when en is not a
+// position of its module's recursive production.
+func (w *fusedWalk) cyclePort(en label.Entry, red bool) Mat {
+	if en.Rec {
+		return nil
+	}
+	spec := w.d.e.Spec
+	rp, cyclePos := spec.RecursiveProd(spec.Prods[en.X].LHS)
+	if rp != en.X {
+		return nil
+	}
+	n := len(spec.Prods[en.X].Body.Nodes)
+	if red {
+		return w.d.art.mid[en.X][en.Y*n+cyclePos]
+	}
+	return w.d.art.mid[en.X][cyclePos*n+en.Y]
+}
+
+// walkRecursive is Case 2 of Algorithm 2: the children are iterations of
+// one R node, sorted by iteration number. Equal iterations recurse (merge
+// join). An earlier l1 iteration i reaches a later l2 iteration j from its
+// red grandchildren — through mid to the cycle successor, then down the
+// chain over iterations i+1..j-1; a later l1 iteration i reaches the blue
+// grandchildren of an earlier l2 iteration j — up the chain over iterations
+// i-1..j+1, then through mid from the cycle successor. The mid factor is
+// applied once per iteration, the chain factor once per iteration pair, and
+// iterations left without a live bucket are never paired.
+func (w *fusedWalk) walkRecursive(a, b *reach.TrieNode) {
+	ac, bc := a.Children, b.Children
+	for i, j := 0, 0; i < len(ac) && j < len(bc); {
+		switch c := label.CompareEntry(ac[i].Entry, bc[j].Entry); {
+		case c == 0:
+			w.walk(ac[i], bc[j])
+			i++
+			j++
+		case c < 0:
+			i++
+		default:
+			j++
+		}
+	}
+	// later reports that eb is a later iteration than ea of the same chain.
+	later := func(ea, eb label.Entry) bool {
+		return ea.Rec && eb.Rec && ea.X == eb.X && ea.Y == eb.Y && ea.Z < eb.Z
+	}
+	live := func(cs []*reach.TrieNode, vecs [][]bucket) []*reach.TrieNode {
+		var out []*reach.TrieNode
+		for _, c := range cs {
+			if len(vecs[c.ID]) > 0 {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	liveB := live(bc, w.y)
+	for _, ca := range ac {
+		if len(liveB) == 0 {
+			break
+		}
+		w.parts = w.parts[:0]
+		for _, g := range ca.Children {
+			mid := w.cyclePort(g.Entry, true)
+			if mid.IsZero() { // nil included
+				continue
+			}
+			for _, xb := range w.x[g.ID] {
+				if z := applyRow(xb.vec, mid) & w.d.live; z != 0 {
+					w.parts = append(w.parts, bucket{vec: z, leaves: xb.leaves})
+				}
+			}
+		}
+		if len(w.parts) == 0 {
+			continue
+		}
+		ea := ca.Entry
+		for _, cb := range liveB {
+			eb := cb.Entry
+			if !later(ea, eb) {
+				continue
+			}
+			chain := w.d.chainIn(ea.X, ea.Y, ea.Z+1, eb.Z-1)
+			for _, p := range w.parts {
+				if z := applyRow(p.vec, chain) & w.d.live; z != 0 {
+					w.match(z, p.leaves, w.y[cb.ID])
+				}
+			}
+		}
+	}
+	liveA := live(ac, w.x)
+	for _, cb := range bc {
+		if len(liveA) == 0 {
+			break
+		}
+		w.parts = w.parts[:0]
+		for _, g := range cb.Children {
+			mid := w.cyclePort(g.Entry, false)
+			if mid.IsZero() { // nil included
+				continue
+			}
+			for _, yb := range w.y[g.ID] {
+				if y := applyCol(mid, yb.vec) & w.d.live; y != 0 {
+					w.parts = append(w.parts, bucket{vec: y, leaves: yb.leaves})
+				}
+			}
+		}
+		if len(w.parts) == 0 {
+			continue
+		}
+		eb := cb.Entry
+		for _, ca := range liveA {
+			ea := ca.Entry
+			if !later(eb, ea) {
+				continue
+			}
+			chain := w.d.chainOut(ea.X, ea.Y, ea.Z-1, eb.Z+1)
+			for _, xb := range w.x[ca.ID] {
+				if z := applyRow(xb.vec, chain) & w.d.live; z != 0 {
+					w.match(z, xb.leaves, w.parts)
+				}
+			}
+		}
+	}
+}

@@ -415,3 +415,40 @@ func BenchmarkOpenColumnar(b *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt linked for debug edits
+
+// TestLabelsOfMatchesLabel: the bulk decode of a node list — with repeats,
+// over a columnar-opened run grown by one materialized node — yields what
+// Label yields node by node, and MaterializeLabels is LabelsOf every node.
+func TestLabelsOfMatchesLabel(t *testing.T) {
+	spec := wf.PaperSpec()
+	opened, err := OpenColumnar(spec, mustEncodeColumnar(t, paperRun(t)))
+	if err != nil {
+		t.Fatalf("OpenColumnar: %v", err)
+	}
+	base := opened.NumNodes()
+	grown, _, err := opened.Grow(Batch{
+		Nodes: []Node{{Module: opened.Nodes[0].Module, Name: "fresh:1", Label: opened.Label(0).Clone()}},
+		Edges: []Edge{{From: 0, To: NodeID(base), Tag: "b"}},
+	})
+	if err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	ids := []NodeID{NodeID(base), 3, 0, 3, NodeID(base - 1)}
+	for i, l := range grown.LabelsOf(ids) {
+		if !label.Equal(l, grown.Label(ids[i])) {
+			t.Errorf("LabelsOf[%d] (node %d) = %v, Label = %v", i, ids[i], l, grown.Label(ids[i]))
+		}
+	}
+	if got := grown.LabelsOf(nil); len(got) != 0 {
+		t.Errorf("LabelsOf(nil) = %v", got)
+	}
+	all := grown.MaterializeLabels()
+	if len(all) != grown.NumNodes() {
+		t.Fatalf("MaterializeLabels: %d labels for %d nodes", len(all), grown.NumNodes())
+	}
+	for i, l := range all {
+		if !label.Equal(l, grown.Label(NodeID(i))) {
+			t.Errorf("MaterializeLabels[%d] = %v, Label = %v", i, l, grown.Label(NodeID(i)))
+		}
+	}
+}

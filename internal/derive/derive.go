@@ -181,32 +181,38 @@ func (r *Run) LabelBytes(n NodeID) label.Bytes {
 	return label.Bytes(r.labelCol[r.labelOffs[n]:r.labelOffs[n+1]])
 }
 
-// MaterializeLabels decodes every node's label into one arena-backed slice
-// — the bulk form of Label for the all-pairs scans, which need []Entry
+// MaterializeLabels decodes every node's label — LabelsOf over the whole
+// run, in node order.
+func (r *Run) MaterializeLabels() []label.Label { return r.LabelsOf(r.AllNodes()) }
+
+// LabelsOf decodes the labels of a node list into one arena-backed slice —
+// the bulk form of Label for the all-pairs scans, which need []Entry
 // labels for sorting and tree construction. Materialized labels (derived
 // or JSON-decoded runs, appended nodes) are reused as-is.
-func (r *Run) MaterializeLabels() []label.Label {
-	out := make([]label.Label, len(r.Nodes))
-	if r.labelOffs == nil {
-		for i := range r.Nodes {
-			out[i] = r.Nodes[i].Label
+func (r *Run) LabelsOf(ids []NodeID) []label.Label {
+	out := make([]label.Label, len(ids))
+	encoded := 0
+	for i, id := range ids {
+		if out[i] = r.Nodes[id].Label; out[i] == nil && r.labelOffs != nil {
+			encoded += int(r.labelOffs[id+1] - r.labelOffs[id])
 		}
+	}
+	if encoded == 0 {
 		return out
 	}
-	// Entries are at least two bytes, so one arena of len(column)/2 entries
+	// Entries are at least two bytes, so one arena of encoded/2 entries
 	// holds every decoded label without reallocating (keeping out[i] slices
 	// of a single backing array).
-	arena := make(label.Label, 0, len(r.labelCol)/2+1)
-	for i := range r.Nodes {
-		if l := r.Nodes[i].Label; l != nil {
-			out[i] = l
+	arena := make(label.Label, 0, encoded/2+1)
+	for i, id := range ids {
+		if out[i] != nil {
 			continue
 		}
 		start := len(arena)
 		var err error
-		arena, err = label.DecodeInto(arena, r.LabelBytes(NodeID(i)))
+		arena, err = label.DecodeInto(arena, r.LabelBytes(id))
 		if err != nil {
-			panic(fmt.Sprintf("derive: corrupt label column for node %d: %v", i, err))
+			panic(fmt.Sprintf("derive: corrupt label column for node %d: %v", id, err))
 		}
 		out[i] = arena[start:len(arena):len(arena)]
 	}

@@ -91,7 +91,7 @@ func CompareBytes(a, b Bytes) int {
 		case !okb:
 			return 1
 		}
-		if c := compareEntry(ea, eb); c != 0 {
+		if c := CompareEntry(ea, eb); c != 0 {
 			return c
 		}
 	}

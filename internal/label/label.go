@@ -94,7 +94,7 @@ func Compare(a, b Label) int {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if c := compareEntry(a[i], b[i]); c != 0 {
+		if c := CompareEntry(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
@@ -107,7 +107,9 @@ func Compare(a, b Label) int {
 	return 0
 }
 
-func compareEntry(a, b Entry) int {
+// CompareEntry orders two entries by (Rec, X, Y, Z) — the order Compare
+// sorts labels in, and so the order of a trie node's children.
+func CompareEntry(a, b Entry) int {
 	if a.Rec != b.Rec {
 		if !a.Rec {
 			return -1

@@ -4,14 +4,15 @@
 // query, among
 //
 //   - RPL (nested-loop decode of every pair, paper Option S1),
-//   - OptRPL (reachability-filtered scan, Option S2), and
+//   - OptRPL (the tree walk over the query-intersected grammar, Option S2),
+//     and
 //   - Seeded (this package's index-seeded strategy: start from the rarest
 //     required tag's occurrence list, restrict both endpoint lists to the
 //     nodes that can reach / be reached from those occurrences via the
 //     output-linear label join, then verify only the surviving candidate
-//     pairs — by constant-time decode for safe queries, or by expanding
-//     through the minimal DFA, forward or via automata.Node.Reverse(),
-//     for unsafe ones).
+//     pairs — by the OptRPL walk over the candidates for safe queries, or
+//     by expanding through the minimal DFA, forward or via
+//     automata.Node.Reverse(), for unsafe ones).
 //
 // The paper's evaluation (Section V) shows the winner is workload-dependent:
 // OptRPL dominates when answers are sparse relative to reachability, while
@@ -41,7 +42,8 @@ type Strategy int
 const (
 	// RPL decodes every pair of l1 × l2 (Option S1).
 	RPL Strategy = iota
-	// OptRPL decodes only the coarsely-reachable pairs (Option S2).
+	// OptRPL walks the two lists' label tries once, carrying DFA state
+	// vectors (Option S2 over the query-intersected grammar).
 	OptRPL
 	// Seeded anchors on the rarest required tag's occurrence list.
 	Seeded
@@ -168,14 +170,19 @@ func (p *Planner) ReachDensity() float64 {
 }
 
 // Plan chooses a strategy for an all-pairs scan of the compiled query over
-// endpoint lists of the given sizes. The model counts label decodes:
+// endpoint lists of the given sizes. The model counts decode units:
 //
 //	RPL     n1·n2                                  one decode per pair
-//	OptRPL  n1 + n2 + ρ·n1·n2                      trie build + one decode
-//	                                               per coarsely-reachable pair
+//	OptRPL  n1 + n2 + ρ·n1·n2                      trie build + the reachable
+//	                                               pairs bounding its output
 //	Seeded  (n1 + n2 + ds + dt)                    candidate trie joins
 //	        + ρ·(n1·ds + n2·dt)                    join outputs
-//	        + estL·estR                            decode of surviving pairs
+//	        + estL·estR                            surviving candidate pairs
+//
+// Only RPL's unit is a literal decode. The OptRPL walk and the seeded
+// verification do a few vector steps per label plus one per emitted pair,
+// so their formulae are estimates that rank the strategies by the shape of
+// the run; what a unit of each costs is what the measured EWMA rescales.
 //
 // where ρ is the sampled reachability density, ds/dt the seed tag's
 // distinct source/target counts, and estL = n1·min(1, ρ·ds) (resp. estR)

@@ -5,7 +5,6 @@ import (
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
-	"provrpq/internal/label"
 	"provrpq/internal/reach"
 )
 
@@ -19,15 +18,17 @@ import (
 //     output-linear label joins (reach.AllPairs against the distinct seed
 //     endpoints). An absent seed tag means no pair can match.
 //  2. The surviving candidate pairs are verified exactly: safe queries by
-//     the constant-time label decode; unsafe queries by expanding through
-//     the minimal DFA — forward from each source candidate, or backward
-//     from each target candidate with the DFA of the reversed query
-//     (automata.Node.Reverse()) when the target side is smaller.
+//     the OptRPL scan over the candidates' sub-tries; unsafe queries by
+//     expanding through the minimal DFA — forward from each source
+//     candidate, or backward from each target candidate with the DFA of the
+//     reversed query (automata.Node.Reverse()) when the target side is
+//     smaller.
 //
 // The decision's Reverse flag (which end the planner estimated more
 // selective) orders the candidate joins so the emptier side is resolved —
 // and can short-circuit the whole scan — first; the unsafe expansion then
-// re-decides its direction from the actual candidate counts.
+// re-decides its direction from the actual candidate counts. A list's labels
+// are decoded only when a join is about to read them.
 //
 // A decision without a seed tag (the query requires no symbol) falls back
 // to OptRPL for safe queries and to a full bidirectional expansion for
@@ -40,10 +41,29 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 		// that avoid it. Fall back to the unseeded paths instead.
 		seed = ""
 	}
-	la, lb := labelsOf(run, l1), labelsOf(run, l2)
+	// The tree representations of the two lists serve the candidate joins
+	// and the safe verification alike; each is built when first read, once
+	// for both sides when the lists are the same slice.
+	var t1, t2 *reach.Trie
+	sources := func() *reach.Trie {
+		if t1 == nil {
+			t1 = reach.NewTrie(run.LabelsOf(l1))
+		}
+		return t1
+	}
+	targets := func() *reach.Trie {
+		switch {
+		case t2 != nil:
+		case len(l1) == len(l2) && len(l1) > 0 && &l1[0] == &l2[0]:
+			t2 = sources()
+		default:
+			t2 = reach.NewTrie(run.LabelsOf(l2))
+		}
+		return t2
+	}
 	if seed == "" {
 		if env.Safe() {
-			return env.AllPairsSafeParallel(la, lb, core.OptRPL, 1, emit)
+			return env.AllPairsSafeTries(sources(), targets(), emit)
 		}
 		return expandPairs(env, run, allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
 	}
@@ -53,56 +73,44 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 
 	// Distinct seed endpoints: several occurrences often share sources or
 	// targets, and the candidate joins only care about the distinct sets.
-	var srcLabels, dstLabels []label.Label
+	var srcs, dsts []derive.NodeID
 	srcSeen := map[derive.NodeID]struct{}{}
 	dstSeen := map[derive.NodeID]struct{}{}
 	ix.EachPair(seed, func(p index.Pair) {
 		if _, ok := srcSeen[p.From]; !ok {
 			srcSeen[p.From] = struct{}{}
-			srcLabels = append(srcLabels, run.Label(p.From))
+			srcs = append(srcs, p.From)
 		}
 		if _, ok := dstSeen[p.To]; !ok {
 			dstSeen[p.To] = struct{}{}
-			dstLabels = append(dstLabels, run.Label(p.To))
+			dsts = append(dsts, p.To)
 		}
 	})
 
-	candSources := func() []int {
-		in := make([]bool, len(l1))
-		reach.AllPairs(run.Spec, la, srcLabels, 1, func(i, _ int) { in[i] = true })
-		return collect(in)
+	// inL[i] / inR[j]: l1[i] reaches a seed source, l2[j] is reached from a
+	// seed target.
+	inL, inR := make([]bool, len(l1)), make([]bool, len(l2))
+	candSources := func() bool {
+		hit := false
+		reach.AllPairsTries(run.Spec, sources(), reach.NewTrie(run.LabelsOf(srcs)), func(i, _ int) { inL[i], hit = true, true })
+		return hit
 	}
-	candTargets := func() []int {
-		in := make([]bool, len(l2))
-		reach.AllPairs(run.Spec, dstLabels, lb, 1, func(_, j int) { in[j] = true })
-		return collect(in)
+	candTargets := func() bool {
+		hit := false
+		reach.AllPairsTries(run.Spec, reach.NewTrie(run.LabelsOf(dsts)), targets(), func(_, j int) { inR[j], hit = true, true })
+		return hit
 	}
-	var L, R []int
+	first, second := candSources, candTargets
 	if dec.Reverse {
-		if R = candTargets(); len(R) == 0 {
-			return nil
-		}
-		L = candSources()
-	} else {
-		if L = candSources(); len(L) == 0 {
-			return nil
-		}
-		R = candTargets()
+		first, second = candTargets, candSources
 	}
-	if len(L) == 0 || len(R) == 0 {
+	if !first() || !second() {
 		return nil
 	}
 	if env.Safe() {
-		d := env.NewDecoder()
-		for _, i := range L {
-			for _, j := range R {
-				if d.PairwiseUnchecked(la[i], lb[j]) {
-					emit(i, j)
-				}
-			}
-		}
-		return nil
+		return env.AllPairsSafeTries(t1.Sub(inL), t2.Sub(inR), emit)
 	}
+	L, R := collect(inL), collect(inR)
 	return expandPairs(env, run, L, R, l1, l2, len(R) < len(L), emit)
 }
 
@@ -192,14 +200,6 @@ func expand(run *derive.Run, dfa *automata.DFA, from derive.NodeID, backward boo
 		}
 	}
 	return hits
-}
-
-func labelsOf(run *derive.Run, ids []derive.NodeID) []label.Label {
-	out := make([]label.Label, len(ids))
-	for i, id := range ids {
-		out[i] = run.Label(id)
-	}
-	return out
 }
 
 func allIdx(n int) []int {

@@ -1,7 +1,7 @@
 package reach
 
 import (
-	"sort"
+	"slices"
 
 	"provrpq/internal/label"
 	"provrpq/internal/parallel"
@@ -17,10 +17,22 @@ type Trie struct {
 	Labels []label.Label // sorted
 	Perm   []int         // Perm[sorted position] = caller's original index
 	Root   *TrieNode
+	// NumNodes counts the trie's nodes; TrieNode.ID ranges over [0, NumNodes).
+	NumNodes int
+
+	// nodes and kids are the slabs build carves TrieNodes and their
+	// Children slices from: a trie is built for one scan and dropped, so
+	// its thousands of small objects cost one allocation per slab instead
+	// of two per node.
+	nodes []TrieNode
+	kids  []*TrieNode
 }
 
 // TrieNode is one node of the tree representation.
 type TrieNode struct {
+	// ID numbers the node in preorder, so per-node annotations of a walk
+	// (core's state vectors) live in a slice beside the read-only trie.
+	ID int
 	// Entry is the label entry on the incoming edge (zero for the root).
 	Entry label.Entry
 	// Children in sorted entry order.
@@ -39,33 +51,79 @@ func NewTrie(labels []label.Label) *Trie {
 	for i := range labels {
 		t.Perm[i] = i
 	}
-	sort.Slice(t.Perm, func(i, j int) bool {
-		return label.Compare(labels[t.Perm[i]], labels[t.Perm[j]]) < 0
-	})
+	slices.SortFunc(t.Perm, func(a, b int) int { return label.Compare(labels[a], labels[b]) })
 	for i, p := range t.Perm {
 		t.Labels[i] = labels[p]
 	}
-	t.Root = buildTrie(t.Labels, 0, len(t.Labels), 0)
+	t.Root = t.build(0, len(t.Labels), 0)
 	return t
 }
 
-// buildTrie groups the sorted slice [lo,hi) by the entry at the given depth.
-func buildTrie(labels []label.Label, lo, hi, depth int) *TrieNode {
-	n := &TrieNode{Lo: lo, Hi: hi}
-	i := lo
-	// Skip exhausted labels (they are leaves at this node; sorted first).
-	for i < hi && len(labels[i]) <= depth {
-		i++
+// Sub returns the trie of the labels keep admits, keep being indexed like
+// the list t was built from; Perm keeps referring to that list. The sorted
+// order is inherited, so a sub-trie costs one pass and no sort, and a keep
+// that admits every label returns t itself.
+func (t *Trie) Sub(keep []bool) *Trie {
+	kept := 0
+	for _, k := range keep {
+		if k {
+			kept++
+		}
 	}
-	for i < hi {
+	if kept == len(t.Perm) {
+		return t
+	}
+	sub := &Trie{Labels: make([]label.Label, 0, kept), Perm: make([]int, 0, kept)}
+	for i, p := range t.Perm {
+		if keep[p] {
+			sub.Labels = append(sub.Labels, t.Labels[i])
+			sub.Perm = append(sub.Perm, p)
+		}
+	}
+	sub.Root = sub.build(0, len(sub.Labels), 0)
+	return sub
+}
+
+// slabNodes caps a slab, so the last one of a large trie strands little.
+const slabNodes = 1024
+
+// build groups the sorted slice [lo,hi) by the entry at the given depth.
+func (t *Trie) build(lo, hi, depth int) *TrieNode {
+	if len(t.nodes) == cap(t.nodes) {
+		t.nodes = make([]TrieNode, 0, min(len(t.Labels)+16, slabNodes))
+	}
+	t.nodes = append(t.nodes, TrieNode{ID: t.NumNodes, Lo: lo, Hi: hi})
+	t.NumNodes++
+	n := &t.nodes[len(t.nodes)-1]
+
+	labels := t.Labels
+	// Skip exhausted labels (they are leaves at this node; sorted first).
+	for lo < hi && len(labels[lo]) <= depth {
+		lo++
+	}
+	groups := 0
+	for i := lo; i < hi; i++ {
+		if i == lo || labels[i][depth] != labels[i-1][depth] {
+			groups++
+		}
+	}
+	if groups == 0 {
+		return n
+	}
+	if cap(t.kids)-len(t.kids) < groups {
+		t.kids = make([]*TrieNode, 0, max(groups, min(len(t.Labels)+16, slabNodes)))
+	}
+	t.kids = t.kids[:len(t.kids)+groups]
+	n.Children = t.kids[len(t.kids)-groups : len(t.kids) : len(t.kids)]
+	for c, i := 0, lo; i < hi; c++ {
 		e := labels[i][depth]
 		j := i + 1
-		for j < hi && len(labels[j]) > depth && labels[j][depth] == e {
+		for j < hi && labels[j][depth] == e {
 			j++
 		}
-		child := buildTrie(labels, i, j, depth+1)
+		child := t.build(i, j, depth+1)
 		child.Entry = e
-		n.Children = append(n.Children, child)
+		n.Children[c] = child
 		i = j
 	}
 	return n

@@ -217,6 +217,56 @@ func TestTrieStructure(t *testing.T) {
 	}
 }
 
+// TestTrieSub: a sub-trie is the trie of the kept labels — same sorted
+// order, same structure, node ids dense in preorder — with Perm still
+// indexing the original list, and keeping everything returns the trie
+// itself.
+func TestTrieSub(t *testing.T) {
+	r, err := derive.Derive(wf.PaperSpec(), derive.Options{Seed: 4, TargetEdges: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := r.MaterializeLabels()
+	full := NewTrie(labels)
+	keep := make([]bool, len(labels))
+	var kept []label.Label
+	for i := range labels {
+		if keep[i] = i%3 != 1; keep[i] {
+			kept = append(kept, labels[i])
+		}
+	}
+	sub, want := full.Sub(keep), NewTrie(kept)
+	if len(sub.Perm) != len(kept) || sub.NumNodes != want.NumNodes {
+		t.Fatalf("sub-trie: %d leaves %d nodes, want %d leaves %d nodes", len(sub.Perm), sub.NumNodes, len(kept), want.NumNodes)
+	}
+	for i, p := range sub.Perm {
+		if !keep[p] || !label.Equal(labels[p], sub.Labels[i]) || !label.Equal(sub.Labels[i], want.Labels[i]) {
+			t.Fatalf("sorted position %d: sub-trie holds %v (list index %d), want %v", i, sub.Labels[i], p, want.Labels[i])
+		}
+	}
+	next := 0
+	var same func(a, b *TrieNode)
+	same = func(a, b *TrieNode) {
+		if a.ID != next || b.ID != next {
+			t.Fatalf("node ids %d/%d, want preorder id %d", a.ID, b.ID, next)
+		}
+		next++
+		if a.Entry != b.Entry || a.Lo != b.Lo || a.Hi != b.Hi || len(a.Children) != len(b.Children) {
+			t.Fatalf("node %v [%d,%d) with %d children, want %v [%d,%d) with %d", a.Entry, a.Lo, a.Hi, len(a.Children), b.Entry, b.Lo, b.Hi, len(b.Children))
+		}
+		for i := range a.Children {
+			same(a.Children[i], b.Children[i])
+		}
+	}
+	same(sub.Root, want.Root)
+	for i := range keep {
+		keep[i] = true
+	}
+	if full.Sub(keep) != full {
+		t.Error("a keep that admits every label should return the trie itself")
+	}
+}
+
 func TestAllPairsMatchesPairwise(t *testing.T) {
 	specs := map[string]*wf.Spec{
 		"paper": wf.PaperSpec(),

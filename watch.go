@@ -2,7 +2,6 @@ package provrpq
 
 import (
 	"fmt"
-	"sort"
 
 	"provrpq/internal/derive"
 )
@@ -111,6 +110,7 @@ func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
 	if lo < 0 || lo > n {
 		return nil, fmt.Errorf("provrpq: DeltaPairs: first new node %d outside run of %d nodes", lo, n)
 	}
+	d := env.NewDecoder() // one for the whole delta: no pool round trip per pair
 	var out []Pair
 	for u := lo; u < n; u++ {
 		ub := r.LabelBytes(derive.NodeID(u))
@@ -118,21 +118,15 @@ func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
 			vb := r.LabelBytes(derive.NodeID(v))
 			// u → v covers every pair whose source is new; old → u covers
 			// the rest (new → new sources are already in the u loop).
-			if env.PairwiseBytesUnchecked(ub, vb) {
-				out = append(out, Pair{NodeID(u), NodeID(v)})
+			if d.PairwiseBytesUnchecked(ub, vb) {
+				out = appendPair(out, Pair{NodeID(u), NodeID(v)})
 			}
-			if v < lo && env.PairwiseBytesUnchecked(vb, ub) {
-				out = append(out, Pair{NodeID(v), NodeID(u)})
+			if v < lo && d.PairwiseBytesUnchecked(vb, ub) {
+				out = appendPair(out, Pair{NodeID(v), NodeID(u)})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out, nil
+	return sortPairs(out, n), nil
 }
 
 // RunAt returns the named run's current published version and its version
