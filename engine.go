@@ -648,7 +648,8 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 	}
 	// Match the relational path's deterministic (From, To) order — the
 	// strategies emit in their own scan orders.
-	return sortPairs(out, len(all)), safeReport(q, dec), nil
+	sortPairs(out)
+	return out, safeReport(q, dec), nil
 }
 
 // appendPair is append with doubling growth: result lists run to millions of
@@ -660,39 +661,18 @@ func appendPair(out []Pair, p Pair) []Pair {
 	return append(out, p)
 }
 
-// sortPairs orders pairs over node ids [0, n) by (From, To) and
-// returns them. Ids are dense, so a result that is not tiny next to n takes
-// two stable counting passes — by To, then by From — instead of a
-// comparison sort; ps is the scratch of the first pass.
-func sortPairs(ps []Pair, n int) []Pair {
-	if len(ps) < n/8 {
-		slices.SortFunc(ps, func(a, b Pair) int {
-			if a.From != b.From {
-				return cmp.Compare(a.From, b.From)
-			}
-			return cmp.Compare(a.To, b.To)
-		})
-		return ps
-	}
-	next := make([]int, n+1)
-	scatter := func(dst, src []Pair, key func(Pair) NodeID) {
-		clear(next)
-		for _, p := range src {
-			next[key(p)+1]++
+// sortPairs orders pairs by (From, To) in place, allocating nothing. A
+// counting sort over the dense ids is faster per call, but needs a scratch
+// copy of the result on every request: on a heap as small as a served
+// run's, that garbage comes back as collector and page-fault time that
+// differs from one process to the next.
+func sortPairs(ps []Pair) {
+	slices.SortFunc(ps, func(a, b Pair) int {
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
 		}
-		for i := 1; i <= n; i++ {
-			next[i] += next[i-1]
-		}
-		for _, p := range src {
-			k := key(p)
-			dst[next[k]] = p
-			next[k]++
-		}
-	}
-	byTo := make([]Pair, len(ps))
-	scatter(byTo, ps, func(p Pair) NodeID { return p.To })
-	scatter(ps, byTo, func(p Pair) NodeID { return p.From })
-	return ps
+		return cmp.Compare(a.To, b.To)
+	})
 }
 
 // fromPlanStrategy maps the planner's choice onto the public enum.

@@ -126,7 +126,8 @@ func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
 			}
 		}
 	}
-	return sortPairs(out, n), nil
+	sortPairs(out)
+	return out, nil
 }
 
 // RunAt returns the named run's current published version and its version
