@@ -191,6 +191,72 @@ func BenchmarkEngineEvaluateSafe(b *testing.B) {
 	}
 }
 
+// decomposeFixture is the unsafe-query workload behind the served
+// read-decompose benchmark: a ~400-node BioAID run, a general evaluator, and
+// two query shapes whose one safe subtree is _* — tens of thousands of pairs
+// feeding a small relational remainder.
+func decomposeFixture(tb testing.TB) (*derive.Run, *core.General, []*automata.Node) {
+	tb.Helper()
+	d := workload.BioAID()
+	run, err := derive.Derive(d.Spec, derive.Options{Seed: 1, TargetEdges: 300})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ix := index.Build(run)
+	tag := run.Edges[len(run.Edges)/2].Tag
+	gen := core.NewGeneralOpts(run, ix, core.CostBased, core.GeneralOptions{Workers: 2})
+	var qs []*automata.Node
+	for _, shape := range []string{"%s._*._", "(_._*.%s).(_._)"} {
+		q := automata.MustParse(fmt.Sprintf(shape, tag))
+		_, rep, err := gen.Eval(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.Safe || len(rep.SafeSubtrees) != 1 || rep.SafeSubtrees[0] != "_*" {
+			tb.Fatalf("%s: want an unsafe query with the safe subtree _*, got %+v", q, rep)
+		}
+		qs = append(qs, q)
+	}
+	return run, gen, qs
+}
+
+// BenchmarkGeneralEvalDecompose measures General.Eval on the decomposition
+// shapes above: the label walk's blocks filled into rows, then joined.
+func BenchmarkGeneralEvalDecompose(b *testing.B) {
+	_, gen, qs := decomposeFixture(b)
+	for _, q := range qs {
+		b.Run(q.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := gen.Eval(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestGeneralEvalAllocatesPerRowNotPerPair pins the container: a relation
+// costs a few allocations per node — rows carved from shared arrays — and
+// none per pair, whatever the tens of thousands of pairs _* holds.
+func TestGeneralEvalAllocatesPerRowNotPerPair(t *testing.T) {
+	run, gen, qs := decomposeFixture(t)
+	for _, q := range qs {
+		var pairs int
+		allocs := testing.AllocsPerRun(5, func() {
+			rel, _, err := gen.Eval(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = rel.Len()
+		})
+		if bound := float64(4*run.NumNodes() + 64); allocs > bound {
+			t.Errorf("%s: %.0f allocations per Eval on %d nodes (%d result pairs), want at most %.0f",
+				q, allocs, run.NumNodes(), pairs, bound)
+		}
+	}
+}
+
 // Parallel-scaling benches for the sharded all-pairs scans: the same
 // 16K-edge scan at 1, 2 and 4 workers (workers=1 is the serial scan). The
 // result sets are asserted identical across worker counts.

@@ -438,9 +438,10 @@ func (e *Engine) AllPairs(q *Query, l1, l2 []NodeID, strategy Strategy) ([]Pair,
 }
 
 // crossDecomposed answers an unsafe query over l1 × l2: the full relation
-// from the safe-subtree decomposition, crossed against the lists on the
-// worker pool. Rel is read-only here, and contiguous shards of l1 merged
-// in order reproduce the nested-loop output order.
+// from the safe-subtree decomposition, restricted to the lists on the worker
+// pool. Each shard walks the rows of its l1 nodes against l2's positions —
+// Rel is read-only here — and contiguous shards of l1 merged in order
+// reproduce the nested-loop output order.
 func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 	start := time.Now()
 	rel, _, err := e.general().Eval(q.node)
@@ -450,13 +451,9 @@ func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 	var out []Pair
 	du, dv := toDerive(l1), toDerive(l2)
 	parallel.Gather(len(l1), e.workers, func(_, lo, hi int, emit func(Pair)) {
-		for i := lo; i < hi; i++ {
-			for j := range l2 {
-				if rel.Has(du[i], dv[j]) {
-					emit(Pair{From: l1[i], To: l2[j]})
-				}
-			}
-		}
+		baseline.AllPairsIn(rel, du[lo:hi], dv, func(i, j int) {
+			emit(Pair{From: l1[lo+i], To: l2[j]})
+		})
 	}, func(p Pair) { out = append(out, p) })
 	observeEvalLatency("decompose", start)
 	return out, nil
@@ -627,15 +624,21 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 	}
 	if !env.Safe() {
 		// The evaluation itself produces the decomposition report — no
-		// separate planning pass.
+		// separate planning pass — and the relation's rows are already in
+		// (From, To) order.
+		start := time.Now()
 		rel, grep, err := e.general().Eval(q.node)
 		if err != nil {
 			return nil, nil, err
 		}
-		var out []Pair
-		for _, p := range rel.Pairs() {
-			out = append(out, Pair{From: NodeID(p[0]), To: NodeID(p[1])})
+		var out []Pair // nil when empty, like the safe path's
+		if n := rel.Len(); n > 0 {
+			out = make([]Pair, 0, n)
 		}
+		rel.Each(func(u, v derive.NodeID) {
+			out = append(out, Pair{From: NodeID(u), To: NodeID(v)})
+		})
+		observeEvalLatency("decompose", start)
 		return out, decomposedReport(q, grep), nil
 	}
 	all := e.run.AllNodes()

@@ -365,3 +365,62 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsafeAllPairsShardsReadOneRelation answers an unsafe query over two
+// lists on four workers: the decomposition's relation is built once and its
+// rows are then read by every shard at once (the race detector's part), and
+// the answer is the nested loop's — l1-major, l2 order, a node listed twice
+// matched at both positions — whatever order the lists are in (the
+// restriction's part). The G1 strategy restricts the same way.
+func TestUnsafeAllPairsShardsReadOneRelation(t *testing.T) {
+	spec := forkSpec(t)
+	run := forkRun(t, spec, 3, 900)
+	q := provrpq.MustParseQuery("a+")
+	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: 4, PlanCache: provrpq.NewPlanCache(16)})
+	if safe, err := eng.IsSafe(q); err != nil || safe {
+		t.Fatalf("a+ should be unsafe on the fork grammar (safe=%v, err=%v)", safe, err)
+	}
+	full, err := eng.Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := pairSet(full)
+
+	// Every third node descending, then every node ascending, then a few
+	// repeats: out of order, overlapping, with duplicates.
+	all := run.AllNodes()
+	var l1, l2 []provrpq.NodeID
+	for i := len(all) - 1; i >= 0; i -= 3 {
+		l1 = append(l1, all[i])
+	}
+	l1 = append(l1, all[:40]...)
+	for i := 0; i < len(all); i += 2 {
+		l2 = append(l2, all[i])
+	}
+	l2 = append(l2, l2[5], l2[5], all[1], all[len(all)-1])
+	var want []provrpq.Pair
+	for _, u := range l1 {
+		for _, v := range l2 {
+			if in[provrpq.Pair{From: u, To: v}] {
+				want = append(want, provrpq.Pair{From: u, To: v})
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture matches nothing")
+	}
+	for _, strategy := range []provrpq.Strategy{provrpq.Auto, provrpq.StrategyG1} {
+		got, err := eng.AllPairs(q, l1, l2, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d pairs, nested loop %d", strategy, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v: pair %d = %v, nested loop has %v", strategy, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -41,22 +41,7 @@ func (g *G1) Eval(q *automata.Node) *Rel {
 
 // AllPairs evaluates the query and filters the result to l1 × l2.
 func (g *G1) AllPairs(q *automata.Node, l1, l2 []derive.NodeID, emit func(i, j int)) {
-	rel := g.eval(q)
-	byLeft := map[derive.NodeID][]derive.NodeID{}
-	rel.Each(func(a, b derive.NodeID) {
-		byLeft[a] = append(byLeft[a], b)
-	})
-	pos2 := map[derive.NodeID][]int{}
-	for j, v := range l2 {
-		pos2[v] = append(pos2[v], j)
-	}
-	for i, u := range l1 {
-		for _, v := range byLeft[u] {
-			for _, j := range pos2[v] {
-				emit(i, j)
-			}
-		}
-	}
+	AllPairsIn(g.eval(q), l1, l2, emit)
 }
 
 func (g *G1) eval(q *automata.Node) *Rel {
@@ -68,11 +53,18 @@ func (g *G1) eval(q *automata.Node) *Rel {
 		})
 		return out
 	case automata.KindWild:
-		out := NewRel()
+		// One row per node, straight from its out-edges.
 		run := g.ix.Run()
-		for _, e := range run.Edges {
-			out.Add(e.From, e.To)
+		rows := make([][]int32, run.NumNodes())
+		buf := make([]int32, 0, len(run.Edges))
+		for u := range rows {
+			for _, ei := range run.Out(derive.NodeID(u)) {
+				buf = append(buf, int32(run.Edges[ei].To))
+			}
+			rows[u], buf = buf[:len(buf):len(buf)], buf[len(buf):]
 		}
+		out := NewRel()
+		out.AddRows(rows)
 		return out
 	case automata.KindEps:
 		return IdentityRel(g.ix.Run())
@@ -86,11 +78,14 @@ func (g *G1) eval(q *automata.Node) *Rel {
 		}
 		return rel
 	case automata.KindAlt:
-		out := NewRel()
-		for _, c := range q.Children {
-			out = out.Union(g.eval(c))
+		if len(q.Children) == 0 {
+			return NewRel()
 		}
-		return out
+		rel := g.eval(q.Children[0])
+		for _, c := range q.Children[1:] {
+			rel = rel.Union(g.eval(c))
+		}
+		return rel
 	case automata.KindStar:
 		return g.closure(g.eval(q.Children[0])).Union(IdentityRel(g.ix.Run()))
 	case automata.KindPlus:

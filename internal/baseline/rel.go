@@ -1,7 +1,8 @@
 package baseline
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"provrpq/internal/derive"
 )
@@ -10,101 +11,282 @@ import (
 // the relational (G1-style) evaluation. The join/closure operators below
 // are the "structural joins" whose intermediate-result blowup motivates the
 // paper's approach.
+//
+// Node ids are dense, so the relation is one row of targets per source id,
+// the targets held in 32 bits like the label walk's list indices.
+// Invariants, which hold whenever a method returns: row u is sorted and
+// duplicate-free, and n is the sum of the row lengths. A row's backing array
+// belongs to one relation only — an operator's result never aliases its
+// operands, so an Add to either never shows in the other. Reads (Has, Len,
+// Each, Pairs, AllPairsIn and the operand side of every operator) write
+// nothing, so any number of goroutines may read one relation at once; Add
+// and AddRows need exclusive access.
 type Rel struct {
-	set map[[2]derive.NodeID]struct{}
+	rows [][]int32
+	n    int
 }
 
 // NewRel returns an empty relation.
-func NewRel() *Rel { return &Rel{set: map[[2]derive.NodeID]struct{}{}} }
+func NewRel() *Rel { return &Rel{} }
+
+// row returns the targets of u, nil for a source past the last row.
+func (r *Rel) row(u derive.NodeID) []int32 {
+	if int(u) < len(r.rows) {
+		return r.rows[u]
+	}
+	return nil
+}
 
 // Add inserts the pair (u, v).
-func (r *Rel) Add(u, v derive.NodeID) { r.set[[2]derive.NodeID{u, v}] = struct{}{} }
+func (r *Rel) Add(u, v derive.NodeID) {
+	if int(u) >= len(r.rows) {
+		r.rows = append(r.rows, make([][]int32, int(u)+1-len(r.rows))...)
+	}
+	row, t := r.rows[u], int32(v)
+	at := len(row)
+	if at > 0 && t <= row[at-1] {
+		var found bool
+		if at, found = slices.BinarySearch(row, t); found {
+			return
+		}
+	}
+	r.rows[u] = slices.Insert(row, at, t)
+	r.n++
+}
+
+// AddRows inserts the pair (u, v) for every v in rows[u], in bulk. Targets
+// are node ids at the width rows are stored at; a row may list them in any
+// order and more than once. The relation takes ownership of every row slice
+// — it orders it in place and keeps it — so the caller must not use them
+// afterwards.
+func (r *Rel) AddRows(rows [][]int32) {
+	if len(r.rows) < len(rows) {
+		r.rows = append(r.rows, make([][]int32, len(rows)-len(r.rows))...)
+	}
+	for u, vs := range rows {
+		if len(vs) == 0 {
+			continue
+		}
+		if !increasing(vs) {
+			slices.Sort(vs)
+			vs = slices.Compact(vs)
+		}
+		if old := r.rows[u]; len(old) > 0 {
+			vs = mergeRows(make([]int32, 0, len(old)+len(vs)), old, vs)
+		}
+		r.n += len(vs) - len(r.rows[u])
+		r.rows[u] = vs[:len(vs):len(vs)]
+	}
+}
+
+// increasing reports whether vs is sorted and duplicate-free.
+func increasing(vs []int32) bool {
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1] >= vs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeRows appends the union of two sorted duplicate-free rows to dst.
+func mergeRows(dst, a, b []int32) []int32 {
+	for len(a) > 0 && len(b) > 0 {
+		switch x, y := a[0], b[0]; {
+		case x < y:
+			dst, a = append(dst, x), a[1:]
+		case x > y:
+			dst, b = append(dst, y), b[1:]
+		default:
+			dst, a, b = append(dst, x), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
 
 // Has reports membership.
 func (r *Rel) Has(u, v derive.NodeID) bool {
-	_, ok := r.set[[2]derive.NodeID{u, v}]
-	return ok
+	_, found := slices.BinarySearch(r.row(u), int32(v))
+	return found
 }
 
 // Len returns the pair count.
-func (r *Rel) Len() int { return len(r.set) }
+func (r *Rel) Len() int { return r.n }
 
-// Each visits every pair in unspecified order.
+// Each visits every pair in (From, To) order.
 func (r *Rel) Each(f func(u, v derive.NodeID)) {
-	for p := range r.set {
-		f(p[0], p[1])
+	for u, row := range r.rows {
+		for _, v := range row {
+			f(derive.NodeID(u), derive.NodeID(v))
+		}
 	}
 }
 
-// Pairs returns the pairs sorted (for deterministic output).
+// Pairs returns the pairs in (From, To) order.
 func (r *Rel) Pairs() [][2]derive.NodeID {
-	out := make([][2]derive.NodeID, 0, len(r.set))
-	for p := range r.set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	out := make([][2]derive.NodeID, 0, r.n)
+	r.Each(func(u, v derive.NodeID) { out = append(out, [2]derive.NodeID{u, v}) })
 	return out
+}
+
+// AllPairsIn emits, by list positions, every (i, j) with (l1[i], l2[j]) ∈ r,
+// in nested-loop order: i ascending and, for one i, j ascending. A node
+// listed more than once is matched at each of its positions. The cost is
+// the lists, the rows of l1's nodes and the output — no probe per pair.
+func AllPairsIn(r *Rel, l1, l2 []derive.NodeID, emit func(i, j int)) {
+	// head[v] is v's first position in l2 and next[j] the next position of
+	// l2[j], -1 ending the chain.
+	var head []int32
+	next := make([]int32, len(l2))
+	for j := len(l2) - 1; j >= 0; j-- {
+		v := int(l2[j])
+		for v >= len(head) {
+			head = append(head, -1)
+		}
+		next[j], head[v] = head[v], int32(j)
+	}
+	var js []int32
+	for i, u := range l1 {
+		js = js[:0]
+		for _, v := range r.row(u) {
+			if int(v) >= len(head) {
+				break // rows are sorted: no later target is in l2 either
+			}
+			for j := head[v]; j >= 0; j = next[j] {
+				js = append(js, j)
+			}
+		}
+		slices.Sort(js) // already in order whenever l2 lists its nodes by id
+		for _, j := range js {
+			emit(i, int(j))
+		}
+	}
+}
+
+// marks is a reusable set of node ids that lists its members in increasing
+// order: the operators below mark the targets of one output row in it, in
+// whatever order the operands yield them, and drain the row out sorted and
+// duplicate-free.
+type marks struct {
+	words  []uint64
+	lo, hi int // the words touched since the last drain are words[lo:hi]
+	n      int // members
+}
+
+// add inserts v and reports whether it was absent.
+func (m *marks) add(v int32) bool {
+	w, bit := int(v>>6), uint64(1)<<(uint(v)&63)
+	if w >= len(m.words) {
+		m.words = append(m.words, make([]uint64, w+1-len(m.words))...)
+	}
+	if m.words[w]&bit != 0 {
+		return false
+	}
+	if m.n == 0 {
+		m.lo, m.hi = w, w+1
+	} else {
+		m.lo, m.hi = min(m.lo, w), max(m.hi, w+1)
+	}
+	m.words[w] |= bit
+	m.n++
+	return true
+}
+
+// drain appends the members to dst in increasing order and empties the set.
+func (m *marks) drain(dst []int32) []int32 {
+	if m.n == 0 {
+		return dst
+	}
+	for w := m.lo; w < m.hi; w++ {
+		for word := m.words[w]; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+		m.words[w] = 0
+	}
+	m.n = 0
+	return dst
+}
+
+// slab carves the rows of one relation out of a few large arrays, so an
+// operator allocates per chunk and not per row.
+type slab struct{ buf []int32 }
+
+// take returns an empty row with room for n targets, which no other row
+// shares.
+func (s *slab) take(n int) []int32 {
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]int32, 0, max(n, min(2*cap(s.buf), 1<<16), 64))
+	}
+	at := len(s.buf)
+	s.buf = s.buf[:at+n]
+	return s.buf[at : at : at+n]
 }
 
 // Union returns r ∪ s.
 func (r *Rel) Union(s *Rel) *Rel {
-	out := NewRel()
-	for p := range r.set {
-		out.set[p] = struct{}{}
+	if len(r.rows) < len(s.rows) {
+		r, s = s, r
 	}
-	for p := range s.set {
-		out.set[p] = struct{}{}
+	out := &Rel{rows: make([][]int32, len(r.rows))}
+	sl := slab{buf: make([]int32, 0, r.n+s.n)}
+	for u, a := range r.rows {
+		b := s.row(derive.NodeID(u))
+		out.rows[u] = mergeRows(sl.take(len(a)+len(b)), a, b)
+		out.n += len(out.rows[u])
 	}
 	return out
 }
 
 // Join returns the composition r ; s = {(u,w) | ∃v: (u,v) ∈ r, (v,w) ∈ s}.
-func (r *Rel) Join(s *Rel) *Rel {
-	// Hash s by its left column.
-	byLeft := map[derive.NodeID][]derive.NodeID{}
-	for p := range s.set {
-		byLeft[p[0]] = append(byLeft[p[0]], p[1])
-	}
-	out := NewRel()
-	for p := range r.set {
-		for _, w := range byLeft[p[1]] {
-			out.Add(p[0], w)
+func (r *Rel) Join(s *Rel) *Rel { return compose(r, s, false) }
+
+// compose returns r ; s, united with r itself when withR is set: per source
+// u it marks the rows of s that u's row selects and drains them as one
+// sorted row.
+func compose(r, s *Rel, withR bool) *Rel {
+	out := &Rel{rows: make([][]int32, len(r.rows))}
+	var m marks
+	var sl slab
+	for u, row := range r.rows {
+		for _, v := range row {
+			if withR {
+				m.add(v)
+			}
+			for _, w := range s.row(derive.NodeID(v)) {
+				m.add(w)
+			}
 		}
+		out.n += m.n
+		out.rows[u] = m.drain(sl.take(m.n))
 	}
 	return out
 }
 
-// Closure returns the transitive closure r⁺ by semi-naive iteration
-// (repeated delta joins until fixpoint) — the self-join loop the paper
-// describes for Kleene-star baselines.
+// Closure returns the transitive closure r⁺ semi-naively: every derived
+// pair (u, v) is joined with r's row v exactly once, when it is new — the
+// delta iteration of a fixpoint loop, run source by source so that one set
+// of marks serves as both the "seen" test and the sorted output row.
 func (r *Rel) Closure() *Rel {
-	byLeft := map[derive.NodeID][]derive.NodeID{}
-	for p := range r.set {
-		byLeft[p[0]] = append(byLeft[p[0]], p[1])
-	}
-	out := NewRel()
-	delta := make([][2]derive.NodeID, 0, len(r.set))
-	for p := range r.set {
-		out.set[p] = struct{}{}
-		delta = append(delta, p)
-	}
-	for len(delta) > 0 {
-		var next [][2]derive.NodeID
-		for _, p := range delta {
-			for _, w := range byLeft[p[1]] {
-				np := [2]derive.NodeID{p[0], w}
-				if _, seen := out.set[np]; !seen {
-					out.set[np] = struct{}{}
-					next = append(next, np)
+	out := &Rel{rows: make([][]int32, len(r.rows))}
+	var m marks
+	var sl slab
+	var delta []int32
+	for u, row := range r.rows {
+		for _, v := range row {
+			m.add(v)
+		}
+		delta = append(delta[:0], row...)
+		for len(delta) > 0 {
+			v := delta[len(delta)-1]
+			delta = delta[:len(delta)-1]
+			for _, w := range r.row(derive.NodeID(v)) {
+				if m.add(w) {
+					delta = append(delta, w)
 				}
 			}
 		}
-		delta = next
+		out.n += m.n
+		out.rows[u] = m.drain(sl.take(m.n))
 	}
 	return out
 }
@@ -116,40 +298,24 @@ func (r *Rel) Closure() *Rel {
 // performance can be very bad"): cost grows with the longest path times the
 // result size. Closure (semi-naive) is what our own evaluator uses.
 func (r *Rel) ClosureNaive() *Rel {
-	byLeft := map[derive.NodeID][]derive.NodeID{}
-	for p := range r.set {
-		byLeft[p[0]] = append(byLeft[p[0]], p[1])
-	}
-	out := NewRel()
-	for p := range r.set {
-		out.set[p] = struct{}{}
-	}
+	out := r
 	for {
-		snapshot := make([][2]derive.NodeID, 0, len(out.set))
-		for p := range out.set {
-			snapshot = append(snapshot, p)
+		next := compose(out, r, true)
+		if next.n == out.n {
+			return next
 		}
-		grew := false
-		for _, p := range snapshot {
-			for _, w := range byLeft[p[1]] {
-				np := [2]derive.NodeID{p[0], w}
-				if _, seen := out.set[np]; !seen {
-					out.set[np] = struct{}{}
-					grew = true
-				}
-			}
-		}
-		if !grew {
-			return out
-		}
+		out = next
 	}
 }
 
 // IdentityRel returns {(u,u)} over all nodes of the run (the ε relation).
 func IdentityRel(run *derive.Run) *Rel {
-	out := NewRel()
-	for _, id := range run.AllNodes() {
-		out.Add(id, id)
+	n := run.NumNodes()
+	out := &Rel{rows: make([][]int32, n), n: n}
+	ids := make([]int32, n)
+	for u := range ids {
+		ids[u] = int32(u)
+		out.rows[u] = ids[u : u+1 : u+1]
 	}
 	return out
 }

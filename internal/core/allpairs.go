@@ -45,32 +45,32 @@ const (
 // the walk order with one worker — but the pair set is always identical.
 // Nothing built for a scan outlives it.
 func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrategy, workers int, emit func(i, j int)) error {
+	if strategy == OptRPL {
+		s, err := e.newOptScan(l1, l2, workers)
+		if err != nil {
+			return err
+		}
+		s.blocks(func(b block) { b.each(emit) })
+		return nil
+	}
 	st := e.state.Load()
 	if !st.safe {
 		return ErrUnsafe
 	}
 	e.artifactsFor(st) // build once up front, not per worker
-	switch strategy {
-	case RPL:
-		if len(l1)*len(l2) < rplParallelCutoff {
-			workers = 1
-		}
-		parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
-			d := e.decoder() // pooled: each worker borrows a warm decoder
-			defer e.release(d)
-			for i := lo; i < hi; i++ {
-				for j, b := range l2 {
-					if d.PairwiseUnchecked(l1[i], b) {
-						out([2]int{i, j})
-					}
+	if len(l1)*len(l2) < rplParallelCutoff {
+		workers = 1
+	}
+	parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
+		d := e.decoder() // pooled: each worker borrows a warm decoder
+		defer e.release(d)
+		for i := lo; i < hi; i++ {
+			for j, b := range l2 {
+				if d.PairwiseUnchecked(l1[i], b) {
+					out([2]int{i, j})
 				}
 			}
-		}, func(p [2]int) { emit(p[0], p[1]) })
-	case OptRPL:
-		if len(l1) < optParallelCutoff {
-			workers = 1
 		}
-		e.walkAllPairs(l1, l2, workers, emit)
-	}
+	}, func(p [2]int) { emit(p[0], p[1]) })
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/label"
+	"provrpq/internal/parallel"
 	"provrpq/internal/wf"
 )
 
@@ -208,15 +209,21 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 		}
 		return rel, nil
 	case automata.KindAlt:
-		out := baseline.NewRel()
-		for _, c := range q.Children {
-			r, err := g.eval(c, rep)
+		if len(q.Children) == 0 {
+			return baseline.NewRel(), nil
+		}
+		rel, err := g.eval(q.Children[0], rep)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range q.Children[1:] {
+			next, err := g.eval(c, rep)
 			if err != nil {
 				return nil, err
 			}
-			out = out.Union(r)
+			rel = rel.Union(next)
 		}
-		return out, nil
+		return rel, nil
 	case automata.KindStar:
 		r, err := g.eval(q.Children[0], rep)
 		if err != nil {
@@ -240,13 +247,46 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 }
 
 // safeEval computes the subquery's relation over all node pairs with the
-// optRPL walk, sharded across the evaluator's worker pool.
+// optRPL walk, sharded across the evaluator's worker pool: each shard fills
+// its own range of rows, and the relation then orders each row once.
 func (g *General) safeEval(env *Env) (*baseline.Rel, error) {
-	out := baseline.NewRel()
-	err := env.AllPairsSafeParallel(g.labels, g.labels, OptRPL, g.workers, func(i, j int) {
-		out.Add(g.ids[i], g.ids[j])
+	s, err := env.newOptScan(g.labels, g.labels, g.workers)
+	if err != nil {
+		return nil, err
+	}
+	// A label's list index is its node id, on both sides.
+	rows := make([][]int32, len(g.labels))
+	parallel.Do(len(s.l1), s.workers, func(_, lo, hi int) {
+		s.walkShard(lo, hi, func(w *fusedWalk) { fillRows(w, rows[lo:hi]) })
 	})
-	return out, err
+	out := baseline.NewRel()
+	out.AddRows(rows)
+	return out, nil
+}
+
+// fillRows writes one shard's result into rows, one row of l2 indices per l1
+// index of the shard. The walk hands over cross products of leaf buckets, so
+// it runs twice: once adding up block sizes, which gives every row's length
+// before a pair is written, and once appending each block's targets to its
+// sources' rows, carved from one exactly sized array.
+func fillRows(w *fusedWalk, rows [][]int32) {
+	sizes := make([]int, len(rows))
+	total := 0
+	w.run(func(b block) {
+		for _, x := range b.xs {
+			sizes[x] += len(b.ys)
+		}
+		total += len(b.xs) * len(b.ys)
+	})
+	buf := make([]int32, total)
+	for x, n := range sizes {
+		rows[x], buf = buf[:0:n], buf[n:]
+	}
+	w.run(func(b block) {
+		for _, x := range b.xs {
+			rows[x] = append(rows[x], b.ys...)
+		}
+	})
 }
 
 // safeCheaper is the cost model (future work 1): label-based evaluation

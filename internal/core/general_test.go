@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"provrpq/internal/automata"
@@ -8,6 +10,7 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/wf"
+	"provrpq/internal/workload"
 )
 
 // generalQueries mixes safe, unsafe and structured queries on PaperSpec.
@@ -29,6 +32,34 @@ var generalQueries = []string{
 	"_?",
 }
 
+// checkGeneralAgainstOracle evaluates every query with gen and holds the
+// relation against the product-BFS oracle, pair for pair.
+func checkGeneralAgainstOracle(t *testing.T, what string, run *derive.Run, gen *General, queries []string) {
+	t.Helper()
+	for _, qs := range queries {
+		q := automata.MustParse(qs)
+		rel, rep, err := gen.Eval(q)
+		if err != nil {
+			t.Fatalf("%s: Eval(%q): %v", what, qs, err)
+		}
+		oracle := baseline.NewOracle(run, q)
+		want := baseline.NewRel()
+		for _, u := range run.AllNodes() {
+			for _, v := range oracle.From(u) {
+				want.Add(u, v)
+			}
+		}
+		if rel.Len() != want.Len() {
+			t.Fatalf("%s query %q: %d pairs, oracle %d (report %+v)", what, qs, rel.Len(), want.Len(), rep)
+		}
+		want.Each(func(u, v derive.NodeID) {
+			if !rel.Has(u, v) {
+				t.Fatalf("%s query %q: missing (%s,%s)", what, qs, run.Nodes[u].Name, run.Nodes[v].Name)
+			}
+		})
+	}
+}
+
 func TestGeneralMatchesOracle(t *testing.T) {
 	spec := wf.PaperSpec()
 	for seed := int64(0); seed < 4; seed++ {
@@ -38,32 +69,84 @@ func TestGeneralMatchesOracle(t *testing.T) {
 		}
 		ix := index.Build(run)
 		for _, strategy := range []GeneralStrategy{LargestSafeSubtree, CostBased, RelationalOnly} {
-			gen := NewGeneral(run, ix, strategy)
-			for _, qs := range generalQueries {
-				q := automata.MustParse(qs)
-				rel, rep, err := gen.Eval(q)
-				if err != nil {
-					t.Fatalf("Eval(%q): %v", qs, err)
-				}
-				oracle := baseline.NewOracle(run, q)
-				want := baseline.NewRel()
-				for _, u := range run.AllNodes() {
-					for _, v := range oracle.From(u) {
-						want.Add(u, v)
-					}
-				}
-				if rel.Len() != want.Len() {
-					t.Fatalf("strategy %d seed %d query %q: %d pairs, oracle %d (report %+v)",
-						strategy, seed, qs, rel.Len(), want.Len(), rep)
-				}
-				want.Each(func(u, v derive.NodeID) {
-					if !rel.Has(u, v) {
-						t.Fatalf("strategy %d query %q: missing (%s,%s)",
-							strategy, qs, run.Nodes[u].Name, run.Nodes[v].Name)
-					}
-				})
+			what := fmt.Sprintf("strategy %d seed %d", strategy, seed)
+			checkGeneralAgainstOracle(t, what, run, NewGeneral(run, ix, strategy), generalQueries)
+		}
+	}
+}
+
+// TestGeneralMatchesOracleOnServedShapes runs the decomposition shapes the
+// served unsafe workload is made of — a selective tag around _*, a closure
+// beside it, a closure over it, an alternation of two of them — on runs of
+// its size, serial and sharded: the safe subtree is tens of thousands of
+// pairs filled block by block, the remainder joins over rows.
+func TestGeneralMatchesOracleOnServedShapes(t *testing.T) {
+	cases := []struct {
+		d       *workload.Dataset
+		queries []string
+	}{
+		{workload.BioAID(), []string{
+			"p3_2._*._", "(_._*.p1_11).(_._)", "p2_6*._*.p5_2", "(p6_9._*._)+._",
+			"(p3_2._*._)|(_._*.p5_2)",
+		}},
+		{workload.QBLast(), []string{
+			"q1_8._*._", "(_._*.q1_5).(_._)", "q2_20*._*.q1_12", "(x2._*._)+._",
+			"(q1_7._*._)|(_._*.q2_18)",
+		}},
+	}
+	for _, c := range cases {
+		run, err := derive.Derive(c.d.Spec, derive.Options{Seed: 3, TargetEdges: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := index.Build(run)
+		for _, workers := range []int{1, 2} {
+			for _, strategy := range []GeneralStrategy{LargestSafeSubtree, CostBased} {
+				gen := NewGeneralOpts(run, ix, strategy, GeneralOptions{Workers: workers})
+				what := fmt.Sprintf("%s strategy %d workers %d", c.d.Name, strategy, workers)
+				checkGeneralAgainstOracle(t, what, run, gen, c.queries)
 			}
 		}
+		// The alternation really has two safe subtrees to fill and unite.
+		alt := c.queries[len(c.queries)-1]
+		rep, err := NewGeneral(run, ix, LargestSafeSubtree).Plan(automata.MustParse(alt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Safe || len(rep.SafeSubtrees) != 2 {
+			t.Errorf("%s %q: want an unsafe query with two safe subtrees, got %+v", c.d.Name, alt, rep)
+		}
+	}
+}
+
+// TestGeneralShardedFillMatchesSerial runs a safe subtree above the OptRPL
+// cut-off, where two workers fill disjoint row ranges of one relation side
+// by side: the relation must equal the one a single worker fills.
+func TestGeneralShardedFillMatchesSerial(t *testing.T) {
+	d := workload.BioAID()
+	run, err := derive.Derive(d.Spec, derive.Options{Seed: 5, TargetEdges: optParallelCutoff + 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.NumNodes() < optParallelCutoff {
+		t.Fatalf("fixture has %d nodes, below the cut-off %d", run.NumNodes(), optParallelCutoff)
+	}
+	ix := index.Build(run)
+	q := automata.MustParse("_*.p3_2._*.p5_2._*")
+	var rels [2]*baseline.Rel
+	for i, workers := range []int{1, 2} {
+		gen := NewGeneralOpts(run, ix, LargestSafeSubtree, GeneralOptions{Workers: workers})
+		rel, rep, err := gen.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.SafeSubtrees) != 1 || rel.Len() == 0 {
+			t.Fatalf("workers %d: want a non-empty result filled from one safe subtree, got %d pairs, %+v", workers, rel.Len(), rep)
+		}
+		rels[i] = rel
+	}
+	if !slices.Equal(rels[0].Pairs(), rels[1].Pairs()) {
+		t.Fatalf("1 worker found %d pairs, 2 workers %d", rels[0].Len(), rels[1].Len())
 	}
 }
 

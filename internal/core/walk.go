@@ -22,8 +22,10 @@ import (
 // once per node, bottom-up, and shared by every pair the leaf takes part
 // in. Leaves whose vector has no live state are dropped at that node, the
 // rest are bucketed by vector value, and a divergence tests (x·mid) ∩ y
-// once per bucket pair and emits the cross product of matching buckets: a
-// dead divergence prunes both subtrees without looking at their leaves.
+// once per bucket pair and hands the cross product of matching buckets to
+// the consumer as one block, never pair by pair: a dead divergence prunes
+// both subtrees without looking at their leaves, and a consumer that fills
+// rows copies a block's targets once per source.
 
 // bucket is the leaves below one trie node that share a state vector.
 type bucket struct {
@@ -73,10 +75,18 @@ type vectorFill struct {
 	pool []bucket
 }
 
-// leafVectors computes the live buckets of every node of t, indexed by
-// TrieNode.ID: the x vectors of an l1 trie (up) or the y vectors of an l2
-// trie. O(leaves · depth) vector steps; the result is read-only afterwards.
-func (d *Decoder) leafVectors(t *reach.Trie, up bool) [][]bucket {
+// leafVecs is what leafVectors computes for one trie: the live buckets of
+// every node, indexed by TrieNode.ID, and the trie's Perm in the buckets'
+// element type, which most of them are windows of. Read-only once built.
+type leafVecs struct {
+	vecs [][]bucket
+	perm []int32
+}
+
+// leafVectors computes the live buckets of every node of t: the x vectors of
+// an l1 trie (up) or the y vectors of an l2 trie. O(leaves · depth) vector
+// steps.
+func (d *Decoder) leafVectors(t *reach.Trie, up bool) leafVecs {
 	f := vectorFill{d: d, up: up, leaf: uint64(1) << uint(d.e.DFA.Start),
 		perm: make([]int32, len(t.Perm)),
 		vecs: make([][]bucket, t.NumNodes),
@@ -89,7 +99,7 @@ func (d *Decoder) leafVectors(t *reach.Trie, up bool) [][]bucket {
 		f.perm[i] = int32(p)
 	}
 	f.fill(t.Root)
-	return f.vecs
+	return leafVecs{f.vecs, f.perm}
 }
 
 func (f *vectorFill) fill(n *reach.TrieNode) {
@@ -160,28 +170,77 @@ func ownLeavesEnd(n *reach.TrieNode) int {
 	return n.Hi
 }
 
-// walkAllPairs is the OptRPL scan of l1 × l2 on the given number of
-// workers: contiguous shards of l1, one sub-trie and one Decoder each,
-// walked against a single l2 trie whose vectors are built once and only
-// read by the shards. A shard that is l2 itself — an unsharded scan of a
-// list against itself — walks the l2 trie against itself.
-func (e *Env) walkAllPairs(l1, l2 []label.Label, workers int, emit func(i, j int)) {
-	if len(l1) == 0 || len(l2) == 0 {
-		return
-	}
-	d := e.decoder()
-	t2 := reach.NewTrie(l2)
-	y := d.leafVectors(t2, false)
-	e.release(d)
-	parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
-		d := e.decoder()
-		defer e.release(d)
-		t1 := t2
-		if hi-lo != len(l2) || &l1[lo] != &l2[0] {
-			t1 = reach.NewTrie(l1[lo:hi])
+// block is one cross product of a scan's result: l1 index lo+x matches l2
+// index y for every x in xs and y in ys. The slices are read-only windows of
+// the scan's bucket tables, valid for as long as the consumer holds them. No
+// pair of indices lies in two blocks of one scan.
+type block struct {
+	lo     int
+	xs, ys []int32
+}
+
+// each emits the block's pairs one at a time, xs-major.
+func (b *block) each(emit func(i, j int)) {
+	for _, i := range b.xs {
+		for _, j := range b.ys {
+			emit(b.lo+int(i), int(j))
 		}
-		d.walkTries(t1, t2, y, func(i, j int) { out([2]int{lo + i, j}) })
-	}, func(p [2]int) { emit(p[0], p[1]) })
+	}
+}
+
+// optScan is a prepared OptRPL scan of l1 × l2: contiguous shards of l1, one
+// sub-trie and one Decoder each, walked against a single l2 trie whose
+// vectors are built once and only read by the shards.
+type optScan struct {
+	e       *Env
+	l1, l2  []label.Label
+	workers int // 1 below the cut-off
+	t2      *reach.Trie
+	y       leafVecs
+}
+
+// newOptScan checks that the query is safe and builds the l2 half.
+func (e *Env) newOptScan(l1, l2 []label.Label, workers int) (*optScan, error) {
+	st := e.state.Load()
+	if !st.safe {
+		return nil, ErrUnsafe
+	}
+	e.artifactsFor(st) // build once up front, not per worker
+	if len(l1) < optParallelCutoff {
+		workers = 1
+	}
+	if len(l2) == 0 {
+		l1 = nil // nothing to walk against
+	}
+	s := &optScan{e: e, l1: l1, l2: l2, workers: workers}
+	if len(l1) > 0 {
+		d := e.decoder()
+		s.t2 = reach.NewTrie(l2)
+		s.y = d.leafVectors(s.t2, false)
+		e.release(d)
+	}
+	return s, nil
+}
+
+// walkShard hands fn the walk of the l1 shard [lo, hi), on a Decoder borrowed
+// for the call. A shard that is l2 itself — an unsharded scan of a list
+// against itself — walks the l2 trie against itself.
+func (s *optScan) walkShard(lo, hi int, fn func(*fusedWalk)) {
+	d := s.e.decoder()
+	defer s.e.release(d)
+	t1 := s.t2
+	if hi-lo != len(s.l2) || &s.l1[lo] != &s.l2[0] {
+		t1 = reach.NewTrie(s.l1[lo:hi])
+	}
+	fn(d.newWalk(t1, s.t2, s.y, lo))
+}
+
+// blocks runs the scan and hands its blocks to emit on the calling
+// goroutine, shard after shard.
+func (s *optScan) blocks(emit func(block)) {
+	parallel.Gather(len(s.l1), s.workers, func(_, lo, hi int, out func(block)) {
+		s.walkShard(lo, hi, func(w *fusedWalk) { w.run(out) })
+	}, emit)
 }
 
 // AllPairsSafeTries is the OptRPL scan over prebuilt tree representations,
@@ -194,26 +253,36 @@ func (e *Env) AllPairsSafeTries(t1, t2 *reach.Trie, emit func(i, j int)) error {
 		return ErrUnsafe
 	}
 	defer e.release(d)
-	d.walkTries(t1, t2, d.leafVectors(t2, false), emit)
+	d.newWalk(t1, t2, d.leafVectors(t2, false), 0).run(func(b block) { b.each(emit) })
 	return nil
 }
 
-// walkTries walks t1 against t2, whose down vectors y the caller built.
-func (d *Decoder) walkTries(t1, t2 *reach.Trie, y [][]bucket, emit func(i, j int)) {
-	w := fusedWalk{d: d, t1: t1, t2: t2, x: d.leafVectors(t1, true), y: y, emit: emit}
-	w.walk(t1.Root, t2.Root)
+// newWalk prepares the walk of t1 — the trie of the l1 shard starting at
+// index lo — against t2, whose down vectors y the caller built.
+func (d *Decoder) newWalk(t1, t2 *reach.Trie, y leafVecs, lo int) *fusedWalk {
+	x := d.leafVectors(t1, true)
+	return &fusedWalk{d: d, t1: t1, t2: t2, x: x.vecs, y: y.vecs, permX: x.perm, permY: y.perm, lo: lo}
 }
 
 // fusedWalk is one walk of an l1 trie against an l2 trie.
 type fusedWalk struct {
-	d      *Decoder
-	t1, t2 *reach.Trie
-	x, y   [][]bucket // leafVectors of t1 (up) and t2 (down)
-	emit   func(i, j int)
+	d            *Decoder
+	t1, t2       *reach.Trie
+	x, y         [][]bucket // leafVectors of t1 (up) and t2 (down)
+	permX, permY []int32    // t1.Perm and t2.Perm
+	lo           int        // every emitted block's lo
+	emit         func(block)
 	// parts is scratch for one iteration's mid-applied buckets in
 	// walkRecursive; tests counts bucket-pair tests for the work-bound test.
 	parts []bucket
 	tests int
+}
+
+// run walks the tries and hands every block of the result to emit. A walk
+// may run more than once: each run emits the same blocks in the same order.
+func (w *fusedWalk) run(emit func(block)) {
+	w.emit = emit
+	w.walk(w.t1.Root, w.t2.Root)
 }
 
 // walk processes two trie nodes known to represent the same parse-tree node
@@ -221,12 +290,8 @@ type fusedWalk struct {
 func (w *fusedWalk) walk(a, b *reach.TrieNode) {
 	// Own leaves on both sides carry the same full label: the same run
 	// node, matched by the empty path alone.
-	if w.d.e.MatchesEmpty() {
-		for i, ai := a.Lo, ownLeavesEnd(a); i < ai; i++ {
-			for j, bj := b.Lo, ownLeavesEnd(b); j < bj; j++ {
-				w.emit(w.t1.Perm[i], w.t2.Perm[j])
-			}
-		}
+	if ai, bj := ownLeavesEnd(a), ownLeavesEnd(b); ai > a.Lo && bj > b.Lo && w.d.e.MatchesEmpty() {
+		w.emit(block{w.lo, w.permX[a.Lo:ai], w.permY[b.Lo:bj]})
 	}
 	if len(a.Children) == 0 || len(b.Children) == 0 {
 		return
@@ -243,13 +308,8 @@ func (w *fusedWalk) walk(a, b *reach.TrieNode) {
 func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 	for _, yb := range ys {
 		w.tests++
-		if z&yb.vec == 0 {
-			continue
-		}
-		for _, i := range leaves {
-			for _, j := range yb.leaves {
-				w.emit(int(i), int(j))
-			}
+		if z&yb.vec != 0 {
+			w.emit(block{w.lo, leaves, yb.leaves})
 		}
 	}
 }

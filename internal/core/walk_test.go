@@ -106,8 +106,13 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 					}
 					for _, workers := range []int{1, 2, 4} {
 						var seq, again [][2]int
-						env.walkAllPairs(l1, l2, workers, func(i, j int) { seq = append(seq, [2]int{i, j}) })
-						env.walkAllPairs(l1, l2, workers, func(i, j int) { again = append(again, [2]int{i, j}) })
+						scan, err := env.newOptScan(l1, l2, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						scan.workers = workers // shard below the cut-off too
+						scan.blocks(func(b block) { b.each(func(i, j int) { seq = append(seq, [2]int{i, j}) }) })
+						scan.blocks(func(b block) { b.each(func(i, j int) { again = append(again, [2]int{i, j}) }) })
 						if !slices.Equal(seq, again) {
 							t.Fatalf("%s seed %d %q shape %d workers %d: two walks emitted different sequences", name, seed, q, si, workers)
 						}
@@ -153,9 +158,8 @@ func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 	d := env.NewDecoder()
 	t1, t2 := reach.NewTrie(labels), reach.NewTrie(labels)
 	matches := 0
-	w := fusedWalk{d: d, t1: t1, t2: t2, x: d.leafVectors(t1, true), y: d.leafVectors(t2, false),
-		emit: func(int, int) { matches++ }}
-	w.walk(t1.Root, t2.Root)
+	w := d.newWalk(t1, t2, d.leafVectors(t2, false), 0)
+	w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
 
 	n := len(labels)
 	if matches != n {

@@ -1243,6 +1243,15 @@ func TestServerMetrics(t *testing.T) {
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-a", "query": "_*.s._*"}, http.StatusOK, nil)
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-b", "query": "ingest._*"}, http.StatusOK, nil)
 
+	// An unsafe evaluate is timed under its own strategy label. The
+	// registry is process-wide, so count from where the series stands.
+	const decomposed = `provrpq_eval_seconds_count{strategy="decompose"}`
+	before := c.scrape()[decomposed]
+	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-a", "query": "a1.(_*.s._*)"}, http.StatusOK, nil)
+	if got := c.scrape()[decomposed]; got != before+1 {
+		t.Errorf("%s = %v after one unsafe evaluate, was %v", decomposed, got, before)
+	}
+
 	resp, err := c.hc.Get(c.base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
