@@ -112,7 +112,8 @@ type AppendResult struct {
 	Run *Run
 	// Version counts the growth batches applied to the run since it was
 	// first registered — including batches replayed from the append log at
-	// boot — so it is stable across restarts of a durable catalog.
+	// boot or folded into the stored base by CompactRun — so it never goes
+	// back, across compactions and restarts of a durable catalog alike.
 	Version int
 	// Stats reports the incremental work of this append.
 	Stats AppendStats
@@ -121,8 +122,8 @@ type AppendResult struct {
 // AppendEdges grows the named run by one batch and atomically swaps the
 // grown version in: the run is versioned (never mutated in place), the old
 // version's lazily-built engine — and with it every per-engine artifact
-// that depends on run contents: the inverted edge index, unsafe-query
-// evaluators, label snapshots — is dropped so the next Engine call builds
+// that depends on run contents: the inverted edge index, the unsafe-query
+// evaluator, label snapshots — is dropped so the next Engine call builds
 // over the grown run, while compiled query plans, which depend only on
 // (specification, query), stay shared through the catalog's plan cache
 // and hit immediately on the new engine. In-flight queries keep reading
@@ -229,47 +230,50 @@ func (c *Catalog) growLock(runName string) *sync.Mutex {
 }
 
 // RunVersion reports how many growth batches have been applied to the
-// named run since it was registered or last compacted (0 for a run that
-// never grew; on a durable catalog, batches replayed at boot count).
+// named run since it was registered (0 for a run that never grew). The
+// count never goes back: on a durable catalog, batches replayed at boot and
+// batches CompactRun folded into the stored base both count.
 func (c *Catalog) RunVersion(name string) (int, bool) { return c.reg.RunGeneration(name) }
 
 // CompactRun folds the named run's committed growth batches into a single
 // stored base payload, bounding the append log: without compaction a
 // continuously growing run accumulates one file per batch and every boot
 // replays the entire history. The run itself is untouched — compaction
-// rewrites how the current version is stored, not what it contains — and
-// its version resets to 0 (versions count batches since the last
-// compaction). The switch is committed atomically through the store's
-// manifest: a crash mid-compaction leaves the old base and log fully in
-// force, never a double-applied batch. Only meaningful on a durable
-// catalog; without a store it is an error.
-func (c *Catalog) CompactRun(runName string) error {
+// rewrites how the current version is stored, not what it contains — so
+// its version, which standing queries and AppendEdgesCAS compare, stays
+// what it was and is returned. The switch is committed atomically through
+// the store's manifest, together with the count of batches now inside the
+// base: a crash mid-compaction leaves the old base and log fully in force,
+// never a double-applied batch, and a restart restores the same version.
+// Only meaningful on a durable catalog; without a store it is an error.
+func (c *Catalog) CompactRun(runName string) (version int, err error) {
 	if c.store == nil {
-		return fmt.Errorf("provrpq: catalog: compacting run %q: catalog has no store", runName)
+		return 0, fmt.Errorf("provrpq: catalog: compacting run %q: catalog has no store", runName)
 	}
 	mu := c.growLock(runName)
 	mu.Lock()
 	defer mu.Unlock()
 	cur, ok := c.reg.Run(runName)
 	if !ok {
-		return fmt.Errorf("provrpq: catalog: unknown run %q", runName)
+		return 0, fmt.Errorf("provrpq: catalog: unknown run %q", runName)
 	}
 	data, err := EncodeRunColumnar(cur)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := c.store.st.CompactRun(runName, data); err != nil {
-		return fmt.Errorf("%w: run %q compaction: %w", ErrStoreFailed, runName, err)
+		return 0, fmt.Errorf("%w: run %q compaction: %w", ErrStoreFailed, runName, err)
 	}
-	c.reg.SetRunGeneration(runName, 0)
-	return nil
+	// growMu is held, so no append moved the version since cur was read.
+	version, _ = c.reg.RunGeneration(runName)
+	return version, nil
 }
 
 // ReleaseEngine drops the named run's lazily-built engine while keeping
 // the run registered: the next Engine call rebuilds it (and re-resolves
 // its compiled plans from the shared cache). A long-lived daemon holding
 // many rarely-queried runs uses this to bound memory — a built engine
-// pins the run's inverted edge index and unsafe-query evaluators, which
+// pins the run's inverted edge index and unsafe-query evaluator, which
 // can dwarf the run itself.
 func (c *Catalog) ReleaseEngine(runName string) error {
 	if !c.reg.DropEngine(runName) {

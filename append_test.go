@@ -680,8 +680,9 @@ func TestAppendStoreFailureLeavesCatalogUngrown(t *testing.T) {
 }
 
 // TestCatalogCompactRun: compaction folds the append log into one stored
-// base — the served run is untouched, the version resets, a restart boots
-// from the folded base with identical answers, and growth continues.
+// base — the served run and its version are untouched, a restart boots from
+// the folded base with identical answers and the same version, and growth
+// continues from there.
 func TestCatalogCompactRun(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -708,10 +709,10 @@ func TestCatalogCompactRun(t *testing.T) {
 	}
 	// In-memory catalogs cannot compact (there is nothing stored to fold).
 	memCat := NewCatalog(CatalogOptions{})
-	if err := memCat.CompactRun("r"); err == nil {
+	if _, err := memCat.CompactRun("r"); err == nil {
 		t.Fatal("compaction without a store succeeded")
 	}
-	if err := cat.CompactRun("ghost"); err == nil {
+	if _, err := cat.CompactRun("ghost"); err == nil {
 		t.Fatal("compaction of unknown run succeeded")
 	}
 
@@ -723,12 +724,11 @@ func TestCatalogCompactRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	served, _ := cat.Run("r")
-	servedJSON := mustEncode(t, served)
-	if err := cat.CompactRun("r"); err != nil {
-		t.Fatal(err)
+	if v, err := cat.CompactRun("r"); err != nil || v != 1 {
+		t.Fatalf("CompactRun = version %d, %v; want the run's version, 1", v, err)
 	}
-	if v, _ := cat.RunVersion("r"); v != 0 {
-		t.Fatalf("version after compaction = %d, want 0", v)
+	if v, _ := cat.RunVersion("r"); v != 1 {
+		t.Fatalf("version after compaction = %d, want 1 (a version never goes back)", v)
 	}
 	if cur, _ := cat.Run("r"); cur != served {
 		t.Fatal("compaction replaced the served run")
@@ -750,7 +750,7 @@ func TestCatalogCompactRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 1 || res.Run.NumNodes() != n {
+	if res.Version != 2 || res.Run.NumNodes() != n {
 		t.Fatalf("post-compaction append = version %d, %d nodes", res.Version, res.Run.NumNodes())
 	}
 
@@ -767,10 +767,61 @@ func TestCatalogCompactRun(t *testing.T) {
 	if !bytes.Equal(mustEncode(t, restored), mustEncode(t, res.Run)) {
 		t.Fatal("restart after compaction differs from the served run")
 	}
-	if v, _ := cat2.RunVersion("r"); v != 1 {
-		t.Fatalf("restored version = %d, want 1", v)
+	if v, _ := cat2.RunVersion("r"); v != 2 {
+		t.Fatalf("restored version = %d, want 2 (one folded batch + one logged)", v)
 	}
-	_ = servedJSON
+	// A restart straight after a compaction — nothing in the log — restores
+	// the folded count alone.
+	if v, err := cat2.CompactRun("r"); err != nil || v != 2 {
+		t.Fatalf("second CompactRun = version %d, %v", v, err)
+	}
+	st3, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat3, err := NewCatalogFromStore(st3, CatalogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := cat3.RunVersion("r"); v != 2 {
+		t.Fatalf("version after compaction + restart = %d, want 2", v)
+	}
+}
+
+// TestAppendEdgesCASAcrossCompaction: the idempotency guard holds across a
+// compaction. A client whose append at expected version 0 committed, and
+// whose retry arrives after the run was compacted, must still be refused: a
+// version the compaction took back to 0 would let the retry double-apply.
+func TestAppendEdgesCASAcrossCompaction(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := introSpec(t)
+	run, err := spec.Derive(DeriveOptions{Seed: 29, TargetEdges: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog(CatalogOptions{Store: st})
+	if err := cat.RegisterSpec("wf", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddRun("r", "wf", run); err != nil {
+		t.Fatal(err)
+	}
+	batch := appendEdgesBatch(t, spec, run, 4)
+	if _, err := cat.AppendEdgesCAS("r", batch, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.CompactRun("r"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.AppendEdgesCAS("r", batch, 0); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("retry after compaction = %v, want ErrVersionMismatch", err)
+	}
+	if cur, _ := cat.Run("r"); cur.NumEdges() != run.NumEdges()+4 {
+		t.Fatalf("run has %d edges, want exactly one application of the batch (%d)", cur.NumEdges(), run.NumEdges()+4)
+	}
 }
 
 // TestAppendEdgesCAS: the version guard commits exactly once — a retry of

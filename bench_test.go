@@ -191,6 +191,42 @@ func BenchmarkEngineEvaluateSafe(b *testing.B) {
 	}
 }
 
+// BenchmarkUnsafePairwise measures Engine.Pairwise on unsafe queries over an
+// 8K-edge QBLast run — the search behind /v1/pairwise when the label decode
+// does not apply. "a" requires a tag that occurs 1,277 times in the run,
+// "j1._" one that occurs once; random pairs, most of them non-matching.
+func BenchmarkUnsafePairwise(b *testing.B) {
+	d := workload.QBLast()
+	run, err := derive.Derive(d.Spec, derive.Options{Seed: 1, TargetEdges: 8000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := provrpq.NewEngine(rehydrate(b, d, run))
+	r := rand.New(rand.NewSource(11))
+	pairs := make([][2]provrpq.NodeID, 256)
+	for i := range pairs {
+		pairs[i] = [2]provrpq.NodeID{provrpq.NodeID(r.Intn(run.NumNodes())), provrpq.NodeID(r.Intn(run.NumNodes()))}
+	}
+	for _, qs := range []string{"a", "j1._"} {
+		q := provrpq.MustParseQuery(qs)
+		if safe, err := eng.IsSafe(q); err != nil || safe {
+			b.Fatalf("%s: safe=%v err=%v, want an unsafe query", qs, safe, err)
+		}
+		if _, err := eng.Pairwise(q, pairs[0][0], pairs[0][1]); err != nil { // the index build stays outside the timing
+			b.Fatal(err)
+		}
+		b.Run(qs, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if _, err := eng.Pairwise(q, p[0], p[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // decomposeFixture is the unsafe-query workload behind the served
 // read-decompose benchmark: a ~400-node BioAID run, a general evaluator, and
 // two query shapes whose one safe subtree is _* — tens of thousands of pairs

@@ -166,7 +166,7 @@ func (c *Catalog) AddRun(name, specName string, r *Run) error {
 // Engine by name) can never see a run whose persist then fails.
 func (c *Catalog) putRunDurable(name, specName string, r *Run) error {
 	if c.store == nil || name == "" {
-		return c.reg.PutRun(name, specName, r) // PutRun owns the empty-name error
+		return c.reg.PutRun(name, specName, r, 0) // PutRun owns the empty-name error
 	}
 	// Encode outside persistMu: encoding a large run is the expensive part
 	// of a save, and only the disk write itself needs serializing — two
@@ -196,7 +196,7 @@ func (c *Catalog) putRunDurable(name, specName string, r *Run) error {
 	if err := c.store.st.PutRun(name, specName, data); err != nil {
 		return fmt.Errorf("%w: run %q: %w", ErrStoreFailed, name, err)
 	}
-	return c.reg.PutRun(name, specName, r)
+	return c.reg.PutRun(name, specName, r, 0)
 }
 
 // DeriveRun derives a fresh run of the named specification and registers

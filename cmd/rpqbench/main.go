@@ -18,15 +18,14 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure id to run (13a..13h, 15a, 15b, par, plan, boot, ingest)")
+	fig := flag.String("fig", "", "figure id to run (13a..13h, 15a, 15b, plan, boot, ingest)")
 	all := flag.Bool("all", false, "run every figure")
 	quick := flag.Bool("quick", false, "shrink workloads for a smoke run")
 	seed := flag.Int64("seed", 1, "workload seed")
-	workers := flag.Int("parallel", 0, "extra worker count for the parallel-scaling figure (par)")
 	jsonDir := flag.String("json", "", "directory for machine-readable BENCH_<figure>.json records (figures boot, plan, ingest)")
 	flag.Parse()
 
-	cfg := bench.Config{W: os.Stdout, Quick: *quick, Seed: *seed, Workers: *workers, JSONDir: *jsonDir}
+	cfg := bench.Config{W: os.Stdout, Quick: *quick, Seed: *seed, JSONDir: *jsonDir}
 	var ids []string
 	switch {
 	case *all:
@@ -34,7 +33,7 @@ func main() {
 	case *fig != "":
 		ids = []string{*fig}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: rpqbench -fig <id> | -all [-quick] [-seed N] [-parallel N]")
+		fmt.Fprintln(os.Stderr, "usage: rpqbench -fig <id> | -all [-quick] [-seed N]")
 		fmt.Fprintln(os.Stderr, "figures:", bench.Figures())
 		os.Exit(2)
 	}

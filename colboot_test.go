@@ -2,6 +2,7 @@ package provrpq
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -90,6 +91,25 @@ func legacyJSONDir(t *testing.T) (string, *Spec, map[string]*Run) {
 	}
 	want["r2"] = w2
 
+	// An old build's manifest has no "folded" key: it kept no record of the
+	// batches a compaction folded into a base.
+	mpath := filepath.Join(dir, "manifest.json")
+	mdata, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]json.RawMessage
+	if err := json.Unmarshal(mdata, &man); err != nil {
+		t.Fatal(err)
+	}
+	delete(man, "folded")
+	if mdata, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, mdata, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	return dir, sp, want
 }
 
@@ -155,7 +175,7 @@ func TestLegacyJSONDirBootsThroughFallback(t *testing.T) {
 	if n := cat.LegacyRunBases(); n != 2 {
 		t.Fatalf("LegacyRunBases = %d, want 2", n)
 	}
-	_, _, bases, err := st.st.State()
+	_, _, bases, _, err := st.st.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +193,15 @@ func TestLegacyJSONDirBootsThroughFallback(t *testing.T) {
 		t.Fatalf("r1 version = %d, want 1 (replayed batch counts)", v)
 	}
 	if v, _ := cat.RunVersion("r2"); v != 0 {
-		t.Fatalf("r2 version = %d, want 0 (compacted)", v)
+		t.Fatalf("r2 version = %d, want 0 (the old build recorded no folded batches)", v)
 	}
 
 	for name := range want {
-		if err := cat.CompactRun(name); err != nil {
+		if _, err := cat.CompactRun(name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, appends, bases, err := st.st.State()
+	_, appends, bases, _, err := st.st.State()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +258,8 @@ func TestLegacyJSONDirBootsThroughFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != 1 {
-		t.Fatalf("post-compaction append version = %d, want 1", res.Version)
+	if res.Version != 2 {
+		t.Fatalf("post-compaction append version = %d, want 2 (one folded batch + this one)", res.Version)
 	}
 	st3, err := OpenStore(dir)
 	if err != nil {
@@ -251,6 +271,9 @@ func TestLegacyJSONDirBootsThroughFallback(t *testing.T) {
 	}
 	got3, _ := cat3.Run("r1")
 	sameRun(t, "r1(regrown)", res.Run, got3)
+	if v, _ := cat3.RunVersion("r1"); v != 2 {
+		t.Fatalf("r1 version after reboot = %d, want 2", v)
+	}
 }
 
 // TestColumnarBootMatchesJSONBoot boots one catalog from columnar payloads

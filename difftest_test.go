@@ -3,6 +3,7 @@ package provrpq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -157,4 +158,83 @@ func diffCheckOne(t *testing.T, eng *Engine, run *Run, qs string) bool {
 		check("G3", g3Pairs, nil)
 	}
 	return true
+}
+
+// TestUnsafePairwiseMatchesOracle checks Engine.Pairwise on unsafe queries —
+// the product search behind /v1/pairwise when the label decode does not
+// apply — pair for pair against the oracle on ~2K-edge BioAID and QBLast
+// runs. The query mix pins the shapes the search branches on: a required tag
+// that occurs at least 100 times, a required tag absent from the run (the
+// answer needs no search), no required tag at all, and a query accepting the
+// empty path, which must answer true at u == v. Pairs are random ones,
+// diagonal ones and, per query, some the oracle says match.
+func TestUnsafePairwiseMatchesOracle(t *testing.T) {
+	for _, d := range []*workload.Dataset{workload.BioAID(), workload.QBLast()} {
+		dr, err := derive.Derive(d.Spec, derive.Options{Seed: 1, TargetEdges: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := &Run{r: dr, spec: &Spec{s: d.Spec}}
+		eng := NewEngine(run)
+		frequent, absent := "", ""
+		for _, tag := range d.Spec.Tags() {
+			switch c := eng.index().Count(tag); {
+			case c == 0:
+				absent = tag
+			case c > eng.index().Count(frequent):
+				frequent = tag
+			}
+		}
+		if eng.index().Count(frequent) < 100 || absent == "" {
+			t.Fatalf("%s: fixture drifted: most frequent tag %q occurs %d times, absent tag %q",
+				d.Name, frequent, eng.index().Count(frequent), absent)
+		}
+		queries := []string{
+			frequent, "_*." + frequent, frequent + "._*", // rarest required tag is a frequent one
+			"_*." + absent, frequent + ".(_*." + absent + "._*)", // a required tag the run lacks
+			"_", "_+", frequent + "|_._", // nothing required
+			"(_._)*", "(" + frequent + "." + frequent + ")*", // ε ∈ L(R)
+		}
+		r := rand.New(rand.NewSource(17))
+		for i := 0; i < 6; i++ {
+			queries = append(queries, d.RandomQuery(r, 3))
+		}
+		n := dr.NumNodes()
+		var pairs [][2]NodeID
+		for i := 0; i < 150; i++ {
+			pairs = append(pairs, [2]NodeID{NodeID(r.Intn(n)), NodeID(r.Intn(n))})
+		}
+		for i := 0; i < 10; i++ {
+			u := NodeID(r.Intn(n))
+			pairs = append(pairs, [2]NodeID{u, u})
+		}
+		unsafe := 0
+		for _, qs := range queries {
+			q := MustParseQuery(qs)
+			if safe, err := eng.IsSafe(q); err != nil || safe {
+				continue // a random query that came out safe, or too large to compile
+			}
+			unsafe++
+			oracle := baseline.NewOracle(dr, q.node)
+			check := slices.Clone(pairs)
+			for i := 0; i < 5; i++ {
+				u := derive.NodeID(r.Intn(n))
+				for _, v := range oracle.From(u) {
+					check = append(check, [2]NodeID{NodeID(u), NodeID(v)})
+				}
+			}
+			for _, p := range check {
+				got, err := eng.Pairwise(q, p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := oracle.Pairwise(derive.NodeID(p[0]), derive.NodeID(p[1])); got != want {
+					t.Fatalf("%s query %q pair %v: Pairwise = %v, oracle %v", d.Name, qs, p, got, want)
+				}
+			}
+		}
+		if unsafe < 10 {
+			t.Fatalf("%s: only %d of the fixed query shapes are unsafe; the fixture drifted", d.Name, unsafe)
+		}
+	}
 }

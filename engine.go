@@ -214,17 +214,6 @@ type Engine struct {
 
 	genOnce sync.Once
 	gen     *core.General
-
-	//provrpq:lockrank g2Mu 40
-	g2mu sync.Mutex
-	g2s  map[string]*g2entry
-}
-
-// g2entry lazily builds one G2 evaluator per query; the sync.Once makes
-// concurrent first uses build it exactly once.
-type g2entry struct {
-	once sync.Once
-	g2   *baseline.G2
 }
 
 // NewEngine prepares an engine over a run with default options (shared
@@ -243,7 +232,6 @@ func NewEngineOpts(run *Run, opts EngineOptions) *Engine {
 		run:     run,
 		plans:   plans,
 		workers: parallel.Workers(opts.Workers),
-		g2s:     map[string]*g2entry{},
 	}
 }
 
@@ -289,22 +277,6 @@ func (e *Engine) general() *core.General {
 	return e.gen
 }
 
-// g2For returns the engine's cached G2 evaluator for the query, building it
-// on first use (it depends on the run's index, so it cannot live in the
-// spec-keyed plan cache).
-func (e *Engine) g2For(q *Query) *baseline.G2 {
-	key := q.node.String()
-	e.g2mu.Lock()
-	en, ok := e.g2s[key]
-	if !ok {
-		en = &g2entry{}
-		e.g2s[key] = en
-	}
-	e.g2mu.Unlock()
-	en.once.Do(func() { en.g2 = baseline.NewG2(e.index(), q.node) })
-	return en.g2
-}
-
 // IsSafe reports whether the query is safe for the run's specification
 // (Definition 13; checked on the minimal DFA per Lemma 3.2).
 func (e *Engine) IsSafe(q *Query) (bool, error) {
@@ -335,9 +307,10 @@ func (e *Engine) IsSafeRelaxed(q *Query) (bool, error) {
 }
 
 // Pairwise answers u —R→ v. Safe queries are answered in constant time from
-// the two node labels (Theorem 1); unsafe queries fall back to a rare-label
-// product search over the run (Option G2), whose compiled evaluator is
-// cached per query alongside the plan.
+// the two node labels (Theorem 1); unsafe queries fall back to the paper's
+// Section III-B search — one walk of run × DFA from u over the plan's
+// compiled DFA, ended at the first accepting arrival at v — skipped
+// altogether when a tag every match must traverse is absent from the run.
 func (e *Engine) Pairwise(q *Query, u, v NodeID) (bool, error) {
 	if err := e.checkNode(u); err != nil {
 		return false, err
@@ -354,8 +327,17 @@ func (e *Engine) Pairwise(q *Query, u, v NodeID) (bool, error) {
 		// []Entry labels on the point-query path.
 		return env.PairwiseBytes(e.run.r.LabelBytes(derive.NodeID(u)), e.run.r.LabelBytes(derive.NodeID(v)))
 	}
-	g2 := e.g2For(q)
-	return g2.Pairwise(derive.NodeID(u), derive.NodeID(v)), nil
+	for _, sym := range env.RequiredSyms() {
+		if e.index().Count(sym) == 0 {
+			return false, nil
+		}
+	}
+	found := false
+	baseline.Walk(e.run.r, env.DFA, derive.NodeID(u), env.DFA.Start, false, func(n derive.NodeID, state int) bool {
+		found = n == derive.NodeID(v) && env.DFA.Accept[state]
+		return !found
+	})
+	return found, nil
 }
 
 // Reachable answers plain reachability u ⇝ v in constant time from labels.

@@ -118,7 +118,7 @@ func TestRelaxedSafetyEndToEnd(t *testing.T) {
 
 // rehydrate converts an internal run to a public one through the JSON
 // persistence layer, exercising it on dataset-scale runs.
-func rehydrate(t *testing.T, d *workload.Dataset, run *derive.Run) *provrpq.Run {
+func rehydrate(t testing.TB, d *workload.Dataset, run *derive.Run) *provrpq.Run {
 	t.Helper()
 	specJSON, err := d.Spec.MarshalJSON()
 	if err != nil {

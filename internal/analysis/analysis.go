@@ -187,13 +187,6 @@ func namedTypeName(t types.Type) *types.TypeName {
 	}
 }
 
-// ImmutableType reports whether t (after unwrapping pointers) is
-// annotated //provrpq:immutable.
-func (d *Directives) ImmutableType(t types.Type) bool {
-	tn := namedTypeName(t)
-	return tn != nil && d.immutableTypes[typeKey(tn)]
-}
-
 // TrustedType reports whether t is annotated //provrpq:trusted.
 func (d *Directives) TrustedType(t types.Type) bool {
 	tn := namedTypeName(t)
@@ -525,7 +518,7 @@ type Suite struct{ Analyzers []*Analyzer }
 // DefaultSuite returns every provlint analyzer.
 func DefaultSuite() *Suite {
 	return &Suite{Analyzers: []*Analyzer{
-		ImmutableAnalyzer, CowAliasAnalyzer, AtomicMixAnalyzer, FsyncOrderAnalyzer, ErrSentinelAnalyzer,
+		ImmutableAnalyzer, CowAliasAnalyzer, FsyncOrderAnalyzer, ErrSentinelAnalyzer,
 		LockOrderAnalyzer, GoroutineLeakAnalyzer, CtxFlowAnalyzer,
 	}}
 }

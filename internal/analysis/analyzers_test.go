@@ -8,7 +8,6 @@ import (
 
 func TestImmutable(t *testing.T)   { runAnalyzerTest(t, ImmutableAnalyzer, "immutable") }
 func TestCowAlias(t *testing.T)    { runAnalyzerTest(t, CowAliasAnalyzer, "cowalias") }
-func TestAtomicMix(t *testing.T)   { runAnalyzerTest(t, AtomicMixAnalyzer, "atomicmix") }
 func TestFsyncOrder(t *testing.T)  { runAnalyzerTest(t, FsyncOrderAnalyzer, "fsyncorder") }
 func TestErrSentinel(t *testing.T) { runAnalyzerTest(t, ErrSentinelAnalyzer, "errsentinel") }
 func TestDirectives(t *testing.T)  { runAnalyzerTest(t, ImmutableAnalyzer, "directives") }

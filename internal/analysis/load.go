@@ -1,11 +1,12 @@
 // Package analysis is provrpq's repo-specific static-analysis suite: a
 // small, dependency-free reimplementation of the golang.org/x/tools
 // go/analysis shape (Analyzer, Pass, diagnostics, an analysistest-style
-// golden harness) plus five analyzers keyed to the engine's safety
-// invariants — immutability of published plans and labels, copy-on-write
-// aliasing discipline over trusted/mmap buffers, atomic-vs-plain access
-// mixing, the store's write→fsync→rename→dir-fsync commit order, and the
-// errors.Is wrapping contract on store/catalog/server error paths.
+// golden harness) plus analyzers keyed to the engine's safety invariants —
+// immutability of published plans and labels, copy-on-write aliasing
+// discipline over trusted/mmap buffers, the store's
+// write→fsync→rename→dir-fsync commit order, the errors.Is wrapping
+// contract on store/catalog/server error paths, and the interprocedural
+// lock-order, goroutine-exit and context-flow checks.
 //
 // The suite is driven by cmd/provlint and is wired into CI as a required
 // job; see the README's "Static analysis" section for the annotation

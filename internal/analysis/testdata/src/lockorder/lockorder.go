@@ -126,6 +126,75 @@ func (c *Catalog) BranchRelease(fast bool) {
 	c.mu.Unlock()
 }
 
+// LoopCarried leaves storeMu held at the end of an iteration: the next
+// one meets it across the back edge.
+func (c *Catalog) LoopCarried(n int) {
+	for i := 0; i < n; i++ {
+		c.storeMu.Lock() // want `acquiring storeMu \(rank 20\) while it is already held: self-deadlock`
+	}
+}
+
+// LoopUnderLock takes locks inside a range loop entered with storeMu held:
+// the higher rank is clean on every iteration, the lower one is not.
+func (c *Catalog) LoopUnderLock(keys []int) {
+	c.storeMu.Lock()
+	for range keys {
+		c.left.Lock()
+		c.left.Unlock()
+		c.mu.Lock() // want `acquiring catalogMu \(rank 10\) while storeMu \(rank 20\) is held: lock ranks must strictly increase`
+		c.mu.Unlock()
+	}
+	c.storeMu.Unlock()
+}
+
+// SwitchArms enters a switch with storeMu held: one arm releases and
+// returns, one inverts, one is clean. An arm that returns does not reach
+// the join, so the lock is still held after the switch and the final
+// unlock clears it.
+func (c *Catalog) SwitchArms(k int) {
+	c.storeMu.Lock()
+	switch k {
+	case 0:
+		c.storeMu.Unlock()
+		return
+	case 1:
+		c.mu.Lock() // want `acquiring catalogMu \(rank 10\) while storeMu \(rank 20\) is held: lock ranks must strictly increase`
+		c.mu.Unlock()
+	default:
+		c.left.Lock()
+		c.left.Unlock()
+	}
+	c.storeMu.Unlock()
+}
+
+// SwitchLeavesHeld: a lock one arm leaves held is possibly held after the
+// join.
+func (c *Catalog) SwitchLeavesHeld(k int) {
+	switch k {
+	case 0:
+		c.storeMu.Lock()
+	}
+	c.mu.Lock() // want `acquiring catalogMu \(rank 10\) while storeMu \(rank 20\) is held: lock ranks must strictly increase`
+	c.mu.Unlock()
+	if k == 0 {
+		c.storeMu.Unlock()
+	}
+}
+
+// SelectArms waits on channels with storeMu held (deferred unlock): the
+// receive arm inverts, the done arm just returns.
+func (c *Catalog) SelectArms(in chan int, done chan struct{}) {
+	c.storeMu.Lock()
+	defer c.storeMu.Unlock()
+	select {
+	case <-done:
+		return
+	case <-in:
+		c.mu.Lock() // want `acquiring catalogMu \(rank 10\) while storeMu \(rank 20\) is held: lock ranks must strictly increase`
+		c.mu.Unlock()
+	}
+}
+
 // SpawnResets: a spawned goroutine starts with an empty held set, so
 // its low-rank acquisition under a held storeMu is clean.
 func (c *Catalog) SpawnResets(done chan struct{}) {

@@ -47,9 +47,6 @@ func (d *DFA) Step(q int, tag string) int {
 	return d.Delta[q*len(d.Alphabet)+s]
 }
 
-// StepSym returns δ(q, sym) by alphabet index.
-func (d *DFA) StepSym(q, sym int) int { return d.Delta[q*len(d.Alphabet)+sym] }
-
 // DeadState returns the index of a non-accepting all-self-loop state, or -1.
 func (d *DFA) DeadState() int {
 	n := len(d.Alphabet)

@@ -59,10 +59,9 @@ func (g *G2) Eval() *Rel {
 	run := g.ix.Run()
 	out := NewRel()
 	if g.rare == "" {
-		// No required label: full product BFS from every node.
-		o := &Oracle{run: run, dfa: g.dfa}
+		// No required label: one full search from every node.
 		for _, u := range run.AllNodes() {
-			for _, v := range o.From(u) {
+			for _, v := range g.forward(u, g.dfa.Start) {
 				out.Add(u, v)
 			}
 		}
@@ -98,10 +97,8 @@ func (g *G2) Eval() *Rel {
 
 // Pairwise answers a single pair through the rare-label search.
 func (g *G2) Pairwise(u, v derive.NodeID) bool {
-	run := g.ix.Run()
 	if g.rare == "" {
-		o := &Oracle{run: run, dfa: g.dfa}
-		return o.Pairwise(u, v)
+		return g.forwardHits(u, g.dfa.Start, v)
 	}
 	for _, occ := range g.occs {
 		back := g.backwardFrom(u, occ.From)
@@ -178,76 +175,30 @@ func (g *G2) backward(x derive.NodeID) map[derive.NodeID][]int {
 }
 
 // backwardFrom returns the arrival states at x of paths u→x that start in
-// the DFA start state at u (forward product-BFS restricted to one source).
+// the DFA start state at u (one walk from u).
 func (g *G2) backwardFrom(u, x derive.NodeID) []int {
-	run := g.ix.Run()
-	nq := g.dfa.NumStates()
-	seen := make([]bool, run.NumNodes()*nq)
-	type item struct {
-		n derive.NodeID
-		q int
-	}
-	stack := []item{{u, g.dfa.Start}}
-	seen[int(u)*nq+g.dfa.Start] = true
 	var out []int
-	if u == x {
-		out = append(out, g.dfa.Start)
-	}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range run.Out(it.n) {
-			e := run.Edges[ei]
-			q2 := g.dfa.Step(it.q, e.Tag)
-			if q2 < 0 || seen[int(e.To)*nq+q2] {
-				continue
-			}
-			seen[int(e.To)*nq+q2] = true
-			if e.To == x {
-				out = append(out, q2)
-			}
-			stack = append(stack, item{e.To, q2})
+	Walk(g.ix.Run(), g.dfa, u, g.dfa.Start, false, func(n derive.NodeID, q int) bool {
+		if n == x {
+			out = append(out, q)
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // forward returns all v such that some y→v path maps state q to an
-// accepting state (v = y included when q accepts).
+// accepting state (v = y included when q accepts). A node reached in
+// several accepting states is listed once per state; both callers are
+// indifferent to repeats.
 func (g *G2) forward(y derive.NodeID, q int) []derive.NodeID {
-	run := g.ix.Run()
-	nq := g.dfa.NumStates()
-	seen := make([]bool, run.NumNodes()*nq)
-	type item struct {
-		n derive.NodeID
-		q int
-	}
-	stack := []item{{y, q}}
-	seen[int(y)*nq+q] = true
-	hit := map[derive.NodeID]bool{}
-	if g.dfa.Accept[q] {
-		hit[y] = true
-	}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range run.Out(it.n) {
-			e := run.Edges[ei]
-			q2 := g.dfa.Step(it.q, e.Tag)
-			if q2 < 0 || seen[int(e.To)*nq+q2] {
-				continue
-			}
-			seen[int(e.To)*nq+q2] = true
-			if g.dfa.Accept[q2] {
-				hit[e.To] = true
-			}
-			stack = append(stack, item{e.To, q2})
+	var out []derive.NodeID
+	Walk(g.ix.Run(), g.dfa, y, q, false, func(n derive.NodeID, q2 int) bool {
+		if g.dfa.Accept[q2] {
+			out = append(out, n)
 		}
-	}
-	out := make([]derive.NodeID, 0, len(hit))
-	for v := range hit {
-		out = append(out, v)
-	}
+		return true
+	})
 	return out
 }
 

@@ -68,9 +68,6 @@ func NewG3(ix *index.Index, q *automata.Node) (*G3, bool) {
 	return g, true
 }
 
-// Symbols returns the IFQ symbol sequence (empty for plain reachability).
-func (g *G3) Symbols() []string { return g.syms }
-
 // Pairwise answers u —R→ v: a chain of occurrences x1 -a1-> y1 ⇝ x2 -a2->
 // y2 ⇝ ... with u ⇝ x1 and yk ⇝ v, all reachability via labels.
 func (g *G3) Pairwise(u, v derive.NodeID) bool {

@@ -11,6 +11,10 @@
 //	         (Koschmieder & Leser [20]).
 //	G3     — inverted index + reachability labels for infrequent-symbol
 //	         queries R = _*a1_*…ak_* ([3]).
+//
+// Walk (walk.go) is the one traversal of run × DFA shared by everything but
+// the Oracle: G2, the planner's seeded verification of unsafe queries, and
+// the engine's unsafe pairwise check.
 package baseline
 
 import (

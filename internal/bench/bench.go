@@ -28,21 +28,18 @@ type Config struct {
 	Quick bool
 	// Seed randomizes workload generation deterministically.
 	Seed int64
-	// Workers extends the worker sweep of the parallel figure ("par")
-	// beyond its default 1/2/4/8 ladder.
-	Workers int
 	// JSONDir, when non-empty, makes figures with machine-readable output
 	// ("boot" and "plan") also write a BENCH_<figure>.json file into this
 	// directory, alongside the textual report on W.
 	JSONDir string
 }
 
-// Figures lists the available experiment ids in paper order; "par" is the
-// parallel-scaling experiment, "plan" the selectivity-planner experiment,
-// "boot" the zero-copy columnar boot experiment and "ingest" the
-// group-commit ingest experiment, all beyond the paper.
+// Figures lists the available experiment ids in paper order; "plan" is the
+// selectivity-planner experiment, "boot" the zero-copy columnar boot
+// experiment and "ingest" the group-commit ingest experiment, all beyond
+// the paper.
 func Figures() []string {
-	return []string{"13a", "13b", "13c", "13d", "13e", "13f", "13g", "13h", "15a", "15b", "par", "plan", "boot", "ingest"}
+	return []string{"13a", "13b", "13c", "13d", "13e", "13f", "13g", "13h", "15a", "15b", "plan", "boot", "ingest"}
 }
 
 // Run dispatches one figure by id.
@@ -68,8 +65,6 @@ func Run(id string, cfg Config) error {
 		return Fig15a(cfg)
 	case "15b":
 		return Fig15b(cfg)
-	case "par":
-		return FigPar(cfg)
 	case "plan":
 		return FigPlan(cfg)
 	case "boot":

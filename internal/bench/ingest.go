@@ -15,9 +15,9 @@ import (
 
 // IngestReport is the machine-readable record of the ingest experiment,
 // written as BENCH_ingest.json when Config.JSONDir is set. One row per
-// (writer count, watcher count) cell. The committed ledger additionally
-// carries the rows of the retired serial commit protocol, frozen under
-// "frozen_serial_baseline"; this figure no longer produces them.
+// (writer count, watcher count) cell. The rows of the retired serial commit
+// protocol are frozen beside it in BENCH_ingest_serial_frozen.json, a file
+// no generator writes.
 type IngestReport struct {
 	Dataset string `json:"dataset"`
 	Quick   bool   `json:"quick"`

@@ -36,17 +36,15 @@ type Registry[S, R, E any] struct {
 }
 
 // runEntry is one registered run. once guards the engine build so
-// concurrent Engine calls construct it exactly once. spec, run and the
+// concurrent Engine calls construct it exactly once. spec, run, gen and the
 // engine identity are immutable after insertion: ReplaceRun and DropEngine
 // swap in a fresh entry rather than mutating this one, so a reader that
-// resolved an entry before the swap keeps a fully consistent (run, engine)
-// view while new lookups see the replacement. gen is the one mutable
-// field — every access is under the registry mutex, and it is never read
-// through an entry held outside the lock.
+// resolved an entry before the swap keeps a fully consistent (run,
+// generation, engine) view while new lookups see the replacement.
 type runEntry[R, E any] struct {
 	spec string
 	run  R
-	gen  int // growth generation: batches applied since registration or compaction
+	gen  int // growth generation: batches ever applied to the run
 	once sync.Once
 	eng  E
 }
@@ -94,9 +92,10 @@ func (g *Registry[S, R, E]) SpecNames() []string {
 	return out
 }
 
-// PutRun registers a run under name, bound to the named specification,
-// which must already be registered.
-func (g *Registry[S, R, E]) PutRun(name, spec string, r R) error {
+// PutRun registers a run under name at growth generation gen — 0 for a run
+// that never grew, the stored batch count for one restored at boot — bound
+// to the named specification, which must already be registered.
+func (g *Registry[S, R, E]) PutRun(name, spec string, r R, gen int) error {
 	if name == "" {
 		return fmt.Errorf("catalog: empty run name")
 	}
@@ -108,7 +107,7 @@ func (g *Registry[S, R, E]) PutRun(name, spec string, r R) error {
 	if _, ok := g.runs[name]; ok {
 		return fmt.Errorf("catalog: run %q: %w", name, ErrExists)
 	}
-	g.runs[name] = &runEntry[R, E]{spec: spec, run: r}
+	g.runs[name] = &runEntry[R, E]{spec: spec, run: r, gen: gen}
 	return nil
 }
 
@@ -130,23 +129,6 @@ func (g *Registry[S, R, E]) Run(name string) (R, bool) {
 		return zero, false
 	}
 	return en.run, true
-}
-
-// RunWithGeneration returns the run registered under name together with
-// its growth generation, read under one lock acquisition. Callers that
-// need the pair to be mutually consistent — e.g. a standing-query
-// registration snapshotting "version V's result" before applying deltas
-// for versions > V — must use this rather than Run + RunGeneration in
-// sequence, which an interleaved ReplaceRun would desynchronize.
-func (g *Registry[S, R, E]) RunWithGeneration(name string) (R, int, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	en, ok := g.runs[name]
-	if !ok {
-		var zero R
-		return zero, 0, false
-	}
-	return en.run, en.gen, true
 }
 
 // RunSpec returns the specification name a run is bound to.
@@ -220,8 +202,8 @@ func (g *Registry[S, R, E]) DropEngine(name string) bool {
 	return true
 }
 
-// RunGeneration reports how many growth batches have been applied to the
-// named run since it was registered (via ReplaceRun or SetRunGeneration).
+// RunGeneration reports the named run's growth generation: the value it was
+// registered at plus one per ReplaceRun since.
 func (g *Registry[S, R, E]) RunGeneration(name string) (int, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -232,36 +214,29 @@ func (g *Registry[S, R, E]) RunGeneration(name string) (int, bool) {
 	return en.gen, true
 }
 
-// SetRunGeneration overrides the named run's growth generation — used by a
-// boot-from-store to account for batches replayed into the run before it
-// was registered, and by compaction to reset the count. The run and any
-// built engine are untouched (the generation is bookkeeping, not content;
-// see runEntry for why the in-place write is safe). Returns false if no
-// run is registered under name.
-func (g *Registry[S, R, E]) SetRunGeneration(name string, gen int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	en, ok := g.runs[name]
-	if !ok {
-		return false
-	}
-	en.gen = gen
-	return true
-}
-
 // Engine returns the named run's engine, building it on first use. The
 // build runs outside the registry lock; concurrent callers of one run
 // share a single build and all receive the same engine.
 func (g *Registry[S, R, E]) Engine(name string) (E, bool) {
+	eng, _, ok := g.EngineAt(name)
+	return eng, ok
+}
+
+// EngineAt is Engine returning the growth generation of the version the
+// engine serves, both from one registry read of one immutable entry.
+// Callers that need the pair to be mutually consistent — a standing-query
+// registration snapshotting "generation V's result" before applying deltas
+// for generations > V — must use this rather than Engine + RunGeneration in
+// sequence, which an interleaved ReplaceRun would desynchronize.
+func (g *Registry[S, R, E]) EngineAt(name string) (eng E, gen int, ok bool) {
 	g.mu.RLock()
 	en, ok := g.runs[name]
 	g.mu.RUnlock()
 	if !ok {
-		var zero E
-		return zero, false
+		return eng, 0, false
 	}
 	en.once.Do(func() { en.eng = g.build(en.run) })
-	return en.eng, true
+	return en.eng, en.gen, true
 }
 
 // Len reports the number of registered specifications and runs.

@@ -31,16 +31,16 @@ func TestRegistryBasics(t *testing.T) {
 	if err := g.PutSpec("", "x"); err == nil {
 		t.Fatal("empty spec name should fail")
 	}
-	if err := g.PutRun("r1", "nope", "run1"); err == nil {
+	if err := g.PutRun("r1", "nope", "run1", 0); err == nil {
 		t.Fatal("run with unknown spec should fail")
 	}
-	if err := g.PutRun("r1", "w", "run1"); err != nil {
+	if err := g.PutRun("r1", "w", "run1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PutRun("r1", "w", "dup"); err == nil {
+	if err := g.PutRun("r1", "w", "dup", 0); err == nil {
 		t.Fatal("duplicate run name should fail")
 	}
-	if err := g.PutRun("", "w", "x"); err == nil {
+	if err := g.PutRun("", "w", "x", 0); err == nil {
 		t.Fatal("empty run name should fail")
 	}
 
@@ -81,7 +81,7 @@ func TestRegistryNamesSorted(t *testing.T) {
 	}
 	for i, r := range []string{"r-c", "r-a", "r-b"} {
 		spec := []string{"zeta", "alpha", "alpha"}[i]
-		if err := g.PutRun(r, spec, r); err != nil {
+		if err := g.PutRun(r, spec, r, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestEngineBuiltOnce(t *testing.T) {
 	if err := g.PutSpec("w", "s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PutRun("r", "w", "run"); err != nil {
+	if err := g.PutRun("r", "w", "run", 0); err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 64
@@ -148,7 +148,7 @@ func TestConcurrentRegistration(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("run-%d", i)
-			if err := g.PutRun(name, "w", name); err != nil {
+			if err := g.PutRun(name, "w", name, 0); err != nil {
 				t.Errorf("PutRun(%s): %v", name, err)
 				return
 			}
@@ -173,7 +173,7 @@ func TestReplaceRunSwapsEngine(t *testing.T) {
 	if err := g.PutSpec("w", "specW"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PutRun("r1", "w", "v0"); err != nil {
+	if err := g.PutRun("r1", "w", "v0", 0); err != nil {
 		t.Fatal(err)
 	}
 	if gen, ok := g.RunGeneration("r1"); !ok || gen != 0 {
@@ -212,7 +212,7 @@ func TestDropEngineKeepsRun(t *testing.T) {
 	if err := g.PutSpec("w", "specW"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PutRun("r1", "w", "v0"); err != nil {
+	if err := g.PutRun("r1", "w", "v0", 0); err != nil {
 		t.Fatal(err)
 	}
 	e0, _ := g.Engine("r1")
@@ -237,24 +237,35 @@ func TestDropEngineKeepsRun(t *testing.T) {
 	}
 }
 
-func TestSetRunGeneration(t *testing.T) {
+// TestPutRunAtGeneration: a run registered at a boot-time generation counts
+// on from it, and EngineAt pairs each engine with the generation of the
+// version it was built over.
+func TestPutRunAtGeneration(t *testing.T) {
 	g, _ := newTest()
 	if err := g.PutSpec("w", "specW"); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PutRun("r1", "w", "v0"); err != nil {
+	if err := g.PutRun("r1", "w", "v0", 7); err != nil {
 		t.Fatal(err)
-	}
-	if !g.SetRunGeneration("r1", 7) {
-		t.Fatal("SetRunGeneration failed")
 	}
 	if gen, _ := g.RunGeneration("r1"); gen != 7 {
 		t.Fatalf("generation = %d, want 7", gen)
 	}
+	e0, gen0, ok := g.EngineAt("r1")
+	if !ok || gen0 != 7 {
+		t.Fatalf("EngineAt = (%d, %d, %v), want generation 7", e0, gen0, ok)
+	}
 	if gen, _ := g.ReplaceRun("r1", "v1"); gen != 8 {
 		t.Fatalf("generation after replace = %d, want 8", gen)
 	}
-	if g.SetRunGeneration("ghost", 1) {
-		t.Fatal("SetRunGeneration of an unknown run must fail")
+	e1, gen1, _ := g.EngineAt("r1")
+	if gen1 != 8 || e1 == e0 {
+		t.Fatalf("EngineAt after replace = (%d, %d), want a new engine at generation 8", e1, gen1)
+	}
+	if e, _ := g.Engine("r1"); e != e1 {
+		t.Fatal("Engine and EngineAt disagree")
+	}
+	if _, _, ok := g.EngineAt("ghost"); ok {
+		t.Fatal("EngineAt of an unknown run must fail")
 	}
 }

@@ -66,9 +66,6 @@ func (c *Cursor) Err() error { return c.err }
 // starting at the entry the next Next call would decode.
 func (c *Cursor) Rest() Bytes { return c.buf }
 
-// Done reports whether the cursor consumed the whole label cleanly.
-func (c *Cursor) Done() bool { return len(c.buf) == 0 && c.err == nil }
-
 // Decode materializes the encoded label (the reference decoder the cursor
 // is differential-tested against).
 func (b Bytes) Decode() (Label, error) { return Decode(b) }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"provrpq/internal/automata"
+	"provrpq/internal/baseline"
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
@@ -158,47 +159,18 @@ func expandPairs(env *core.Env, run *derive.Run, L, R []int, l1, l2 []derive.Nod
 	return nil
 }
 
-// expand runs the product traversal of run × dfa from one node and returns
-// the set of nodes reached in an accepting state; the start node itself is
-// included when the start state accepts (the empty path). backward walks
-// incoming edges instead of outgoing ones.
+// expand walks run × dfa from one node and returns the set of nodes reached
+// in an accepting state; the start node itself is included when the start
+// state accepts (the empty path). backward walks incoming edges instead of
+// outgoing ones.
 func expand(run *derive.Run, dfa *automata.DFA, from derive.NodeID, backward bool) map[derive.NodeID]bool {
-	nq := dfa.NumStates()
-	seen := make([]bool, run.NumNodes()*nq)
-	type item struct {
-		n derive.NodeID
-		q int
-	}
-	stack := []item{{from, dfa.Start}}
-	seen[int(from)*nq+dfa.Start] = true
 	hits := map[derive.NodeID]bool{}
-	if dfa.Accept[dfa.Start] {
-		hits[from] = true
-	}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		edges := run.Out(it.n)
-		if backward {
-			edges = run.In(it.n)
+	baseline.Walk(run, dfa, from, dfa.Start, backward, func(n derive.NodeID, q int) bool {
+		if dfa.Accept[q] {
+			hits[n] = true
 		}
-		for _, ei := range edges {
-			e := run.Edges[ei]
-			next := e.To
-			if backward {
-				next = e.From
-			}
-			q2 := dfa.Step(it.q, e.Tag)
-			if q2 < 0 || seen[int(next)*nq+q2] {
-				continue
-			}
-			seen[int(next)*nq+q2] = true
-			if dfa.Accept[q2] {
-				hits[next] = true
-			}
-			stack = append(stack, item{next, q2})
-		}
-	}
+		return true
+	})
 	return hits
 }
 

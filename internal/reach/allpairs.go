@@ -41,9 +41,6 @@ type TrieNode struct {
 	Lo, Hi int
 }
 
-// IsLeaf reports whether the node represents a full label.
-func (n *TrieNode) IsLeaf() bool { return len(n.Children) == 0 }
-
 // NewTrie builds the tree representation of the given labels (in any order;
 // the constructor sorts them and records the permutation).
 func NewTrie(labels []label.Label) *Trie {

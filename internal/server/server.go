@@ -784,8 +784,8 @@ func (s *Server) handleListRuns(w http.ResponseWriter, _ *http.Request) {
 
 // handleCompactRun folds the named run's committed growth batches into a
 // single stored base payload, bounding the append log a long-lived run
-// accumulates (and the work a restart replays). The served run is
-// untouched; its version resets to 0.
+// accumulates (and the work a restart replays). The served run and its
+// version are untouched; the response carries that version.
 func (s *Server) handleCompactRun(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if _, ok := s.cat.RunSpecName(name); !ok {
@@ -796,7 +796,8 @@ func (s *Server) handleCompactRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "catalog has no durable store; nothing to compact")
 		return
 	}
-	if err := s.cat.CompactRun(name); err != nil {
+	version, err := s.cat.CompactRun(name)
+	if err != nil {
 		if errors.Is(err, provrpq.ErrStoreFailed) {
 			s.writeError(w, http.StatusInternalServerError, "store_failed", err.Error())
 		} else {
@@ -804,7 +805,7 @@ func (s *Server) handleCompactRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"run": name, "version": 0, "compacted": true})
+	s.writeJSON(w, http.StatusOK, map[string]any{"run": name, "version": version, "compacted": true})
 }
 
 // handleAppendEdges grows a run by one batch: POST /v1/runs/{name}/edges

@@ -1103,15 +1103,16 @@ func TestServerAppendDurableRestart(t *testing.T) {
 		t.Fatalf("post-restart bad batch code = %q", errResp.Error.Code)
 	}
 
-	// Compaction over HTTP folds the log: appends empty, version 0, and a
-	// third boot (from the folded base alone) still answers identically.
+	// Compaction over HTTP folds the log: appends empty, the version what it
+	// was, and a third boot (from the folded base alone) still answers
+	// identically at that version.
 	var cr struct {
 		Compacted bool `json:"compacted"`
 		Version   int  `json:"version"`
 	}
 	c2.do("POST", "/v1/runs/live/compact", nil, http.StatusOK, &cr)
-	if !cr.Compacted || cr.Version != 0 {
-		t.Fatalf("compact response = %+v", cr)
+	if !cr.Compacted || cr.Version != 1 {
+		t.Fatalf("compact response = %+v, want the run's version, 1", cr)
 	}
 	var snap2 struct {
 		Appends map[string]int `json:"appends"`
@@ -1128,6 +1129,9 @@ func TestServerAppendDurableRestart(t *testing.T) {
 	cat3, err := provrpq.NewCatalogFromStore(st3, provrpq.CatalogOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v, _ := cat3.RunVersion("live"); v != 1 {
+		t.Fatalf("version after compaction + restart = %d, want 1", v)
 	}
 	ts3 := httptest.NewServer(New(cat3, Options{}).Handler())
 	t.Cleanup(ts3.Close)

@@ -3,12 +3,15 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"provrpq"
 )
@@ -395,9 +398,34 @@ func readSSE(t testing.TB, br *bufio.Reader) (event string, data []byte) {
 
 // TestServerWatchSSE is the standing-query differential over the wire: the
 // snapshot event plus the union of every delta event must equal a post-hoc
-// full /v1/evaluate, with no duplicates across events.
+// full /v1/evaluate, with no duplicates across events. The durable case
+// registers the watch at version 1 and compacts the run before every later
+// append: a run's version never goes back, so each delta still arrives (a
+// version reset by the compaction would read as "already in the snapshot"
+// and the watcher would drop the delta). Either way the
+// snapshot runs on the catalog's own engine: the one compile of the query
+// is the catalog cache's, and the process-wide cache sees nothing.
 func TestServerWatchSSE(t *testing.T) {
-	cat, c := newService(t, Options{})
+	t.Run("memory", func(t *testing.T) {
+		cat, c := newService(t, Options{})
+		watchSSE(t, cat, c, 0)
+	})
+	t.Run("durable-compacted", func(t *testing.T) {
+		st, err := provrpq.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := provrpq.NewCatalog(provrpq.CatalogOptions{Store: st})
+		ts := httptest.NewServer(New(cat, Options{}).Handler())
+		t.Cleanup(ts.Close)
+		watchSSE(t, cat, &testClient{t: t, base: ts.URL, hc: ts.Client()}, 1)
+	})
+}
+
+// watchSSE appends the first `before` of three growth batches, opens a
+// watch, then appends the rest — on a durable catalog compacting the run
+// before each — and checks snapshot ∪ deltas against a full evaluation.
+func watchSSE(t *testing.T, cat *provrpq.Catalog, c *testClient, before int) {
 	specJSON, err := introSpec(t).MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -414,9 +442,12 @@ func TestServerWatchSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := native.NumNodes()
-	baseJSON, batches := splitRunJSONAt(t, fullJSON, []int{n / 3, 2 * n / 3})
+	baseJSON, batches := splitRunJSONAt(t, fullJSON, []int{n / 4, n / 2, 3 * n / 4})
 	c.do("POST", "/v1/runs", map[string]any{"name": "r1", "spec": "intro", "run": json.RawMessage(baseJSON)},
 		http.StatusCreated, nil)
+	for _, b := range batches[:before] {
+		c.do("POST", "/v1/runs/r1/edges", json.RawMessage(b), http.StatusOK, nil)
+	}
 
 	const query = "_*.s._*.publish" // safe in the intro fixture
 
@@ -433,9 +464,18 @@ func TestServerWatchSSE(t *testing.T) {
 	}
 	c.do("POST", "/v1/watch", map[string]any{"run": "ghost", "query": query}, http.StatusNotFound, nil)
 
-	// Open the watcher and read its snapshot.
+	// Open the watcher and read its snapshot. The deadline turns a delta
+	// that never arrives into a failed read instead of a hung test.
+	sharedBefore, catBefore := provrpq.DefaultPlanCache().Stats(), cat.Stats().PlanCache
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	body, _ := json.Marshal(map[string]string{"run": "r1", "query": query})
-	resp, err := c.hc.Post(c.base+"/v1/watch", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, "POST", c.base+"/v1/watch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,16 +500,31 @@ func TestServerWatchSSE(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 0 || len(snap.Pairs) != snap.Total {
+	if snap.Version != before || len(snap.Pairs) != snap.Total {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+	if got := provrpq.DefaultPlanCache().Stats(); got != sharedBefore {
+		t.Fatalf("the watch touched the process-wide plan cache: %+v, was %+v", got, sharedBefore)
+	}
+	if got := cat.Stats().PlanCache; got.Misses != catBefore.Misses+1 {
+		t.Fatalf("the watch compiled its query %d times in the catalog's cache, want once", got.Misses-catBefore.Misses)
 	}
 	union := map[[2]string]bool{}
 	for _, p := range snap.Pairs {
 		union[[2]string{p.From, p.To}] = true
 	}
 
-	// Grow the run twice and collect one delta per append.
-	for i, b := range batches {
+	// Grow the run and collect one delta per append.
+	for i, b := range batches[before:] {
+		if cat.Store() != nil {
+			var cr struct {
+				Version int `json:"version"`
+			}
+			c.do("POST", "/v1/runs/r1/compact", nil, http.StatusOK, &cr)
+			if cr.Version != before+i {
+				t.Fatalf("append %d: compact reported version %d, want %d", i, cr.Version, before+i)
+			}
+		}
 		c.do("POST", "/v1/runs/r1/edges", json.RawMessage(b), http.StatusOK, nil)
 		event, data := readSSE(t, br)
 		if event != "delta" {
@@ -483,7 +538,7 @@ func TestServerWatchSSE(t *testing.T) {
 		if err := json.Unmarshal(data, &delta); err != nil {
 			t.Fatal(err)
 		}
-		if delta.Version != i+1 || len(delta.Pairs) != delta.Count {
+		if delta.Version != before+i+1 || len(delta.Pairs) != delta.Count {
 			t.Fatalf("append %d: delta = %+v", i, delta)
 		}
 		for _, p := range delta.Pairs {

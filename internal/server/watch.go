@@ -137,16 +137,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	})
 	defer cancel()
 
-	snapRun, snapVer, ok := s.cat.RunAt(req.Run)
+	// The registered version, its number and its engine come from one
+	// registry entry, which is immutable: a concurrent append swaps in a new
+	// entry, so the snapshot cannot slide forward past events already
+	// queued, and it runs on the catalog's plan cache, worker pool and
+	// whatever index that engine already built.
+	eng, snapVer, ok := s.cat.EngineAt(req.Run)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("run %q is not registered", req.Run))
 		return
 	}
-	// The snapshot evaluates over the immutable registered version — a
-	// fresh engine, not the catalog's cached one, so a concurrent append
-	// swapping the catalog engine cannot slide the snapshot forward past
-	// events already queued.
-	pairs, err := provrpq.NewEngine(snapRun).Evaluate(q)
+	pairs, err := eng.Evaluate(q)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "evaluate_failed", err.Error())
 		return
@@ -158,7 +159,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	if err := writeSSE(w, "snapshot", watchSnapshotEvent{
 		Run: req.Run, Query: q.String(), Version: snapVer,
-		Total: len(pairs), Pairs: toPairJSON(snapRun, pairs),
+		Total: len(pairs), Pairs: toPairJSON(eng.Run(), pairs),
 	}); err != nil {
 		return
 	}

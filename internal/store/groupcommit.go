@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -52,15 +53,12 @@ var (
 		"Bytes of growth-batch payload durably committed via AppendRun.")
 )
 
-// commitOp is one queued manifest mutation. The leader that commits it sets
-// err before closing done; the waiter reads err only after <-done, so the
-// close is the publication point. dir, when non-empty, is a directory
-// holding files this op staged with deferred durability (stage); the
-// leader flushes it — once per distinct directory across the whole
-// group — before the manifest write that publishes the op.
+// commitOp is one queued manifest mutation, whose payload stage left in the
+// appends directory with deferred durability. The leader that commits it
+// sets err before closing done; the waiter reads err only after <-done, so
+// the close is the publication point.
 type commitOp struct {
 	apply func(*manifest)
-	dir   string
 	err   error
 	done  chan struct{}
 }
@@ -97,12 +95,10 @@ func (s *Store) stage(path string, data []byte) error {
 
 // groupCommit queues one manifest mutation and returns once a leader —
 // possibly this caller — has durably committed it, batched with every other
-// mutation queued in the meantime. dir, when non-empty, names the directory
-// of this op's staged renames, which the leader pins (FsyncDir) before the
-// group's manifest write. The returned error is the group's verdict: nil
-// means the mutation — staged payload included — is on disk.
-func (s *Store) groupCommit(dir string, apply func(*manifest)) error {
-	op := &commitOp{apply: apply, dir: dir, done: make(chan struct{})}
+// mutation queued in the meantime. The returned error is the group's
+// verdict: nil means the mutation — staged payload included — is on disk.
+func (s *Store) groupCommit(apply func(*manifest)) error {
+	op := &commitOp{apply: apply, done: make(chan struct{})}
 	s.qmu.Lock()
 	s.queue = append(s.queue, op)
 	s.qmu.Unlock()
@@ -147,8 +143,8 @@ func (s *Store) groupCommit(dir string, apply func(*manifest)) error {
 	return op.err
 }
 
-// commitBatch makes every member's staged payload durable (one flush per
-// distinct directory, not per op), then applies every queued mutation to
+// commitBatch makes every member's staged payload durable (one flush for
+// the group, not one per op), then applies every queued mutation to
 // one freshly-read manifest and publishes them with a single atomic
 // manifest write. All members share the outcome: on success all their
 // batches became visible together; on failure none did (their staged files
@@ -170,7 +166,7 @@ func (s *Store) commitBatch(batch []*commitOp) {
 	if wedged {
 		err = ErrWedged
 	} else {
-		err = s.syncStagedDirs(batch)
+		err = s.syncStaged()
 	}
 
 	// Phase 2, under the store mutex: publish the counts with one atomic
@@ -201,30 +197,23 @@ func (s *Store) commitBatch(batch []*commitOp) {
 	}
 }
 
-// syncStagedDirs makes the group's staged payloads durable: where syncfs
-// is available, one filesystem flush covers every member at once — it
-// writes back the deferred file contents and commits the journal, which
-// carries the directory entries, so no separate FsyncDir is needed.
-// Elsewhere stage already fsynced each file's contents and this pins the
-// entries with one FsyncDir per distinct op directory. Deduplication is
-// what makes deferral pay — every append payload lives in the same
-// appends directory, so a group of N appends costs one flush here instead
-// of N at stage time. A failure anywhere is ambiguous: the files are
-// already in place and their durability is unknowable.
-func (s *Store) syncStagedDirs(batch []*commitOp) error {
-	done := ""
-	for _, op := range batch {
-		if op.dir == "" || op.dir == done {
-			continue
+// syncStaged makes the group's staged payloads durable: where syncfs is
+// available, one filesystem flush covers every member at once — it writes
+// back the deferred file contents and commits the journal, which carries
+// the directory entries, so no separate FsyncDir is needed. Elsewhere stage
+// already fsynced each file's contents and this pins the entries with one
+// FsyncDir. Every append payload lives in the one appends directory, which
+// is what makes deferral pay: a group of N appends costs one flush here
+// instead of N at stage time. A failure is ambiguous: the files are already
+// in place and their durability is unknowable.
+func (s *Store) syncStaged() error {
+	dir := filepath.Join(s.dir, appendsDir)
+	if syncfsSupported {
+		if err := doSyncfs(dir); err != nil {
+			return fmt.Errorf("store: flushing staged data: %w: %w", errAmbiguousCommit, err)
 		}
-		if syncfsSupported {
-			if err := doSyncfs(op.dir); err != nil {
-				return fmt.Errorf("store: flushing staged data: %w: %w", errAmbiguousCommit, err)
-			}
-		} else if err := FsyncDir(op.dir); err != nil {
-			return fmt.Errorf("store: pinning staged files: %w: %w", errAmbiguousCommit, err)
-		}
-		done = op.dir
+	} else if err := FsyncDir(dir); err != nil {
+		return fmt.Errorf("store: pinning staged files: %w: %w", errAmbiguousCommit, err)
 	}
 	return nil
 }

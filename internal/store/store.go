@@ -8,7 +8,8 @@
 //	<dir>/runs/<name>.json         one run payload per file
 //	<dir>/appends/<name>.<i>.json  the i-th committed growth batch of a run
 //	<dir>/manifest.json            {"runs": {"<run>": "<spec>"},
-//	                                "appends": {"<run>": <batch count>}}
+//	                                "appends": {"<run>": <batches in the log>},
+//	                                "folded": {"<run>": <batches compacted into the base>}}
 //
 // Payloads are opaque bytes and self-describing — the root layer stores
 // specifications as JSON and run/batch payloads in either JSON or the
@@ -301,6 +302,7 @@ func (s *Store) PutRun(name, spec string, data []byte) error {
 	// payload (the payload just landed at epoch 0).
 	delete(m.Appends, name)
 	delete(m.Bases, name)
+	delete(m.Folded, name)
 	if err := s.noteAmbiguous(s.writeManifest(m)); err != nil {
 		return err
 	}
@@ -409,11 +411,13 @@ func (s *Store) Bases() (map[string]int, error) {
 // data must be the full current run (base plus every committed batch,
 // encoded by the caller). The new base lands at the next compaction epoch
 // in bases/ and the manifest — the single commit point — switches the
-// run's base and zeroes its batch count in one atomic write, so a crash
-// mid-compaction leaves an invisible orphan base file and the old
-// base+log fully in force, never a double-applied batch. Obsolete files
-// (the previous base, the folded batches) are removed best-effort after
-// the commit. Returns the new epoch.
+// run's base, zeroes its log's batch count and adds that count to the run's
+// folded total in one atomic write, so a crash mid-compaction leaves an
+// invisible orphan base file and the old base+log fully in force, never a
+// double-applied batch, and folded + logged — the run's version — is the
+// same number before and after. Obsolete files (the previous base, the
+// folded batches) are removed best-effort after the commit. Returns the new
+// epoch.
 func (s *Store) CompactRun(name string, data []byte) (int, error) {
 	// Folding the log must not interleave with an in-flight append to the
 	// same run: the append's reserved sequence number is only meaningful
@@ -443,6 +447,12 @@ func (s *Store) CompactRun(name string, data []byte) (int, error) {
 	}
 	m.Bases[name] = epoch
 	delete(m.Appends, name)
+	if oldAppends > 0 {
+		if m.Folded == nil {
+			m.Folded = map[string]int{}
+		}
+		m.Folded[name] += oldAppends
+	}
 	if err := s.noteAmbiguous(s.writeManifest(m)); err != nil {
 		return 0, err
 	}
@@ -510,11 +520,10 @@ func (s *Store) AppendRun(name string, data []byte) (seq int, err error) {
 	seq = m.Appends[name]
 	s.mu.Unlock()
 
-	path := s.appendPath(name, seq)
-	if err := s.stage(path, data); err != nil {
+	if err := s.stage(s.appendPath(name, seq), data); err != nil {
 		return 0, err
 	}
-	if err := s.groupCommit(filepath.Dir(path), func(m *manifest) {
+	if err := s.groupCommit(func(m *manifest) {
 		if m.Appends == nil {
 			m.Appends = map[string]int{}
 		}
@@ -575,32 +584,18 @@ func (s *Store) Appends() (map[string]int, error) {
 	return out, nil
 }
 
-// State returns the manifest's three bindings — run → spec, run → batch
-// count, run → base epoch — from one atomic manifest read. Callers that
-// need a consistent cross-map view (boot, snapshot) must use this rather
-// than Runs/Appends/Bases in sequence: a compaction committing between
-// two separate reads would otherwise pair an already-folded base with its
-// pre-fold batch count, double-applying every folded batch.
-func (s *Store) State() (runs map[string]string, appends, bases map[string]int, err error) {
+// State returns the manifest's four bindings — run → spec, run → logged
+// batch count, run → base epoch, run → folded batch count — from one atomic
+// manifest read. Callers that need a consistent cross-map view (boot,
+// snapshot) must use this rather than Runs/Appends/Bases in sequence: a
+// compaction committing between two separate reads would otherwise pair an
+// already-folded base with its pre-fold batch count, double-applying every
+// folded batch.
+func (s *Store) State() (runs map[string]string, appends, bases, folded map[string]int, err error) {
 	s.mu.Lock()
-	m, err := s.readManifest()
+	m, err := s.readManifest() // a private copy; maps of absent keys are nil
 	s.mu.Unlock()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	runs = make(map[string]string, len(m.Runs))
-	for k, v := range m.Runs {
-		runs[k] = v
-	}
-	appends = make(map[string]int, len(m.Appends))
-	for k, v := range m.Appends {
-		appends[k] = v
-	}
-	bases = make(map[string]int, len(m.Bases))
-	for k, v := range m.Bases {
-		bases[k] = v
-	}
-	return runs, appends, bases, nil
+	return m.Runs, m.Appends, m.Bases, m.Folded, err
 }
 
 // Runs returns the manifest's run → specification binding (a copy).
@@ -644,6 +639,12 @@ type manifest struct {
 	// bases/<name>.<e>.json. The manifest switch is what commits a
 	// compaction.
 	Bases map[string]int `json:"bases,omitempty"`
+	// Folded counts the growth batches compactions have folded into the
+	// run's base. Folded + Appends is the run's version: a count that
+	// survives compaction and restart and never goes back. A manifest
+	// written before the key existed lacks it (nothing folded is on
+	// record, so every version equals its append count, as it did then).
+	Folded map[string]int `json:"folded,omitempty"`
 }
 
 func (s *Store) specPath(name string) string {
@@ -734,6 +735,7 @@ func cloneManifest(m manifest) manifest {
 	m.Runs = maps.Clone(m.Runs)
 	m.Appends = maps.Clone(m.Appends)
 	m.Bases = maps.Clone(m.Bases)
+	m.Folded = maps.Clone(m.Folded)
 	return m
 }
 

@@ -396,6 +396,11 @@ func TestCompactRunFoldsLog(t *testing.T) {
 	if b, _ := s.Bases(); b["r1"] != 1 {
 		t.Fatalf("Bases after compaction = %v", b)
 	}
+	// The folded count is committed with the switch: folded + logged — the
+	// run's version — is 2 before and after.
+	if _, _, _, folded, _ := s.State(); folded["r1"] != 2 {
+		t.Fatalf("folded after compaction = %v, want r1:2", folded)
+	}
 	// Superseded files are gone; the reopened store sees only the folded
 	// state and growth restarts at seq 0.
 	if _, err := os.Stat(filepath.Join(s.Dir(), "runs", "r1.json")); !errors.Is(err, os.ErrNotExist) {
@@ -414,9 +419,19 @@ func TestCompactRunFoldsLog(t *testing.T) {
 	if seq, err := s2.AppendRun("r1", []byte(`after`)); err != nil || seq != 0 {
 		t.Fatalf("post-compaction AppendRun = %d, %v", seq, err)
 	}
-	// A second compaction moves to epoch 2.
+	// A second compaction moves to epoch 2 and adds to the folded count; a
+	// fresh put under the name starts a fresh history.
 	if epoch, err := s2.CompactRun("r1", []byte(`folded2`)); err != nil || epoch != 2 {
 		t.Fatalf("second CompactRun = %d, %v", epoch, err)
+	}
+	if _, _, _, folded, _ := s2.State(); folded["r1"] != 3 {
+		t.Fatalf("folded after the second compaction = %v, want r1:3", folded)
+	}
+	if err := s2.PutRun("r1", "wf", []byte(`base`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, folded, _ := s2.State(); folded["r1"] != 0 {
+		t.Fatalf("folded after a fresh PutRun = %v, want none", folded)
 	}
 }
 

@@ -32,12 +32,6 @@ func (c *Cycle) ModuleAt(p int) ModuleID {
 	return c.Modules[((p%n)+n)%n]
 }
 
-// EdgeAt returns the cycle edge out of the module at cycle position p (mod Len).
-func (c *Cycle) EdgeAt(p int) PGEdge {
-	n := len(c.Modules)
-	return c.Edges[((p%n)+n)%n]
-}
-
 // ProdGraph is the production graph P(G) (Definition 5): one vertex per
 // module, one edge per (production, body position) pair.
 type ProdGraph struct {

@@ -145,7 +145,7 @@ func TestUnsafeQueryFallbacks(t *testing.T) {
 	if len(auto) != len(g1) {
 		t.Errorf("Auto (%d pairs) and G1 (%d pairs) disagree on unsafe query", len(auto), len(g1))
 	}
-	// Pairwise falls back to G2.
+	// Pairwise falls back to the product search.
 	if len(auto) > 0 {
 		ok, err := eng.Pairwise(q, auto[0].From, auto[0].To)
 		if err != nil {

@@ -200,7 +200,7 @@ type StoreSnapshot struct {
 // never deleted, so every specification a snapshot's run binding names is
 // present in Specs.
 func (s *Store) Snapshot() (StoreSnapshot, error) {
-	runs, appends, _, err := s.st.State()
+	runs, appends, _, _, err := s.st.State()
 	if err != nil {
 		return StoreSnapshot{}, fmt.Errorf("provrpq: %w", err)
 	}
@@ -236,7 +236,7 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 	// One atomic manifest read: a compaction or append committing between
 	// separate Runs/Appends/Bases reads could pair a folded base with its
 	// pre-fold batch count and double-apply every folded batch.
-	runs, appends, bases, err := st.st.State()
+	runs, appends, bases, folded, err := st.st.State()
 	if err != nil {
 		return nil, fmt.Errorf("provrpq: %w", err)
 	}
@@ -326,13 +326,11 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		if err := c.reg.PutRun(name, runs[name], decoded[i]); err != nil {
+		// The run's version counts all batches ever applied — folded into
+		// the base by compactions or replayed just now — so it is stable
+		// across restarts and never goes back.
+		if err := c.reg.PutRun(name, runs[name], decoded[i], folded[name]+appends[name]); err != nil {
 			return nil, err
-		}
-		// The run's version counts all batches ever applied, replayed ones
-		// included, so it is stable across restarts.
-		if n := appends[name]; n > 0 {
-			c.reg.SetRunGeneration(name, n)
 		}
 	}
 	c.store = st

@@ -60,9 +60,9 @@ func TestStandingQueryDeltaEqualsFullEvaluation(t *testing.T) {
 
 		var events []AppendEvent
 		cancel := cat.SubscribeAppends(func(ev AppendEvent) { events = append(events, ev) })
-		snapRun, snapVer, ok := cat.RunAt("r1")
+		snapEngine, snapVer, ok := cat.EngineAt("r1")
 		if !ok || snapVer != 0 {
-			t.Fatalf("RunAt = (%v, %d, %v)", snapRun, snapVer, ok)
+			t.Fatalf("EngineAt = (%v, %d, %v)", snapEngine, snapVer, ok)
 		}
 
 		for bi, bj := range batchJSONs {
@@ -88,7 +88,6 @@ func TestStandingQueryDeltaEqualsFullEvaluation(t *testing.T) {
 			}
 		}
 
-		snapEngine := NewEngine(snapRun)
 		finalEngine, err := cat.Engine("r1")
 		if err != nil {
 			t.Fatal(err)
