@@ -1,6 +1,7 @@
 package provrpq_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -504,6 +505,7 @@ func BenchmarkAppendGrow16K(b *testing.B) {
 	d, run := bioRun(b, 16000)
 	tags := d.Spec.Tags()
 	batch := benchAppendBatch(rand.New(rand.NewSource(1)), run, tags, 64)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := run.Grow(batch); err != nil {
@@ -526,6 +528,57 @@ func BenchmarkAppendRedecode16K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStandingDelta measures one standing-query delta of the
+// ingest-watch workload's shape: a 12K-edge BioAID run growing by 3-node
+// batches under a dense safe IFQ. steady is a watcher following the run with
+// one retained StandingQuery — its rebuilds, one per 2·√run batch nodes, are
+// in the mean and reported per op — and oneshot is Catalog.DeltaPairs,
+// which builds and drops that state on every call. Every event carries the
+// full run: a delta reads only the nodes below its batch's end.
+func BenchmarkStandingDelta(b *testing.B) {
+	specJSON, err := json.Marshal(workload.BioAID().Spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := &provrpq.Spec{}
+	if err := spec.UnmarshalJSON(specJSON); err != nil {
+		b.Fatal(err)
+	}
+	run, err := spec.Derive(provrpq.DeriveOptions{Seed: 1, TargetEdges: 12000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
+	q := provrpq.MustParseQuery("_*.p3_1._*.p2_13._*")
+	const batch = 3
+	n := run.NumNodes()
+	first := n - n/4
+	event := func(i int) provrpq.AppendEvent {
+		at := first + i%((n-first)/batch)*batch
+		return provrpq.AppendEvent{RunName: "r", Version: i + 1, Run: run,
+			FirstNewNode: provrpq.NodeID(at), NewNodes: batch}
+	}
+	b.Run("steady", func(b *testing.B) {
+		b.ReportAllocs()
+		sq := cat.NewStandingQuery(q)
+		for i := 0; i < b.N; i++ {
+			if _, err := sq.Delta(event(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(sq.Rebuilds())/float64(b.N), "rebuilds/op")
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cat.DeltaPairs(event(i), q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(1, "rebuilds/op")
+	})
 }
 
 // BenchmarkPlanAuto is the planner acceptance benchmark: the same

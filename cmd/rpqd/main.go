@@ -172,6 +172,8 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	fatal(err)
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Shutdown waits for open streams; an idle watch ends only if told to.
+	httpSrv.RegisterOnShutdown(srv.CloseWatches)
 	fmt.Printf("rpqd: listening on %s\n", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

@@ -1,15 +1,28 @@
 package bench
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"provrpq"
+	"provrpq/internal/derive"
+	"provrpq/internal/metrics"
+	"provrpq/internal/server"
 	"provrpq/internal/store"
+	"provrpq/internal/wf"
 	"provrpq/internal/workload"
 )
 
@@ -22,22 +35,19 @@ type IngestReport struct {
 	Dataset string `json:"dataset"`
 	Quick   bool   `json:"quick"`
 	// BatchesPerWriter is the growth batches each writer commits; every
-	// batch carries a contiguous node/edge segment of that writer's
-	// derived run (real nodes with real labels, so standing-query deltas
-	// are non-trivial).
+	// batch carries a contiguous node/edge segment of that writer's derived
+	// run (real nodes, real labels: standing-query deltas are non-trivial).
 	BatchesPerWriter int `json:"batches_per_writer"`
-	// BestOf is how many times each throughput cell was measured (the
-	// fastest run is reported). Shared and virtualized devices degrade
-	// several-fold under sustained flush storms and recover after idle;
-	// keeping the best run filters that interference out instead of
-	// attributing the device's mood to whichever cell ran later.
+	// BestOf is how many times each cell was measured (the fastest run is
+	// reported). Shared and virtualized devices degrade several-fold under
+	// sustained flush storms and recover after idle; keeping the best run
+	// filters that out instead of charging it to whichever cell ran later.
 	BestOf int         `json:"best_of"`
 	Rows   []IngestRow `json:"rows"`
 }
 
-// IngestRow measures one sustained-ingest cell: N concurrent writers,
-// each appending durable growth batches to its own run of a shared
-// catalog.
+// IngestRow measures one sustained-ingest cell: N concurrent writers, each
+// appending durable growth batches to its own run of a shared catalog.
 type IngestRow struct {
 	Writers int `json:"writers"`
 	// Mode is always "group" (leader/follower coalesced commits); the
@@ -53,22 +63,24 @@ type IngestRow struct {
 	// paid its own manifest fsync).
 	GroupCommits uint64  `json:"group_commits"`
 	Coalescing   float64 `json:"coalescing"`
-	// WatchPairs counts the standing-query delta pairs the row's
-	// watchers computed (0 with no watchers); it proves the subscribers
-	// did the per-append delta work while the writers ran.
+	// WatchPairs counts the standing-query delta pairs the row's watchers
+	// read off their streams (0 with no watchers); it proves every stream
+	// received every append's delta.
 	WatchPairs int `json:"watch_pairs"`
 }
 
 // FigIngest is the group-commit ingest experiment (beyond the paper):
 // sustained durable append throughput at varying writer counts under
 // group commit (payload staging outside the lock, coalesced
-// leader/follower manifest writes), alone and again with standing queries
-// subscribed — the serving-while-watching cost. Each writer owns one run,
-// so payload staging never contends; the manifest is the single shared
+// leader/follower manifest writes), alone and again with 1, 2 and 10
+// streams of one standing query open on every run — the
+// serving-while-watching cost, watched as rpqd's clients watch: SSE streams
+// on a real server over the catalog, so bounded queues and one retained
+// evaluator per (run, query), off the append path. Each writer owns one
+// run, so payload staging never contends; the manifest is the single shared
 // commit point, which is exactly what group commit amortizes. Batches are
 // node-bearing segments of a real derivation (split, not synthesized), so
-// every append also pays label validation and the watchers' deltas are
-// non-empty.
+// every append also pays label validation and the deltas are non-empty.
 func FigIngest(cfg Config) error {
 	header(cfg, "ingest: durable append throughput under group commit")
 	// Small, frequent batches (~5 edges) mirror the streaming-ingest
@@ -79,13 +91,13 @@ func FigIngest(cfg Config) error {
 	batchesPerWriter := 512
 	baseEdges := 400
 	growthEdges := 2600
-	watchers := 2
+	watcherCounts := []int{0, 1, 2, 10}
 	if cfg.Quick {
 		writerCounts = []int{1, 4}
 		batchesPerWriter = 16
 		baseEdges = 150
 		growthEdges = 400
-		watchers = 2
+		watcherCounts = []int{0, 2}
 	}
 	d := workload.BioAID()
 	// Round-trip the dataset's specification through its JSON encoding to
@@ -98,27 +110,16 @@ func FigIngest(cfg Config) error {
 	if err := spec.UnmarshalJSON(specJSON); err != nil {
 		return err
 	}
-	// One safe standing query (watchability is exactly safety), validated
-	// here so a workload change fails loudly instead of skewing the
-	// watcher rows with parse errors.
-	r := rand.New(rand.NewSource(cfg.Seed + 6))
-	watchQuery, err := provrpq.ParseQuery(d.SafeIFQ(r, 3, true))
-	if err != nil {
-		return err
-	}
+	// One safe standing query (watchability is exactly safety): a workload
+	// change that made it unsafe fails the first watch registration.
+	watchQuery := d.SafeIFQ(rand.New(rand.NewSource(cfg.Seed+6)), 3, true)
 
 	// One derived-and-split load per writer slot, shared by every cell:
 	// all cells ingest identical byte streams, so rows differ only in
 	// concurrency and watchers.
-	maxWriters := 0
-	for _, w := range writerCounts {
-		if w > maxWriters {
-			maxWriters = w
-		}
-	}
-	loads := make([]writerLoad, maxWriters)
+	loads := make([]writerLoad, slices.Max(writerCounts))
 	for w := range loads {
-		if loads[w], err = splitDerivedRun(spec, cfg.Seed+int64(w), baseEdges+growthEdges, batchesPerWriter); err != nil {
+		if loads[w], err = splitDerivedRun(d.Spec, cfg.Seed+int64(w), baseEdges+growthEdges, batchesPerWriter); err != nil {
 			return err
 		}
 	}
@@ -131,21 +132,12 @@ func FigIngest(cfg Config) error {
 	fmt.Fprintf(cfg.W, "%-9s %-8s %-10s %-10s %-10s %-12s %-12s %-12s %-11s\n",
 		"writers", "mode", "watchers", "edges", "seconds", "edges/sec", "commits", "coalescing", "watch-pairs")
 	for _, writers := range writerCounts {
-		for _, cellWatchers := range []int{0, watchers} {
-			// Throughput cells run bestOf times, fastest kept (see
-			// IngestReport.BestOf); the watcher cells are dominated by the
-			// subscribers' delta CPU, not the device, so once is enough.
-			reps := bestOf
-			if cellWatchers > 0 {
-				reps = 1
-			}
+		for _, cellWatchers := range watcherCounts {
 			var row IngestRow
-			for rep := 0; rep < reps; rep++ {
+			for rep := 0; rep < bestOf; rep++ {
 				if !cfg.Quick {
-					// Sustained fsync storms degrade shared/virtualized
-					// devices across cells; a settle pause lets the device
-					// recover so later cells are not measured against a
-					// slower disk than earlier ones.
+					// A settle pause lets a shared device recover from the
+					// last cell's fsync storm before the next is measured.
 					time.Sleep(5 * time.Second)
 				}
 				r, err := ingestCell(spec, watchQuery, loads[:writers], cellWatchers)
@@ -173,32 +165,17 @@ type writerLoad struct {
 	batchEdges int // total edges across the batches
 }
 
-// splitDerivedRun derives one run and splits its JSON encoding into a
-// base prefix and `batches` sequential node/edge segments. Each edge
-// lands in the earliest segment containing both endpoints, so every
-// batch's edges reference only already-committed or same-batch nodes —
-// any prefix of the stream is a valid derivation, mirroring how the
-// streaming-ingest route groups records.
-func splitDerivedRun(spec *provrpq.Spec, seed int64, targetEdges, batches int) (writerLoad, error) {
-	run, err := spec.Derive(provrpq.DeriveOptions{Seed: seed, TargetEdges: targetEdges})
+// splitDerivedRun derives one run and splits it into a base prefix and
+// `batches` sequential node/edge segments in the batch wire encoding. Each
+// edge lands in the earliest segment containing both endpoints, so every
+// prefix of the stream is a valid derivation — how the streaming-ingest
+// route groups records.
+func splitDerivedRun(spec *wf.Spec, seed int64, targetEdges, batches int) (writerLoad, error) {
+	run, err := derive.Derive(spec, derive.Options{Seed: seed, TargetEdges: targetEdges})
 	if err != nil {
 		return writerLoad{}, err
 	}
-	data, err := provrpq.EncodeRun(run)
-	if err != nil {
-		return writerLoad{}, err
-	}
-	var full struct {
-		Nodes []json.RawMessage `json:"nodes"`
-		Edges []struct {
-			From, To int
-			Tag      string
-		} `json:"edges"`
-	}
-	if err := json.Unmarshal(data, &full); err != nil {
-		return writerLoad{}, err
-	}
-	n := len(full.Nodes)
+	n := run.NumNodes()
 	if n < (batches+1)*2 {
 		return writerLoad{}, fmt.Errorf("bench: ingest: run of %d nodes cannot split into %d batches", n, batches)
 	}
@@ -209,41 +186,22 @@ func splitDerivedRun(spec *provrpq.Spec, seed int64, targetEdges, batches int) (
 	for i := 1; i <= batches; i++ {
 		cuts[i] = cuts[0] + (n-cuts[0])*i/batches
 	}
-	segEdges := make([][]int, batches+1) // segment -> edge indexes; 0 is the base
-	for ei, e := range full.Edges {
-		hi := e.From
-		if e.To > hi {
-			hi = e.To
-		}
-		seg := 0
-		for seg < batches && hi >= cuts[seg] {
-			seg++
-		}
-		segEdges[seg] = append(segEdges[seg], ei)
+	segEdges := make([][]derive.Edge, batches+1) // 0 is the base
+	for _, e := range run.Edges {
+		seg := sort.SearchInts(cuts, int(max(e.From, e.To))+1) // first cut above both endpoints
+		segEdges[seg] = append(segEdges[seg], e)
 	}
-	encode := func(nodes []json.RawMessage, edgeIdx []int) ([]byte, error) {
-		var seg struct {
-			Nodes []json.RawMessage `json:"nodes"`
-			Edges []json.RawMessage `json:"edges"`
-		}
-		seg.Nodes = nodes
-		for _, ei := range edgeIdx {
-			e := full.Edges[ei]
-			seg.Edges = append(seg.Edges, json.RawMessage(
-				fmt.Sprintf(`{"From":%d,"To":%d,"Tag":%q}`, e.From, e.To, e.Tag)))
-		}
-		return json.Marshal(seg)
-	}
-	load := writerLoad{}
-	if load.base, err = encode(full.Nodes[:cuts[0]], segEdges[0]); err != nil {
-		return writerLoad{}, err
-	}
-	for i := 1; i <= batches; i++ {
-		b, err := encode(full.Nodes[cuts[i-1]:cuts[i]], segEdges[i])
+	var load writerLoad
+	for i, lo := 0, 0; i <= batches; lo, i = cuts[i], i+1 {
+		data, err := derive.EncodeBatch(spec, derive.Batch{Nodes: run.Nodes[lo:cuts[i]], Edges: segEdges[i]})
 		if err != nil {
 			return writerLoad{}, err
 		}
-		load.batches = append(load.batches, b)
+		if i == 0 {
+			load.base = data
+			continue
+		}
+		load.batches = append(load.batches, data)
 		load.batchEdges += len(segEdges[i])
 	}
 	return load, nil
@@ -252,8 +210,7 @@ func splitDerivedRun(spec *provrpq.Spec, seed int64, targetEdges, batches int) (
 // ingestCell runs one measurement: a fresh durable catalog, one goroutine
 // per writer load committing its growth batches to its own run, timed
 // wall-clock across all of them.
-func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
-	loads []writerLoad, watchers int) (IngestRow, error) {
+func ingestCell(spec *provrpq.Spec, watchQuery string, loads []writerLoad, watchers int) (IngestRow, error) {
 	dir, err := os.MkdirTemp("", "provrpq-bench-ingest-*")
 	if err != nil {
 		return IngestRow{}, err
@@ -288,21 +245,16 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 		}
 	}
 
-	watchPairs := 0
-	if watchers > 0 {
-		var wmu sync.Mutex
-		for i := 0; i < watchers; i++ {
-			cancel := cat.SubscribeAppends(func(ev provrpq.AppendEvent) {
-				pairs, err := cat.DeltaPairs(ev, watchQuery)
-				if err != nil {
-					return // surfaced by the zero watch_pairs count
-				}
-				wmu.Lock()
-				watchPairs += len(pairs)
-				wmu.Unlock()
-			})
-			defer cancel()
+	ts := httptest.NewServer(server.New(cat, server.Options{MaxWatchers: -1, Metrics: metrics.NewRegistry()}).Handler())
+	defer ts.Close()
+	streams := make([]*deltaStream, 0, watchers*writers)
+	for i := 0; i < watchers*writers; i++ {
+		ds, err := openDeltaStream(ts.URL, runName(i%writers), watchQuery, len(loads[i%writers].batches))
+		if err != nil {
+			return IngestRow{}, err
 		}
+		defer ds.body.Close()
+		streams = append(streams, ds)
 	}
 
 	groupsBefore, _ := store.CommitStats()
@@ -329,6 +281,15 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 		}
 	}
 
+	// The streams finish outside the timed region: the rate is the writers'.
+	watchPairs := 0
+	for _, ds := range streams {
+		if err := <-ds.done; err != nil {
+			return IngestRow{}, err
+		}
+		watchPairs += ds.pairs
+	}
+
 	totalBatches, totalEdges := 0, 0
 	for _, load := range loads {
 		totalBatches += len(load.batches)
@@ -352,3 +313,62 @@ func ingestCell(spec *provrpq.Spec, watchQuery *provrpq.Query,
 }
 
 func runName(w int) string { return fmt.Sprintf("ingest-%d", w) }
+
+// deltaStream is one open /v1/watch stream: a goroutine reads it until it
+// has seen the expected number of delta events, summing their pair counts.
+type deltaStream struct {
+	body  io.ReadCloser
+	pairs int
+	done  chan error // receives the reader's verdict, once
+}
+
+// openDeltaStream registers the standing query and returns once its
+// snapshot event has arrived, so the stream is live before any append.
+func openDeltaStream(base, run, query string, deltas int) (*deltaStream, error) {
+	resp, err := http.Post(base+"/v1/watch", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"run":%q,"query":%q}`, run, query)))
+	if err != nil {
+		return nil, err
+	}
+	ds := &deltaStream{body: resp.Body, done: make(chan error, 1)}
+	br := bufio.NewReaderSize(resp.Body, 1<<16)
+	if event, _, err := readSSE(br); err != nil || event != "snapshot" {
+		resp.Body.Close()
+		return nil, fmt.Errorf("bench: ingest: watch on %s: status %d, first event %q: %v", run, resp.StatusCode, event, err)
+	}
+	go func() {
+		for i := 0; i < deltas; i++ {
+			event, data, err := readSSE(br)
+			if err != nil || event != "delta" {
+				ds.done <- fmt.Errorf("bench: ingest: watch on %s: event %q after %d deltas: %v", run, event, i, err)
+				return
+			}
+			_, rest, _ := bytes.Cut(data, []byte(`"count":`))
+			n, err := strconv.Atoi(string(rest[:max(0, bytes.IndexByte(rest, ','))]))
+			if err != nil {
+				ds.done <- fmt.Errorf("bench: ingest: watch on %s: delta without a count: %.80s", run, data)
+				return
+			}
+			ds.pairs += n
+		}
+		ds.done <- nil
+	}()
+	return ds, nil
+}
+
+// readSSE reads one Server-Sent Event: its name and its data line.
+func readSSE(br *bufio.Reader) (event string, data []byte, err error) {
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			return event, data, err
+		}
+		if v, ok := bytes.CutPrefix(line, []byte("event: ")); ok {
+			event = string(bytes.TrimSpace(v))
+		} else if v, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
+			data = v
+		} else if len(line) == 1 && event != "" {
+			return event, data, nil
+		}
+	}
+}

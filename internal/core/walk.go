@@ -232,7 +232,7 @@ func (s *optScan) walkShard(lo, hi int, fn func(*fusedWalk)) {
 	if hi-lo != len(s.l2) || &s.l1[lo] != &s.l2[0] {
 		t1 = reach.NewTrie(s.l1[lo:hi])
 	}
-	fn(d.newWalk(t1, s.t2, s.y, lo))
+	fn(d.newWalk(t1, s.t2, d.leafVectors(t1, true), s.y, lo))
 }
 
 // blocks runs the scan and hands its blocks to emit on the calling
@@ -253,14 +253,13 @@ func (e *Env) AllPairsSafeTries(t1, t2 *reach.Trie, emit func(i, j int)) error {
 		return ErrUnsafe
 	}
 	defer e.release(d)
-	d.newWalk(t1, t2, d.leafVectors(t2, false), 0).run(func(b block) { b.each(emit) })
+	d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false), 0).run(func(b block) { b.each(emit) })
 	return nil
 }
 
 // newWalk prepares the walk of t1 — the trie of the l1 shard starting at
-// index lo — against t2, whose down vectors y the caller built.
-func (d *Decoder) newWalk(t1, t2 *reach.Trie, y leafVecs, lo int) *fusedWalk {
-	x := d.leafVectors(t1, true)
+// index lo, with its up vectors x — against t2 with its down vectors y.
+func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y leafVecs, lo int) *fusedWalk {
 	return &fusedWalk{d: d, t1: t1, t2: t2, x: x.vecs, y: y.vecs, permX: x.perm, permY: y.perm, lo: lo}
 }
 

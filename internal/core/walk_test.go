@@ -158,7 +158,7 @@ func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 	d := env.NewDecoder()
 	t1, t2 := reach.NewTrie(labels), reach.NewTrie(labels)
 	matches := 0
-	w := d.newWalk(t1, t2, d.leafVectors(t2, false), 0)
+	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false), 0)
 	w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
 
 	n := len(labels)

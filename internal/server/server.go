@@ -49,6 +49,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -149,6 +150,12 @@ type Server struct {
 	watchers atomic.Int64  // open standing-query (SSE) streams
 	streams  atomic.Int64  // open NDJSON ingest streams
 
+	// watchMu guards the watch groups and their member sets (watch.go).
+	//provrpq:lockrank serverWatchMu 17
+	watchMu     sync.Mutex
+	watchGroups map[watchKey]*watchGroup
+	watchClosed bool // CloseWatches ran: no new streams
+
 	mRequests   *metrics.Counter      // every request reaching the JSON routes, admitted or not
 	mRejected   *metrics.Counter      // turned away by the in-flight limit (a subset of requests)
 	mFailed     *metrics.Counter      // error responses from routed handlers (rejections and timeouts excluded)
@@ -160,6 +167,8 @@ type Server struct {
 	mIngestBatches *metrics.Counter    // ingest groups committed through the append path
 	mWatchDeltas   *metrics.Counter    // delta events written to standing-query subscribers
 	mWatchDropped  *metrics.Counter    // watchers dropped for lagging behind the append rate
+	mWatchRebuilds *metrics.Counter    // rebuilds of a watch group's retained evaluator state
+	mWatchSeconds  *metrics.Histogram  // evaluate + encode per append event per watch group
 
 	// testDelay, when set (tests only), runs inside the timeout scope
 	// before every routed request, making deadline expiry deterministic.
@@ -178,6 +187,7 @@ func New(cat *provrpq.Catalog, opts Options) *Server {
 		maxRecord:     opts.MaxRecordBytes,
 		maxWatchers:   opts.MaxWatchers,
 		maxStreams:    opts.MaxStreams,
+		watchGroups:   map[watchKey]*watchGroup{},
 		reg:           opts.Metrics,
 		log:           opts.Logger,
 		start:         time.Now(),
@@ -233,12 +243,22 @@ func New(cat *provrpq.Catalog, opts Options) *Server {
 		"Delta events written to standing-query (SSE) subscribers.")
 	s.mWatchDropped = s.reg.Counter("provrpq_watch_dropped_total",
 		"Standing-query subscribers dropped for lagging behind the append rate.")
+	s.mWatchRebuilds = s.reg.Counter("provrpq_watch_rebuilds_total",
+		"Rebuilds of a watch group's retained trie and state vectors (the first event's included).")
+	s.mWatchSeconds = s.reg.Histogram("provrpq_watch_delta_seconds",
+		"Time to evaluate and encode one append event's delta, once per watch group.", metrics.LatencyBuckets)
 	// Callback metrics sample live state at scrape time; re-registration
 	// rebinds them, so the newest server over a shared registry wins.
 	s.reg.Func("provrpq_http_in_flight", "Handlers currently doing work (held across a timeout).",
 		metrics.KindGauge, func() float64 { return float64(s.inFlight.Load()) })
 	s.reg.Func("provrpq_watchers", "Open standing-query (SSE) streams.",
 		metrics.KindGauge, func() float64 { return float64(s.watchers.Load()) })
+	s.reg.Func("provrpq_watch_groups", "Watch groups: distinct (run, query) pairs with an open stream.",
+		metrics.KindGauge, func() float64 {
+			s.watchMu.Lock()
+			defer s.watchMu.Unlock()
+			return float64(len(s.watchGroups))
+		})
 	s.reg.Func("provrpq_ingest_streams", "Open NDJSON ingest streams.",
 		metrics.KindGauge, func() float64 { return float64(s.streams.Load()) })
 	s.reg.Func("provrpq_uptime_seconds", "Seconds since the server was created.",

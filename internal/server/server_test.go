@@ -1242,7 +1242,7 @@ func TestServerHealthzWedged(t *testing.T) {
 // the per-run generation gauge. This is the contract the CI smoke (and
 // any Prometheus) scrapes against.
 func TestServerMetrics(t *testing.T) {
-	_, c := newService(t, Options{})
+	cat, c := newService(t, Options{})
 	registerFixture(t, c)
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-a", "query": "_*.s._*"}, http.StatusOK, nil)
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-b", "query": "ingest._*"}, http.StatusOK, nil)
@@ -1254,6 +1254,18 @@ func TestServerMetrics(t *testing.T) {
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-a", "query": "a1.(_*.s._*)"}, http.StatusOK, nil)
 	if got := c.scrape()[decomposed]; got != before+1 {
 		t.Errorf("%s = %v after one unsafe evaluate, was %v", decomposed, got, before)
+	}
+
+	// One delta on an open watch populates the watch-group series.
+	const deltas, rebuilds = "provrpq_watch_delta_seconds_count", "provrpq_watch_rebuilds_total"
+	spec, _ := cat.Spec("intro")
+	batch := registerGrowingRun(t, c, spec)
+	watch := openWatch(t, c.base, "r1", "_*")
+	was := c.scrape()
+	c.do("POST", "/v1/runs/r1/edges", batch, http.StatusOK, nil)
+	readFrame(t, watch)
+	if got := c.scrape(); got[deltas] != was[deltas]+1 || got[rebuilds] != was[rebuilds]+1 {
+		t.Errorf("after one delta: %s %v (was %v), %s %v (was %v)", deltas, got[deltas], was[deltas], rebuilds, got[rebuilds], was[rebuilds])
 	}
 
 	resp, err := c.hc.Get(c.base + "/metrics")
@@ -1308,6 +1320,8 @@ func TestServerMetrics(t *testing.T) {
 		"provrpq_http_in_flight ",
 		"provrpq_uptime_seconds ",
 		"provrpq_plan_cache_hits_total ",
+		`provrpq_watch_delta_seconds_bucket{le="+Inf"}`,
+		"provrpq_watch_groups 1\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics is missing %q", want)

@@ -2,11 +2,10 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"provrpq"
 )
@@ -15,23 +14,31 @@ import (
 // streams its matches over Server-Sent Events. The first event is a
 // snapshot — the full result at the run version current at registration —
 // and every committed growth batch after it produces one delta event
-// carrying only the new matches (DeltaPairs: pairs involving at least one
-// batch node). snapshot ∪ deltas equals a full re-evaluation at any later
-// version; the paper's dynamic-label property makes safe-query deltas
-// append-only, which is why only safe queries are watchable (400 bad_query
-// otherwise — unsafe answers can change on old pairs as edges arrive).
+// carrying only the new matches (pairs involving at least one batch node).
+// snapshot ∪ deltas equals a full re-evaluation at any later version; the
+// paper's dynamic-label property makes safe-query deltas append-only, which
+// is why only safe queries are watchable (400 bad_query otherwise — unsafe
+// answers can change on old pairs as edges arrive).
 //
-// Delivery is bounded: each watcher owns a fixed queue the append path
-// fills without blocking (appenders never wait on a slow watcher). A
-// watcher that falls more than the queue's length behind receives a
-// terminal "lagged" event and must reconnect — the fresh snapshot
-// resynchronizes it. Concurrently open watchers are bounded by MaxWatchers
+// Streams of one (run, canonical query) form a watch group: one append
+// subscription, one retained provrpq.StandingQuery on one goroutine, one
+// evaluation and one encoded delta frame per event, whose bytes every
+// member's stream writes — a second watcher of a query costs a queue. The
+// group, its goroutine and its retained state go when its last member does.
+//
+// Delivery is bounded and appenders never wait: the subscription fills the
+// group's queue, and each frame the members' queues, without blocking. A
+// member that falls a queue's length behind — every member, when the group
+// does — receives a terminal "lagged" event and must reconnect; the fresh
+// snapshot resynchronizes it. CloseWatches ends every stream with a terminal
+// "closed" event. Concurrently open watchers are bounded by MaxWatchers
 // (429). The route lives outside the request timeout: a watch is meant to
 // stay open indefinitely.
 
-// watchQueueLen bounds one watcher's unconsumed append events. It needs to
-// absorb bursts (a group-commit convoy draining), not sustained overload —
-// a watcher slower than the steady append rate is lagged by definition.
+// watchQueueLen bounds the unconsumed append events of a group and the
+// unwritten frames of a member. It needs to absorb bursts (a group-commit
+// convoy draining), not sustained overload — a watcher slower than the
+// steady append rate is lagged by definition.
 const watchQueueLen = 1024
 
 type watchRequest struct {
@@ -58,8 +65,9 @@ type watchDeltaEvent struct {
 	Pairs         []pairJSON `json:"pairs"`
 }
 
-// watchLaggedEvent terminates a stream that fell behind the append rate.
-type watchLaggedEvent struct {
+// watchEndEvent terminates a stream: "lagged" when it fell behind the append
+// rate, "closed" when the server shuts down.
+type watchEndEvent struct {
 	Run     string `json:"run"`
 	Message string `json:"message"`
 }
@@ -114,28 +122,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Subscribe BEFORE snapshotting: an append committing between the two
-	// steps then lands in the queue and is deduplicated by version below.
-	// The reverse order would lose it entirely. The callback runs on the
-	// appending goroutine while the run's growth lock is held, so it must
-	// never block: a full queue marks the watcher lagged instead.
-	events := make(chan provrpq.AppendEvent, watchQueueLen)
-	lagged := make(chan struct{})
-	var laggedOnce sync.Once
-	cancel := s.cat.SubscribeAppends(func(ev provrpq.AppendEvent) {
-		if ev.RunName != req.Run {
-			return
-		}
-		select {
-		case events <- ev:
-		default:
-			laggedOnce.Do(func() {
-				s.mWatchDropped.Inc()
-				close(lagged)
-			})
-		}
-	})
-	defer cancel()
+	// Join BEFORE snapshotting: an append committing between the two steps
+	// then reaches this member's queue and is deduplicated by version below.
+	// The reverse order would lose it entirely.
+	g, m := s.joinWatch(req.Run, q)
+	if g == nil {
+		s.writeError(w, http.StatusServiceUnavailable, "overloaded", "server is closing its standing-query streams")
+		return
+	}
+	defer s.leaveWatch(g, m)
 
 	// The registered version, its number and its engine come from one
 	// registry entry, which is immutable: a concurrent append swaps in a new
@@ -157,10 +152,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	if err := writeSSE(w, "snapshot", watchSnapshotEvent{
+	if _, err := w.Write(sseFrame("snapshot", watchSnapshotEvent{
 		Run: req.Run, Query: q.String(), Version: snapVer,
 		Total: len(pairs), Pairs: toPairJSON(eng.Run(), pairs),
-	}); err != nil {
+	})); err != nil {
 		return
 	}
 	flusher.Flush()
@@ -169,35 +164,18 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-lagged:
-			// Best-effort terminal notice; the connection closes either way
-			// and the client resynchronizes by reconnecting.
-			_ = writeSSE(w, "lagged", watchLaggedEvent{
-				Run:     req.Run,
-				Message: fmt.Sprintf("watcher fell more than %d events behind the append rate; reconnect for a fresh snapshot", watchQueueLen),
-			})
+		case last := <-m.end:
+			// Best-effort terminal notice; the connection closes either way.
+			_, _ = w.Write(last)
 			flusher.Flush()
 			return
-		case ev := <-events:
-			if ev.Version <= snapVer {
+		case f := <-m.frames:
+			if f.version <= snapVer {
 				// Already included in the snapshot (the append committed
-				// between subscribing and snapshotting).
+				// between joining and snapshotting).
 				continue
 			}
-			delta, err := s.cat.DeltaPairs(ev, q)
-			if err != nil {
-				// Unreachable for a query validated safe above, but a
-				// half-closed stream must still terminate cleanly.
-				if !errors.Is(err, provrpq.ErrUnsafeWatch) {
-					_ = writeSSE(w, "lagged", watchLaggedEvent{Run: req.Run, Message: err.Error()})
-				}
-				return
-			}
-			if err := writeSSE(w, "delta", watchDeltaEvent{
-				Run: req.Run, Version: ev.Version,
-				AppendedNodes: ev.NewNodes, AppendedEdges: ev.NewEdges,
-				Count: len(delta), Pairs: toPairJSON(ev.Run, delta),
-			}); err != nil {
+			if _, err := w.Write(f.sse); err != nil {
 				return
 			}
 			s.mWatchDeltas.Inc()
@@ -206,12 +184,158 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE writes one Server-Sent Event with a JSON data payload.
-func writeSSE(w io.Writer, event string, data any) error {
-	b, err := json.Marshal(data)
-	if err != nil {
-		return err
+// watchKey names a watch group: a run and a query in canonical form.
+type watchKey struct{ run, query string }
+
+// watchFrame is one encoded delta event and the run version it reports.
+type watchFrame struct {
+	version int
+	sse     []byte
+}
+
+// watchMember is one open stream's end of its group: its queue of delta
+// frames, and the terminal frame once the server ends the stream
+// (watchGroup.end; buffered for that one send).
+type watchMember struct {
+	frames chan watchFrame
+	end    chan []byte
+}
+
+// watchGroup is the streams of one (run, query) and the goroutine that
+// evaluates for them (runWatchGroup).
+type watchGroup struct {
+	key    watchKey
+	q      *provrpq.Query
+	events chan provrpq.AppendEvent
+	// gap records that the subscription dropped an event on a full queue:
+	// every member then misses a delta and is ended as lagged.
+	gap        atomic.Bool
+	cancel     func() // the append subscription's
+	stop, done chan struct{}
+	members    map[*watchMember]struct{} // guarded by Server.watchMu
+}
+
+// joinWatch adds a new member to the group of (run, q), which it creates
+// and starts if there is none; nil once CloseWatches ran.
+func (s *Server) joinWatch(run string, q *provrpq.Query) (*watchGroup, *watchMember) {
+	m := &watchMember{frames: make(chan watchFrame, watchQueueLen), end: make(chan []byte, 1)}
+	key := watchKey{run, q.String()}
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	if s.watchClosed {
+		return nil, nil
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-	return err
+	g := s.watchGroups[key]
+	if g == nil {
+		g = &watchGroup{key: key, q: q, events: make(chan provrpq.AppendEvent, watchQueueLen),
+			stop: make(chan struct{}), done: make(chan struct{}), members: map[*watchMember]struct{}{}}
+		// The callback runs on the appending goroutine while the run's growth
+		// lock is held, so it must never block.
+		g.cancel = s.cat.SubscribeAppends(func(ev provrpq.AppendEvent) {
+			if ev.RunName != run {
+				return
+			}
+			select {
+			case g.events <- ev:
+			default:
+				g.gap.Store(true)
+			}
+		})
+		s.watchGroups[key] = g
+		go s.runWatchGroup(g)
+	}
+	g.members[m] = struct{}{}
+	return g, m
+}
+
+// leaveWatch removes a member; the last one out stops the group's goroutine
+// and waits for it, so nothing of the group outlives its streams.
+func (s *Server) leaveWatch(g *watchGroup, m *watchMember) {
+	s.watchMu.Lock()
+	delete(g.members, m)
+	last := len(g.members) == 0 && s.watchGroups[g.key] == g
+	if last {
+		delete(s.watchGroups, g.key)
+	}
+	s.watchMu.Unlock()
+	if last {
+		g.cancel()
+		close(g.stop)
+		<-g.done
+	}
+}
+
+// end terminates one member's stream with a last event. Server.watchMu held:
+// leaving the member set is what makes the send the only one.
+func (g *watchGroup) end(m *watchMember, event, message string) {
+	delete(g.members, m)
+	m.end <- sseFrame(event, watchEndEvent{Run: g.key.run, Message: message})
+}
+
+// CloseWatches ends every open standing-query stream with a terminal
+// "closed" event and refuses new ones. http.Server.Shutdown waits for
+// streams to end and nothing else ends an idle one, so a daemon registers
+// this with RegisterOnShutdown.
+func (s *Server) CloseWatches() {
+	s.watchMu.Lock()
+	defer s.watchMu.Unlock()
+	s.watchClosed = true
+	for _, g := range s.watchGroups {
+		for m := range g.members {
+			g.end(m, "closed", "server is shutting down")
+		}
+	}
+}
+
+// runWatchGroup evaluates each queued append event once, encodes its delta
+// frame once and hands the bytes to every member, until the group is stopped.
+func (s *Server) runWatchGroup(g *watchGroup) {
+	defer close(g.done)
+	sq := s.cat.NewStandingQuery(g.q)
+	lagged := fmt.Sprintf("watcher fell more than %d events behind the append rate; reconnect for a fresh snapshot", watchQueueLen)
+	for {
+		select {
+		case <-g.stop:
+			return
+		case ev := <-g.events:
+			start, rebuilds := time.Now(), sq.Rebuilds()
+			delta, err := sq.Delta(ev)
+			f := watchFrame{version: ev.Version}
+			if err == nil {
+				f.sse = sseFrame("delta", watchDeltaEvent{
+					Run: g.key.run, Version: ev.Version,
+					AppendedNodes: ev.NewNodes, AppendedEdges: ev.NewEdges,
+					Count: len(delta), Pairs: toPairJSON(ev.Run, delta),
+				})
+			}
+			s.mWatchRebuilds.Add(uint64(sq.Rebuilds() - rebuilds))
+			s.mWatchSeconds.Observe(time.Since(start).Seconds())
+			why := lagged
+			if err != nil {
+				// Unreachable for a query validated safe at registration, but
+				// a stream must still terminate cleanly.
+				why = err.Error()
+			}
+			s.watchMu.Lock()
+			sound := err == nil && !g.gap.Swap(false)
+			for m := range g.members {
+				if sound {
+					select {
+					case m.frames <- f:
+						continue
+					default:
+					}
+				}
+				s.mWatchDropped.Inc()
+				g.end(m, "lagged", why)
+			}
+			s.watchMu.Unlock()
+		}
+	}
+}
+
+// sseFrame encodes one Server-Sent Event with a JSON data payload.
+func sseFrame(event string, data any) []byte {
+	b, _ := json.Marshal(data) // cannot fail: the event types hold strings and ints only
+	return fmt.Appendf(nil, "event: %s\ndata: %s\n\n", event, b)
 }

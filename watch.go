@@ -3,7 +3,7 @@ package provrpq
 import (
 	"fmt"
 
-	"provrpq/internal/derive"
+	"provrpq/internal/core"
 )
 
 // Standing queries: the paper's dynamic-label property (Section II-B) makes
@@ -13,8 +13,9 @@ import (
 // over pre-existing node pairs, and every *new* match must involve at least
 // one node the batch created. Watching a safe query therefore costs one
 // snapshot at registration plus, per append, a delta over only the pairs
-// that involve a batch node: O(batch × run) pairwise label decodes, never a
-// re-evaluation of the whole run.
+// that involve a batch node — found by walking the batch's label trie
+// against a retained trie of the older nodes (internal/core's standing.go)
+// in O(batch·depth·fan-out + output), never a pass over the run.
 //
 // Unsafe queries have no such property: their evaluation consults the
 // grown adjacency, so an edges-only batch (which creates no nodes) can
@@ -84,50 +85,80 @@ func (c *Catalog) notifyAppend(ev AppendEvent) {
 	}
 }
 
-// DeltaPairs evaluates the standing-query delta of one append event: the
-// safe-query matches of ev.Run that involve at least one batch node. The
-// union of a full evaluation at version V and the deltas of every event
-// after V equals a full evaluation at the latest version — the invariant
-// the differential tests pin down. An edges-only batch yields no delta.
-//
-// The scan is pure label decoding — 2·newNodes·runNodes constant-time
-// pairwise checks against the event's immutable run version — so it needs
-// no engine, no index, and no locks beyond the plan cache's.
-func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
-	if ev.Run == nil || q == nil {
-		return nil, fmt.Errorf("provrpq: DeltaPairs: nil run or query")
-	}
-	env, err := c.plans.c.Get(ev.Run.r.Spec, q.node)
-	if err != nil {
-		return nil, err
-	}
-	if !env.Safe() {
-		return nil, fmt.Errorf("%w: %s", ErrUnsafeWatch, q)
+// StandingQuery is the retained delta evaluator of one watched (run, query):
+// it keeps the tree representation and DFA state vectors of the nodes it has
+// seen (about 270 bytes per node, and no reference to any run version), so
+// the delta of an event that directly succeeds the last one costs
+// O(batch·depth·fan-out + output) whatever the run's size. Any other event —
+// the first, a skipped or repeated version, another run — rebuilds that state
+// from the event's own run, which is always sound because labels never
+// change. The state lives exactly as long as the value: a watcher that goes
+// away takes it along. Not safe for concurrent use.
+type StandingQuery struct {
+	c *Catalog
+	q *Query
+	// env is q compiled against the specification of the last event's run,
+	// st the evaluator over it; run and version name that event.
+	env      *core.Env
+	st       *core.Standing
+	run      string
+	version  int
+	rebuilds int
+}
+
+// NewStandingQuery returns a delta evaluator for q with nothing retained yet.
+func (c *Catalog) NewStandingQuery(q *Query) *StandingQuery {
+	return &StandingQuery{c: c, q: q}
+}
+
+// Rebuilds counts how often Delta built its retained state from scratch, the
+// first event included.
+func (s *StandingQuery) Rebuilds() int { return s.rebuilds }
+
+// Delta evaluates the standing-query delta of one append event: the
+// safe-query matches of ev.Run that involve at least one batch node, sorted
+// by (From, To). The union of a full evaluation at version V and the deltas
+// of every event after V equals a full evaluation at the latest version —
+// the invariant the differential tests pin down. An edges-only batch yields
+// no delta.
+func (s *StandingQuery) Delta(ev AppendEvent) ([]Pair, error) {
+	if ev.Run == nil || s.q == nil {
+		return nil, fmt.Errorf("provrpq: standing-query delta: nil run or query")
 	}
 	r := ev.Run.r
-	n := r.NumNodes()
-	lo := int(ev.FirstNewNode)
-	if lo < 0 || lo > n {
-		return nil, fmt.Errorf("provrpq: DeltaPairs: first new node %d outside run of %d nodes", lo, n)
+	lo, hi := int(ev.FirstNewNode), int(ev.FirstNewNode)+ev.NewNodes
+	if lo < 0 || hi < lo || hi > r.NumNodes() {
+		return nil, fmt.Errorf("provrpq: standing-query delta: batch nodes [%d,%d) outside run of %d nodes", lo, hi, r.NumNodes())
 	}
-	d := env.NewDecoder() // one for the whole delta: no pool round trip per pair
-	var out []Pair
-	for u := lo; u < n; u++ {
-		ub := r.LabelBytes(derive.NodeID(u))
-		for v := 0; v < n; v++ {
-			vb := r.LabelBytes(derive.NodeID(v))
-			// u → v covers every pair whose source is new; old → u covers
-			// the rest (new → new sources are already in the u loop).
-			if d.PairwiseBytesUnchecked(ub, vb) {
-				out = appendPair(out, Pair{NodeID(u), NodeID(v)})
-			}
-			if v < lo && d.PairwiseBytesUnchecked(vb, ub) {
-				out = appendPair(out, Pair{NodeID(v), NodeID(u)})
-			}
+	if s.env == nil || s.env.Spec != r.Spec {
+		env, err := s.c.plans.c.Get(r.Spec, s.q.node)
+		if err != nil {
+			return nil, err
 		}
+		st, err := env.NewStanding()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s", ErrUnsafeWatch, s.q)
+		}
+		s.env, s.st = env, st
+	} else if ev.RunName != s.run || ev.Version != s.version+1 {
+		s.st.Reset()
 	}
+	s.run, s.version = ev.RunName, ev.Version
+	var out []Pair
+	was := s.st.Rebuilds
+	s.st.Delta(r, lo, hi, func(from, to int) {
+		out = appendPair(out, Pair{NodeID(from), NodeID(to)})
+	})
+	s.rebuilds += s.st.Rebuilds - was
 	sortPairs(out)
 	return out, nil
+}
+
+// DeltaPairs is the one-shot form of StandingQuery.Delta: state built for
+// ev and dropped, a pass over the run per call. A watcher keeps a
+// StandingQuery instead.
+func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
+	return c.NewStandingQuery(q).Delta(ev)
 }
 
 // EngineAt returns the engine of the named run's current published version

@@ -247,3 +247,125 @@ func TestDeltaPairsSorted(t *testing.T) {
 		t.Skip("no safe query produced a non-empty delta for this fixture")
 	}
 }
+
+// TestStandingQueryRebuildsAndStaysExact: a StandingQuery answers from
+// retained state only for the direct successor of the last event it saw. A
+// skipped and a repeated event each force a rebuild, and so do the events
+// after a CompactRun and, with a fresh evaluator, after a durable reopen — a
+// run whose labels are decoded from the column, Node.Label nil — answer
+// exactly: every delta is the full evaluation's pairs with a batch endpoint.
+func TestStandingQueryRebuildsAndStaysExact(t *testing.T) {
+	for _, qs := range []string{"_*", "_*.s._*.publish"} {
+		t.Run(qs, func(t *testing.T) { standingQueryRebuilds(t, MustParseQuery(qs)) })
+	}
+}
+
+func standingQueryRebuilds(t *testing.T, q *Query) {
+	spec := introSpec(t)
+	full, err := spec.Derive(DeriveOptions{Seed: 11, TargetEdges: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullJSON, err := EncodeRun(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.NumNodes()
+	cuts := []int{n / 2}
+	for c := n/2 + 5; c < n; c += 5 {
+		cuts = append(cuts, c)
+	}
+	baseJSON, batchJSONs := splitEncodedRun(t, fullJSON, append(cuts, n))
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog(CatalogOptions{Store: st})
+	if err := cat.RegisterSpec("wf", spec); err != nil {
+		t.Fatal(err)
+	}
+	base, err := DecodeRun(spec, baseJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddRun("r1", "wf", base); err != nil {
+		t.Fatal(err)
+	}
+	var sq *StandingQuery
+	// step appends the next batch and checks the delta of its event; deliver
+	// says whether sq sees the event at all.
+	step := func(i int, deliver bool, wantRebuild bool, why string) AppendEvent {
+		t.Helper()
+		var ev AppendEvent
+		cancel := cat.SubscribeAppends(func(e AppendEvent) { ev = e })
+		defer cancel()
+		s, _ := cat.Spec("wf")
+		b, err := DecodeBatch(s, batchJSONs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cat.AppendEdges("r1", b); err != nil {
+			t.Fatal(err)
+		}
+		if deliver {
+			checkStandingDelta(t, sq, ev, q, wantRebuild, why)
+		}
+		return ev
+	}
+	sq = cat.NewStandingQuery(q)
+	step(0, true, true, "the first event")
+	ev1 := step(1, true, false, "a direct successor")
+	step(2, false, false, "")
+	step(3, true, true, "the event after a skipped one")
+	step(4, true, false, "a direct successor")
+	checkStandingDelta(t, sq, ev1, q, true, "a repeated event")
+	step(5, true, true, "the event after a repeated one")
+	if _, err := cat.CompactRun("r1"); err != nil {
+		t.Fatal(err)
+	}
+	// Compaction rewrites how the version is stored, not the version: the
+	// sequence continues and the retained state stays good.
+	step(6, true, false, "a direct successor after a compaction")
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cat, err = NewCatalogFromStore(st2, CatalogOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	sq = cat.NewStandingQuery(q)
+	ev := step(7, true, true, "the first event after a reopen")
+	if ev.Run.r.Nodes[0].Label != nil {
+		t.Fatal("fixture: the reopened run carries materialized labels")
+	}
+	step(8, true, false, "a direct successor after a reopen")
+}
+
+// checkStandingDelta checks one StandingQuery.Delta against the full
+// evaluation of the event's run, and whether it rebuilt.
+func checkStandingDelta(t *testing.T, sq *StandingQuery, ev AppendEvent, q *Query, wantRebuild bool, why string) {
+	t.Helper()
+	before := sq.Rebuilds()
+	got, err := sq.Delta(ev)
+	if err != nil {
+		t.Fatalf("%s: %v", why, err)
+	}
+	if rebuilt := sq.Rebuilds() != before; rebuilt != wantRebuild {
+		t.Fatalf("%s: rebuilt = %v, want %v", why, rebuilt, wantRebuild)
+	}
+	all, err := NewEngine(ev.Run).Evaluate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Pair
+	for _, p := range all {
+		if hi := ev.FirstNewNode + NodeID(ev.NewNodes); (p.From >= ev.FirstNewNode || p.To >= ev.FirstNewNode) && p.From < hi && p.To < hi {
+			want = append(want, p)
+		}
+	}
+	if err := samePairs(got, want); err != nil || (len(want) == 0 && q.String() == "_*") {
+		t.Fatalf("%s: delta of version %d vs the full evaluation's %d batch pairs: %v", why, ev.Version, len(want), err)
+	}
+}
