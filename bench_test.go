@@ -1,6 +1,7 @@
 package provrpq_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -189,6 +190,36 @@ func BenchmarkEngineEvaluateSafe(b *testing.B) {
 		if _, err := eng.Evaluate(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEvaluateDense4K is the evaluation inside the served read-dense
+// benchmark: its densest pool query, _*.p6_8._* on the 4K-edge BioAID fixture
+// (117,827 pairs), as the whole list and as one page of 1,000 pairs from the
+// middle. A page costs the count pass and its window's rows, not the result.
+func BenchmarkEvaluateDense4K(b *testing.B) {
+	d := workload.BioAID()
+	run, err := derive.Derive(d.Spec, derive.Options{Seed: 20150413, TargetEdges: 4000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, q := provrpq.NewEngine(rehydrate(b, d, run)), provrpq.MustParseQuery("_*.p6_8._*")
+	for _, w := range []struct {
+		name          string
+		offset, limit int
+	}{{"full", 0, -1}, {"page", 58000, 1000}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			pairs := 0
+			for i := 0; i < b.N; i++ {
+				rows, _, err := eng.EvaluateRows(context.Background(), q, w.offset, w.limit)
+				if err != nil || rows.Total() != 117827 {
+					b.Fatalf("%v, %d pairs, want 117827", err, rows.Total())
+				}
+				pairs += rows.Len()
+			}
+			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package provrpq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -264,10 +265,12 @@ func (c *Catalog) Explain(runName string, q *Query) (*PlanReport, error) {
 
 // BatchResult is one (run, query) cell of an EvaluateBatch answer. Err is
 // per-item: one failing cell (unknown run, failing compile) never blocks
-// the rest of the batch.
+// the rest of the batch. Rows is the cell's whole result; Pairs is its
+// expansion, which only EvaluateBatch fills.
 type BatchResult struct {
 	Run   string
 	Query string
+	Rows  *Rows
 	Pairs []Pair
 	Err   error
 }
@@ -279,7 +282,22 @@ type BatchResult struct {
 // run. Results arrive run-major (all queries of runNames[0], then
 // runNames[1], …), each cell carrying its own error; the result order is
 // deterministic and independent of the worker count.
+//
+//provrpq:ctxroot
 func (c *Catalog) EvaluateBatch(runNames []string, queries []*Query) []BatchResult {
+	out := c.EvaluateBatchRows(context.Background(), runNames, queries)
+	for i := range out {
+		if out[i].Err == nil {
+			out[i].Pairs = out[i].Rows.Pairs()
+		}
+	}
+	return out
+}
+
+// EvaluateBatchRows is EvaluateBatch leaving each cell's result as rows
+// (Engine.EvaluateRows), for a caller that serializes them; once ctx is done
+// the cells still running or not yet begun fail with ctx.Err().
+func (c *Catalog) EvaluateBatchRows(ctx context.Context, runNames []string, queries []*Query) []BatchResult {
 	if len(runNames) == 0 {
 		runNames = c.reg.RunNames()
 	}
@@ -296,7 +314,7 @@ func (c *Catalog) EvaluateBatch(runNames []string, queries []*Query) []BatchResu
 			if err != nil {
 				res.Err = err
 			} else {
-				res.Pairs, res.Err = eng.Evaluate(q)
+				res.Rows, _, res.Err = eng.EvaluateRows(ctx, q, 0, -1)
 			}
 			out[i] = res
 		}

@@ -2,6 +2,7 @@ package provrpq
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -174,12 +175,11 @@ type EngineOptions struct {
 // exactly once.
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
-// any mix of its methods. All-pairs scans additionally fan the per-pair
-// work out across a bounded worker pool (EngineOptions.Workers); per-shard
-// results are merged back in shard order, so a parallel scan always returns
-// the same pair set as a serial one, in an order that is deterministic for
-// a given worker count (the RPL nested-loop scan preserves the serial order
-// exactly).
+// any mix of its methods. All-pairs scans additionally fan the work out
+// across a bounded worker pool (EngineOptions.Workers) by contiguous shards of
+// sources, so a parallel scan returns what a serial one does: Evaluate and
+// EvaluateRows in (From, To) order always, AllPairs with the shards merged
+// back in shard order.
 type Engine struct {
 	run     *Run
 	plans   *plancache.Cache
@@ -441,17 +441,12 @@ func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 	return out, nil
 }
 
-// scanSafe is the one label-scan entry: it runs the given strategy of one
-// planner decision over l1 × l2, then feeds the strategy, the decode units
-// the model estimated for it and the elapsed wall time back into the
-// measured cost model and the exported histograms. This is the calibration
-// loop behind plan.NewWithTimings — after enough observations the planner
-// weighs estimates by what a unit of each strategy actually costs here,
-// not by the static constant. RPL and OptRPL need a safe env; Seeded
-// verifies its candidates itself and also accepts an unsafe one. Label
-// slices are built only by the arms that scan them — the seeded path works
-// from node ids — and an l1 that is l2 (a full evaluation) stays one list,
-// which the scans below recognise and sort once.
+// scanSafe runs the given strategy of one planner decision over l1 × l2,
+// pair by pair, for AllPairs. RPL and OptRPL need a safe env; Seeded verifies
+// its candidates itself and also accepts an unsafe one. Label slices are
+// built only by the arms that scan them — the seeded path works from node
+// ids — and an l1 that is l2 stays one list, which the scans recognise and
+// sort once.
 func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strategy, l1, l2 []NodeID, emit func(i, j int)) error {
 	start := time.Now()
 	oneList := len(l1) == len(l2) && (len(l1) == 0 || &l1[0] == &l2[0])
@@ -469,22 +464,56 @@ func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strate
 		if !oneList {
 			lb = e.labelsOf(l2)
 		}
-		cs := core.OptRPL
-		if strategy == plan.RPL {
-			cs = core.RPL
-		}
-		err = env.AllPairsSafeParallel(la, lb, cs, e.workers, emit)
+		err = env.AllPairsSafeParallel(la, lb, labelScan(strategy), e.workers, emit)
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		observeScan(dec, strategy, start, time.Now())
 	}
-	d, units := time.Since(start), dec.UnitCost(strategy)
-	plan.SharedTimings().Observe(strategy, units, d)
-	mEvalSeconds.With(strategy.String()).Observe(d.Seconds())
+	return err
+}
+
+// labelScan maps the planner's two label scans onto core's.
+func labelScan(s plan.Strategy) core.AllPairsStrategy {
+	if s == plan.RPL {
+		return core.RPL
+	}
+	return core.OptRPL
+}
+
+// observeScan records one evaluation by a strategy that began at start and
+// wrote its last pair at scanned. The scan alone, with the decode units the
+// model estimated for it, feeds the measured cost model — the calibration loop
+// behind plan.NewWithTimings, which once warm weighs estimates by what a unit
+// of each strategy costs here, not by the static constant; the whole of it,
+// ordering the result included, is what provrpq_eval_seconds reports.
+func observeScan(dec plan.Decision, strategy plan.Strategy, start, scanned time.Time) {
+	units := dec.UnitCost(strategy)
+	plan.SharedTimings().Observe(strategy, units, scanned.Sub(start))
 	if units > 0 {
 		mEvalUnits.With(strategy.String()).Observe(units)
 	}
-	return nil
+	observeEvalLatency(strategy.String(), start)
+}
+
+// scanRows is scanSafe for a full evaluation into the window's rows: the
+// strategy counts, then fills, core.Rows — no pair is emitted — and stops
+// with ctx.Err() at its next block once ctx is done.
+func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision, strategy plan.Strategy, offset, limit int) (*Rows, error) {
+	start := time.Now()
+	var rows *core.Rows
+	var err error
+	if strategy == plan.Seeded {
+		rows, err = plan.SeededRows(ctx, env, e.index(), dec, e.run.r.AllNodes(), offset, limit)
+	} else {
+		rows, err = env.SafeRows(ctx, e.labels(), labelScan(strategy), e.workers, offset, limit)
+	}
+	if err != nil {
+		return nil, err
+	}
+	scanned := time.Now()
+	rows.Order()
+	observeScan(dec, strategy, start, scanned)
+	return &Rows{rows}, nil
 }
 
 // PlanReport describes how the engine would evaluate a query: the safety
@@ -584,57 +613,97 @@ func decomposedReport(q *Query, grep *core.EvalReport) *PlanReport {
 	}
 }
 
-// Evaluate returns the query's full result relation over all node pairs:
-// safe queries run the planner-chosen all-pairs strategy, unsafe queries
-// are decomposed into maximal safe subtrees plus a relational remainder
-// (Section IV-B), with the cost model choosing per subtree. Safe scans run
-// on the engine's worker pool. Pairs are sorted by (From, To).
+// Rows is a window of a query's result, held as rows and read-only: per
+// source, increasing, its targets, increasing — the (From, To) order of
+// Evaluate, without a Pair being stored.
+type Rows struct{ r *core.Rows }
+
+// Total returns the number of pairs in the whole result, whatever the window.
+func (r *Rows) Total() int { return r.r.Total() }
+
+// Len returns the number of pairs in the window.
+func (r *Rows) Len() int { return r.r.Len() }
+
+// Each calls fn with every source that has pairs in the window and its
+// targets there — node ids, at the width rows are stored at, which fn must
+// not keep or write to — until fn returns false.
+func (r *Rows) Each(fn func(from NodeID, to []int32) bool) {
+	r.r.Each(func(u int, to []int32) bool { return fn(NodeID(u), to) })
+}
+
+// Pairs returns the window as pairs sorted by (From, To), nil when empty.
+func (r *Rows) Pairs() []Pair {
+	if r.Len() == 0 {
+		return nil
+	}
+	out := make([]Pair, 0, r.Len())
+	r.r.Each(func(u int, to []int32) bool {
+		for _, v := range to {
+			out = append(out, Pair{From: NodeID(u), To: NodeID(v)})
+		}
+		return true
+	})
+	return out
+}
+
+// Evaluate returns the query's full result relation over all node pairs,
+// sorted by (From, To): the whole window of EvaluateRows, as pairs.
 func (e *Engine) Evaluate(q *Query) ([]Pair, error) {
 	out, _, err := e.EvaluatePlanned(q)
 	return out, err
 }
 
 // EvaluatePlanned is Evaluate returning the plan report alongside the
-// pairs, so callers (the HTTP service, rpqcli) can surface which strategy
-// actually answered. A safe query is planned exactly once: the report, the
-// scan and the strategy label on provrpq_eval_seconds all come from that
-// one decision.
+// pairs, so callers (rpqcli) can surface which strategy actually answered.
+//
+//provrpq:ctxroot
 func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
+	rows, rep, err := e.EvaluateRows(context.Background(), q, 0, -1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows.Pairs(), rep, nil
+}
+
+// EvaluateRows evaluates the query over all node pairs and returns the
+// window [offset, offset+limit) of its result — to the end when limit < 0 —
+// with the plan report: safe queries run the planner-chosen all-pairs
+// strategy on the engine's worker pool, unsafe queries are decomposed into
+// maximal safe subtrees plus a relational remainder (Section IV-B), with the
+// cost model choosing per subtree. A safe query is planned exactly once: the
+// report, the scan and the strategy label on provrpq_eval_seconds all come
+// from that one decision. Its scan first only counts, which gives the total
+// and every row's place, then writes the rows the window meets into one
+// array of their size: a page costs the count pass plus its own pairs, and
+// nothing is sorted but a row whose targets arrived out of order. Once ctx is
+// done the evaluation returns ctx.Err() at its next block of pairs.
+func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) (*Rows, *PlanReport, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	env, err := e.env(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !env.Safe() {
-		// The evaluation itself produces the decomposition report — no
-		// separate planning pass — and the relation's rows are already in
-		// (From, To) order.
-		start := time.Now()
-		rel, grep, err := e.general().Eval(q.node)
-		if err != nil {
-			return nil, nil, err
-		}
-		var out []Pair // nil when empty, like the safe path's
-		if n := rel.Len(); n > 0 {
-			out = make([]Pair, 0, n)
-		}
-		rel.Each(func(u, v derive.NodeID) {
-			out = append(out, Pair{From: NodeID(u), To: NodeID(v)})
-		})
-		observeEvalLatency("decompose", start)
-		return out, decomposedReport(q, grep), nil
+	if env.Safe() {
+		n := e.run.NumNodes()
+		dec := e.planner().Plan(env, n, n)
+		rows, err := e.scanRows(ctx, env, dec, dec.Strategy, offset, limit)
+		return rows, safeReport(q, dec), err
 	}
-	all := e.run.AllNodes()
-	dec := e.planner().Plan(env, len(all), len(all))
-	var out []Pair
-	if err := e.scanSafe(env, dec, dec.Strategy, all, all, func(i, j int) {
-		out = appendPair(out, Pair{From: all[i], To: all[j]})
-	}); err != nil {
+	// The evaluation itself produces the decomposition report — no separate
+	// planning pass — and its relation is rows in order already.
+	start := time.Now()
+	rel, grep, err := e.general().EvalContext(ctx, q.node)
+	if err != nil {
 		return nil, nil, err
 	}
-	// Match the relational path's deterministic (From, To) order — the
-	// strategies emit in their own scan orders.
-	sortPairs(out)
-	return out, safeReport(q, dec), nil
+	rows, err := core.RowsOf(ctx, rel, e.run.NumNodes(), offset, limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	observeEvalLatency("decompose", start)
+	return &Rows{rows}, decomposedReport(q, grep), nil
 }
 
 // appendPair is append with doubling growth: result lists run to millions of
@@ -646,11 +715,8 @@ func appendPair(out []Pair, p Pair) []Pair {
 	return append(out, p)
 }
 
-// sortPairs orders pairs by (From, To) in place, allocating nothing. A
-// counting sort over the dense ids is faster per call, but needs a scratch
-// copy of the result on every request: on a heap as small as a served
-// run's, that garbage comes back as collector and page-fault time that
-// differs from one process to the next.
+// sortPairs orders the pairs a standing-query delta emitted by (From, To), in
+// place.
 func sortPairs(ps []Pair) {
 	slices.SortFunc(ps, func(a, b Pair) int {
 		if a.From != b.From {

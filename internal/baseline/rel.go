@@ -29,8 +29,9 @@ type Rel struct {
 // NewRel returns an empty relation.
 func NewRel() *Rel { return &Rel{} }
 
-// row returns the targets of u, nil for a source past the last row.
-func (r *Rel) row(u derive.NodeID) []int32 {
+// Row returns the targets of u, increasing, nil for a source past the last
+// row. The caller must not write to it.
+func (r *Rel) Row(u derive.NodeID) []int32 {
 	if int(u) < len(r.rows) {
 		return r.rows[u]
 	}
@@ -106,7 +107,7 @@ func mergeRows(dst, a, b []int32) []int32 {
 
 // Has reports membership.
 func (r *Rel) Has(u, v derive.NodeID) bool {
-	_, found := slices.BinarySearch(r.row(u), int32(v))
+	_, found := slices.BinarySearch(r.Row(u), int32(v))
 	return found
 }
 
@@ -148,7 +149,7 @@ func AllPairsIn(r *Rel, l1, l2 []derive.NodeID, emit func(i, j int)) {
 	var js []int32
 	for i, u := range l1 {
 		js = js[:0]
-		for _, v := range r.row(u) {
+		for _, v := range r.Row(u) {
 			if int(v) >= len(head) {
 				break // rows are sorted: no later target is in l2 either
 			}
@@ -230,7 +231,7 @@ func (r *Rel) Union(s *Rel) *Rel {
 	out := &Rel{rows: make([][]int32, len(r.rows))}
 	sl := slab{buf: make([]int32, 0, r.n+s.n)}
 	for u, a := range r.rows {
-		b := s.row(derive.NodeID(u))
+		b := s.Row(derive.NodeID(u))
 		out.rows[u] = mergeRows(sl.take(len(a)+len(b)), a, b)
 		out.n += len(out.rows[u])
 	}
@@ -252,7 +253,7 @@ func compose(r, s *Rel, withR bool) *Rel {
 			if withR {
 				m.add(v)
 			}
-			for _, w := range s.row(derive.NodeID(v)) {
+			for _, w := range s.Row(derive.NodeID(v)) {
 				m.add(w)
 			}
 		}
@@ -279,7 +280,7 @@ func (r *Rel) Closure() *Rel {
 		for len(delta) > 0 {
 			v := delta[len(delta)-1]
 			delta = delta[:len(delta)-1]
-			for _, w := range r.row(derive.NodeID(v)) {
+			for _, w := range r.Row(derive.NodeID(v)) {
 				if m.add(w) {
 					delta = append(delta, w)
 				}

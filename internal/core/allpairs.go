@@ -53,6 +53,12 @@ func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrate
 		s.blocks(func(b block) { b.each(emit) })
 		return nil
 	}
+	return e.rplPairs(nil, l1, l2, workers, emit)
+}
+
+// rplPairs is the RPL scan; once done fires (nil never does) every shard
+// stops at its next l1 label.
+func (e *Env) rplPairs(done <-chan struct{}, l1, l2 []label.Label, workers int, emit func(i, j int)) error {
 	st := e.state.Load()
 	if !st.safe {
 		return ErrUnsafe
@@ -65,6 +71,11 @@ func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrate
 		d := e.decoder() // pooled: each worker borrows a warm decoder
 		defer e.release(d)
 		for i := lo; i < hi; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
 			for j, b := range l2 {
 				if d.PairwiseUnchecked(l1[i], b) {
 					out([2]int{i, j})

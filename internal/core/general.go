@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -9,7 +10,6 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/label"
-	"provrpq/internal/parallel"
 	"provrpq/internal/wf"
 )
 
@@ -102,7 +102,15 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 
 // Eval returns the full result relation of the query over the run, along
 // with a decomposition report.
+//
+//provrpq:ctxroot
 func (g *General) Eval(q *automata.Node) (*baseline.Rel, *EvalReport, error) {
+	return g.EvalContext(context.Background(), q)
+}
+
+// EvalContext is Eval ended with ctx.Err() once ctx is done: at the next
+// block of a safe subtree's walk, or the next relational operator.
+func (g *General) EvalContext(ctx context.Context, q *automata.Node) (*baseline.Rel, *EvalReport, error) {
 	q = automata.Simplify(q)
 	rep := &EvalReport{}
 	env, err := g.envFor(q)
@@ -110,7 +118,7 @@ func (g *General) Eval(q *automata.Node) (*baseline.Rel, *EvalReport, error) {
 		return nil, nil, err
 	}
 	rep.Safe = env.Safe()
-	rel, err := g.eval(q, rep)
+	rel, err := g.eval(ctx, q, rep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -176,7 +184,10 @@ func (g *General) envFor(q *automata.Node) (*Env, error) {
 	return v.(*Env), nil
 }
 
-func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error) {
+func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport) (*baseline.Rel, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if g.strategy != RelationalOnly && q.Kind != automata.KindSym &&
 		q.Kind != automata.KindWild && q.Kind != automata.KindEps {
 		env, err := g.envFor(q)
@@ -185,7 +196,7 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 		}
 		if env.Safe() && (g.strategy != CostBased || g.safeCheaper(q)) {
 			rep.SafeSubtrees = append(rep.SafeSubtrees, q.String())
-			return g.safeEval(env)
+			return g.safeEval(ctx, env)
 		}
 	}
 	rep.RelationalNodes++
@@ -196,12 +207,12 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 		if len(q.Children) == 0 {
 			return g.g1.Eval(automata.Eps()), nil
 		}
-		rel, err := g.eval(q.Children[0], rep)
+		rel, err := g.eval(ctx, q.Children[0], rep)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range q.Children[1:] {
-			next, err := g.eval(c, rep)
+			next, err := g.eval(ctx, c, rep)
 			if err != nil {
 				return nil, err
 			}
@@ -212,12 +223,12 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 		if len(q.Children) == 0 {
 			return baseline.NewRel(), nil
 		}
-		rel, err := g.eval(q.Children[0], rep)
+		rel, err := g.eval(ctx, q.Children[0], rep)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range q.Children[1:] {
-			next, err := g.eval(c, rep)
+			next, err := g.eval(ctx, c, rep)
 			if err != nil {
 				return nil, err
 			}
@@ -225,19 +236,19 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 		}
 		return rel, nil
 	case automata.KindStar:
-		r, err := g.eval(q.Children[0], rep)
+		r, err := g.eval(ctx, q.Children[0], rep)
 		if err != nil {
 			return nil, err
 		}
 		return r.Closure().Union(baseline.IdentityRel(g.run)), nil
 	case automata.KindPlus:
-		r, err := g.eval(q.Children[0], rep)
+		r, err := g.eval(ctx, q.Children[0], rep)
 		if err != nil {
 			return nil, err
 		}
 		return r.Closure(), nil
 	case automata.KindOpt:
-		r, err := g.eval(q.Children[0], rep)
+		r, err := g.eval(ctx, q.Children[0], rep)
 		if err != nil {
 			return nil, err
 		}
@@ -247,46 +258,25 @@ func (g *General) eval(q *automata.Node, rep *EvalReport) (*baseline.Rel, error)
 }
 
 // safeEval computes the subquery's relation over all node pairs with the
-// optRPL walk, sharded across the evaluator's worker pool: each shard fills
-// its own range of rows, and the relation then orders each row once.
-func (g *General) safeEval(env *Env) (*baseline.Rel, error) {
+// optRPL walk, sharded across the evaluator's worker pool into one set of rows
+// (rows.go), which the relation then takes over and orders.
+func (g *General) safeEval(ctx context.Context, env *Env) (*baseline.Rel, error) {
 	s, err := env.newOptScan(g.labels, g.labels, g.workers)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.rows(ctx, 0, -1)
 	if err != nil {
 		return nil, err
 	}
 	// A label's list index is its node id, on both sides.
 	rows := make([][]int32, len(g.labels))
-	parallel.Do(len(s.l1), s.workers, func(_, lo, hi int) {
-		s.walkShard(lo, hi, func(w *fusedWalk) { fillRows(w, rows[lo:hi]) })
-	})
+	for u := range rows {
+		rows[u] = r.row(u)
+	}
 	out := baseline.NewRel()
 	out.AddRows(rows)
 	return out, nil
-}
-
-// fillRows writes one shard's result into rows, one row of l2 indices per l1
-// index of the shard. The walk hands over cross products of leaf buckets, so
-// it runs twice: once adding up block sizes, which gives every row's length
-// before a pair is written, and once appending each block's targets to its
-// sources' rows, carved from one exactly sized array.
-func fillRows(w *fusedWalk, rows [][]int32) {
-	sizes := make([]int, len(rows))
-	total := 0
-	w.run(func(b block) {
-		for _, x := range b.xs {
-			sizes[x] += len(b.ys)
-		}
-		total += len(b.xs) * len(b.ys)
-	})
-	buf := make([]int32, total)
-	for x, n := range sizes {
-		rows[x], buf = buf[:0:n], buf[n:]
-	}
-	w.run(func(b block) {
-		for _, x := range b.xs {
-			rows[x] = append(rows[x], b.ys...)
-		}
-	})
 }
 
 // safeCheaper is the cost model (future work 1): label-based evaluation

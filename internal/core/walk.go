@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/bits"
 
 	"provrpq/internal/label"
@@ -222,25 +223,51 @@ func (e *Env) newOptScan(l1, l2 []label.Label, workers int) (*optScan, error) {
 	return s, nil
 }
 
-// walkShard hands fn the walk of the l1 shard [lo, hi), on a Decoder borrowed
-// for the call. A shard that is l2 itself — an unsharded scan of a list
-// against itself — walks the l2 trie against itself.
-func (s *optScan) walkShard(lo, hi int, fn func(*fusedWalk)) {
+// shardWalk prepares the walk of the l1 shard [lo, hi) on a Decoder borrowed
+// from the pool, for the caller to hand back (e.release(w.d)). A shard that is
+// l2 itself — an unsharded scan of a list against itself — walks the l2 trie
+// against itself.
+func (s *optScan) shardWalk(lo, hi int) *fusedWalk {
 	d := s.e.decoder()
-	defer s.e.release(d)
 	t1 := s.t2
 	if hi-lo != len(s.l2) || &s.l1[lo] != &s.l2[0] {
 		t1 = reach.NewTrie(s.l1[lo:hi])
 	}
-	fn(d.newWalk(t1, s.t2, d.leafVectors(t1, true), s.y, lo))
+	return d.newWalk(t1, s.t2, d.leafVectors(t1, true), s.y, lo)
 }
 
 // blocks runs the scan and hands its blocks to emit on the calling
 // goroutine, shard after shard.
 func (s *optScan) blocks(emit func(block)) {
 	parallel.Gather(len(s.l1), s.workers, func(_, lo, hi int, out func(block)) {
-		s.walkShard(lo, hi, func(w *fusedWalk) { w.run(out) })
+		w := s.shardWalk(lo, hi)
+		defer s.e.release(w.d)
+		w.run(out)
 	}, emit)
+}
+
+// rows runs the scan into Rows (rows.go): each shard's walk is built once,
+// runs in both passes, and owns the rows of its sources.
+func (s *optScan) rows(ctx context.Context, offset, limit int) (*Rows, error) {
+	walks := make([]*fusedWalk, parallel.Workers(s.workers))
+	defer func() {
+		for _, w := range walks {
+			if w != nil {
+				s.e.release(w.d)
+			}
+		}
+	}()
+	return buildRows(ctx, len(s.l1), offset, limit, func(emit func(block)) {
+		parallel.Do(len(s.l1), s.workers, func(shard, lo, hi int) {
+			if walks[shard] == nil && ctx.Err() == nil {
+				walks[shard] = s.shardWalk(lo, hi)
+				walks[shard].done = ctx.Done()
+			}
+			if w := walks[shard]; w != nil {
+				w.run(emit)
+			}
+		})
+	})
 }
 
 // AllPairsSafeTries is the OptRPL scan over prebuilt tree representations,
@@ -257,6 +284,19 @@ func (e *Env) AllPairsSafeTries(t1, t2 *reach.Trie, emit func(i, j int)) error {
 	return nil
 }
 
+// RowsSafeTries is AllPairsSafeTries into Rows, for tries that index one list
+// of n labels on both sides: the seeded strategy's candidate sub-tries.
+func (e *Env) RowsSafeTries(ctx context.Context, t1, t2 *reach.Trie, n, offset, limit int) (*Rows, error) {
+	d := e.decoder()
+	if d == nil {
+		return nil, ErrUnsafe
+	}
+	defer e.release(d)
+	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false), 0)
+	w.done = ctx.Done()
+	return buildRows(ctx, n, offset, limit, w.run)
+}
+
 // newWalk prepares the walk of t1 — the trie of the l1 shard starting at
 // index lo, with its up vectors x — against t2 with its down vectors y.
 func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y leafVecs, lo int) *fusedWalk {
@@ -271,6 +311,10 @@ type fusedWalk struct {
 	permX, permY []int32    // t1.Perm and t2.Perm
 	lo           int        // every emitted block's lo
 	emit         func(block)
+	// done, once it fires (nil never does), ends a run at its next block:
+	// nothing more is emitted and the recursion unwinds.
+	done    <-chan struct{}
+	stopped bool
 	// parts is scratch for one iteration's mid-applied buckets in
 	// walkRecursive; tests counts bucket-pair tests for the work-bound test.
 	parts []bucket
@@ -280,17 +324,30 @@ type fusedWalk struct {
 // run walks the tries and hands every block of the result to emit. A walk
 // may run more than once: each run emits the same blocks in the same order.
 func (w *fusedWalk) run(emit func(block)) {
-	w.emit = emit
+	w.emit, w.stopped = emit, false
 	w.walk(w.t1.Root, w.t2.Root)
+}
+
+// out hands one block to the consumer, or stops the run if done has fired.
+func (w *fusedWalk) out(b block) {
+	select {
+	case <-w.done:
+		w.stopped = true
+	default:
+		w.emit(b)
+	}
 }
 
 // walk processes two trie nodes known to represent the same parse-tree node
 // (equal label prefixes).
 func (w *fusedWalk) walk(a, b *reach.TrieNode) {
+	if w.stopped {
+		return
+	}
 	// Own leaves on both sides carry the same full label: the same run
 	// node, matched by the empty path alone.
 	if ai, bj := ownLeavesEnd(a), ownLeavesEnd(b); ai > a.Lo && bj > b.Lo && w.d.e.MatchesEmpty() {
-		w.emit(block{w.lo, w.permX[a.Lo:ai], w.permY[b.Lo:bj]})
+		w.out(block{w.lo, w.permX[a.Lo:ai], w.permY[b.Lo:bj]})
 	}
 	if len(a.Children) == 0 || len(b.Children) == 0 {
 		return
@@ -308,7 +365,7 @@ func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 	for _, yb := range ys {
 		w.tests++
 		if z&yb.vec != 0 {
-			w.emit(block{w.lo, leaves, yb.leaves})
+			w.out(block{w.lo, leaves, yb.leaves})
 		}
 	}
 }
@@ -318,6 +375,9 @@ func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 // through mid[c1→c2] — zero when c1 cannot reach c2 at all.
 func (w *fusedWalk) walkComposite(a, b *reach.TrieNode) {
 	for _, ca := range a.Children {
+		if w.stopped {
+			return
+		}
 		for _, cb := range b.Children {
 			ea, eb := ca.Entry, cb.Entry
 			if ea == eb {
@@ -400,7 +460,7 @@ func (w *fusedWalk) walkRecursive(a, b *reach.TrieNode) {
 	}
 	liveB := live(bc, w.y)
 	for _, ca := range ac {
-		if len(liveB) == 0 {
+		if len(liveB) == 0 || w.stopped {
 			break
 		}
 		w.parts = w.parts[:0]
@@ -434,7 +494,7 @@ func (w *fusedWalk) walkRecursive(a, b *reach.TrieNode) {
 	}
 	liveA := live(ac, w.x)
 	for _, cb := range bc {
-		if len(liveA) == 0 {
+		if len(liveA) == 0 || w.stopped {
 			break
 		}
 		w.parts = w.parts[:0]

@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"context"
+	"slices"
+
 	"provrpq/internal/automata"
 	"provrpq/internal/baseline"
 	"provrpq/internal/core"
@@ -35,17 +38,51 @@ import (
 // to OptRPL for safe queries and to a full bidirectional expansion for
 // unsafe ones — the shapes where seeding has nothing to anchor on.
 func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID, emit func(i, j int)) error {
-	run := ix.Run()
-	seed := dec.SeedTag
-	if seed != "" && !isRequired(env, seed) {
-		// Defensive: a seed the query does not require would drop matches
-		// that avoid it. Fall back to the unseeded paths instead.
-		seed = ""
+	if !env.Safe() && requiredSeed(env, dec) == "" {
+		return expandPairs(env, ix.Run(), allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
 	}
-	// The tree representations of the two lists serve the candidate joins
-	// and the safe verification alike; each is built when first read, once
-	// for both sides when the lists are the same slice.
-	var t1, t2 *reach.Trie
+	t1, t2, inL, inR := candidates(env, ix, dec, l1, l2)
+	switch {
+	case t1 == nil:
+		return nil
+	case env.Safe():
+		return env.AllPairsSafeTries(t1.Sub(inL), t2.Sub(inR), emit)
+	}
+	L, R := collect(inL), collect(inR)
+	return expandPairs(env, ix.Run(), L, R, l1, l2, len(R) < len(L), emit)
+}
+
+// SeededRows is AllPairsSeeded of a safe query over every pair of one node
+// list, into rows: the verification walk over the candidates' sub-tries
+// counts, then fills, the window of the result (core.Rows), and ends with
+// ctx.Err() at the next block once ctx is done.
+func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, dec Decision, l []derive.NodeID, offset, limit int) (*core.Rows, error) {
+	t1, t2, inL, inR := candidates(env, ix, dec, l, l)
+	if t1 == nil {
+		return &core.Rows{}, nil
+	}
+	return env.RowsSafeTries(ctx, t1.Sub(inL), t2.Sub(inR), len(l), offset, limit)
+}
+
+// requiredSeed returns the decision's seed tag, or "" for a seed the query
+// does not require: it would drop the matches that avoid it, so the scan
+// falls back to the unseeded paths instead.
+func requiredSeed(env *core.Env, dec Decision) string {
+	if slices.Contains(env.RequiredSyms(), dec.SeedTag) {
+		return dec.SeedTag
+	}
+	return ""
+}
+
+// candidates marks in inL / inR the labels of l1 that reach a seed source and
+// those of l2 reached from a seed target — nil, which admits every label,
+// without a seed — and returns them with the tree representations of the two
+// lists, which serve the candidate joins and the safe verification alike:
+// each is built when first read, once for both sides when the lists are the
+// same slice. It returns nil tries when no pair can match: the seed tag is
+// absent from the run, or a candidate side is empty.
+func candidates(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID) (t1, t2 *reach.Trie, inL, inR []bool) {
+	run := ix.Run()
 	sources := func() *reach.Trie {
 		if t1 == nil {
 			t1 = reach.NewTrie(run.LabelsOf(l1))
@@ -62,14 +99,12 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 		}
 		return t2
 	}
+	seed := requiredSeed(env, dec)
 	if seed == "" {
-		if env.Safe() {
-			return env.AllPairsSafeTries(sources(), targets(), emit)
-		}
-		return expandPairs(env, run, allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
+		return sources(), targets(), nil, nil
 	}
 	if ix.Count(seed) == 0 {
-		return nil // required tag absent from the run: nothing can match
+		return nil, nil, nil, nil // required tag absent from the run
 	}
 
 	// Distinct seed endpoints: several occurrences often share sources or
@@ -87,10 +122,7 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 			dsts = append(dsts, p.To)
 		}
 	})
-
-	// inL[i] / inR[j]: l1[i] reaches a seed source, l2[j] is reached from a
-	// seed target.
-	inL, inR := make([]bool, len(l1)), make([]bool, len(l2))
+	inL, inR = make([]bool, len(l1)), make([]bool, len(l2))
 	candSources := func() bool {
 		hit := false
 		reach.AllPairsTries(run.Spec, sources(), reach.NewTrie(run.LabelsOf(srcs)), func(i, _ int) { inL[i], hit = true, true })
@@ -106,23 +138,9 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 		first, second = candTargets, candSources
 	}
 	if !first() || !second() {
-		return nil
+		return nil, nil, nil, nil
 	}
-	if env.Safe() {
-		return env.AllPairsSafeTries(t1.Sub(inL), t2.Sub(inR), emit)
-	}
-	L, R := collect(inL), collect(inR)
-	return expandPairs(env, run, L, R, l1, l2, len(R) < len(L), emit)
-}
-
-// isRequired reports whether the compiled query requires sym.
-func isRequired(env *core.Env, sym string) bool {
-	for _, s := range env.RequiredSyms() {
-		if s == sym {
-			return true
-		}
-	}
-	return false
+	return t1, t2, inL, inR
 }
 
 // expandPairs verifies candidate pairs by product traversal of the run with

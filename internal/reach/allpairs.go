@@ -59,8 +59,11 @@ func NewTrie(labels []label.Label) *Trie {
 // Sub returns the trie of the labels keep admits, keep being indexed like
 // the list t was built from; Perm keeps referring to that list. The sorted
 // order is inherited, so a sub-trie costs one pass and no sort, and a keep
-// that admits every label returns t itself.
+// that admits every label — as a nil one does — returns t itself.
 func (t *Trie) Sub(keep []bool) *Trie {
+	if keep == nil {
+		return t
+	}
 	kept := 0
 	for _, k := range keep {
 		if k {

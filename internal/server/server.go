@@ -39,6 +39,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -318,10 +319,12 @@ func (s *Server) Handler() http.Handler {
 		})
 	}
 	// work runs on the TimeoutHandler's handler goroutine, so its defers
-	// fire when the routed handler actually finishes — a timed-out request
-	// keeps holding its in-flight slot while its evaluation keeps running
-	// (evaluation is not cancellable); the bound limits real concurrent
-	// work, not just unanswered connections.
+	// fire when the routed handler actually returns: the bound limits real
+	// concurrent work, not just unanswered connections. An evaluation runs
+	// under the request's context, which the deadline and a client's hang-up
+	// cancel, and returns at its next block of pairs, so its slot comes
+	// back then; a handler that consults no context holds on until it is
+	// done.
 	work := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.sem != nil {
 			defer func() { <-s.sem }()
@@ -537,11 +540,6 @@ type evaluateRequest struct {
 	Offset int  `json:"offset,omitempty"`
 }
 
-type pairJSON struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-}
-
 type evaluateResponse struct {
 	Run   string `json:"run"`
 	Query string `json:"query"`
@@ -556,11 +554,10 @@ type evaluateResponse struct {
 	Count  int `json:"count"`
 	Total  int `json:"total"`
 	Offset int `json:"offset,omitempty"`
-	// Pairs is a pointer so paging can distinguish "no pair list requested"
-	// (count_only: field absent) from "the requested window is empty"
-	// (offset at or past the end: "pairs": []) — a pager walking windows
-	// must see the empty array, not a missing field or an error.
-	Pairs *[]pairJSON `json:"pairs,omitempty"`
+	// "pairs" follows (encode.go) unless count_only asked for no list: a
+	// requested window that is empty — an offset at or past the end — is
+	// "pairs": [], which a pager walking windows must see, not a missing
+	// member or an error.
 }
 
 type explainRequest struct {
@@ -616,16 +613,13 @@ type batchRequest struct {
 	CountOnly bool     `json:"count_only"`
 }
 
+// batchItem is one element of a batch response's "results"; a non-empty pair
+// list follows as "pairs" (encode.go) unless count_only asked for none.
 type batchItem struct {
-	Run   string     `json:"run"`
-	Query string     `json:"query"`
-	Count int        `json:"count"`
-	Pairs []pairJSON `json:"pairs,omitempty"`
-	Error string     `json:"error,omitempty"`
-}
-
-type batchResponse struct {
-	Results []batchItem `json:"results"`
+	Run   string `json:"run"`
+	Query string `json:"query"`
+	Count int    `json:"count"`
+	Error string `json:"error,omitempty"`
 }
 
 type snapshotResponse struct {
@@ -926,38 +920,42 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_query", err.Error())
 		return
 	}
-	pairs, rep, err := eng.EvaluatePlanned(q)
+	// A page is cut by the evaluation, not from its result: the count pass
+	// gives the total and the window's rows before a pair is written. A
+	// count is read off the whole result, like a list's.
+	offset, limit := req.Offset, -1
+	if req.CountOnly {
+		offset = 0
+	} else if req.Limit != nil {
+		limit = *req.Limit
+	}
+	rows, rep, err := eng.EvaluateRows(r.Context(), q, offset, limit)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "evaluate_failed", err.Error())
+		s.writeEvalError(w, r, err)
 		return
 	}
-	total := len(pairs)
 	resp := evaluateResponse{
 		Run: req.Run, Query: q.String(), Safe: rep.Safe,
-		Strategy: strategyName(rep), Count: total, Total: total, Offset: req.Offset,
+		Strategy: strategyName(rep), Count: rows.Total(), Total: rows.Total(), Offset: req.Offset,
 	}
-	if !req.CountOnly {
-		// Page the serialized window, not the evaluation: a full pair list
-		// is O(n²) in the worst case, and an unbounded response body is
-		// what the limit protects clients (and the wire) from. An offset at
-		// or past the end is a legal empty window — "pairs": [] with the
-		// true total — not an error: a pager's last step naturally lands
-		// there.
-		window := pairs
-		if req.Offset > 0 {
-			if req.Offset >= len(window) {
-				window = nil
-			} else {
-				window = window[req.Offset:]
-			}
-		}
-		if req.Limit != nil && *req.Limit < len(window) {
-			window = window[:*req.Limit]
-		}
-		pj := toPairJSON(eng.Run(), window)
-		resp.Pairs = &pj
+	if req.CountOnly {
+		s.writeJSON(w, http.StatusOK, resp)
+		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	pw := pairWriter{run: eng.Run(), buf: appendHead(nil, resp)}
+	if pw.rows(r.Context(), rows) == nil {
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(append(pw.buf, '\n'))
+	}
+}
+
+// writeEvalError answers a failed evaluation — unless it was the request's
+// context that ended it: the TimeoutHandler has then answered 503, or the
+// client is gone, and all that is left to do is return the in-flight slot.
+func (s *Server) writeEvalError(w http.ResponseWriter, r *http.Request, err error) {
+	if r.Context().Err() == nil {
+		s.writeError(w, http.StatusInternalServerError, "evaluate_failed", err.Error())
+	}
 }
 
 // handleExplain returns the evaluation plan for (run, query) without
@@ -1060,20 +1058,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		queries[i] = q
 	}
-	results := s.cat.EvaluateBatch(req.Runs, queries)
-	resp := batchResponse{Results: make([]batchItem, len(results))}
-	for i, res := range results {
-		item := batchItem{Run: res.Run, Query: res.Query, Count: len(res.Pairs)}
+	results := s.cat.EvaluateBatchRows(r.Context(), req.Runs, queries)
+	buf := []byte(`{"results":[`)
+	for _, res := range results {
+		item := batchItem{Run: res.Run, Query: res.Query}
 		if res.Err != nil {
 			item.Error = res.Err.Error()
-		} else if !req.CountOnly {
-			if run, ok := s.cat.Run(res.Run); ok {
-				item.Pairs = toPairJSON(run, res.Pairs)
-			}
+		} else {
+			item.Count = res.Rows.Total()
 		}
-		resp.Results[i] = item
+		run, ok := s.cat.Run(res.Run)
+		pw := pairWriter{run: run, buf: appendHead(buf, item)}
+		if !ok || item.Count == 0 || req.CountOnly {
+			pw.buf = append(pw.buf, '}')
+		} else if pw.rows(r.Context(), res.Rows) != nil {
+			return
+		}
+		buf = append(pw.buf, ',')
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	if r.Context().Err() == nil { // else some cells were not evaluated, and nobody waits
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(append(bytes.TrimSuffix(buf, []byte{','}), "]}\n"...))
+	}
 }
 
 // resolve maps (run name, query string) to an engine and parsed query,
@@ -1094,14 +1100,6 @@ func (s *Server) resolve(w http.ResponseWriter, runName, queryStr string) (*prov
 		return nil, nil, false
 	}
 	return eng, q, true
-}
-
-func toPairJSON(run *provrpq.Run, pairs []provrpq.Pair) []pairJSON {
-	out := make([]pairJSON, len(pairs))
-	for i, p := range pairs {
-		out[i] = pairJSON{From: run.NodeName(p.From), To: run.NodeName(p.To)}
-	}
-	return out
 }
 
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) bool {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -551,9 +552,9 @@ func TestServerInFlightLimit(t *testing.T) {
 
 // TestServerTimeout pins a delay longer than the deadline inside the
 // timeout scope; the request must come back 503 with the timeout body —
-// and because evaluation is not cancellable, the timed-out request must
-// keep holding its in-flight slot until the work actually finishes, so
-// the limit bounds real concurrent work.
+// and because the delay, unlike an evaluation, consults no context, the
+// timed-out request must keep holding its in-flight slot until the work
+// actually finishes, so the limit bounds real concurrent work.
 func TestServerTimeout(t *testing.T) {
 	release := make(chan struct{})
 	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
@@ -586,7 +587,9 @@ func TestServerTimeout(t *testing.T) {
 	}
 
 	// The 503 went out, but the handler goroutine is still blocked in
-	// testDelay: the slot must still be occupied.
+	// testDelay, which knows no context: the slot must still be occupied. (An
+	// evaluation does, and lets go at its next block of pairs:
+	// TestServerCancelledEvaluateFreesSlot.)
 	busy, err := ts.Client().Get(ts.URL + "/v1/specs")
 	if err != nil {
 		t.Fatal(err)
@@ -622,6 +625,75 @@ func TestServerTimeout(t *testing.T) {
 			t.Fatalf("slot never released after work finished (last status %d)", ok.StatusCode)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServerCancelledEvaluateFreesSlot: an evaluation whose request timed out
+// (503 from the TimeoutHandler) or whose client hung up stops at its next
+// block of pairs, so its in-flight slot comes back while the scan it gave up
+// — a* over a fork chain of 30K iterations, seconds of walk — would still be
+// running; and giving up is not tallied as a failed evaluation.
+func TestServerCancelledEvaluateFreesSlot(t *testing.T) {
+	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
+	spec, err := provrpq.NewSpecBuilder().
+		Start("S").
+		Prod("S", []string{"M", "b"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "b"}}).
+		Prod("M", []string{"a", "M"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "a"}}).
+		Prod("M", []string{"a"}, nil).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.RegisterSpec("fork", spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.DeriveRun("chain", "fork", provrpq.DeriveOptions{Seed: 1, TargetEdges: 30000, FavorModule: "M"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(cat, Options{Timeout: 300 * time.Millisecond})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := &testClient{t: t, base: ts.URL, hc: ts.Client()}
+	// The run's index, labels and planner are built by its first request, and
+	// not interruptibly: keep them out of the timing. limit 0 keeps a scan that
+	// is not stopped from also allocating its 450M pairs.
+	c.do("POST", "/v1/evaluate", map[string]any{"run": "chain", "query": "b", "count_only": true}, http.StatusOK, nil)
+	body := `{"run":"chain","query":"a*","limit":0}`
+	failed := c.scrape()["provrpq_http_failed_total"]
+
+	freed := func(what string, since time.Time) {
+		t.Helper()
+		for srv.inFlight.Load() != 0 {
+			if time.Since(since) > time.Second {
+				t.Fatalf("%s: the evaluation still holds its in-flight slot a second later", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("a* over the chain answered %d within the 300ms deadline; the fixture is too small to time out", resp.StatusCode)
+	}
+	freed("timed out", time.Now())
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/evaluate", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(100*time.Millisecond, hangUp)
+	if resp, err := ts.Client().Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("the request outlived its client's hang-up: status %d", resp.StatusCode)
+	}
+	freed("client gone", time.Now())
+
+	if got := c.scrape()["provrpq_http_failed_total"]; got != failed {
+		t.Errorf("provrpq_http_failed_total went from %v to %v: a cancelled evaluation is not a failed one", failed, got)
 	}
 }
 
@@ -1256,12 +1328,32 @@ func TestServerMetrics(t *testing.T) {
 		t.Errorf("%s = %v after one unsafe evaluate, was %v", decomposed, got, before)
 	}
 
+	// A safe evaluate's histogram covers the whole evaluation, the ordering of
+	// the result included, not only the strategy's scan: what a list request
+	// adds to its sum is at least half of what the handler of a count_only
+	// request of the same query — the same evaluation and next to nothing
+	// else — takes from first byte to last.
+	c.do("POST", "/v1/runs", map[string]any{"name": "dense", "spec": "intro", "derive": map[string]any{"seed": 5, "target_edges": 1500}}, http.StatusCreated, nil)
+	dense := map[string]any{"run": "dense", "query": "_*"}
+	c.do("POST", "/v1/evaluate", dense, http.StatusOK, nil) // builds the engine's lazy parts
+	var listed struct{ Strategy string }
+	was := c.scrape()
+	c.do("POST", "/v1/evaluate", dense, http.StatusOK, &listed)
+	evalSum := `provrpq_eval_seconds_sum{strategy="` + listed.Strategy + `"}`
+	evaluated := c.scrape()[evalSum] - was[evalSum]
+	const handled = `provrpq_http_request_seconds_sum{route="POST /v1/evaluate"}`
+	was = c.scrape()
+	c.do("POST", "/v1/evaluate", map[string]any{"run": "dense", "query": "_*", "count_only": true}, http.StatusOK, nil)
+	if counted := c.scrape()[handled] - was[handled]; evaluated < counted/2 {
+		t.Errorf("%s moved by %.6fs for one list evaluate; the handler of the same evaluation without a list took %.6fs", evalSum, evaluated, counted)
+	}
+
 	// One delta on an open watch populates the watch-group series.
 	const deltas, rebuilds = "provrpq_watch_delta_seconds_count", "provrpq_watch_rebuilds_total"
 	spec, _ := cat.Spec("intro")
 	batch := registerGrowingRun(t, c, spec)
 	watch := openWatch(t, c.base, "r1", "_*")
-	was := c.scrape()
+	was = c.scrape()
 	c.do("POST", "/v1/runs/r1/edges", batch, http.StatusOK, nil)
 	readFrame(t, watch)
 	if got := c.scrape(); got[deltas] != was[deltas]+1 || got[rebuilds] != was[rebuilds]+1 {

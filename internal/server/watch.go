@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -46,23 +45,23 @@ type watchRequest struct {
 	Query string `json:"query"`
 }
 
-// watchSnapshotEvent is the first SSE event on a watch stream.
+// watchSnapshotEvent is the first SSE event on a watch stream; its "pairs"
+// follow (encode.go).
 type watchSnapshotEvent struct {
-	Run     string     `json:"run"`
-	Query   string     `json:"query"`
-	Version int        `json:"version"`
-	Total   int        `json:"total"`
-	Pairs   []pairJSON `json:"pairs"`
+	Run     string `json:"run"`
+	Query   string `json:"query"`
+	Version int    `json:"version"`
+	Total   int    `json:"total"`
 }
 
-// watchDeltaEvent reports one committed growth batch's new matches.
+// watchDeltaEvent reports one committed growth batch's new matches, which
+// follow as its "pairs".
 type watchDeltaEvent struct {
-	Run           string     `json:"run"`
-	Version       int        `json:"version"`
-	AppendedNodes int        `json:"appended_nodes"`
-	AppendedEdges int        `json:"appended_edges"`
-	Count         int        `json:"count"`
-	Pairs         []pairJSON `json:"pairs"`
+	Run           string `json:"run"`
+	Version       int    `json:"version"`
+	AppendedNodes int    `json:"appended_nodes"`
+	AppendedEdges int    `json:"appended_edges"`
+	Count         int    `json:"count"`
 }
 
 // watchEndEvent terminates a stream: "lagged" when it fell behind the append
@@ -142,9 +141,15 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("run %q is not registered", req.Run))
 		return
 	}
-	pairs, err := eng.Evaluate(q)
+	rows, _, err := eng.EvaluateRows(r.Context(), q, 0, -1)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "evaluate_failed", err.Error())
+		s.writeEvalError(w, r, err)
+		return
+	}
+	snap := sseFrame("snapshot", eng.Run(), watchSnapshotEvent{
+		Run: req.Run, Query: q.String(), Version: snapVer, Total: rows.Total(),
+	})
+	if snap.rows(r.Context(), rows) != nil {
 		return
 	}
 
@@ -152,10 +157,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(sseFrame("snapshot", watchSnapshotEvent{
-		Run: req.Run, Query: q.String(), Version: snapVer,
-		Total: len(pairs), Pairs: toPairJSON(eng.Run(), pairs),
-	})); err != nil {
+	if _, err := w.Write(append(snap.buf, "\n\n"...)); err != nil {
 		return
 	}
 	flusher.Flush()
@@ -269,7 +271,7 @@ func (s *Server) leaveWatch(g *watchGroup, m *watchMember) {
 // leaving the member set is what makes the send the only one.
 func (g *watchGroup) end(m *watchMember, event, message string) {
 	delete(g.members, m)
-	m.end <- sseFrame(event, watchEndEvent{Run: g.key.run, Message: message})
+	m.end <- append(sseFrame(event, nil, watchEndEvent{Run: g.key.run, Message: message}).buf, "}\n\n"...)
 }
 
 // CloseWatches ends every open standing-query stream with a terminal
@@ -302,11 +304,12 @@ func (s *Server) runWatchGroup(g *watchGroup) {
 			delta, err := sq.Delta(ev)
 			f := watchFrame{version: ev.Version}
 			if err == nil {
-				f.sse = sseFrame("delta", watchDeltaEvent{
+				frame := sseFrame("delta", ev.Run, watchDeltaEvent{
 					Run: g.key.run, Version: ev.Version,
-					AppendedNodes: ev.NewNodes, AppendedEdges: ev.NewEdges,
-					Count: len(delta), Pairs: toPairJSON(ev.Run, delta),
+					AppendedNodes: ev.NewNodes, AppendedEdges: ev.NewEdges, Count: len(delta),
 				})
+				frame.pairs(delta)
+				f.sse = append(frame.buf, "\n\n"...)
 			}
 			s.mWatchRebuilds.Add(uint64(sq.Rebuilds() - rebuilds))
 			s.mWatchSeconds.Observe(time.Since(start).Seconds())
@@ -334,8 +337,9 @@ func (s *Server) runWatchGroup(g *watchGroup) {
 	}
 }
 
-// sseFrame encodes one Server-Sent Event with a JSON data payload.
-func sseFrame(event string, data any) []byte {
-	b, _ := json.Marshal(data) // cannot fail: the event types hold strings and ints only
-	return fmt.Appendf(nil, "event: %s\ndata: %s\n\n", event, b)
+// sseFrame begins one Server-Sent Event whose data is the JSON object head,
+// left open: the caller appends the pairs of run, or the closing brace, and
+// the blank line that ends the event.
+func sseFrame(event string, run *provrpq.Run, head any) *pairWriter {
+	return &pairWriter{run: run, buf: appendHead(fmt.Appendf(nil, "event: %s\ndata: ", event), head)}
 }

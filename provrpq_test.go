@@ -1,7 +1,6 @@
 package provrpq
 
 import (
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -297,27 +296,5 @@ func TestNodeAccessors(t *testing.T) {
 func TestQueryParseErrorsSurface(t *testing.T) {
 	if _, err := ParseQuery("a.("); err == nil {
 		t.Error("bad query should fail to parse")
-	}
-}
-
-// TestSortPairsMatchesComparisonSort: sortPairs produces the (From, To)
-// order, duplicates included.
-func TestSortPairsMatchesComparisonSort(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for _, c := range []struct{ n, pairs int }{{50, 0}, {50, 1}, {50, 5}, {50, 400}, {1000, 100}, {1000, 5000}, {1, 3}} {
-		ps := make([]Pair, c.pairs)
-		for i := range ps {
-			ps[i] = Pair{NodeID(r.Intn(c.n)), NodeID(r.Intn(c.n))}
-		}
-		want := slices.Clone(ps)
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].From != want[j].From {
-				return want[i].From < want[j].From
-			}
-			return want[i].To < want[j].To
-		})
-		if sortPairs(ps); !slices.Equal(ps, want) {
-			t.Errorf("n=%d pairs=%d: sortPairs disagrees with the comparison sort", c.n, c.pairs)
-		}
 	}
 }
