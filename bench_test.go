@@ -289,16 +289,89 @@ func decomposeFixture(tb testing.TB) (*derive.Run, *core.General, []*automata.No
 }
 
 // BenchmarkGeneralEvalDecompose measures General.Eval on the decomposition
-// shapes above: the label walk's blocks filled into rows, then joined.
+// shapes above — the label walk's blocks filled into rows, then joined — and
+// on four queries of the served pool over the benchmark's own runs: a tag
+// that restricts _* on its left, one that restricts it two joins away on its
+// right, two safe subtrees, and a closure and a wildcard that restrict next
+// to nothing.
 func BenchmarkGeneralEvalDecompose(b *testing.B) {
+	type fixture struct {
+		gen *core.General
+		qs  []*automata.Node
+	}
 	_, gen, qs := decomposeFixture(b)
-	for _, q := range qs {
-		b.Run(q.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := gen.Eval(q); err != nil {
-					b.Fatal(err)
+	fixtures := map[string]fixture{"": {gen, qs}}
+	for name, f := range map[string]struct {
+		d       *workload.Dataset
+		edges   int
+		queries []string
+	}{
+		"bio300/": {workload.BioAID(), 300, []string{"p6_2._*._", "_._*.(_.p1_12)"}},
+		"qbl400/": {workload.QBLast(), 400, []string{"q1_7*._*.((q2_13|a)._*.q1_7*)", "P2*._*._"}},
+	} {
+		run, err := derive.Derive(f.d.Spec, derive.Options{Seed: 20150413, TargetEdges: f.edges})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fx := fixture{gen: core.NewGeneralOpts(run, index.Build(run), core.CostBased, core.GeneralOptions{Workers: 2})}
+		for _, qs := range f.queries {
+			fx.qs = append(fx.qs, automata.MustParse(qs))
+		}
+		fixtures[name] = fx
+	}
+	for _, name := range []string{"", "bio300/", "qbl400/"} {
+		for _, q := range fixtures[name].qs {
+			gen := fixtures[name].gen
+			b.Run(name+q.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := gen.Eval(q); err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkUnsafeAllPairs measures Engine.AllPairs on an unsafe query over 16
+// sources × every node of a 4K-edge QBLast run, where _* alone is 5.9 million
+// pairs: the lists go down the decomposition, so the cost is what 16 sources
+// reach, on any worker count.
+func BenchmarkUnsafeAllPairs(b *testing.B) {
+	d := workload.QBLast()
+	dr, err := derive.Derive(d.Spec, derive.Options{Seed: 1, TargetEdges: 4000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := rehydrate(b, d, dr)
+	tag := dr.Edges[len(dr.Edges)/2].Tag
+	q := provrpq.MustParseQuery(tag + "._*._")
+	l2 := run.AllNodes()
+	var l1 []provrpq.NodeID
+	for _, e := range dr.Edges { // the tag's sources first, so there are answers
+		if e.Tag == tag && len(l1) < 8 {
+			l1 = append(l1, provrpq.NodeID(e.From))
+		}
+	}
+	for i := 0; len(l1) < 16; i++ {
+		l1 = append(l1, l2[i*len(l2)/16])
+	}
+	want := -1
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: w})
+			if safe, err := eng.IsSafe(q); err != nil || safe {
+				b.Fatalf("%s: safe=%v err=%v, want an unsafe query", q, safe, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pairs, err := eng.AllPairs(q, l1, l2, provrpq.Auto)
+				if err != nil || len(pairs) == 0 || (want >= 0 && len(pairs) != want) {
+					b.Fatalf("workers=%d: %d pairs (%v), want %d", w, len(pairs), err, want)
+				}
+				want = len(pairs)
 			}
 		})
 	}

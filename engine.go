@@ -419,26 +419,34 @@ func (e *Engine) AllPairs(q *Query, l1, l2 []NodeID, strategy Strategy) ([]Pair,
 	return out, nil
 }
 
-// crossDecomposed answers an unsafe query over l1 × l2: the full relation
-// from the safe-subtree decomposition, restricted to the lists on the worker
-// pool. Each shard walks the rows of its l1 nodes against l2's positions —
-// Rel is read-only here — and contiguous shards of l1 merged in order
-// reproduce the nested-loop output order.
+// crossDecomposed answers an unsafe query over l1 × l2: the lists go down
+// the safe-subtree decomposition as the sources and targets it is asked for,
+// so what comes back is about the answer's size, and its l1 rows are then
+// matched against l2's positions in nested-loop order.
+//
+//provrpq:ctxroot
 func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 	start := time.Now()
-	rel, _, err := e.general().Eval(q.node)
+	rel, _, err := e.general().EvalContext(context.Background(), q.node, nodeSet(l1), nodeSet(l2))
 	if err != nil {
 		return nil, err
 	}
 	var out []Pair
-	du, dv := toDerive(l1), toDerive(l2)
-	parallel.Gather(len(l1), e.workers, func(_, lo, hi int, emit func(Pair)) {
-		baseline.AllPairsIn(rel, du[lo:hi], dv, func(i, j int) {
-			emit(Pair{From: l1[lo+i], To: l2[j]})
-		})
-	}, func(p Pair) { out = append(out, p) })
+	baseline.AllPairsIn(rel, toDerive(l1), toDerive(l2), func(i, j int) {
+		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
+	})
 	observeEvalLatency("decompose", start)
 	return out, nil
+}
+
+// nodeSet returns the distinct ids of a list in increasing order.
+func nodeSet(l []NodeID) []int32 {
+	set := make([]int32, len(l))
+	for i, u := range l {
+		set[i] = int32(u)
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
 }
 
 // scanSafe runs the given strategy of one planner decision over l1 × l2,
@@ -694,7 +702,7 @@ func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) 
 	// The evaluation itself produces the decomposition report — no separate
 	// planning pass — and its relation is rows in order already.
 	start := time.Now()
-	rel, grep, err := e.general().EvalContext(ctx, q.node)
+	rel, grep, err := e.general().EvalContext(ctx, q.node, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -367,11 +367,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // TestUnsafeAllPairsShardsReadOneRelation answers an unsafe query over two
-// lists on four workers: the decomposition's relation is built once and its
-// rows are then read by every shard at once (the race detector's part), and
-// the answer is the nested loop's — l1-major, l2 order, a node listed twice
-// matched at both positions — whatever order the lists are in (the
-// restriction's part). The G1 strategy restricts the same way.
+// lists on an engine with four workers — the lists go down the decomposition
+// as node sets, so no shard reads the relation any more; the name is from when
+// four did: the answer is the nested loop's — l1-major, l2 order, a node
+// listed twice matched at both positions — whatever order the lists are in.
+// The G1 strategy restricts its full relation the same way.
 func TestUnsafeAllPairsShardsReadOneRelation(t *testing.T) {
 	spec := forkSpec(t)
 	run := forkRun(t, spec, 3, 900)

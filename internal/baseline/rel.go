@@ -130,6 +130,51 @@ func (r *Rel) Pairs() [][2]derive.NodeID {
 	return out
 }
 
+// in reports whether a node set — ids in increasing order, nil for every
+// node — holds v.
+func in(set []int32, v int32) bool {
+	_, found := slices.BinarySearch(set, v)
+	return set == nil || found
+}
+
+// Sources returns the set of nodes with a pair from them, never nil.
+func (r *Rel) Sources() []int32 {
+	out := []int32{}
+	for u, row := range r.rows {
+		if len(row) > 0 {
+			out = append(out, int32(u))
+		}
+	}
+	return out
+}
+
+// Targets returns the set of nodes with a pair to them, never nil.
+func (r *Rel) Targets() []int32 {
+	var m marks
+	for _, row := range r.rows {
+		for _, v := range row {
+			m.add(v)
+		}
+	}
+	return m.drain(make([]int32, 0, m.n))
+}
+
+// Restrict drops, in place, the pairs outside from × to and returns r.
+func (r *Rel) Restrict(from, to []int32) *Rel {
+	if from == nil && to == nil {
+		return r
+	}
+	for u, row := range r.rows {
+		kept := row[:0]
+		if in(from, int32(u)) {
+			kept = slices.DeleteFunc(row, func(v int32) bool { return !in(to, v) })
+		}
+		r.n -= len(row) - len(kept)
+		r.rows[u] = kept
+	}
+	return r
+}
+
 // AllPairsIn emits, by list positions, every (i, j) with (l1[i], l2[j]) ∈ r,
 // in nested-loop order: i ascending and, for one i, j ascending. A node
 // listed more than once is matched at each of its positions. The cost is
@@ -223,14 +268,32 @@ func (s *slab) take(n int) []int32 {
 	return s.buf[at : at : at+n]
 }
 
+// fired reports whether done has fired; nil never does.
+func fired(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Union returns r ∪ s.
-func (r *Rel) Union(s *Rel) *Rel {
+func (r *Rel) Union(s *Rel) *Rel { return r.UnionUntil(nil, s) }
+
+// UnionUntil is Union given up once done fires, as JoinUntil and ClosureFrom
+// are: the operator stops at its next block of 64 source rows, what it returns
+// is then incomplete, and a caller that passed a context's Done asks it.
+func (r *Rel) UnionUntil(done <-chan struct{}, s *Rel) *Rel {
 	if len(r.rows) < len(s.rows) {
 		r, s = s, r
 	}
 	out := &Rel{rows: make([][]int32, len(r.rows))}
 	sl := slab{buf: make([]int32, 0, r.n+s.n)}
 	for u, a := range r.rows {
+		if u&63 == 0 && fired(done) {
+			break
+		}
 		b := s.Row(derive.NodeID(u))
 		out.rows[u] = mergeRows(sl.take(len(a)+len(b)), a, b)
 		out.n += len(out.rows[u])
@@ -239,16 +302,21 @@ func (r *Rel) Union(s *Rel) *Rel {
 }
 
 // Join returns the composition r ; s = {(u,w) | ∃v: (u,v) ∈ r, (v,w) ∈ s}.
-func (r *Rel) Join(s *Rel) *Rel { return compose(r, s, false) }
+func (r *Rel) Join(s *Rel) *Rel { return compose(nil, r, s, false) }
+
+func (r *Rel) JoinUntil(done <-chan struct{}, s *Rel) *Rel { return compose(done, r, s, false) }
 
 // compose returns r ; s, united with r itself when withR is set: per source
 // u it marks the rows of s that u's row selects and drains them as one
 // sorted row.
-func compose(r, s *Rel, withR bool) *Rel {
+func compose(done <-chan struct{}, r, s *Rel, withR bool) *Rel {
 	out := &Rel{rows: make([][]int32, len(r.rows))}
 	var m marks
 	var sl slab
 	for u, row := range r.rows {
+		if u&63 == 0 && fired(done) {
+			break
+		}
 		for _, v := range row {
 			if withR {
 				m.add(v)
@@ -267,12 +335,22 @@ func compose(r, s *Rel, withR bool) *Rel {
 // pair (u, v) is joined with r's row v exactly once, when it is new — the
 // delta iteration of a fixpoint loop, run source by source so that one set
 // of marks serves as both the "seen" test and the sorted output row.
-func (r *Rel) Closure() *Rel {
+func (r *Rel) Closure() *Rel { return r.ClosureFrom(nil, nil) }
+
+// ClosureFrom is Closure's rows of the sources in the set from — the loop runs
+// source by source, so a row left out costs nothing — until done fires.
+func (r *Rel) ClosureFrom(done <-chan struct{}, from []int32) *Rel {
 	out := &Rel{rows: make([][]int32, len(r.rows))}
 	var m marks
 	var sl slab
 	var delta []int32
 	for u, row := range r.rows {
+		if u&63 == 0 && fired(done) {
+			break
+		}
+		if !in(from, int32(u)) {
+			continue
+		}
 		for _, v := range row {
 			m.add(v)
 		}
@@ -301,7 +379,7 @@ func (r *Rel) Closure() *Rel {
 func (r *Rel) ClosureNaive() *Rel {
 	out := r
 	for {
-		next := compose(out, r, true)
+		next := compose(nil, out, r, true)
 		if next.n == out.n {
 			return next
 		}

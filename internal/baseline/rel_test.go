@@ -228,3 +228,83 @@ func TestAllPairsInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRelSetsAndRestriction holds Sources, Targets, Restrict and ClosureFrom
+// against the model on random relations and random node sets, the empty one
+// and nil — every node — included.
+func TestRelSetsAndRestriction(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	set := func() []int32 {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		s := []int32{}
+		for v := int32(0); v < relTestIDs+2; v++ {
+			if rng.Intn(3) == 0 {
+				s = append(s, v)
+			}
+		}
+		return s[:rng.Intn(len(s)+1)]
+	}
+	has := func(s []int32, v derive.NodeID) bool { return s == nil || slices.Contains(s, int32(v)) }
+	for round := 0; round < 300; round++ {
+		r, m := randomRel(rng)
+		var sources, targets []int32
+		for p := range m {
+			sources, targets = append(sources, int32(p[0])), append(targets, int32(p[1]))
+		}
+		for _, s := range []*[]int32{&sources, &targets} {
+			slices.Sort(*s)
+			*s = slices.Compact(*s)
+		}
+		if got := r.Sources(); got == nil || !slices.Equal(got, sources) {
+			t.Fatalf("Sources() = %v, model %v", got, sources)
+		}
+		if got := r.Targets(); got == nil || !slices.Equal(got, targets) {
+			t.Fatalf("Targets() = %v, model %v", got, targets)
+		}
+		from, to := set(), set()
+		closed, restricted := relModel{}, relModel{}
+		for p := range m.closure() {
+			if has(from, p[0]) {
+				closed[p] = true
+			}
+		}
+		for p := range m {
+			if has(from, p[0]) && has(to, p[1]) {
+				restricted[p] = true
+			}
+		}
+		checkRel(t, "ClosureFrom", r.ClosureFrom(nil, from), closed)
+		checkRel(t, "the operand of ClosureFrom", r, m)
+		if got := r.Restrict(from, to); got != r {
+			t.Fatal("Restrict returned another relation")
+		}
+		checkRel(t, "Restrict", r, restricted)
+	}
+}
+
+// TestRelOperatorsGiveUp: once done has fired an operator stops at its next
+// block of source rows — before the first, when it had fired already — and
+// what it returns is a relation still, whatever it lacks.
+func TestRelOperatorsGiveUp(t *testing.T) {
+	r := NewRel()
+	for u := derive.NodeID(0); u < 500; u++ {
+		r.Add(u, u+1)
+	}
+	done := make(chan struct{})
+	close(done)
+	for name, got := range map[string]*Rel{
+		"JoinUntil":   r.JoinUntil(done, r),
+		"UnionUntil":  r.UnionUntil(done, NewRel()),
+		"ClosureFrom": r.ClosureFrom(done, nil),
+	} {
+		if got.Len() != 0 {
+			t.Errorf("%s after done fired: %d pairs, want it to stop before its first row", name, got.Len())
+		}
+		checkRel(t, name, got, relModel{})
+	}
+	if r.JoinUntil(nil, r).Len() != 499 || r.ClosureFrom(nil, nil).Len() != 500*501/2 {
+		t.Error("a nil done channel stopped an operator")
+	}
+}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"sync"
+
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
 )
@@ -23,16 +25,16 @@ func Walk(run *derive.Run, dfa *automata.DFA, from derive.NodeID, q int, backwar
 		return
 	}
 	nq := dfa.NumStates()
-	seen := make([]bool, run.NumNodes()*nq)
-	seen[int(from)*nq+q] = true
-	type item struct {
-		n derive.NodeID
-		q int
+	w := walkPool.Get().(*walkScratch)
+	defer walkPool.Put(w)
+	if w.epoch++; len(w.seen) < run.NumNodes()*nq || w.epoch == 0 {
+		w.seen, w.epoch = make([]uint32, run.NumNodes()*nq), 1
 	}
-	stack := []item{{from, q}}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	w.seen[int(from)*nq+q] = w.epoch
+	w.stack = append(w.stack[:0], walkItem{from, q})
+	for len(w.stack) > 0 {
+		it := w.stack[len(w.stack)-1]
+		w.stack = w.stack[:len(w.stack)-1]
 		edges := run.Out(it.n)
 		if backward {
 			edges = run.In(it.n)
@@ -44,14 +46,31 @@ func Walk(run *derive.Run, dfa *automata.DFA, from derive.NodeID, q int, backwar
 				next = e.From
 			}
 			q2 := dfa.Step(it.q, e.Tag)
-			if q2 < 0 || q2 == dead || seen[int(next)*nq+q2] {
+			if q2 < 0 || q2 == dead || w.seen[int(next)*nq+q2] == w.epoch {
 				continue
 			}
-			seen[int(next)*nq+q2] = true
+			w.seen[int(next)*nq+q2] = w.epoch
 			if !visit(next, q2) {
 				return
 			}
-			stack = append(stack, item{next, q2})
+			w.stack = append(w.stack, walkItem{next, q2})
 		}
 	}
 }
+
+type walkItem struct {
+	n derive.NodeID
+	q int
+}
+
+// walkScratch is one walk's visited set and stack, pooled across calls: a
+// (node, state) slot of seen is visited in the current walk iff it holds the
+// walk's epoch, so a call clears nothing and costs what it visits, not nodes ×
+// states. A walk started from inside visit draws its own scratch.
+type walkScratch struct {
+	seen  []uint32
+	epoch uint32
+	stack []walkItem
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}

@@ -1,15 +1,21 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"provrpq/internal/automata"
 	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/label"
+	"provrpq/internal/parallel"
+	"provrpq/internal/reach"
 	"provrpq/internal/wf"
 )
 
@@ -50,8 +56,10 @@ type GeneralOptions struct {
 }
 
 // General evaluates arbitrary — in particular unsafe — regular path queries
-// over one run by composing safe-subtree results with relational joins.
-// A General is safe for concurrent use.
+// over one run by composing safe-subtree results with relational joins
+// (Section IV-B), every subtree for the sources and targets its neighbours
+// can use (eval): a decomposition costs its restricted inputs and outputs,
+// not its largest safe subtree. A General is safe for concurrent use.
 type General struct {
 	run      *derive.Run
 	ix       *index.Index
@@ -67,6 +75,12 @@ type General struct {
 
 	labels []label.Label // per node id
 	ids    []derive.NodeID
+	// rank is every label's place in label order, the one thing kept between
+	// evaluations: a run version's labels never change (Section II-B), so
+	// they are sorted once and the trie of a node set costs only that set.
+	rankOnce  sync.Once
+	rank      []int32
+	safePairs atomic.Int64 // pairs safe subtrees materialised: the work-bound test's
 }
 
 // EvalReport describes how a query was decomposed.
@@ -87,7 +101,7 @@ func NewGeneral(run *derive.Run, ix *index.Index, strategy GeneralStrategy) *Gen
 
 // NewGeneralOpts builds a general evaluator with explicit options.
 func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, opts GeneralOptions) *General {
-	g := &General{
+	return &General{
 		run:      run,
 		ix:       ix,
 		g1:       baseline.NewG1(ix),
@@ -97,7 +111,6 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 		labels:   run.MaterializeLabels(),
 		ids:      run.AllNodes(),
 	}
-	return g
 }
 
 // Eval returns the full result relation of the query over the run, along
@@ -105,20 +118,24 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 //
 //provrpq:ctxroot
 func (g *General) Eval(q *automata.Node) (*baseline.Rel, *EvalReport, error) {
-	return g.EvalContext(context.Background(), q)
+	return g.EvalContext(context.Background(), q, nil, nil)
 }
 
-// EvalContext is Eval ended with ctx.Err() once ctx is done: at the next
-// block of a safe subtree's walk, or the next relational operator.
-func (g *General) EvalContext(ctx context.Context, q *automata.Node) (*baseline.Rel, *EvalReport, error) {
-	q = automata.Simplify(q)
-	rep := &EvalReport{}
-	env, err := g.envFor(q)
+// EvalContext is Eval for the sources from and the targets to — node ids in
+// increasing order, nil for every node: the relation holds every pair of the
+// result inside from × to and no pair outside the result, which it therefore
+// is when both are nil. Once ctx is done it ends with ctx.Err(): at the next
+// block of a safe subtree's walk or of a relational operator's rows. The
+// report is Plan's, whatever order the evaluation took.
+func (g *General) EvalContext(ctx context.Context, q *automata.Node, from, to []int32) (*baseline.Rel, *EvalReport, error) {
+	rep, err := g.Plan(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Safe = env.Safe()
-	rel, err := g.eval(ctx, q, rep)
+	rel, err := g.eval(ctx, automata.Simplify(q), rep, from, to)
+	if err == nil {
+		err = ctx.Err() // an operator that gave up left rel incomplete
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -184,93 +201,173 @@ func (g *General) envFor(q *automata.Node) (*Env, error) {
 	return v.(*Env), nil
 }
 
-func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport) (*baseline.Rel, error) {
+// labelled returns the plan of a subtree the report lists as answered from
+// labels, nil for a relational one: evaluation takes plan's verdicts.
+func (g *General) labelled(q *automata.Node, rep *EvalReport) (*Env, error) {
+	if !slices.Contains(rep.SafeSubtrees, q.String()) {
+		return nil, nil
+	}
+	return g.envFor(q)
+}
+
+// eval returns a relation that holds every pair of ⟦q⟧ inside from × to and
+// no pair outside ⟦q⟧ (sideways information passing: what a subtree's
+// neighbours cannot use is not computed). A leaf filters its index rows, an
+// alternation hands both sets to every branch, a closure runs from the sources
+// only and needs its body whole, a concatenation hands each child what its
+// neighbours produced, a safe subtree is walked over the two sets' labels.
+func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, from, to []int32) (*baseline.Rel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if g.strategy != RelationalOnly && q.Kind != automata.KindSym &&
-		q.Kind != automata.KindWild && q.Kind != automata.KindEps {
-		env, err := g.envFor(q)
-		if err != nil {
-			return nil, err
-		}
-		if env.Safe() && (g.strategy != CostBased || g.safeCheaper(q)) {
-			rep.SafeSubtrees = append(rep.SafeSubtrees, q.String())
-			return g.safeEval(ctx, env)
-		}
+	if (from != nil && len(from) == 0) || (to != nil && len(to) == 0) {
+		return baseline.NewRel(), nil
 	}
-	rep.RelationalNodes++
+	if env, err := g.labelled(q, rep); err != nil {
+		return nil, err
+	} else if env != nil {
+		return g.safeEval(ctx, env, from, to)
+	}
+	done := ctx.Done()
 	switch q.Kind {
 	case automata.KindSym, automata.KindWild, automata.KindEps:
-		return g.g1.Eval(q), nil
+		return g.g1.Eval(q).Restrict(from, to), nil
 	case automata.KindConcat:
-		if len(q.Children) == 0 {
-			return g.g1.Eval(automata.Eps()), nil
-		}
-		rel, err := g.eval(ctx, q.Children[0], rep)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range q.Children[1:] {
-			next, err := g.eval(ctx, c, rep)
-			if err != nil {
-				return nil, err
-			}
-			rel = rel.Join(next)
-		}
-		return rel, nil
+		return g.concat(ctx, q.Children, rep, from, to)
 	case automata.KindAlt:
-		if len(q.Children) == 0 {
-			return baseline.NewRel(), nil
-		}
-		rel, err := g.eval(ctx, q.Children[0], rep)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range q.Children[1:] {
-			next, err := g.eval(ctx, c, rep)
+		rel := baseline.NewRel()
+		for i, c := range q.Children {
+			next, err := g.eval(ctx, c, rep, from, to)
 			if err != nil {
 				return nil, err
 			}
-			rel = rel.Union(next)
+			if i > 0 {
+				next = rel.UnionUntil(done, next)
+			}
+			rel = next
 		}
 		return rel, nil
-	case automata.KindStar:
-		r, err := g.eval(ctx, q.Children[0], rep)
+	case automata.KindStar, automata.KindPlus, automata.KindOpt:
+		f, t := from, to
+		if q.Kind != automata.KindOpt {
+			f, t = nil, nil
+		}
+		r, err := g.eval(ctx, q.Children[0], rep, f, t)
 		if err != nil {
 			return nil, err
 		}
-		return r.Closure().Union(baseline.IdentityRel(g.run)), nil
-	case automata.KindPlus:
-		r, err := g.eval(ctx, q.Children[0], rep)
-		if err != nil {
-			return nil, err
+		if q.Kind != automata.KindOpt {
+			r = r.ClosureFrom(done, from)
 		}
-		return r.Closure(), nil
-	case automata.KindOpt:
-		r, err := g.eval(ctx, q.Children[0], rep)
-		if err != nil {
-			return nil, err
+		if q.Kind != automata.KindPlus {
+			r = r.UnionUntil(done, baseline.IdentityRel(g.run).Restrict(from, to))
 		}
-		return r.Union(baseline.IdentityRel(g.run)), nil
+		return r, nil
 	}
 	return nil, fmt.Errorf("core: unknown query node kind %d", q.Kind)
 }
 
-// safeEval computes the subquery's relation over all node pairs with the
-// optRPL walk, sharded across the evaluator's worker pool into one set of rows
-// (rows.go), which the relation then takes over and orders.
-func (g *General) safeEval(ctx context.Context, env *Env) (*baseline.Rel, error) {
-	s, err := env.newOptScan(g.labels, g.labels, g.workers)
+// concat evaluates a concatenation (of two children or more, simplified): its
+// relational children first, smallest estimate leading, then its safe subtrees,
+// each for the sources its left neighbour's relation reaches — from, for the
+// first — and the targets its right neighbour's starts at, where those are
+// evaluated by then. The joins take the cheapest adjacent pair first.
+func (g *General) concat(ctx context.Context, cs []*automata.Node, rep *EvalReport, from, to []int32) (*baseline.Rel, error) {
+	order, size := make([]int, len(cs)), make([]float64, len(cs))
+	for i, c := range cs {
+		env, err := g.labelled(c, rep)
+		if err != nil {
+			return nil, err
+		}
+		if order[i], size[i] = i, math.Inf(1); env == nil {
+			size[i], _ = g.relEstimate(c)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size[a], size[b]) })
+	rels := make([]*baseline.Rel, len(cs))
+	for _, i := range order {
+		f, t := from, to
+		if i > 0 {
+			if f = nil; rels[i-1] != nil {
+				f = rels[i-1].Targets()
+			}
+		}
+		if i+1 < len(cs) {
+			if t = nil; rels[i+1] != nil {
+				t = rels[i+1].Sources()
+			}
+		}
+		var err error
+		if rels[i], err = g.eval(ctx, cs[i], rep, f, t); err != nil {
+			return nil, err
+		}
+	}
+	for len(rels) > 1 {
+		at, best := 0, math.Inf(1)
+		for i := 0; i+1 < len(rels); i++ {
+			if c := float64(rels[i].Len()) * float64(rels[i+1].Len()); c < best {
+				at, best = i, c
+			}
+		}
+		rels[at] = rels[at].JoinUntil(ctx.Done(), rels[at+1])
+		rels = slices.Delete(rels, at+1, at+2)
+	}
+	return rels[0], nil
+}
+
+// whole reports whether a node set is every node, as nil is, or over half of
+// them: not worth telling apart from all when it comes to labels.
+func (g *General) whole(set []int32) bool { return set == nil || 2*len(set) > len(g.labels) }
+
+// trie returns the tree representation of a node set's labels, put in label
+// order by their ranks; a list index is a node id.
+func (g *General) trie(set []int32) *reach.Trie {
+	g.rankOnce.Do(func() {
+		g.rank = make([]int32, len(g.labels))
+		for i, u := range reach.Sorted(g.labels) {
+			g.rank[u] = int32(i)
+		}
+	})
+	if g.whole(set) {
+		perm := make([]int, len(g.rank))
+		for u, i := range g.rank {
+			perm[i] = u
+		}
+		return reach.NewTrieOf(g.labels, perm)
+	}
+	perm := make([]int, len(set))
+	for i, u := range set {
+		perm[i] = int(u)
+	}
+	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(g.rank[a], g.rank[b]) })
+	return reach.NewTrieOf(g.labels, perm)
+}
+
+// safeEval computes a safe subquery's pairs inside from × to with the optRPL
+// walk over the two sets' labels; the relation takes over its rows (rows.go).
+// Only the scan of every pair of a large run is sharded across the workers.
+func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*baseline.Rel, error) {
+	n := len(g.labels)
+	var r *Rows
+	var err error
+	if all := g.whole(from) && g.whole(to); all && n >= optParallelCutoff && parallel.Workers(g.workers) > 1 {
+		var s *optScan
+		if s, err = env.newOptScan(g.labels, g.labels, g.workers); err == nil {
+			r, err = s.rows(ctx, 0, -1)
+		}
+	} else {
+		t1 := g.trie(from)
+		t2 := t1
+		if !all {
+			t2 = g.trie(to)
+		}
+		r, err = env.RowsSafeTries(ctx, t1, t2, n, 0, -1)
+	}
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.rows(ctx, 0, -1)
-	if err != nil {
-		return nil, err
-	}
-	// A label's list index is its node id, on both sides.
-	rows := make([][]int32, len(g.labels))
+	g.safePairs.Add(int64(r.Total()))
+	rows := make([][]int32, n)
 	for u := range rows {
 		rows[u] = r.row(u)
 	}
@@ -292,12 +389,7 @@ func (g *General) safeCheaper(q *automata.Node) bool {
 // relCost estimates the relational evaluation cost of a subtree as the sum
 // of estimated intermediate sizes; closures multiply by an iteration factor.
 func (g *General) relCost(q *automata.Node) float64 {
-	n := float64(len(g.ids))
-	if n == 0 {
-		return 0
-	}
-	size, cost := g.relEstimate(q)
-	_ = size
+	_, cost := g.relEstimate(q)
 	return cost
 }
 
@@ -325,7 +417,7 @@ func (g *General) relEstimate(q *automata.Node) (size, cost float64) {
 				continue
 			}
 			// Join selectivity: assume uniform endpoints.
-			size = size * cs / maxf(n, 1)
+			size = size * cs / max(n, 1)
 			cost += size
 		}
 		return size, cost
@@ -340,25 +432,11 @@ func (g *General) relEstimate(q *automata.Node) (size, cost float64) {
 		cs, cc := g.relEstimate(q.Children[0])
 		// Semi-naive closure: ~ depth iterations of delta joins; the result
 		// can approach n² for dense chains.
-		est := minf(cs*cs, n*n)
+		est := min(cs*cs, n*n)
 		return est, cc + est*4
 	case automata.KindOpt:
 		cs, cc := g.relEstimate(q.Children[0])
 		return cs + n, cc + n
 	}
 	return 0, 0
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,14 +1,22 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"provrpq/internal/automata"
 	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
+	"provrpq/internal/reach"
 	"provrpq/internal/wf"
 	"provrpq/internal/workload"
 )
@@ -217,5 +225,248 @@ func TestGeneralEnvCacheReuse(t *testing.T) {
 	}
 	if count() != before {
 		t.Error("env cache should be reused for a repeated query")
+	}
+}
+
+// servedFixture is one run of the served read-decompose workload with the
+// queries benchmark/pools.json freezes for it.
+type servedFixture struct {
+	d       *workload.Dataset
+	run     *derive.Run
+	gen     *General
+	queries []string
+	counts  map[string]int // the frozen result sizes
+}
+
+// servedDecomposeFixtures derives the two read-decompose runs as the benchmark
+// does and reads their query pool.
+func servedDecomposeFixtures(t *testing.T) map[string]*servedFixture {
+	t.Helper()
+	raw, err := os.ReadFile("../../benchmark/pools.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pf struct {
+		Seed      int64 `json:"fixture_seed"`
+		Workloads map[string][]struct {
+			Run, Query string
+			Count      int
+		}
+	}
+	if err := json.Unmarshal(raw, &pf); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*servedFixture{}
+	for name, f := range map[string]struct {
+		d     *workload.Dataset
+		edges int
+	}{"bio300": {workload.BioAID(), 300}, "qbl400": {workload.QBLast(), 400}} {
+		run, err := derive.Derive(f.d.Spec, derive.Options{Seed: pf.Seed, TargetEdges: f.edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := NewGeneralOpts(run, index.Build(run), CostBased, GeneralOptions{Workers: 2})
+		out[name] = &servedFixture{d: f.d, run: run, gen: gen, counts: map[string]int{}}
+	}
+	for _, pq := range pf.Workloads["read-decompose"] {
+		fx := out[pq.Run]
+		if fx == nil {
+			t.Fatalf("pools.json: read-decompose query on unknown run %q", pq.Run)
+		}
+		fx.queries = append(fx.queries, pq.Query)
+		fx.counts[pq.Query] = pq.Count
+	}
+	if n := len(out["bio300"].queries) + len(out["qbl400"].queries); n != 32 {
+		t.Fatalf("pools.json: %d read-decompose queries, want 32", n)
+	}
+	return out
+}
+
+// randomSet draws a node set in the form EvalContext takes.
+func randomSet(r *rand.Rand, n int) []int32 {
+	set := []int32{}
+	switch r.Intn(5) {
+	case 0: // every node
+		return nil
+	case 1: // none
+	case 2:
+		set = append(set, int32(r.Intn(n)))
+	default:
+		p := []float64{0.02, 0.3, 0.9}[r.Intn(3)]
+		for u := 0; u < n; u++ {
+			if r.Float64() < p {
+				set = append(set, int32(u))
+			}
+		}
+	}
+	return set
+}
+
+// TestGeneralRestrictedEqualsFiltered: for the served pool and 100 random
+// queries per dataset, and random source and target sets, what EvalContext
+// returns for from × to holds, inside from × to, exactly the oracle's pairs
+// — as the unrestricted result does — and nothing outside the unrestricted
+// result; and every evaluation reports the decomposition Plan does.
+func TestGeneralRestrictedEqualsFiltered(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	ctx := context.Background()
+	for name, fx := range servedDecomposeFixtures(t) {
+		queries := slices.Clone(fx.queries)
+		for len(queries) < len(fx.queries)+100 {
+			queries = append(queries, fx.d.RandomQuery(r, 3))
+		}
+		n := fx.run.NumNodes()
+		for _, qs := range queries {
+			q := automata.MustParse(qs)
+			full, rep, err := fx.gen.Eval(q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, qs, err)
+			}
+			if want, frozen := fx.counts[qs]; frozen && full.Len() != want {
+				t.Fatalf("%s %q: %d pairs, pools.json froze %d", name, qs, full.Len(), want)
+			}
+			plan, err := fx.gen.Plan(q)
+			if err != nil || !reflect.DeepEqual(rep, plan) {
+				t.Fatalf("%s %q: Eval reports %+v, Plan %+v (%v)", name, qs, rep, plan, err)
+			}
+			oracle := baseline.NewOracle(fx.run, q)
+			for round := 0; round < 3; round++ {
+				from, to := randomSet(r, n), randomSet(r, n)
+				got, rep, err := fx.gen.EvalContext(ctx, q, from, to)
+				if err != nil || !reflect.DeepEqual(rep, plan) {
+					t.Fatalf("%s %q in %d × %d: report %+v, Plan %+v (%v)", name, qs, len(from), len(to), rep, plan, err)
+				}
+				in := func(set []int32, v derive.NodeID) bool {
+					_, found := slices.BinarySearch(set, int32(v))
+					return set == nil || found
+				}
+				inside := 0
+				got.Each(func(u, v derive.NodeID) {
+					if !full.Has(u, v) {
+						t.Fatalf("%s %q in %d × %d: (%d,%d) is not in the result", name, qs, len(from), len(to), u, v)
+					}
+					if in(from, u) && in(to, v) {
+						inside++
+					}
+				})
+				for u := derive.NodeID(0); int(u) < n; u++ {
+					if !in(from, u) {
+						continue
+					}
+					for _, v := range oracle.From(u) {
+						if !in(to, v) {
+							continue
+						}
+						if inside--; !got.Has(u, v) || !full.Has(u, v) {
+							t.Fatalf("%s %q in %d × %d: the oracle's (%d,%d) is missing (restricted %v, unrestricted %v)",
+								name, qs, len(from), len(to), u, v, got.Has(u, v), full.Has(u, v))
+						}
+					}
+				}
+				if inside != 0 {
+					t.Fatalf("%s %q in %d × %d: %d pairs inside from × to that the oracle does not have", name, qs, len(from), len(to), inside)
+				}
+			}
+		}
+	}
+}
+
+// TestGeneralSafeSubtreeWorkIsOutputBound counts the pairs safe subtrees
+// materialise. A selective tag beside _* has it walked from that tag's few
+// targets, not over all 81,003 pairs; where the neighbours reach and leave
+// nearly every node there is nothing to pass sideways and all of _* is walked.
+func TestGeneralSafeSubtreeWorkIsOutputBound(t *testing.T) {
+	fxs := servedDecomposeFixtures(t)
+	materialised := func(run, qs string) (pairs, answers int) {
+		fx := fxs[run]
+		before := fx.gen.safePairs.Load()
+		rel, rep, err := fx.gen.Eval(automata.MustParse(qs))
+		if err != nil || !slices.Equal(rep.SafeSubtrees, []string{"_*"}) {
+			t.Fatalf("%s %q: want the one safe subtree _*, got %+v (%v)", run, qs, rep, err)
+		}
+		return int(fx.gen.safePairs.Load() - before), rel.Len()
+	}
+	if pairs, answers := materialised("bio300", "p6_2._*._"); answers != 54 || pairs > 10*answers {
+		t.Errorf("p6_2._*._: %d pairs of _* materialised for %d answers, want at most 10 per answer", pairs, answers)
+	}
+	if pairs, _ := materialised("bio300", "p5_11._*.p2_11"); pairs > 100 {
+		t.Errorf("p5_11._*.p2_11: %d pairs of _* materialised, want at most 100", pairs)
+	}
+	// P2* reaches every node and _ leaves all but the sinks: neither set is
+	// worth a sub-trie, and the walk over all nodes — what the whole query _*
+	// takes — still runs.
+	all, _ := materialised("qbl400", "_*")
+	if pairs, _ := materialised("qbl400", "P2*._*._"); all != 60217 || pairs != all {
+		t.Errorf("P2*._*._: %d pairs of _* materialised, want all %d (60217) of them", pairs, all)
+	}
+}
+
+// TestGeneralConcurrentEvalSharesOrder: evaluations that race to sort the
+// labels all see one order and the same relations (run under -race).
+func TestGeneralConcurrentEvalSharesOrder(t *testing.T) {
+	fx := servedDecomposeFixtures(t)["bio300"]
+	gen := NewGeneralOpts(fx.run, index.Build(fx.run), CostBased, GeneralOptions{Workers: 2})
+	var wg sync.WaitGroup
+	off := make([]int, 8)
+	for i := range off {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			qs := fx.queries[i%4]
+			rel, _, err := gen.Eval(automata.MustParse(qs))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			off[i] = rel.Len() - fx.counts[qs]
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(off, make([]int, len(off))) {
+		t.Errorf("concurrent evaluations differ from the frozen counts by %v", off)
+	}
+	for i, u := range reach.Sorted(gen.labels) {
+		if gen.rank[u] != int32(i) {
+			t.Fatalf("label %d of the sorted order has the retained rank %d", i, gen.rank[u])
+		}
+	}
+}
+
+// cancelAt is a context that counts how often its Err is asked and cancels
+// itself right after answering the at-th time: what runs between that look
+// and the next finds it done.
+type cancelAt struct {
+	context.Context
+	asked, at int
+	cancel    func()
+}
+
+func (c *cancelAt) Err() error {
+	err := c.Context.Err()
+	if c.asked++; c.asked == c.at {
+		c.cancel()
+	}
+	return err
+}
+
+// TestGeneralCancelledAtEveryPoint cancels the decomposition whose joins
+// dominate after each look it takes at its context in turn — the last but one
+// of them after its last child, when only joins remain, which then give up at
+// their first block of rows: it must end with the context's error every time,
+// never with the relation a stopped operator left.
+func TestGeneralCancelledAtEveryPoint(t *testing.T) {
+	fx := servedDecomposeFixtures(t)["qbl400"]
+	q := automata.MustParse("P2*._*._")
+	count := &cancelAt{Context: context.Background()}
+	if rel, _, err := fx.gen.EvalContext(count, q, nil, nil); err != nil || rel.Len() != fx.counts["P2*._*._"] || count.asked < 6 {
+		t.Fatalf("uncancelled: %v, %d looks at the context", err, count.asked)
+	}
+	for at := 1; at < count.asked; at++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		rel, rep, err := fx.gen.EvalContext(&cancelAt{Context: ctx, at: at, cancel: cancel}, q, nil, nil)
+		if !errors.Is(err, context.Canceled) || rel != nil || rep != nil {
+			t.Errorf("cancelled after look %d of %d: relation %v, report %v, error %v, want context.Canceled alone", at, count.asked, rel != nil, rep != nil, err)
+		}
+		cancel()
 	}
 }

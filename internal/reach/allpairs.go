@@ -43,13 +43,25 @@ type TrieNode struct {
 
 // NewTrie builds the tree representation of the given labels (in any order;
 // the constructor sorts them and records the permutation).
-func NewTrie(labels []label.Label) *Trie {
-	t := &Trie{Labels: make([]label.Label, len(labels)), Perm: make([]int, len(labels))}
-	for i := range labels {
-		t.Perm[i] = i
+func NewTrie(labels []label.Label) *Trie { return NewTrieOf(labels, Sorted(labels)) }
+
+// Sorted returns the indices of labels in label order: the part of a trie's
+// construction that is more than a pass over the list, worth keeping where
+// tries of parts of one list are built again and again.
+func Sorted(labels []label.Label) []int {
+	order := make([]int, len(labels))
+	for i := range order {
+		order[i] = i
 	}
-	slices.SortFunc(t.Perm, func(a, b int) int { return label.Compare(labels[a], labels[b]) })
-	for i, p := range t.Perm {
+	slices.SortFunc(order, func(a, b int) int { return label.Compare(labels[a], labels[b]) })
+	return order
+}
+
+// NewTrieOf builds, without sorting, the trie of the labels perm lists by
+// index, in label order: any part of Sorted(labels). It keeps perm as Perm.
+func NewTrieOf(labels []label.Label, perm []int) *Trie {
+	t := &Trie{Labels: make([]label.Label, len(perm)), Perm: perm}
+	for i, p := range perm {
 		t.Labels[i] = labels[p]
 	}
 	t.Root = t.build(0, len(t.Labels), 0)

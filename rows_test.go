@@ -231,7 +231,11 @@ func TestEvaluateRowsScratch(t *testing.T) {
 }
 
 // TestEvaluateRowsCancelled: a done context ends an evaluation with its error,
-// safe or decomposed, and the Evaluate wrappers are unaffected.
+// safe or decomposed, and the Evaluate wrappers are unaffected. On the served
+// decomposition whose joins dominate — P2*._*._ on QBLast 400, three
+// relations of which two hold nearly every pair _* does — the context is also
+// cancelled after each look the evaluation takes at it in turn: before any
+// child, inside the walk, and after the last child, when only joins remain.
 func TestEvaluateRowsCancelled(t *testing.T) {
 	run, err := introSpec(t).Derive(DeriveOptions{Seed: 2, TargetEdges: 120})
 	if err != nil {
@@ -247,6 +251,115 @@ func TestEvaluateRowsCancelled(t *testing.T) {
 		}
 		if _, err := eng.Evaluate(q); err != nil {
 			t.Errorf("%s: Evaluate after a cancelled EvaluateRows: %v", qs, err)
+		}
+	}
+
+	d := workload.QBLast()
+	dr, err := derive.Derive(d.Spec, derive.Options{Seed: 20150413, TargetEdges: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng = NewEngine(&Run{r: dr, spec: &Spec{s: d.Spec}})
+	q := MustParseQuery("P2*._*._")
+	count := &cancelAt{Context: context.Background()}
+	rows, rep, err := eng.EvaluateRows(count, q, 0, -1)
+	if err != nil || rows.Total() != 59785 || !rep.Decomposed {
+		t.Fatalf("%s: %v, %+v, %v", q, rows, rep, err)
+	}
+	if count.asked < 8 {
+		t.Fatalf("%s consulted its context %d times, want once per subtree and walk pass at least", q, count.asked)
+	}
+	for at := 1; at < count.asked; at++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		rows, _, err := eng.EvaluateRows(&cancelAt{Context: ctx, at: at, cancel: cancel}, q, 0, -1)
+		if !errors.Is(err, context.Canceled) || rows != nil {
+			t.Errorf("%s cancelled after look %d of %d at its context: (%v, %v), want context.Canceled", q, at, count.asked, rows, err)
+		}
+		cancel()
+	}
+}
+
+// cancelAt is a context that counts how often its Err is asked and cancels
+// itself right after answering the at-th time: what runs between that look
+// and the next finds it done.
+type cancelAt struct {
+	context.Context
+	asked, at int
+	cancel    func()
+}
+
+func (c *cancelAt) Err() error {
+	err := c.Context.Err()
+	if c.asked++; c.asked == c.at {
+		c.cancel()
+	}
+	return err
+}
+
+// TestAllPairsDecomposedEqualsFiltered: an unsafe AllPairs hands its lists to
+// the decomposition as the sources and targets to compute, and answers what
+// filtering the full evaluation by them does — in nested-loop order, on lists
+// that are empty, one node, every node, or a random draw with repeats in no
+// order — on a derived run and on one uploaded with shuffled node ids, whose
+// label order is not id order. G1, which filters its own full relation, agrees.
+func TestAllPairsDecomposedEqualsFiltered(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	paper, err := (&Spec{s: wf.PaperSpec()}).Derive(DeriveOptions{Seed: 2, TargetEdges: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]*Run{"paper": paper, "shuffled": shuffledUpload(t, paper, r), "bio300": bioRunAt(t, 300)} {
+		queries := []string{"_*.d._*", "A.(_*.e._*)", "(b.b)|(e.d)", "A*._*.d", "(_*.d._*)|A"}
+		if name == "bio300" {
+			queries = []string{"p6_2._*._", "_._*.(_.p1_12)", "p2_6*._*.p5_2", "(_.p6_12)+._*.p4_8*", "p2_4._*.p5_11|(p3_10|p2_14)"}
+		}
+		eng := NewEngineOpts(run, EngineOptions{Workers: 2})
+		all := run.AllNodes()
+		list := func() []NodeID {
+			switch r.Intn(5) {
+			case 0:
+				return nil
+			case 1:
+				return []NodeID{all[r.Intn(len(all))]}
+			case 2:
+				return all
+			}
+			l := make([]NodeID, 1+r.Intn(len(all)/2))
+			for i := range l {
+				l[i] = all[r.Intn(len(all))]
+			}
+			return l
+		}
+		for _, qs := range queries {
+			q := MustParseQuery(qs)
+			if safe, err := eng.IsSafe(q); err != nil || safe {
+				t.Fatalf("%s %q: safe=%v err=%v, want an unsafe query", name, qs, safe, err)
+			}
+			full, err := eng.Evaluate(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := map[Pair]bool{}
+			for _, p := range full {
+				in[p] = true
+			}
+			for round := 0; round < 12; round++ {
+				l1, l2 := list(), list()
+				var want []Pair
+				for _, u := range l1 {
+					for _, v := range l2 {
+						if in[Pair{From: u, To: v}] {
+							want = append(want, Pair{From: u, To: v})
+						}
+					}
+				}
+				for _, strategy := range []Strategy{Auto, StrategyG1} {
+					got, err := eng.AllPairs(q, l1, l2, strategy)
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("%s %q over %d × %d nodes, %v: %d pairs (%v), the filtered evaluation has %d", name, qs, len(l1), len(l2), strategy, len(got), err, len(want))
+					}
+				}
+			}
 		}
 	}
 }
