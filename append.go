@@ -169,14 +169,13 @@ func (c *Catalog) appendEdges(runName string, b *Batch, expectedVersion int) (Ap
 	mu := c.growLock(runName)
 	mu.Lock()
 	defer mu.Unlock()
-	cur, ok := c.reg.Run(runName)
-	if !ok {
+	en := c.entry(runName)
+	if en == nil {
 		return AppendResult{}, fmt.Errorf("provrpq: catalog: unknown run %q", runName)
 	}
-	if expectedVersion >= 0 {
-		if gen, _ := c.reg.RunGeneration(runName); gen != expectedVersion {
-			return AppendResult{}, fmt.Errorf("%w: run %q is at version %d, batch expected %d", ErrVersionMismatch, runName, gen, expectedVersion)
-		}
+	cur := en.run
+	if expectedVersion >= 0 && en.gen != expectedVersion {
+		return AppendResult{}, fmt.Errorf("%w: run %q is at version %d, batch expected %d", ErrVersionMismatch, runName, en.gen, expectedVersion)
 	}
 	if b.spec.s != cur.r.Spec {
 		return AppendResult{}, fmt.Errorf("provrpq: catalog: batch for run %q was not decoded against its specification", runName)
@@ -199,11 +198,7 @@ func (c *Catalog) appendEdges(runName string, b *Batch, expectedVersion int) (Ap
 		}
 	}
 	newRun := &Run{r: grown, spec: cur.spec}
-	gen, ok := c.reg.ReplaceRun(runName, newRun)
-	if !ok {
-		// Unreachable: runs are never deregistered and growMu is held.
-		return AppendResult{}, fmt.Errorf("provrpq: catalog: run %q disappeared during append", runName)
-	}
+	gen, _ := c.renew(runName, newRun) // runs are never deregistered
 	// Notify standing-query subscribers while growMu is still held, so a
 	// run's events arrive in version order with no gaps. The batch's nodes
 	// are the grown run's id suffix: [old count, old count + NewNodes).
@@ -233,7 +228,12 @@ func (c *Catalog) growLock(runName string) *sync.Mutex {
 // named run since it was registered (0 for a run that never grew). The
 // count never goes back: on a durable catalog, batches replayed at boot and
 // batches CompactRun folded into the stored base both count.
-func (c *Catalog) RunVersion(name string) (int, bool) { return c.reg.RunGeneration(name) }
+func (c *Catalog) RunVersion(name string) (int, bool) {
+	if en := c.entry(name); en != nil {
+		return en.gen, true
+	}
+	return 0, false
+}
 
 // CompactRun folds the named run's committed growth batches into a single
 // stored base payload, bounding the append log: without compaction a
@@ -253,20 +253,19 @@ func (c *Catalog) CompactRun(runName string) (version int, err error) {
 	mu := c.growLock(runName)
 	mu.Lock()
 	defer mu.Unlock()
-	cur, ok := c.reg.Run(runName)
-	if !ok {
+	en := c.entry(runName)
+	if en == nil {
 		return 0, fmt.Errorf("provrpq: catalog: unknown run %q", runName)
 	}
-	data, err := EncodeRunColumnar(cur)
+	data, err := EncodeRunColumnar(en.run)
 	if err != nil {
 		return 0, err
 	}
 	if _, err := c.store.st.CompactRun(runName, data); err != nil {
 		return 0, fmt.Errorf("%w: run %q compaction: %w", ErrStoreFailed, runName, err)
 	}
-	// growMu is held, so no append moved the version since cur was read.
-	version, _ = c.reg.RunGeneration(runName)
-	return version, nil
+	// growMu is held, so no append moved the version since en was read.
+	return en.gen, nil
 }
 
 // ReleaseEngine drops the named run's lazily-built engine while keeping
@@ -276,7 +275,7 @@ func (c *Catalog) CompactRun(runName string) (version int, err error) {
 // pins the run's inverted edge index and unsafe-query evaluator, which
 // can dwarf the run itself.
 func (c *Catalog) ReleaseEngine(runName string) error {
-	if !c.reg.DropEngine(runName) {
+	if _, ok := c.renew(runName, nil); !ok {
 		return fmt.Errorf("provrpq: catalog: unknown run %q", runName)
 	}
 	return nil

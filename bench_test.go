@@ -10,7 +10,6 @@ import (
 
 	"provrpq"
 	"provrpq/internal/automata"
-	"provrpq/internal/baseline"
 	"provrpq/internal/bench"
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
@@ -18,6 +17,7 @@ import (
 	"provrpq/internal/label"
 	"provrpq/internal/plan"
 	"provrpq/internal/reach"
+	"provrpq/internal/rel"
 	"provrpq/internal/workload"
 )
 
@@ -549,7 +549,7 @@ func BenchmarkAblationClosure(b *testing.B) {
 		b.Fatal(err)
 	}
 	ix := index.Build(run)
-	base := baseline.NewRel()
+	base := rel.NewRel()
 	for _, p := range ix.Pairs("a") {
 		base.Add(p.From, p.To)
 	}

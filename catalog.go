@@ -2,16 +2,17 @@ package provrpq
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
-	"provrpq/internal/catalog"
 	"provrpq/internal/parallel"
 )
 
 // ErrAlreadyRegistered marks a catalog registration under a taken name;
 // match with errors.Is to distinguish duplicates from invalid input.
-var ErrAlreadyRegistered = catalog.ErrExists
+var ErrAlreadyRegistered = errors.New("name already registered")
 
 // Catalog is a concurrency-safe registry of named specifications and named
 // runs — the multi-run serving layer. Every run gets one lazily-built
@@ -24,7 +25,14 @@ type Catalog struct {
 	plans   *PlanCache
 	workers int
 	store   *Store
-	reg     *catalog.Registry[*Spec, *Run, *Engine]
+
+	// registryMu guards the name tables. Registration is first-writer-wins:
+	// a taken name is an error, never a silent replace.
+	//
+	//provrpq:lockrank registryMu 20
+	registryMu sync.RWMutex
+	specs      map[string]*Spec
+	runs       map[string]*runEntry
 
 	// growMus holds one mutex per run name, serializing AppendEdges and
 	// CompactRun on that run: a run's version history must be linear —
@@ -62,6 +70,21 @@ type Catalog struct {
 	legacyBases int
 }
 
+// runEntry is one registered run: its specification, its current version
+// and that version's growth generation (batches ever applied to the run),
+// and the engine over it, built on first demand — once, concurrent first
+// lookups sharing the build, outside registryMu. An entry never changes once
+// inserted: growth and ReleaseEngine swap in a fresh one (renew), so a reader
+// that resolved an entry keeps a consistent (run, generation, engine) view
+// while new lookups see the replacement.
+type runEntry struct {
+	spec string
+	run  *Run
+	gen  int
+	once sync.Once
+	eng  *Engine
+}
+
 // CatalogOptions configure a Catalog.
 type CatalogOptions struct {
 	// PlanCache overrides the catalog's dedicated compiled-plan cache
@@ -88,11 +111,8 @@ func NewCatalog(opts CatalogOptions) *Catalog {
 	if plans == nil {
 		plans = NewPlanCache(0)
 	}
-	c := &Catalog{plans: plans, workers: opts.Workers, store: opts.Store}
-	c.reg = catalog.New[*Spec, *Run, *Engine](func(r *Run) *Engine {
-		return NewEngineOpts(r, EngineOptions{Workers: c.workers, PlanCache: c.plans})
-	})
-	return c
+	return &Catalog{plans: plans, workers: opts.Workers, store: opts.Store,
+		specs: map[string]*Spec{}, runs: map[string]*runEntry{}}
 }
 
 // RegisterSpec registers a specification under a unique name. On a
@@ -103,11 +123,11 @@ func (c *Catalog) RegisterSpec(name string, s *Spec) error {
 		return fmt.Errorf("provrpq: catalog: nil specification %q", name)
 	}
 	if c.store == nil || name == "" {
-		return c.reg.PutSpec(name, s) // PutSpec owns the empty-name error
+		return c.putSpec(name, s) // putSpec owns the empty-name error
 	}
 	c.persistMu.Lock()
 	defer c.persistMu.Unlock()
-	if _, ok := c.reg.Spec(name); ok {
+	if _, ok := c.Spec(name); ok {
 		return fmt.Errorf("provrpq: catalog: specification %q: %w", name, ErrAlreadyRegistered)
 	}
 	// A name free in memory but present on disk means the store was
@@ -123,7 +143,21 @@ func (c *Catalog) RegisterSpec(name string, s *Spec) error {
 	}
 	// On disk; now make it visible. persistMu is held, so the name checks
 	// above still hold and the insert cannot fail.
-	return c.reg.PutSpec(name, s)
+	return c.putSpec(name, s)
+}
+
+// putSpec registers a specification under a new, non-empty name.
+func (c *Catalog) putSpec(name string, s *Spec) error {
+	if name == "" {
+		return fmt.Errorf("provrpq: catalog: empty specification name")
+	}
+	c.registryMu.Lock()
+	defer c.registryMu.Unlock()
+	if _, ok := c.specs[name]; ok {
+		return fmt.Errorf("provrpq: catalog: specification %q: %w", name, ErrAlreadyRegistered)
+	}
+	c.specs[name] = s
+	return nil
 }
 
 // Store returns the catalog's attached store (nil for an in-memory-only
@@ -137,10 +171,24 @@ func (c *Catalog) Store() *Store { return c.store }
 func (c *Catalog) LegacyRunBases() int { return c.legacyBases }
 
 // Spec returns the specification registered under name.
-func (c *Catalog) Spec(name string) (*Spec, bool) { return c.reg.Spec(name) }
+func (c *Catalog) Spec(name string) (*Spec, bool) {
+	c.registryMu.RLock()
+	defer c.registryMu.RUnlock()
+	s, ok := c.specs[name]
+	return s, ok
+}
 
 // SpecNames returns all registered specification names, sorted.
-func (c *Catalog) SpecNames() []string { return c.reg.SpecNames() }
+func (c *Catalog) SpecNames() []string {
+	c.registryMu.RLock()
+	defer c.registryMu.RUnlock()
+	out := make([]string, 0, len(c.specs))
+	for n := range c.specs {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // AddRun registers a run under a unique name, bound to the named
 // registered specification. The run must actually be of that
@@ -148,7 +196,7 @@ func (c *Catalog) SpecNames() []string { return c.reg.SpecNames() }
 // label decoding and plan sharing depend on specification identity. On a
 // durable catalog the run is on disk before the call returns.
 func (c *Catalog) AddRun(name, specName string, r *Run) error {
-	s, ok := c.reg.Spec(specName)
+	s, ok := c.Spec(specName)
 	if !ok {
 		return fmt.Errorf("provrpq: catalog: run %q references unregistered specification %q", name, specName)
 	}
@@ -167,7 +215,7 @@ func (c *Catalog) AddRun(name, specName string, r *Run) error {
 // Engine by name) can never see a run whose persist then fails.
 func (c *Catalog) putRunDurable(name, specName string, r *Run) error {
 	if c.store == nil || name == "" {
-		return c.reg.PutRun(name, specName, r, 0) // PutRun owns the empty-name error
+		return c.putRun(name, specName, r, 0) // putRun owns the empty-name error
 	}
 	// Encode outside persistMu: encoding a large run is the expensive part
 	// of a save, and only the disk write itself needs serializing — two
@@ -183,10 +231,10 @@ func (c *Catalog) putRunDurable(name, specName string, r *Run) error {
 	// Re-check the binding under the lock: the callers' spec lookups ran
 	// outside it, and the run file must never land on disk bound to a
 	// specification the store does not hold.
-	if _, ok := c.reg.Spec(specName); !ok {
+	if _, ok := c.Spec(specName); !ok {
 		return fmt.Errorf("provrpq: catalog: run %q references unregistered specification %q", name, specName)
 	}
-	if c.reg.HasRun(name) {
+	if c.entry(name) != nil {
 		return fmt.Errorf("provrpq: catalog: run %q: %w", name, ErrAlreadyRegistered)
 	}
 	// See RegisterSpec: never clobber an on-disk run this catalog did not
@@ -197,7 +245,52 @@ func (c *Catalog) putRunDurable(name, specName string, r *Run) error {
 	if err := c.store.st.PutRun(name, specName, data); err != nil {
 		return fmt.Errorf("%w: run %q: %w", ErrStoreFailed, name, err)
 	}
-	return c.reg.PutRun(name, specName, r, 0)
+	return c.putRun(name, specName, r, 0)
+}
+
+// putRun registers a run under a new, non-empty name at growth generation gen
+// — 0 for a run that never grew, the stored batch count for one restored at
+// boot — bound to the named specification, which must be registered.
+func (c *Catalog) putRun(name, specName string, r *Run, gen int) error {
+	if name == "" {
+		return fmt.Errorf("provrpq: catalog: empty run name")
+	}
+	c.registryMu.Lock()
+	defer c.registryMu.Unlock()
+	if _, ok := c.specs[specName]; !ok {
+		return fmt.Errorf("provrpq: catalog: run %q references unregistered specification %q", name, specName)
+	}
+	if _, ok := c.runs[name]; ok {
+		return fmt.Errorf("provrpq: catalog: run %q: %w", name, ErrAlreadyRegistered)
+	}
+	c.runs[name] = &runEntry{spec: specName, run: r, gen: gen}
+	return nil
+}
+
+// entry returns the named run's current entry, nil for an unknown run.
+func (c *Catalog) entry(name string) *runEntry {
+	c.registryMu.RLock()
+	defer c.registryMu.RUnlock()
+	return c.runs[name]
+}
+
+// renew swaps the named run's entry for a fresh one, its engine unbuilt: over
+// r one generation on when r is set (a growth), over the same version when it
+// is nil (ReleaseEngine; a build in flight completes into the discarded entry).
+// It returns the new entry's generation, or false for an unknown run.
+func (c *Catalog) renew(name string, r *Run) (gen int, ok bool) {
+	c.registryMu.Lock()
+	defer c.registryMu.Unlock()
+	en, ok := c.runs[name]
+	if !ok {
+		return 0, false
+	}
+	next := &runEntry{spec: en.spec, run: en.run, gen: en.gen}
+	if r != nil {
+		next.run, next.gen = r, en.gen+1
+	}
+	c.runs[name] = next
+	return next.gen, true
 }
 
 // DeriveRun derives a fresh run of the named specification and registers
@@ -205,14 +298,14 @@ func (c *Catalog) putRunDurable(name, specName string, r *Run) error {
 // on disk before the call returns, so a later NewCatalogFromStore serves
 // it without re-deriving.
 func (c *Catalog) DeriveRun(runName, specName string, opts DeriveOptions) (*Run, error) {
-	s, ok := c.reg.Spec(specName)
+	s, ok := c.Spec(specName)
 	if !ok {
 		return nil, fmt.Errorf("provrpq: catalog: unknown specification %q", specName)
 	}
 	// Check name availability — in memory and on disk — before paying for
 	// the derivation (which can be millions of edges); putRunDurable
 	// re-checks under the lock for the race.
-	if c.reg.HasRun(runName) || (c.store != nil && c.store.HasRun(runName)) {
+	if c.entry(runName) != nil || (c.store != nil && c.store.HasRun(runName)) {
 		return nil, fmt.Errorf("provrpq: catalog: run %q: %w", runName, ErrAlreadyRegistered)
 	}
 	r, err := s.Derive(opts)
@@ -226,26 +319,67 @@ func (c *Catalog) DeriveRun(runName, specName string, opts DeriveOptions) (*Run,
 }
 
 // Run returns the run registered under name.
-func (c *Catalog) Run(name string) (*Run, bool) { return c.reg.Run(name) }
+func (c *Catalog) Run(name string) (*Run, bool) {
+	if en := c.entry(name); en != nil {
+		return en.run, true
+	}
+	return nil, false
+}
 
 // RunSpecName returns the name of the specification a run is bound to.
-func (c *Catalog) RunSpecName(name string) (string, bool) { return c.reg.RunSpec(name) }
+func (c *Catalog) RunSpecName(name string) (string, bool) {
+	if en := c.entry(name); en != nil {
+		return en.spec, true
+	}
+	return "", false
+}
 
 // RunNames returns all registered run names, sorted.
-func (c *Catalog) RunNames() []string { return c.reg.RunNames() }
+func (c *Catalog) RunNames() []string { return c.runNames(func(*runEntry) bool { return true }) }
 
 // RunsOfSpec returns the names of the runs bound to the named
 // specification, sorted.
-func (c *Catalog) RunsOfSpec(specName string) []string { return c.reg.RunsOf(specName) }
+func (c *Catalog) RunsOfSpec(specName string) []string {
+	return c.runNames(func(en *runEntry) bool { return en.spec == specName })
+}
+
+// runNames returns the names of the runs whose entries keep admits, sorted.
+func (c *Catalog) runNames(keep func(*runEntry) bool) []string {
+	c.registryMu.RLock()
+	defer c.registryMu.RUnlock()
+	out := []string{}
+	for n, en := range c.runs {
+		if keep(en) {
+			out = append(out, n)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 // Engine returns the named run's engine, building it on first use.
 // Concurrent first calls for one run share a single build.
 func (c *Catalog) Engine(runName string) (*Engine, error) {
-	e, ok := c.reg.Engine(runName)
+	e, _, ok := c.EngineAt(runName)
 	if !ok {
 		return nil, fmt.Errorf("provrpq: catalog: unknown run %q", runName)
 	}
 	return e, nil
+}
+
+// EngineAt returns the engine of the named run's current published version
+// (Engine.Run is that version) and its version number, from one atomic
+// registry read. A standing-query registration uses it to snapshot a
+// consistent pair: the full result at that version plus the deltas of every
+// AppendEvent with a higher version equals the full result at any later
+// version.
+func (c *Catalog) EngineAt(name string) (*Engine, int, bool) {
+	en := c.entry(name)
+	if en == nil {
+		return nil, 0, false
+	}
+	en.once.Do(func() { en.eng = NewEngineOpts(en.run, EngineOptions{Workers: c.workers, PlanCache: c.plans}) })
+	return en.eng, en.gen, true
 }
 
 // Explain reports the named run's evaluation plan for the query without
@@ -299,7 +433,7 @@ func (c *Catalog) EvaluateBatch(runNames []string, queries []*Query) []BatchResu
 // the cells still running or not yet begun fail with ctx.Err().
 func (c *Catalog) EvaluateBatchRows(ctx context.Context, runNames []string, queries []*Query) []BatchResult {
 	if len(runNames) == 0 {
-		runNames = c.reg.RunNames()
+		runNames = c.RunNames()
 	}
 	nq := len(queries)
 	out := make([]BatchResult, len(runNames)*nq)
@@ -332,11 +466,9 @@ type CatalogStats struct {
 
 // Stats snapshots the catalog.
 func (c *Catalog) Stats() CatalogStats {
-	ns, nr := c.reg.Len()
-	return CatalogStats{
-		Specs:     ns,
-		Runs:      nr,
-		PlanCache: c.plans.Stats(),
-		Workers:   parallel.Workers(c.workers),
-	}
+	c.registryMu.RLock()
+	st := CatalogStats{Specs: len(c.specs), Runs: len(c.runs)}
+	c.registryMu.RUnlock()
+	st.PlanCache, st.Workers = c.plans.Stats(), parallel.Workers(c.workers)
+	return st
 }

@@ -2,6 +2,7 @@ package provrpq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -213,4 +214,172 @@ func TestCatalogConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCatalogNames: name listings are sorted, RunsOfSpec keeps only the runs
+// bound to its specification, and an empty name is refused.
+func TestCatalogNames(t *testing.T) {
+	cat := NewCatalog(CatalogOptions{})
+	for _, s := range []string{"zeta", "alpha", "mid"} {
+		if err := cat.RegisterSpec(s, introSpec(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cat.SpecNames(); !slices.Equal(got, []string{"alpha", "mid", "zeta"}) {
+		t.Fatalf("SpecNames = %v", got)
+	}
+	for i, r := range []string{"r-c", "r-a", "r-b"} {
+		spec := []string{"zeta", "alpha", "alpha"}[i]
+		if _, err := cat.DeriveRun(r, spec, DeriveOptions{Seed: int64(i + 1), TargetEdges: 30}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cat.RunNames(); !slices.Equal(got, []string{"r-a", "r-b", "r-c"}) {
+		t.Fatalf("RunNames = %v", got)
+	}
+	if got := cat.RunsOfSpec("alpha"); !slices.Equal(got, []string{"r-a", "r-b"}) {
+		t.Fatalf("RunsOfSpec(alpha) = %v", got)
+	}
+	if got := cat.RunsOfSpec("zeta"); !slices.Equal(got, []string{"r-c"}) {
+		t.Fatalf("RunsOfSpec(zeta) = %v", got)
+	}
+	if got := cat.RunsOfSpec("mid"); len(got) != 0 {
+		t.Fatalf("RunsOfSpec(mid) = %v", got)
+	}
+
+	if err := cat.RegisterSpec("", introSpec(t)); err == nil {
+		t.Error("empty spec name should fail")
+	}
+	if _, err := cat.DeriveRun("", "alpha", DeriveOptions{Seed: 1, TargetEdges: 30}); err == nil {
+		t.Error("empty run name should fail")
+	}
+	if n := cat.Stats(); n.Specs != 3 || n.Runs != 3 {
+		t.Fatalf("Stats = %d specs, %d runs; a refused name registered", n.Specs, n.Runs)
+	}
+}
+
+// TestCatalogEngineBuiltOnce hammers one run's first Engine call from many
+// goroutines: they share one build, so every caller sees the same engine.
+func TestCatalogEngineBuiltOnce(t *testing.T) {
+	cat, runs := catalogFixture(t)
+	const goroutines = 64
+	got := make([]*Engine, goroutines)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, err := cat.Engine(runs[0])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = e
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatalf("goroutine %d saw engine %p, goroutine 0 saw %p", i, got[i], got[0])
+		}
+	}
+}
+
+// TestCatalogConcurrentRegistration races registrations against lookups and
+// engine builds across many distinct names (run under -race in CI).
+func TestCatalogConcurrentRegistration(t *testing.T) {
+	cat := NewCatalog(CatalogOptions{})
+	spec := introSpec(t)
+	if err := cat.RegisterSpec("w", spec); err != nil {
+		t.Fatal(err)
+	}
+	run, err := spec.Derive(DeriveOptions{Seed: 1, TargetEdges: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 32
+	engines := make([]*Engine, n)
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("run-%d", i)
+			if err := cat.AddRun(name, "w", run); err != nil {
+				t.Errorf("AddRun(%s): %v", name, err)
+				return
+			}
+			e, err := cat.Engine(name)
+			if err != nil {
+				t.Errorf("Engine(%s) missing right after AddRun: %v", name, err)
+				return
+			}
+			engines[i] = e
+			cat.RunNames()
+			cat.RunsOfSpec("w")
+		}(i)
+	}
+	wg.Wait()
+	if st := cat.Stats(); st.Runs != n {
+		t.Fatalf("registered %d runs, want %d", st.Runs, n)
+	}
+	seen := map[*Engine]bool{}
+	for _, e := range engines {
+		seen[e] = true
+	}
+	if len(seen) != n {
+		t.Fatalf("%d distinct engines for %d runs", len(seen), n)
+	}
+}
+
+// TestCatalogEngineAtGeneration: a run registered at a boot-time generation
+// counts on from it; EngineAt pairs each engine with the generation of the
+// version it serves; growth swaps the engine once, keeps the spec binding, and
+// Engine agrees with EngineAt.
+func TestCatalogEngineAtGeneration(t *testing.T) {
+	spec := introSpec(t)
+	full, err := spec.Derive(DeriveOptions{Seed: 4, TargetEdges: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseJSON, batchJSONs := splitEncodedRun(t, mustEncode(t, full), []int{full.NumNodes() / 2, full.NumNodes()})
+	base, err := DecodeRun(spec, baseJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.RegisterSpec("wf", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.putRun("r", "wf", base, 7); err != nil {
+		t.Fatal(err)
+	}
+	e0, gen0, ok := cat.EngineAt("r")
+	if !ok || gen0 != 7 || e0.Run() != base {
+		t.Fatalf("EngineAt = (%p, %d, %v), want the base's engine at generation 7", e0, gen0, ok)
+	}
+	batch, err := DecodeBatch(spec, batchJSONs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cat.AppendEdges("r", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Version != 8 {
+		t.Fatalf("generation after append = %d, want 8", res.Version)
+	}
+	e1, gen1, _ := cat.EngineAt("r")
+	if gen1 != 8 || e1 == e0 || e1.Run() != res.Run {
+		t.Fatalf("EngineAt after append = (%p, %d), want a new engine over the grown run at generation 8", e1, gen1)
+	}
+	if e, err := cat.Engine("r"); err != nil || e != e1 {
+		t.Fatal("Engine and EngineAt disagree, or the engine was rebuilt twice")
+	}
+	if sp, _ := cat.RunSpecName("r"); sp != "wf" {
+		t.Fatalf("RunSpecName after append = %q; the binding must survive", sp)
+	}
+	if _, _, ok := cat.EngineAt("ghost"); ok {
+		t.Fatal("EngineAt of an unknown run must fail")
+	}
 }

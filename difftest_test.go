@@ -139,7 +139,7 @@ func diffCheckOne(t *testing.T, eng *Engine, run *Run, qs string) bool {
 		}
 	}
 
-	strategies := []Strategy{StrategyG1, StrategySeeded, Auto}
+	strategies := []Strategy{StrategySeeded, Auto}
 	if safe {
 		strategies = append(strategies, StrategyRPL, StrategyOptRPL)
 	}
@@ -149,6 +149,12 @@ func diffCheckOne(t *testing.T, eng *Engine, run *Run, qs string) bool {
 	}
 	pairs, err := eng.Evaluate(q)
 	check("Evaluate", pairs, err)
+
+	var g1Pairs []Pair
+	baseline.NewG1(eng.index()).AllPairs(q.node, toDerive(all), toDerive(all), func(i, j int) {
+		g1Pairs = append(g1Pairs, Pair{From: all[i], To: all[j]})
+	})
+	check("G1", g1Pairs, nil)
 
 	if g3, ok := baseline.NewG3(eng.index(), q.node); ok {
 		var g3Pairs []Pair

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"provrpq/internal/automata"
-	"provrpq/internal/baseline"
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
@@ -19,6 +18,7 @@ import (
 	"provrpq/internal/plan"
 	"provrpq/internal/plancache"
 	"provrpq/internal/reach"
+	"provrpq/internal/rel"
 )
 
 var (
@@ -31,12 +31,12 @@ var (
 )
 
 // observeEvalLatency records latency for evaluation paths outside the
-// measured cost model (the G1 baseline, unsafe-query decomposition).
+// measured cost model (unsafe-query decomposition).
 func observeEvalLatency(name string, start time.Time) {
 	mEvalSeconds.With(name).Observe(time.Since(start).Seconds())
 }
 
-// Query is a parsed regular path query.
+// Query is a parsed regular path query and its canonical rendering.
 type Query struct {
 	node *automata.Node
 	str  string
@@ -48,7 +48,7 @@ func ParseQuery(s string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{node: n, str: s}, nil
+	return &Query{node: n, str: n.String()}, nil
 }
 
 // MustParseQuery is ParseQuery panicking on error, for fixtures.
@@ -61,7 +61,7 @@ func MustParseQuery(s string) *Query {
 }
 
 // String returns the canonical rendering of the query.
-func (q *Query) String() string { return q.node.String() }
+func (q *Query) String() string { return q.str }
 
 // Pair is one result of an all-pairs query.
 type Pair struct {
@@ -82,8 +82,6 @@ const (
 	// StrategyOptRPL forces the tree-walk scan (Option S2 over the
 	// query-intersected grammar): input + output time.
 	StrategyOptRPL
-	// StrategyG1 forces the relational baseline (Option G1).
-	StrategyG1
 	// StrategySeeded forces the index-seeded strategy: anchor on the rarest
 	// tag every match must traverse, restrict both endpoint lists to the
 	// nodes that can reach / be reached from its occurrences, and verify
@@ -104,8 +102,6 @@ func (s Strategy) String() string {
 		return "rpl"
 	case StrategyOptRPL:
 		return "optrpl"
-	case StrategyG1:
-		return "g1"
 	case StrategySeeded:
 		return "seeded"
 	}
@@ -245,15 +241,14 @@ func (e *Engine) labels() []label.Label {
 func (e *Engine) Run() *Run { return e.run }
 
 func (e *Engine) env(q *Query) (*core.Env, error) {
-	key := q.node.String()
-	if v, ok := e.envMemo.Load(key); ok {
+	if v, ok := e.envMemo.Load(q.str); ok {
 		return v.(*core.Env), nil
 	}
 	env, err := e.plans.Get(e.run.r.Spec, q.node)
 	if err != nil {
 		return nil, err
 	}
-	v, _ := e.envMemo.LoadOrStore(key, env)
+	v, _ := e.envMemo.LoadOrStore(q.str, env)
 	return v.(*core.Env), nil
 }
 
@@ -333,7 +328,7 @@ func (e *Engine) Pairwise(q *Query, u, v NodeID) (bool, error) {
 		}
 	}
 	found := false
-	baseline.Walk(e.run.r, env.DFA, derive.NodeID(u), env.DFA.Start, false, func(n derive.NodeID, state int) bool {
+	rel.Walk(e.run.r, env.DFA, derive.NodeID(u), env.DFA.Start, false, func(n derive.NodeID, state int) bool {
 		found = n == derive.NodeID(v) && env.DFA.Accept[state]
 		return !found
 	})
@@ -369,7 +364,7 @@ func (e *Engine) AllPairsReachable(l1, l2 []NodeID) ([]Pair, error) {
 }
 
 // forcedStrategies maps the caller-forced public strategies onto the
-// planner's enum; Auto and StrategyG1 are absent.
+// planner's enum; Auto is absent.
 var forcedStrategies = map[Strategy]plan.Strategy{
 	StrategyRPL:    plan.RPL,
 	StrategyOptRPL: plan.OptRPL,
@@ -393,11 +388,6 @@ func (e *Engine) AllPairs(q *Query, l1, l2 []NodeID, strategy Strategy) ([]Pair,
 		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
 	}
 	switch strategy {
-	case StrategyG1:
-		start := time.Now()
-		baseline.NewG1(e.index()).AllPairs(q.node, toDerive(l1), toDerive(l2), emit)
-		observeEvalLatency("g1", start)
-		return out, nil
 	case StrategyRPL, StrategyOptRPL:
 		if !env.Safe() {
 			return nil, fmt.Errorf("provrpq: query %s is unsafe; RPL/OptRPL require a safe query", q)
@@ -427,12 +417,12 @@ func (e *Engine) AllPairs(q *Query, l1, l2 []NodeID, strategy Strategy) ([]Pair,
 //provrpq:ctxroot
 func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 	start := time.Now()
-	rel, _, err := e.general().EvalContext(context.Background(), q.node, nodeSet(l1), nodeSet(l2))
+	r, _, err := e.general().EvalContext(context.Background(), q.node, nodeSet(l1), nodeSet(l2))
 	if err != nil {
 		return nil, err
 	}
 	var out []Pair
-	baseline.AllPairsIn(rel, toDerive(l1), toDerive(l2), func(i, j int) {
+	rel.AllPairsIn(r, toDerive(l1), toDerive(l2), func(i, j int) {
 		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
 	})
 	observeEvalLatency("decompose", start)
@@ -595,7 +585,7 @@ func (e *Engine) Explain(q *Query) (*PlanReport, error) {
 // safeReport renders the planner's decision for a safe query.
 func safeReport(q *Query, dec plan.Decision) *PlanReport {
 	rep := &PlanReport{
-		Query:    q.node.String(),
+		Query:    q.str,
 		Safe:     true,
 		Strategy: fromPlanStrategy(dec.Strategy),
 		SeedTag:  dec.SeedTag, SeedCount: dec.SeedCount, Reverse: dec.Reverse,
@@ -613,7 +603,7 @@ func safeReport(q *Query, dec plan.Decision) *PlanReport {
 // query.
 func decomposedReport(q *Query, grep *core.EvalReport) *PlanReport {
 	return &PlanReport{
-		Query:           q.node.String(),
+		Query:           q.str,
 		Strategy:        Auto,
 		Decomposed:      true,
 		SafeSubtrees:    grep.SafeSubtrees,
@@ -702,11 +692,11 @@ func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) 
 	// The evaluation itself produces the decomposition report — no separate
 	// planning pass — and its relation is rows in order already.
 	start := time.Now()
-	rel, grep, err := e.general().EvalContext(ctx, q.node, nil, nil)
+	r, grep, err := e.general().EvalContext(ctx, q.node, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, err := core.RowsOf(ctx, rel, e.run.NumNodes(), offset, limit)
+	rows, err := core.RowsOf(ctx, r, e.run.NumNodes(), offset, limit)
 	if err != nil {
 		return nil, nil, err
 	}

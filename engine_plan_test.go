@@ -169,10 +169,7 @@ func TestExplainRelaxedQuery(t *testing.T) {
 	}
 	checkCosts(t, after)
 	// The relaxed safe scan must answer exactly like the relational baseline.
-	g1, err := eng.AllPairs(q, run.AllNodes(), run.AllNodes(), provrpq.StrategyG1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1 := provrpq.G1AllPairs(eng, q, run.AllNodes(), run.AllNodes())
 	planned, _, err := eng.EvaluatePlanned(q)
 	if err != nil {
 		t.Fatal(err)

@@ -51,15 +51,14 @@ func main() {
 	}
 	fmt.Printf("query a* safe=%v\n", safe)
 
-	// Compare the two safe all-pairs strategies and the relational
-	// baseline on the same workload.
+	// Compare the two safe all-pairs strategies on the same workload (the
+	// relational baseline's numbers are `rpqbench -fig 13g/13h`).
 	for _, st := range []struct {
 		name string
 		s    provrpq.Strategy
 	}{
 		{"optRPL (S2)", provrpq.StrategyOptRPL},
 		{"RPL (S1)", provrpq.StrategyRPL},
-		{"G1 joins", provrpq.StrategyG1},
 	} {
 		startT := time.Now()
 		pairs, err := eng.AllPairs(q, dists, dists, st.s)

@@ -1,0 +1,14 @@
+package provrpq
+
+import "provrpq/internal/baseline"
+
+// G1AllPairs is AllPairs answered by the relational baseline (Option G1): the
+// query's whole relation over the run, matched against l1 × l2 in nested-loop
+// order. The tests hold the engine's strategies against it.
+func G1AllPairs(e *Engine, q *Query, l1, l2 []NodeID) []Pair {
+	var out []Pair
+	baseline.NewG1(e.index()).AllPairs(q.node, toDerive(l1), toDerive(l2), func(i, j int) {
+		out = append(out, Pair{From: l1[i], To: l2[j]})
+	})
+	return out
+}

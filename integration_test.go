@@ -106,10 +106,7 @@ func TestRelaxedSafetyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := eng.AllPairs(q, as, bs, provrpq.StrategyG1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow := provrpq.G1AllPairs(eng, q, as, bs)
 	if len(fast) != len(slow) || len(fast) != len(as) {
 		t.Fatalf("relaxed decode: optRPL %d, G1 %d, want %d (every a reaches b via a*)",
 			len(fast), len(slow), len(as))

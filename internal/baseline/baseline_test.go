@@ -6,6 +6,7 @@ import (
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
+	"provrpq/internal/rel"
 	"provrpq/internal/wf"
 )
 
@@ -18,9 +19,9 @@ func testRun(t *testing.T, spec *wf.Spec, seed int64, target int) *derive.Run {
 	return r
 }
 
-func relFromOracle(run *derive.Run, q *automata.Node) *Rel {
+func relFromOracle(run *derive.Run, q *automata.Node) *rel.Rel {
 	o := NewOracle(run, q)
-	out := NewRel()
+	out := rel.NewRel()
 	for _, u := range run.AllNodes() {
 		for _, v := range o.From(u) {
 			out.Add(u, v)
@@ -29,7 +30,7 @@ func relFromOracle(run *derive.Run, q *automata.Node) *Rel {
 	return out
 }
 
-func sameRel(t *testing.T, name string, got, want *Rel, run *derive.Run) {
+func sameRel(t *testing.T, name string, got, want *rel.Rel, run *derive.Run) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Errorf("%s: %d pairs, oracle %d", name, got.Len(), want.Len())
@@ -193,9 +194,9 @@ func TestG3MatchesOracle(t *testing.T) {
 					l2 = append(l2, derive.NodeID(i))
 				}
 			}
-			got := NewRel()
+			got := rel.NewRel()
 			g3.AllPairs(l1, l2, func(i, j int) { got.Add(l1[i], l2[j]) })
-			want := NewRel()
+			want := rel.NewRel()
 			o.AllPairs(l1, l2, func(i, j int) { want.Add(l1[i], l2[j]) })
 			sameRel(t, "G3 allpairs "+qs, got, want, run)
 		}
@@ -223,7 +224,7 @@ func TestOracleEmptyPath(t *testing.T) {
 }
 
 func TestRelOps(t *testing.T) {
-	r := NewRel()
+	r := rel.NewRel()
 	r.Add(1, 2)
 	r.Add(2, 3)
 	r.Add(3, 1)
@@ -263,7 +264,7 @@ func TestG1AllPairsFilter(t *testing.T) {
 	for i := 1; i < run.NumNodes(); i += 3 {
 		l2 = append(l2, derive.NodeID(i))
 	}
-	got := NewRel()
+	got := rel.NewRel()
 	g1.AllPairs(q, l1, l2, func(i, j int) { got.Add(l1[i], l2[j]) })
 	for _, p := range got.Pairs() {
 		if !want.Has(p[0], p[1]) {

@@ -4,6 +4,7 @@ import (
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
+	"provrpq/internal/rel"
 )
 
 // G2 is the paper's Option G2 (Koschmieder & Leser [20]): decompose the
@@ -55,9 +56,9 @@ func (g *G2) pickRareLabel(q *automata.Node) string {
 }
 
 // Eval returns the full result relation.
-func (g *G2) Eval() *Rel {
+func (g *G2) Eval() *rel.Rel {
 	run := g.ix.Run()
-	out := NewRel()
+	out := rel.NewRel()
 	if g.rare == "" {
 		// No required label: one full search from every node.
 		for _, u := range run.AllNodes() {
@@ -178,7 +179,7 @@ func (g *G2) backward(x derive.NodeID) map[derive.NodeID][]int {
 // the DFA start state at u (one walk from u).
 func (g *G2) backwardFrom(u, x derive.NodeID) []int {
 	var out []int
-	Walk(g.ix.Run(), g.dfa, u, g.dfa.Start, false, func(n derive.NodeID, q int) bool {
+	rel.Walk(g.ix.Run(), g.dfa, u, g.dfa.Start, false, func(n derive.NodeID, q int) bool {
 		if n == x {
 			out = append(out, q)
 		}
@@ -193,7 +194,7 @@ func (g *G2) backwardFrom(u, x derive.NodeID) []int {
 // indifferent to repeats.
 func (g *G2) forward(y derive.NodeID, q int) []derive.NodeID {
 	var out []derive.NodeID
-	Walk(g.ix.Run(), g.dfa, y, q, false, func(n derive.NodeID, q2 int) bool {
+	rel.Walk(g.ix.Run(), g.dfa, y, q, false, func(n derive.NodeID, q2 int) bool {
 		if g.dfa.Accept[q2] {
 			out = append(out, n)
 		}

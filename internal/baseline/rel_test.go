@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"provrpq/internal/derive"
+	"provrpq/internal/rel"
 	"provrpq/internal/wf"
 )
 
-// relModel is the reference the property test holds Rel against: a plain
+// relModel is the reference the property test holds rel.Rel against: a plain
 // set of pairs, with every operator written the obvious way.
 type relModel map[[2]derive.NodeID]bool
 
@@ -64,7 +65,7 @@ func (m relModel) sorted() [][2]derive.NodeID {
 // checkRel holds every read of r against the model: Len, Pairs in strictly
 // increasing (From, To) order, Each visiting exactly Pairs, and Has over the
 // whole id square, including sources and targets r never saw.
-func checkRel(t *testing.T, what string, r *Rel, m relModel) {
+func checkRel(t *testing.T, what string, r *rel.Rel, m relModel) {
 	t.Helper()
 	want := m.sorted()
 	if r.Len() != len(want) {
@@ -94,8 +95,8 @@ const relTestIDs = 40
 // the pairs through Add — sources out of order and far past the current row
 // count, self-loops, the same pair twice — the rest through AddRows, as
 // unsorted rows with repeats laid over what Add put there.
-func randomRel(rng *rand.Rand) (*Rel, relModel) {
-	r, m := NewRel(), relModel{}
+func randomRel(rng *rand.Rand) (*rel.Rel, relModel) {
+	r, m := rel.NewRel(), relModel{}
 	ids := 1 + rng.Intn(relTestIDs)
 	pairs := 0
 	if rng.Intn(6) > 0 { // one relation in six stays empty
@@ -142,13 +143,13 @@ func TestRelMatchesModel(t *testing.T) {
 
 		results := []struct {
 			name string
-			rel  *Rel
+			rel  *rel.Rel
 			m    relModel
 		}{
 			{"Union", a.Union(b), ma.union(mb)},
 			{"Union with itself", a.Union(a), ma},
-			{"Union with empty", a.Union(NewRel()), ma},
-			{"empty Union", NewRel().Union(a), ma},
+			{"Union with empty", a.Union(rel.NewRel()), ma},
+			{"empty Union", rel.NewRel().Union(a), ma},
 			{"Join", a.Join(b), ma.join(mb)},
 			{"Join with itself", a.Join(a), ma.join(ma)},
 			{"Closure", a.Closure(), ma.closure()},
@@ -189,7 +190,7 @@ func TestIdentityRelMatchesModel(t *testing.T) {
 	for _, u := range run.AllNodes() {
 		m[[2]derive.NodeID{u, u}] = true
 	}
-	id := IdentityRel(run)
+	id := rel.Identity(run)
 	if run.NumNodes() > relTestIDs {
 		t.Fatalf("fixture has %d nodes, checkRel covers %d", run.NumNodes(), relTestIDs)
 	}
@@ -215,7 +216,7 @@ func TestAllPairsInOrder(t *testing.T) {
 		}
 		l1, l2 := list(), list()
 		var got, want [][2]int
-		AllPairsIn(r, l1, l2, func(i, j int) { got = append(got, [2]int{i, j}) })
+		rel.AllPairsIn(r, l1, l2, func(i, j int) { got = append(got, [2]int{i, j}) })
 		for i, u := range l1 {
 			for j, v := range l2 {
 				if r.Has(u, v) {
@@ -288,15 +289,15 @@ func TestRelSetsAndRestriction(t *testing.T) {
 // block of source rows — before the first, when it had fired already — and
 // what it returns is a relation still, whatever it lacks.
 func TestRelOperatorsGiveUp(t *testing.T) {
-	r := NewRel()
+	r := rel.NewRel()
 	for u := derive.NodeID(0); u < 500; u++ {
 		r.Add(u, u+1)
 	}
 	done := make(chan struct{})
 	close(done)
-	for name, got := range map[string]*Rel{
+	for name, got := range map[string]*rel.Rel{
 		"JoinUntil":   r.JoinUntil(done, r),
-		"UnionUntil":  r.UnionUntil(done, NewRel()),
+		"UnionUntil":  r.UnionUntil(done, rel.NewRel()),
 		"ClosureFrom": r.ClosureFrom(done, nil),
 	} {
 		if got.Len() != 0 {

@@ -5,6 +5,7 @@ import (
 
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
+	"provrpq/internal/rel"
 	"provrpq/internal/wf"
 )
 
@@ -22,7 +23,7 @@ func TestWalkReportsEachLiveStateOnce(t *testing.T) {
 				q int
 			}
 			seen := map[ns]bool{}
-			Walk(run, o.dfa, u, o.dfa.Start, false, func(n derive.NodeID, q int) bool {
+			rel.Walk(run, o.dfa, u, o.dfa.Start, false, func(n derive.NodeID, q int) bool {
 				if q == dead {
 					t.Fatalf("%s from %d: dead state reported at node %d", qs, u, n)
 				}
@@ -52,7 +53,7 @@ func TestWalkReportsEachLiveStateOnce(t *testing.T) {
 					continue
 				}
 				calls := 0
-				Walk(run, o.dfa, u, o.dfa.Start, false, func(derive.NodeID, int) bool {
+				rel.Walk(run, o.dfa, u, o.dfa.Start, false, func(derive.NodeID, int) bool {
 					calls++
 					return calls < stopAt
 				})
@@ -73,15 +74,15 @@ func TestWalkBackwardOverReverse(t *testing.T) {
 		q := automata.MustParse(qs)
 		dfa := automata.CompileDFA(q, run.Spec.Tags())
 		rdfa := automata.CompileDFA(q.Reverse(), run.Spec.Tags())
-		fwd, bwd := NewRel(), NewRel()
+		fwd, bwd := rel.NewRel(), rel.NewRel()
 		for _, x := range run.AllNodes() {
-			Walk(run, dfa, x, dfa.Start, false, func(v derive.NodeID, s int) bool {
+			rel.Walk(run, dfa, x, dfa.Start, false, func(v derive.NodeID, s int) bool {
 				if dfa.Accept[s] {
 					fwd.Add(x, v)
 				}
 				return true
 			})
-			Walk(run, rdfa, x, rdfa.Start, true, func(u derive.NodeID, s int) bool {
+			rel.Walk(run, rdfa, x, rdfa.Start, true, func(u derive.NodeID, s int) bool {
 				if rdfa.Accept[s] {
 					bwd.Add(u, x)
 				}

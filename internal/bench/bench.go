@@ -17,6 +17,7 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/label"
+	"provrpq/internal/rel"
 	"provrpq/internal/workload"
 )
 
@@ -541,20 +542,19 @@ func general(cfg Config, d *workload.Dataset) error {
 		if g1Pairs < massivePairs {
 			continue
 		}
-		var g1Rel *baseline.Rel
+		var g1Rel, oursRel *rel.Rel
 		g1T := timeOf(func() { g1Rel = g1.Eval(qn) })
-		var rel *baseline.Rel
 		oursT, err := timeOfErr(func() error {
 			ours := core.NewGeneral(run, ix, core.CostBased)
 			var err error
-			rel, _, err = ours.Eval(qn)
+			oursRel, _, err = ours.Eval(qn)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		if g1Rel.Len() != rel.Len() {
-			return fmt.Errorf("bench: result mismatch on %s: ours %d vs G1 %d", qn, rel.Len(), g1Rel.Len())
+		if g1Rel.Len() != oursRel.Len() {
+			return fmt.Errorf("bench: result mismatch on %s: ours %d vs G1 %d", qn, oursRel.Len(), g1Rel.Len())
 		}
 		imp := 100 * (sec(g1T) - sec(oursT)) / sec(g1T)
 		improvements = append(improvements, imp)
@@ -564,7 +564,7 @@ func general(cfg Config, d *workload.Dataset) error {
 			qs = qs[:39] + "..."
 		}
 		fmt.Fprintf(cfg.W, "%-4d %-44s %-10d %-10d %-12.4f %-12.4f %-12.1f\n",
-			shown, qs, rel.Len(), g1Pairs, sec(g1T), sec(oursT), imp)
+			shown, qs, oursRel.Len(), g1Pairs, sec(g1T), sec(oursT), imp)
 	}
 	sort.Float64s(improvements)
 	improved, big := 0, 0

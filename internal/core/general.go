@@ -10,12 +10,12 @@ import (
 	"sync/atomic"
 
 	"provrpq/internal/automata"
-	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/label"
 	"provrpq/internal/parallel"
 	"provrpq/internal/reach"
+	"provrpq/internal/rel"
 	"provrpq/internal/wf"
 )
 
@@ -63,7 +63,6 @@ type GeneralOptions struct {
 type General struct {
 	run      *derive.Run
 	ix       *index.Index
-	g1       *baseline.G1
 	strategy GeneralStrategy
 	workers  int
 
@@ -104,7 +103,6 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 	return &General{
 		run:      run,
 		ix:       ix,
-		g1:       baseline.NewG1(ix),
 		strategy: strategy,
 		workers:  opts.Workers,
 		source:   opts.Envs,
@@ -117,7 +115,7 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 // with a decomposition report.
 //
 //provrpq:ctxroot
-func (g *General) Eval(q *automata.Node) (*baseline.Rel, *EvalReport, error) {
+func (g *General) Eval(q *automata.Node) (*rel.Rel, *EvalReport, error) {
 	return g.EvalContext(context.Background(), q, nil, nil)
 }
 
@@ -127,7 +125,7 @@ func (g *General) Eval(q *automata.Node) (*baseline.Rel, *EvalReport, error) {
 // is when both are nil. Once ctx is done it ends with ctx.Err(): at the next
 // block of a safe subtree's walk or of a relational operator's rows. The
 // report is Plan's, whatever order the evaluation took.
-func (g *General) EvalContext(ctx context.Context, q *automata.Node, from, to []int32) (*baseline.Rel, *EvalReport, error) {
+func (g *General) EvalContext(ctx context.Context, q *automata.Node, from, to []int32) (*rel.Rel, *EvalReport, error) {
 	rep, err := g.Plan(q)
 	if err != nil {
 		return nil, nil, err
@@ -216,12 +214,12 @@ func (g *General) labelled(q *automata.Node, rep *EvalReport) (*Env, error) {
 // alternation hands both sets to every branch, a closure runs from the sources
 // only and needs its body whole, a concatenation hands each child what its
 // neighbours produced, a safe subtree is walked over the two sets' labels.
-func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, from, to []int32) (*baseline.Rel, error) {
+func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, from, to []int32) (*rel.Rel, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if (from != nil && len(from) == 0) || (to != nil && len(to) == 0) {
-		return baseline.NewRel(), nil
+		return rel.NewRel(), nil
 	}
 	if env, err := g.labelled(q, rep); err != nil {
 		return nil, err
@@ -231,22 +229,22 @@ func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, f
 	done := ctx.Done()
 	switch q.Kind {
 	case automata.KindSym, automata.KindWild, automata.KindEps:
-		return g.g1.Eval(q).Restrict(from, to), nil
+		return rel.Leaf(g.ix, q).Restrict(from, to), nil
 	case automata.KindConcat:
 		return g.concat(ctx, q.Children, rep, from, to)
 	case automata.KindAlt:
-		rel := baseline.NewRel()
+		out := rel.NewRel()
 		for i, c := range q.Children {
 			next, err := g.eval(ctx, c, rep, from, to)
 			if err != nil {
 				return nil, err
 			}
 			if i > 0 {
-				next = rel.UnionUntil(done, next)
+				next = out.UnionUntil(done, next)
 			}
-			rel = next
+			out = next
 		}
-		return rel, nil
+		return out, nil
 	case automata.KindStar, automata.KindPlus, automata.KindOpt:
 		f, t := from, to
 		if q.Kind != automata.KindOpt {
@@ -260,7 +258,7 @@ func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, f
 			r = r.ClosureFrom(done, from)
 		}
 		if q.Kind != automata.KindPlus {
-			r = r.UnionUntil(done, baseline.IdentityRel(g.run).Restrict(from, to))
+			r = r.UnionUntil(done, rel.Identity(g.run).Restrict(from, to))
 		}
 		return r, nil
 	}
@@ -272,7 +270,7 @@ func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, f
 // each for the sources its left neighbour's relation reaches — from, for the
 // first — and the targets its right neighbour's starts at, where those are
 // evaluated by then. The joins take the cheapest adjacent pair first.
-func (g *General) concat(ctx context.Context, cs []*automata.Node, rep *EvalReport, from, to []int32) (*baseline.Rel, error) {
+func (g *General) concat(ctx context.Context, cs []*automata.Node, rep *EvalReport, from, to []int32) (*rel.Rel, error) {
 	order, size := make([]int, len(cs)), make([]float64, len(cs))
 	for i, c := range cs {
 		env, err := g.labelled(c, rep)
@@ -284,7 +282,7 @@ func (g *General) concat(ctx context.Context, cs []*automata.Node, rep *EvalRepo
 		}
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size[a], size[b]) })
-	rels := make([]*baseline.Rel, len(cs))
+	rels := make([]*rel.Rel, len(cs))
 	for _, i := range order {
 		f, t := from, to
 		if i > 0 {
@@ -346,7 +344,7 @@ func (g *General) trie(set []int32) *reach.Trie {
 // safeEval computes a safe subquery's pairs inside from × to with the optRPL
 // walk over the two sets' labels; the relation takes over its rows (rows.go).
 // Only the scan of every pair of a large run is sharded across the workers.
-func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*baseline.Rel, error) {
+func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*rel.Rel, error) {
 	n := len(g.labels)
 	var r *Rows
 	var err error
@@ -371,7 +369,7 @@ func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*ba
 	for u := range rows {
 		rows[u] = r.row(u)
 	}
-	out := baseline.NewRel()
+	out := rel.NewRel()
 	out.AddRows(rows)
 	return out, nil
 }

@@ -17,6 +17,7 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/reach"
+	"provrpq/internal/rel"
 	"provrpq/internal/wf"
 	"provrpq/internal/workload"
 )
@@ -46,22 +47,22 @@ func checkGeneralAgainstOracle(t *testing.T, what string, run *derive.Run, gen *
 	t.Helper()
 	for _, qs := range queries {
 		q := automata.MustParse(qs)
-		rel, rep, err := gen.Eval(q)
+		got, rep, err := gen.Eval(q)
 		if err != nil {
 			t.Fatalf("%s: Eval(%q): %v", what, qs, err)
 		}
 		oracle := baseline.NewOracle(run, q)
-		want := baseline.NewRel()
+		want := rel.NewRel()
 		for _, u := range run.AllNodes() {
 			for _, v := range oracle.From(u) {
 				want.Add(u, v)
 			}
 		}
-		if rel.Len() != want.Len() {
-			t.Fatalf("%s query %q: %d pairs, oracle %d (report %+v)", what, qs, rel.Len(), want.Len(), rep)
+		if got.Len() != want.Len() {
+			t.Fatalf("%s query %q: %d pairs, oracle %d (report %+v)", what, qs, got.Len(), want.Len(), rep)
 		}
 		want.Each(func(u, v derive.NodeID) {
-			if !rel.Has(u, v) {
+			if !got.Has(u, v) {
 				t.Fatalf("%s query %q: missing (%s,%s)", what, qs, run.Nodes[u].Name, run.Nodes[v].Name)
 			}
 		})
@@ -141,7 +142,7 @@ func TestGeneralShardedFillMatchesSerial(t *testing.T) {
 	}
 	ix := index.Build(run)
 	q := automata.MustParse("_*.p3_2._*.p5_2._*")
-	var rels [2]*baseline.Rel
+	var rels [2]*rel.Rel
 	for i, workers := range []int{1, 2} {
 		gen := NewGeneralOpts(run, ix, LargestSafeSubtree, GeneralOptions{Workers: workers})
 		rel, rep, err := gen.Eval(q)

@@ -7,9 +7,9 @@ import (
 	"slices"
 	"sort"
 
-	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/label"
+	"provrpq/internal/rel"
 )
 
 // Rows is an all-pairs result in (source, target) order with no pair stored:
@@ -147,11 +147,11 @@ func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsSt
 
 // RowsOf returns the window of a relation over n nodes as Rows: what the label
 // scans produce, for the relations the decomposition does.
-func RowsOf(ctx context.Context, rel *baseline.Rel, n, offset, limit int) (*Rows, error) {
+func RowsOf(ctx context.Context, r *rel.Rel, n, offset, limit int) (*Rows, error) {
 	one := []int32{0}
 	return buildRows(ctx, n, offset, limit, func(emit func(block)) {
 		for u := 0; u < n; u++ {
-			emit(block{u, one, rel.Row(derive.NodeID(u))})
+			emit(block{u, one, r.Row(derive.NodeID(u))})
 		}
 	})
 }

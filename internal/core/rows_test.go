@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/reach"
+	"provrpq/internal/rel"
 	"provrpq/internal/wf"
 )
 
@@ -90,10 +90,10 @@ func TestRowsMatchTheWalk(t *testing.T) {
 			}
 			env := envs[q]
 			var want [][2]int
-			rel := baseline.NewRel()
+			wantRel := rel.NewRel()
 			if err := env.AllPairsSafeParallel(labels, labels, OptRPL, 1, func(i, j int) {
 				want = append(want, [2]int{i, j})
-				rel.Add(derive.NodeID(i), derive.NodeID(j))
+				wantRel.Add(derive.NodeID(i), derive.NodeID(j))
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestRowsMatchTheWalk(t *testing.T) {
 				return must(env.RowsSafeTries(ctx, trie, trie, len(labels), offset, limit))
 			})
 			checkWindows(t, r, name+" "+q+" relation", want, func(offset, limit int) *Rows {
-				return must(RowsOf(ctx, rel, len(labels), offset, limit))
+				return must(RowsOf(ctx, wantRel, len(labels), offset, limit))
 			})
 
 			shuffled := slices.Clone(labels)

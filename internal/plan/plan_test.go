@@ -1,15 +1,20 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"provrpq/internal/automata"
 	"provrpq/internal/baseline"
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
+	"provrpq/internal/label"
 	"provrpq/internal/wf"
 	"provrpq/internal/workload"
 )
@@ -221,6 +226,36 @@ func TestSeededAbsentTag(t *testing.T) {
 	}
 	if want := oraclePairs(run, q, all, all); len(want) != 0 {
 		t.Fatalf("oracle disagrees: %d pairs for a query requiring an absent tag", len(want))
+	}
+}
+
+// TestSeededRowsCancelled: once ctx is done the seeded scan builds no trie and
+// starts no join — whichever candidate side comes first, seed or none — and
+// returns ctx's error, having allocated less than one trie's label list.
+func TestSeededRowsCancelled(t *testing.T) {
+	spec := testSpec(t)
+	run := testRun(t, spec, 1, 16000)
+	ix := index.Build(run)
+	all := run.AllNodes()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	trieLabels := uint64(len(all)) * uint64(unsafe.Sizeof(label.Label{}))
+	for _, qs := range []string{"_*.p._*", "_*"} {
+		_, env := compile(t, spec, qs)
+		dec := New(ix).Plan(env, len(all), len(all))
+		for _, rev := range []bool{false, true} {
+			dec.Reverse = rev
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rows, err := SeededRows(ctx, env, ix, dec, all, 0, -1)
+			runtime.ReadMemStats(&after)
+			if rows != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s reverse=%v: SeededRows = %v, %v; want context.Canceled", qs, rev, rows, err)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b >= trieLabels {
+				t.Errorf("%s reverse=%v: a cancelled scan allocated %d B, one trie's labels take %d B", qs, rev, b, trieLabels)
+			}
+		}
 	}
 }
 

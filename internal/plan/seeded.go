@@ -5,11 +5,11 @@ import (
 	"slices"
 
 	"provrpq/internal/automata"
-	"provrpq/internal/baseline"
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/reach"
+	"provrpq/internal/rel"
 )
 
 // AllPairsSeeded evaluates the compiled query over l1 × l2 anchored on the
@@ -37,14 +37,16 @@ import (
 // A decision without a seed tag (the query requires no symbol) falls back
 // to OptRPL for safe queries and to a full bidirectional expansion for
 // unsafe ones — the shapes where seeding has nothing to anchor on.
+//
+//provrpq:ctxroot
 func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID, emit func(i, j int)) error {
 	if !env.Safe() && requiredSeed(env, dec) == "" {
 		return expandPairs(env, ix.Run(), allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
 	}
-	t1, t2, inL, inR := candidates(env, ix, dec, l1, l2)
+	t1, t2, inL, inR, err := candidates(context.Background(), env, ix, dec, l1, l2)
 	switch {
 	case t1 == nil:
-		return nil
+		return err
 	case env.Safe():
 		return env.AllPairsSafeTries(t1.Sub(inL), t2.Sub(inR), emit)
 	}
@@ -55,10 +57,14 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []deriv
 // SeededRows is AllPairsSeeded of a safe query over every pair of one node
 // list, into rows: the verification walk over the candidates' sub-tries
 // counts, then fills, the window of the result (core.Rows), and ends with
-// ctx.Err() at the next block once ctx is done.
+// ctx.Err() once ctx is done: before the next trie build or candidate join,
+// or at the next block of a walk.
 func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, dec Decision, l []derive.NodeID, offset, limit int) (*core.Rows, error) {
-	t1, t2, inL, inR := candidates(env, ix, dec, l, l)
+	t1, t2, inL, inR, err := candidates(ctx, env, ix, dec, l, l)
 	if t1 == nil {
+		if err != nil {
+			return nil, err
+		}
 		return &core.Rows{}, nil
 	}
 	return env.RowsSafeTries(ctx, t1.Sub(inL), t2.Sub(inR), len(l), offset, limit)
@@ -79,13 +85,25 @@ func requiredSeed(env *core.Env, dec Decision) string {
 // without a seed — and returns them with the tree representations of the two
 // lists, which serve the candidate joins and the safe verification alike:
 // each is built when first read, once for both sides when the lists are the
-// same slice. It returns nil tries when no pair can match: the seed tag is
-// absent from the run, or a candidate side is empty.
-func candidates(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID) (t1, t2 *reach.Trie, inL, inR []bool) {
+// same slice. It returns nil tries when no pair can match — the seed tag is
+// absent from the run, or a candidate side is empty — and, with ctx.Err(),
+// once ctx is done: no trie is built and no join started after that.
+func candidates(ctx context.Context, env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID) (t1, t2 *reach.Trie, inL, inR []bool, err error) {
+	defer func() {
+		if err = ctx.Err(); err != nil {
+			t1, t2, inL, inR = nil, nil, nil, nil
+		}
+	}()
 	run := ix.Run()
+	trie := func(l []derive.NodeID) *reach.Trie {
+		if ctx.Err() != nil {
+			return nil
+		}
+		return reach.NewTrie(run.LabelsOf(l))
+	}
 	sources := func() *reach.Trie {
 		if t1 == nil {
-			t1 = reach.NewTrie(run.LabelsOf(l1))
+			t1 = trie(l1)
 		}
 		return t1
 	}
@@ -95,16 +113,16 @@ func candidates(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.No
 		case len(l1) == len(l2) && len(l1) > 0 && &l1[0] == &l2[0]:
 			t2 = sources()
 		default:
-			t2 = reach.NewTrie(run.LabelsOf(l2))
+			t2 = trie(l2)
 		}
 		return t2
 	}
 	seed := requiredSeed(env, dec)
 	if seed == "" {
-		return sources(), targets(), nil, nil
+		return sources(), targets(), nil, nil, nil
 	}
 	if ix.Count(seed) == 0 {
-		return nil, nil, nil, nil // required tag absent from the run
+		return nil, nil, nil, nil, nil // required tag absent from the run
 	}
 
 	// Distinct seed endpoints: several occurrences often share sources or
@@ -123,24 +141,24 @@ func candidates(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.No
 		}
 	})
 	inL, inR = make([]bool, len(l1)), make([]bool, len(l2))
-	candSources := func() bool {
-		hit := false
-		reach.AllPairsTries(run.Spec, sources(), reach.NewTrie(run.LabelsOf(srcs)), func(i, _ int) { inL[i], hit = true, true })
+	// join reports whether the join of two tries emitted a pair; while ctx is
+	// live, both were built.
+	join := func(a, b *reach.Trie, emit reach.EmitFunc) (hit bool) {
+		if ctx.Err() == nil {
+			reach.AllPairsTries(ctx.Done(), run.Spec, a, b, func(i, j int) { emit(i, j); hit = true })
+		}
 		return hit
 	}
-	candTargets := func() bool {
-		hit := false
-		reach.AllPairsTries(run.Spec, reach.NewTrie(run.LabelsOf(dsts)), targets(), func(_, j int) { inR[j], hit = true, true })
-		return hit
-	}
+	candSources := func() bool { return join(sources(), trie(srcs), func(i, _ int) { inL[i] = true }) }
+	candTargets := func() bool { return join(trie(dsts), targets(), func(_, j int) { inR[j] = true }) }
 	first, second := candSources, candTargets
 	if dec.Reverse {
 		first, second = candTargets, candSources
 	}
 	if !first() || !second() {
-		return nil, nil, nil, nil
+		return nil, nil, nil, nil, nil
 	}
-	return t1, t2, inL, inR
+	return t1, t2, inL, inR, nil
 }
 
 // expandPairs verifies candidate pairs by product traversal of the run with
@@ -183,7 +201,7 @@ func expandPairs(env *core.Env, run *derive.Run, L, R []int, l1, l2 []derive.Nod
 // outgoing ones.
 func expand(run *derive.Run, dfa *automata.DFA, from derive.NodeID, backward bool) map[derive.NodeID]bool {
 	hits := map[derive.NodeID]bool{}
-	baseline.Walk(run, dfa, from, dfa.Start, backward, func(n derive.NodeID, q int) bool {
+	rel.Walk(run, dfa, from, dfa.Start, backward, func(n derive.NodeID, q int) bool {
 		if dfa.Accept[q] {
 			hits[n] = true
 		}

@@ -165,7 +165,7 @@ func AllPairs(spec *wf.Spec, l1, l2 []label.Label, workers int, emit EmitFunc) {
 	}
 	t2 := NewTrie(l2)
 	parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
-		AllPairsTries(spec, NewTrie(l1[lo:hi]), t2, func(i, j int) {
+		AllPairsTries(nil, spec, NewTrie(l1[lo:hi]), t2, func(i, j int) {
 			out([2]int{lo + i, j})
 		})
 	}, func(p [2]int) { emit(p[0], p[1]) })
@@ -173,22 +173,37 @@ func AllPairs(spec *wf.Spec, l1, l2 []label.Label, workers int, emit EmitFunc) {
 
 // AllPairsTries is AllPairs over prebuilt tries; indices refer to the
 // original (pre-sort) label lists. A built Trie is read-only, so the same
-// trie may back any number of concurrent walks.
-func AllPairsTries(spec *wf.Spec, t1, t2 *Trie, emit EmitFunc) {
-	w := &walker{spec: spec, t1: t1, t2: t2, emit: emit}
+// trie may back any number of concurrent walks. Once done fires (nil never
+// does) the walk emits nothing more and unwinds; what it emitted is then
+// incomplete.
+func AllPairsTries(done <-chan struct{}, spec *wf.Spec, t1, t2 *Trie, emit EmitFunc) {
+	w := &walker{spec: spec, t1: t1, t2: t2, emit: emit, done: done}
 	w.walk(t1.Root, t2.Root)
 }
 
 type walker struct {
-	spec  *wf.Spec
-	t1    *Trie
-	t2    *Trie
-	emit  EmitFunc
-	depth int
+	spec *wf.Spec
+	t1   *Trie
+	t2   *Trie
+	emit EmitFunc
+	done <-chan struct{}
+}
+
+// stop reports whether done has fired.
+func (w *walker) stop() bool {
+	select {
+	case <-w.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // emitRange crosses the leaf ranges of two subtrees.
 func (w *walker) emitRange(a, b *TrieNode) {
+	if w.stop() {
+		return
+	}
 	for i := a.Lo; i < a.Hi; i++ {
 		for j := b.Lo; j < b.Hi; j++ {
 			w.emit(w.t1.Perm[i], w.t2.Perm[j])
@@ -199,6 +214,9 @@ func (w *walker) emitRange(a, b *TrieNode) {
 // walk processes two trie nodes known to represent the same parse-tree node
 // (equal label prefixes).
 func (w *walker) walk(a, b *TrieNode) {
+	if w.stop() {
+		return
+	}
 	// A pair of leaves with the same full label is the same run node:
 	// reachable via the empty path. (Leaves at this node sit in
 	// [Lo, firstChild.Lo); only identical labels can coexist there.)

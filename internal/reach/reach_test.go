@@ -350,6 +350,24 @@ func TestAllPairsIdenticalLists(t *testing.T) {
 	}
 }
 
+// TestAllPairsTriesStopsWhenDone: a walk whose done has fired emits nothing;
+// a nil done never stops one.
+func TestAllPairsTriesStopsWhenDone(t *testing.T) {
+	r := paperRun(t)
+	tr := NewTrie(r.MaterializeLabels())
+	done := make(chan struct{})
+	close(done)
+	count := 0
+	AllPairsTries(done, r.Spec, tr, tr, func(i, j int) { count++ })
+	if count != 0 {
+		t.Fatalf("walk with done fired emitted %d pairs", count)
+	}
+	AllPairsTries(nil, r.Spec, tr, tr, func(i, j int) { count++ })
+	if count < r.NumNodes() {
+		t.Fatalf("walk with a nil done emitted %d pairs, fewer than the %d nodes reaching themselves", count, r.NumNodes())
+	}
+}
+
 func TestPaperExampleAllPairs(t *testing.T) {
 	// Example 3.1's reachability structure, adjusted for creation-order
 	// names: paper l1={d:1,d:2,e:2}, l2={b:1,b:2}; paper's d:1/d:2 are our

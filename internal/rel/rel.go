@@ -1,10 +1,16 @@
-package baseline
+// Package rel holds the relational operators the decomposition of an unsafe
+// query composes its safe subtrees with, and the run × DFA walk behind unsafe
+// pairwise checks. The reference implementations in internal/baseline build on
+// it; it imports none of them.
+package rel
 
 import (
 	"math/bits"
 	"slices"
 
+	"provrpq/internal/automata"
 	"provrpq/internal/derive"
+	"provrpq/internal/index"
 )
 
 // Rel is a binary relation over run nodes — the intermediate result type of
@@ -387,8 +393,8 @@ func (r *Rel) ClosureNaive() *Rel {
 	}
 }
 
-// IdentityRel returns {(u,u)} over all nodes of the run (the ε relation).
-func IdentityRel(run *derive.Run) *Rel {
+// Identity returns {(u,u)} over all nodes of the run (the ε relation).
+func Identity(run *derive.Run) *Rel {
 	n := run.NumNodes()
 	out := &Rel{rows: make([][]int32, n), n: n}
 	ids := make([]int32, n)
@@ -397,4 +403,34 @@ func IdentityRel(run *derive.Run) *Rel {
 		out.rows[u] = ids[u : u+1 : u+1]
 	}
 	return out
+}
+
+// Leaf returns the relation of a parse-tree leaf over the indexed run: a
+// symbol's index rows, the wildcard's out-edge rows, the identity for ε.
+func Leaf(ix *index.Index, q *automata.Node) *Rel {
+	switch q.Kind {
+	case automata.KindSym:
+		out := NewRel()
+		ix.EachPair(q.Sym, func(p index.Pair) {
+			out.Add(p.From, p.To)
+		})
+		return out
+	case automata.KindWild:
+		// One row per node, straight from its out-edges.
+		run := ix.Run()
+		rows := make([][]int32, run.NumNodes())
+		buf := make([]int32, 0, len(run.Edges))
+		for u := range rows {
+			for _, ei := range run.Out(derive.NodeID(u)) {
+				buf = append(buf, int32(run.Edges[ei].To))
+			}
+			rows[u], buf = buf[:len(buf):len(buf)], buf[len(buf):]
+		}
+		out := NewRel()
+		out.AddRows(rows)
+		return out
+	case automata.KindEps:
+		return Identity(ix.Run())
+	}
+	panic("rel: not a leaf")
 }

@@ -1,4 +1,4 @@
-package baseline
+package rel
 
 import (
 	"sync"

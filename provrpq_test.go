@@ -62,8 +62,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestAllPairsStrategiesConsistent: every strategy that accepts a query
-// returns the identical pair set; RPL and OptRPL refuse an unsafe query
-// with the documented error, while Auto, G1 and Seeded answer it.
+// returns the identical pair set, which the relational baseline G1 also
+// finds; RPL and OptRPL refuse an unsafe query with the documented error,
+// while Auto and Seeded answer it.
 func TestAllPairsStrategiesConsistent(t *testing.T) {
 	spec := introSpec(t)
 	run, err := spec.Derive(DeriveOptions{Seed: 7, TargetEdges: 150})
@@ -84,8 +85,17 @@ func TestAllPairsStrategiesConsistent(t *testing.T) {
 		if safe, err := eng.IsSafe(q); err != nil || safe != row.safe {
 			t.Fatalf("IsSafe(%s) = %v, %v; want %v", q, safe, err, row.safe)
 		}
+		sorted := func(pairs []Pair) []Pair {
+			sort.Slice(pairs, func(a, b int) bool {
+				if pairs[a].From != pairs[b].From {
+					return pairs[a].From < pairs[b].From
+				}
+				return pairs[a].To < pairs[b].To
+			})
+			return pairs
+		}
 		var want []Pair
-		for i, st := range []Strategy{Auto, StrategyG1, StrategySeeded, StrategyRPL, StrategyOptRPL} {
+		for i, st := range []Strategy{Auto, StrategySeeded, StrategyRPL, StrategyOptRPL} {
 			pairs, err := eng.AllPairs(q, l1, l2, st)
 			if !row.safe && (st == StrategyRPL || st == StrategyOptRPL) {
 				if err == nil || !strings.Contains(err.Error(), "RPL/OptRPL require a safe query") {
@@ -96,12 +106,7 @@ func TestAllPairsStrategiesConsistent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: %v", st, q, err)
 			}
-			sort.Slice(pairs, func(a, b int) bool {
-				if pairs[a].From != pairs[b].From {
-					return pairs[a].From < pairs[b].From
-				}
-				return pairs[a].To < pairs[b].To
-			})
+			sorted(pairs)
 			if i == 0 {
 				want = pairs
 				if len(want) == 0 {
@@ -110,6 +115,9 @@ func TestAllPairsStrategiesConsistent(t *testing.T) {
 			} else if !slices.Equal(pairs, want) {
 				t.Errorf("%s on %s: %d pairs differ from Auto's %d", st, q, len(pairs), len(want))
 			}
+		}
+		if g1 := sorted(G1AllPairs(eng, q, l1, l2)); !slices.Equal(g1, want) {
+			t.Errorf("G1 on %s: %d pairs differ from Auto's %d", q, len(g1), len(want))
 		}
 	}
 }
@@ -137,10 +145,7 @@ func TestUnsafeQueryFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := eng.AllPairs(q, run.AllNodes(), run.AllNodes(), StrategyG1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g1 := G1AllPairs(eng, q, run.AllNodes(), run.AllNodes())
 	if len(auto) != len(g1) {
 		t.Errorf("Auto (%d pairs) and G1 (%d pairs) disagree on unsafe query", len(auto), len(g1))
 	}
@@ -296,5 +301,38 @@ func TestNodeAccessors(t *testing.T) {
 func TestQueryParseErrorsSurface(t *testing.T) {
 	if _, err := ParseQuery("a.("); err == nil {
 		t.Error("bad query should fail to parse")
+	}
+}
+
+// TestWarmSafePairwiseAllocatesNothing: a query renders itself once, at
+// ParseQuery, so a warm safe Pairwise — the plan memo keyed by that rendering,
+// the decode straight from the label column — allocates nothing, and neither
+// do IsSafe and String.
+func TestWarmSafePairwiseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop decoders")
+	}
+	spec := introSpec(t)
+	run, err := spec.Derive(DeriveOptions{Seed: 1, TargetEdges: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(run)
+	q := MustParseQuery("_*.s._*")
+	u, v := NodeID(0), NodeID(run.NumNodes()-1)
+	if safe, err := eng.IsSafe(q); err != nil || !safe {
+		t.Fatalf("IsSafe = %v, %v; want a safe query", safe, err)
+	}
+	if _, err := eng.Pairwise(q, u, v); err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"Pairwise": func() { _, _ = eng.Pairwise(q, u, v) },
+		"IsSafe":   func() { _, _ = eng.IsSafe(q) },
+		"String":   func() { _ = q.String() },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("warm %s allocates %.1f times per call, want 0", name, n)
+		}
 	}
 }

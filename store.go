@@ -229,7 +229,7 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.reg.PutSpec(name, sp); err != nil {
+		if err := c.putSpec(name, sp); err != nil {
 			return nil, err
 		}
 	}
@@ -257,7 +257,7 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 		for i := lo; i < hi; i++ {
 			name := runNames[i]
 			specName := runs[name]
-			sp, ok := c.reg.Spec(specName)
+			sp, ok := c.Spec(specName)
 			if !ok {
 				errs[i] = fmt.Errorf("provrpq: store: run %q is bound to specification %q, which the store does not contain", name, specName)
 				continue
@@ -329,7 +329,7 @@ func NewCatalogFromStore(st *Store, opts CatalogOptions) (*Catalog, error) {
 		// The run's version counts all batches ever applied — folded into
 		// the base by compactions or replayed just now — so it is stable
 		// across restarts and never goes back.
-		if err := c.reg.PutRun(name, runs[name], decoded[i], folded[name]+appends[name]); err != nil {
+		if err := c.putRun(name, runs[name], decoded[i], folded[name]+appends[name]); err != nil {
 			return nil, err
 		}
 	}

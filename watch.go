@@ -161,16 +161,6 @@ func (c *Catalog) DeltaPairs(ev AppendEvent, q *Query) ([]Pair, error) {
 	return c.NewStandingQuery(q).Delta(ev)
 }
 
-// EngineAt returns the engine of the named run's current published version
-// (Engine.Run is that version) and its version number, from one atomic
-// registry read. A standing-query registration uses it to snapshot a
-// consistent pair: the full result at that version plus the deltas of every
-// AppendEvent with a higher version equals the full result at any later
-// version.
-func (c *Catalog) EngineAt(name string) (*Engine, int, bool) {
-	return c.reg.EngineAt(name)
-}
-
 // IsSafeQuery reports whether q is safe for the given specification —
 // answerable from endpoint labels alone, and so watchable as a standing
 // query. It compiles (or cache-hits) the plan without evaluating.
