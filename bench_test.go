@@ -223,6 +223,41 @@ func BenchmarkEvaluateDense4K(b *testing.B) {
 	}
 }
 
+// BenchmarkSeededSelective16K is the evaluate of read-point's cycle: a
+// selective query the planner answers by the seeded strategy, over a
+// 16K-edge fixture reopened from its columnar encoding as the durable store
+// boots it. The candidate walks visit a handful of nodes, so a warm evaluate
+// decodes a handful of labels, not every node's.
+func BenchmarkSeededSelective16K(b *testing.B) {
+	for _, c := range []struct {
+		d     *workload.Dataset
+		query string
+		pairs int
+	}{{workload.BioAID(), "_*.L1._*.s_tail._*", 1}, {workload.QBLast(), "_*.C3._*", 7}} {
+		run, err := derive.Derive(c.d.Spec, derive.Options{Seed: 20150413, TargetEdges: 16000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := provrpq.ReopenColumnar(rehydrate(b, c.d, run))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, q := provrpq.NewEngine(col), provrpq.MustParseQuery(c.query)
+		if rep, err := eng.Explain(q); err != nil || rep.Strategy != provrpq.StrategySeeded {
+			b.Fatalf("%s: %v, strategy %v; want seeded", c.query, err, rep.Strategy)
+		}
+		b.Run(c.d.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, _, err := eng.EvaluateRows(context.Background(), q, 0, -1)
+				if err != nil || rows.Total() != c.pairs {
+					b.Fatalf("%s: %v, %d pairs, want %d", c.query, err, rows.Total(), c.pairs)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkUnsafePairwise measures Engine.Pairwise on unsafe queries over an
 // 8K-edge QBLast run — the search behind /v1/pairwise when the label decode
 // does not apply. "a" requires a tag that occurs 1,277 times in the run,

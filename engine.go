@@ -501,7 +501,7 @@ func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision,
 	var rows *core.Rows
 	var err error
 	if strategy == plan.Seeded {
-		rows, err = plan.SeededRows(ctx, env, e.index(), dec, e.run.r.AllNodes(), offset, limit)
+		rows, err = plan.SeededRows(ctx, env, e.index(), dec, offset, limit)
 	} else {
 		rows, err = env.SafeRows(ctx, e.labels(), labelScan(strategy), e.workers, offset, limit)
 	}
@@ -536,9 +536,9 @@ type PlanReport struct {
 	// query requires none); SeedCount its occurrence count in the run.
 	SeedTag   string
 	SeedCount int
-	// Reverse reports that the seed's target side looks more selective, so
-	// the seeded scan resolves (and an unsafe expansion starts from) the
-	// target candidates first, running the reversed query.
+	// Reverse reports the planner's estimate that the seed's target side is
+	// more selective than its source side. The seeded scan does not follow
+	// it: it walks from every required tag on both sides.
 	Reverse bool
 	// CostRPL, CostOptRPL and CostSeeded are the planner's estimates for a
 	// full scan; CostSeeded is meaningful only when SeedTag != "".

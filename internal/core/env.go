@@ -70,6 +70,8 @@ type Env struct {
 	// engine sharing this compiled plan.
 	reqOnce sync.Once
 	reqSyms []string
+	revOnce sync.Once // memoizes revDFA (ReverseDFA), likewise
+	revDFA  *automata.DFA
 }
 
 // envState is one published safety verdict: the λ table that produced it
@@ -315,6 +317,15 @@ func (e *Env) RequiredSyms() []string {
 		}
 	})
 	return e.reqSyms
+}
+
+// ReverseDFA returns the minimal DFA of the reversed query, which accepts the
+// reversals of the query's words; compiled once per plan.
+//
+//provrpq:mutator
+func (e *Env) ReverseDFA() *automata.DFA {
+	e.revOnce.Do(func() { e.revDFA = automata.CompileDFA(e.Query.Reverse(), e.Spec.Tags()) })
+	return e.revDFA
 }
 
 // AcceptMask returns the bitset of accepting DFA states.

@@ -376,3 +376,72 @@ func TestAppendHubStreamAndSiblingSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestColumnarAdjacencyAndSiblingGrows: a columnar-opened run builds the
+// adjacency its derived original holds, every list carved out of one shared
+// backing array; an AppendEdges onto it and then two sibling Grows that both
+// extend one mid-backing list leave every version's lists independent.
+func TestColumnarAdjacencyAndSiblingGrows(t *testing.T) {
+	spec := appendSpec(t)
+	full, err := Derive(spec, Options{Seed: 43, TargetEdges: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := full.NumNodes() / 2
+	base, batches := splitRun(full, []int{cut, full.NumNodes()})
+	data, err := EncodeColumnar(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := OpenColumnar(spec, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAdj(col, base); err != nil {
+		t.Fatalf("columnar-opened run: %v", err)
+	}
+	if _, err := AppendEdges(col, batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAdj(col, rebuilt(col)); err != nil {
+		t.Fatalf("after AppendEdges: %v", err)
+	}
+
+	// hub's lists sit mid-backing: an in-place append would overwrite its
+	// neighbours' first entries.
+	hub := base.Edges[len(base.Edges)/2].From
+	tag := spec.Tags()[0]
+	var kids [2]*Run
+	for i := range kids {
+		b := Batch{Edges: []Edge{{From: hub, To: NodeID(i + 1), Tag: tag}, {From: NodeID(i + 2), To: hub, Tag: tag}}}
+		if kids[i], _, err = col.Grow(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range append([]*Run{col}, kids[:]...) {
+		if err := sameAdj(r, rebuilt(r)); err != nil {
+			t.Fatalf("version %d after sibling Grows: %v", i, err)
+		}
+	}
+}
+
+// rebuilt returns a run whose adjacency is built from scratch over r's edges.
+func rebuilt(r *Run) *Run {
+	ref := &Run{Spec: r.Spec, Nodes: r.Nodes, Edges: r.Edges}
+	ref.buildAdj()
+	return ref
+}
+
+// sameAdj compares two runs' adjacency through Out and In.
+func sameAdj(a, b *Run) error {
+	if a.NumNodes() != b.NumNodes() {
+		return fmt.Errorf("%d vs %d nodes", a.NumNodes(), b.NumNodes())
+	}
+	for n := range a.NumNodes() {
+		id := NodeID(n)
+		if fmt.Sprint(a.Out(id)) != fmt.Sprint(b.Out(id)) || fmt.Sprint(a.In(id)) != fmt.Sprint(b.In(id)) {
+			return fmt.Errorf("node %d: out %v/%v in %v/%v", n, a.Out(id), b.Out(id), a.In(id), b.In(id))
+		}
+	}
+	return nil
+}

@@ -80,7 +80,8 @@ type Run struct {
 	// nameOnce/adjOnce defer the byName map and the adjacency lists of a
 	// columnar-opened run: boot then costs O(labels+edges) validation
 	// passes instead of map and slice construction over every node, and a
-	// run that only ever answers label-based queries never builds either.
+	// run that only ever answers label scans never builds either (a seeded
+	// evaluate, an unsafe query or a growth builds the adjacency).
 	// nil (built eagerly) for derived and JSON-decoded runs. AppendEdges
 	// and Grow force both before mutating or cloning.
 	nameOnce *sync.Once
@@ -244,14 +245,26 @@ func (r *Run) buildByName() {
 	r.byName = byName
 }
 
+// buildAdj counts degrees, then carves each list out of one backing array per
+// direction with its capacity clamped to its length: filling never
+// reallocates, and AppendEdges copies a list before extending it (the
+// ownedOut/ownedIn rule), so nothing writes into the shared backing.
 func (r *Run) buildAdj() {
-	out := make([][]int, len(r.Nodes))
-	in := make([][]int, len(r.Nodes))
-	for ei, e := range r.Edges {
-		out[e.From] = append(out[e.From], ei)
-		in[e.To] = append(in[e.To], ei)
+	end := func(e Edge, d int) NodeID { return [2]NodeID{e.From, e.To}[d] }
+	for d, lists := range [2]*[][]int{&r.out, &r.in} {
+		off, backing, l := make([]int, len(r.Nodes)+1), make([]int, len(r.Edges)), make([][]int, len(r.Nodes))
+		for _, e := range r.Edges {
+			off[end(e, d)+1]++
+		}
+		for v := range l {
+			off[v+1] += off[v]
+			l[v] = backing[off[v]:off[v]:off[v+1]]
+		}
+		for ei, e := range r.Edges {
+			l[end(e, d)] = append(l[end(e, d)], ei)
+		}
+		*lists = l
 	}
-	r.out, r.in = out, in
 }
 
 func (r *Run) buildLabelColumn() {

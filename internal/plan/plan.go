@@ -6,13 +6,12 @@
 //   - RPL (nested-loop decode of every pair, paper Option S1),
 //   - OptRPL (the tree walk over the query-intersected grammar, Option S2),
 //     and
-//   - Seeded (this package's index-seeded strategy: start from the rarest
-//     required tag's occurrence list, restrict both endpoint lists to the
-//     nodes that can reach / be reached from those occurrences via the
-//     output-linear label join, then verify only the surviving candidate
-//     pairs — by the OptRPL walk over the candidates for safe queries, or
-//     by expanding through the minimal DFA, forward or via
-//     automata.Node.Reverse(), for unsafe ones).
+//   - Seeded (this package's index-seeded strategy: every match traverses
+//     every required tag, so walks of the run from each such tag's
+//     occurrences bound the endpoints — the smallest set found wins a race
+//     between them — and only the candidates' labels are decoded and
+//     verified: by the OptRPL walk for safe queries, or by expanding
+//     through the minimal DFA, forward or reversed, for unsafe ones).
 //
 // The paper's evaluation (Section V) shows the winner is workload-dependent:
 // OptRPL dominates when answers are sparse relative to reachability, while
@@ -75,10 +74,10 @@ type Decision struct {
 	// absent tag — the query then matches nothing in this run — and when
 	// SeedTag is "").
 	SeedCount int
-	// Reverse reports that the target side of the seed looks more selective
-	// than the source side: the seeded scan resolves target candidates
-	// first, and an unsafe seeded expansion would run the reversed query
-	// backward from them.
+	// Reverse estimates, from distinct-endpoint counts, that the seed's
+	// target side is more selective than its source side; Explain reports
+	// it. Execution does not follow it: the seeded scan walks from every
+	// required tag, and expands from the candidate side found smaller.
 	Reverse bool
 	// CostRPL, CostOptRPL and CostSeeded are the model's estimates in
 	// decode units; CostSeeded is +Inf-free but only meaningful when

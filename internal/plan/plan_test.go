@@ -1,11 +1,12 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -60,12 +61,7 @@ func pairsOf(emitInto *[][2]int) func(i, j int) {
 }
 
 func sortPairs(ps [][2]int) {
-	sort.Slice(ps, func(a, b int) bool {
-		if ps[a][0] != ps[b][0] {
-			return ps[a][0] < ps[b][0]
-		}
-		return ps[a][1] < ps[b][1]
-	})
+	slices.SortFunc(ps, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 }
 
 // oraclePairs computes the ground truth over index lists with the product
@@ -247,7 +243,7 @@ func TestSeededRowsCancelled(t *testing.T) {
 			dec.Reverse = rev
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			rows, err := SeededRows(ctx, env, ix, dec, all, 0, -1)
+			rows, err := SeededRows(ctx, env, ix, dec, 0, -1)
 			runtime.ReadMemStats(&after)
 			if rows != nil || !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s reverse=%v: SeededRows = %v, %v; want context.Canceled", qs, rev, rows, err)

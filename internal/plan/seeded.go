@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"slices"
+	"sync"
+	"sync/atomic"
 
-	"provrpq/internal/automata"
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
@@ -12,218 +14,249 @@ import (
 	"provrpq/internal/rel"
 )
 
-// AllPairsSeeded evaluates the compiled query over l1 × l2 anchored on the
-// decision's seed tag, emitting each matching pair by list indices. It is
-// exact for every query, safe or unsafe:
-//
-//  1. Every matching path traverses a seed-tagged edge (the seed is a
-//     required symbol), so sources that reach no occurrence source and
-//     targets unreachable from every occurrence target are discarded by two
-//     output-linear label joins (reach.AllPairs against the distinct seed
-//     endpoints). An absent seed tag means no pair can match.
-//  2. The surviving candidate pairs are verified exactly: safe queries by
-//     the OptRPL scan over the candidates' sub-tries; unsafe queries by
-//     expanding through the minimal DFA — forward from each source
-//     candidate, or backward from each target candidate with the DFA of the
-//     reversed query (automata.Node.Reverse()) when the target side is
-//     smaller.
-//
-// The decision's Reverse flag (which end the planner estimated more
-// selective) orders the candidate joins so the emptier side is resolved —
-// and can short-circuit the whole scan — first; the unsafe expansion then
-// re-decides its direction from the actual candidate counts. A list's labels
-// are decoded only when a join is about to read them.
-//
-// A decision without a seed tag (the query requires no symbol) falls back
-// to OptRPL for safe queries and to a full bidirectional expansion for
-// unsafe ones — the shapes where seeding has nothing to anchor on.
+// AllPairsSeeded evaluates the compiled query over l1 × l2 by the seeded
+// strategy, emitting each matching pair by list indices. It is exact for
+// every query, safe or unsafe. Every match traverses an edge of every
+// required tag, so its source reaches an occurrence source of each such tag
+// and its target is reached from an occurrence target of each: the
+// candidates are the entries in the smallest of those reach sets, which walks
+// of the run find without reading a label (race.side). Safe queries verify
+// them by the OptRPL walk over tries of the candidates' labels alone; unsafe
+// ones by expanding through the minimal DFA (expandPairs). A query that
+// requires no tag makes every entry a candidate. The decision is not read:
+// its seed tag and Reverse are the planner's estimates, which Explain
+// reports.
 //
 //provrpq:ctxroot
-func AllPairsSeeded(env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID, emit func(i, j int)) error {
-	if !env.Safe() && requiredSeed(env, dec) == "" {
-		return expandPairs(env, ix.Run(), allIdx(len(l1)), allIdx(len(l2)), l1, l2, len(l2) < len(l1), emit)
+func AllPairsSeeded(env *core.Env, ix *index.Index, _ Decision, l1, l2 []derive.NodeID, emit func(i, j int)) error {
+	if len(l1) == 0 || len(l2) == 0 {
+		return nil
 	}
-	t1, t2, inL, inR, err := candidates(context.Background(), env, ix, dec, l1, l2)
-	switch {
-	case t1 == nil:
-		return err
-	case env.Safe():
-		return env.AllPairsSafeTries(t1.Sub(inL), t2.Sub(inR), emit)
+	ctx := context.Background()
+	L, R := candidates(ctx, env, ix, l1, l2)
+	if !env.Safe() {
+		return expandPairs(env, ix.Run(), L, R, l1, l2, emit)
 	}
-	L, R := collect(inL), collect(inR)
-	return expandPairs(env, ix.Run(), L, R, l1, l2, len(R) < len(L), emit)
+	if t1, t2 := candidateTries(ctx, ix.Run(), l1, l2, L, R); t1 != nil {
+		return env.AllPairsSafeTries(t1, t2, emit)
+	}
+	return nil
 }
 
-// SeededRows is AllPairsSeeded of a safe query over every pair of one node
-// list, into rows: the verification walk over the candidates' sub-tries
-// counts, then fills, the window of the result (core.Rows), and ends with
-// ctx.Err() once ctx is done: before the next trie build or candidate join,
-// or at the next block of a walk.
-func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, dec Decision, l []derive.NodeID, offset, limit int) (*core.Rows, error) {
-	t1, t2, inL, inR, err := candidates(ctx, env, ix, dec, l, l)
+// SeededRows is AllPairsSeeded of a safe query over every pair of the run's
+// nodes, into rows (core.Rows): the tries' Perm holds node ids. It ends with
+// ctx.Err() once ctx is done: before the candidate walks, within their next
+// 1,024 expansions, before each trie build, or at the next block of the walk.
+func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, _ Decision, offset, limit int) (*core.Rows, error) {
+	L, R := candidates(ctx, env, ix, nil, nil)
+	t1, t2 := candidateTries(ctx, ix.Run(), nil, nil, L, R)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if t1 == nil {
-		if err != nil {
-			return nil, err
-		}
 		return &core.Rows{}, nil
 	}
-	return env.RowsSafeTries(ctx, t1.Sub(inL), t2.Sub(inR), len(l), offset, limit)
+	return env.RowsSafeTries(ctx, t1, t2, ix.Run().NumNodes(), offset, limit)
 }
 
-// requiredSeed returns the decision's seed tag, or "" for a seed the query
-// does not require: it would drop the matches that avoid it, so the scan
-// falls back to the unseeded paths instead.
-func requiredSeed(env *core.Env, dec Decision) string {
-	if slices.Contains(env.RequiredSyms(), dec.SeedTag) {
-		return dec.SeedTag
+// labelsDecoded counts the labels seeded tries were built from: the
+// work-bound test's witness.
+var labelsDecoded atomic.Int64
+
+// candidates returns the indices of l1's candidate sources and of l2's
+// candidate targets — none once ctx is done. A nil list stands for every
+// node of the run, indexed by id. Without a required tag every entry is a
+// candidate, and one list as both sides yields one slice for both.
+func candidates(ctx context.Context, env *core.Env, ix *index.Index, l1, l2 []derive.NodeID) (L, R []int) {
+	run, tags := ix.Run(), env.RequiredSyms()
+	switch {
+	case ctx.Err() != nil:
+		return nil, nil
+	case len(tags) == 0 && l1 == nil:
+		L = allIdx(run.NumNodes())
+		return L, L
+	case len(tags) == 0:
+		if L, R = allIdx(len(l1)), allIdx(len(l2)); len(l1) == len(l2) && &l1[0] == &l2[0] {
+			R = L
+		}
+		return L, R
 	}
-	return ""
+	r := racePool.Get().(*race)
+	defer racePool.Put(r)
+	r.begin(run.NumNodes())
+	if src, srcs := r.side(ctx, run, ix, tags, 0); src != 0 {
+		if dst, dsts := r.side(ctx, run, ix, tags, 1); dst != 0 {
+			return r.pick(l1, src, srcs), r.pick(l2, dst, dsts)
+		}
+	}
+	return nil, nil
 }
 
-// candidates marks in inL / inR the labels of l1 that reach a seed source and
-// those of l2 reached from a seed target — nil, which admits every label,
-// without a seed — and returns them with the tree representations of the two
-// lists, which serve the candidate joins and the safe verification alike:
-// each is built when first read, once for both sides when the lists are the
-// same slice. It returns nil tries when no pair can match — the seed tag is
-// absent from the run, or a candidate side is empty — and, with ctx.Err(),
-// once ctx is done: no trie is built and no join started after that.
-func candidates(ctx context.Context, env *core.Env, ix *index.Index, dec Decision, l1, l2 []derive.NodeID) (t1, t2 *reach.Trie, inL, inR []bool, err error) {
-	defer func() {
-		if err = ctx.Err(); err != nil {
-			t1, t2, inL, inR = nil, nil, nil, nil
-		}
-	}()
-	run := ix.Run()
-	trie := func(l []derive.NodeID) *reach.Trie {
-		if ctx.Err() != nil {
-			return nil
-		}
-		return reach.NewTrie(run.LabelsOf(l))
+// candidateTries builds the tries of l1's entries at L and l2's at R, one for
+// both when L is R — nil when a side is empty or ctx is done first.
+func candidateTries(ctx context.Context, run *derive.Run, l1, l2 []derive.NodeID, L, R []int) (t1, t2 *reach.Trie) {
+	if len(L) == 0 || len(R) == 0 {
+		return nil, nil
 	}
-	sources := func() *reach.Trie {
-		if t1 == nil {
-			t1 = trie(l1)
-		}
-		return t1
+	if t1 = listTrie(ctx, run, l1, L); t1 == nil || &L[0] == &R[0] {
+		return t1, t1
 	}
-	targets := func() *reach.Trie {
+	if t2 = listTrie(ctx, run, l2, R); t2 == nil {
+		return nil, nil
+	}
+	return t1, t2
+}
+
+// listTrie returns the trie of the labels of l's entries at keep (a nil l:
+// of the nodes keep names), its Perm holding those indices — nil once ctx is
+// done. keep is sorted by node first: ids follow the derivation, so the
+// trie's sort then meets a list mostly in label order.
+func listTrie(ctx context.Context, run *derive.Run, l []derive.NodeID, keep []int) *reach.Trie {
+	if ctx.Err() != nil {
+		return nil
+	}
+	node := func(i int) derive.NodeID {
+		if l == nil {
+			return derive.NodeID(i)
+		}
+		return l[i]
+	}
+	slices.SortFunc(keep, func(a, b int) int { return cmp.Compare(node(a), node(b)) })
+	ids := make([]derive.NodeID, len(keep))
+	for k, i := range keep {
+		ids[k] = node(i)
+	}
+	labelsDecoded.Add(int64(len(ids)))
+	t := reach.NewTrie(run.LabelsOf(ids))
+	for k, p := range t.Perm {
+		t.Perm[k] = keep[p]
+	}
+	return t
+}
+
+// race is one request's candidate walks, pooled: mask[v] holds the walks
+// that reached node v iff at[v] holds the request's epoch, so a request
+// clears nothing and costs what its walks visit. Walk i of side d (0
+// backward, 1 forward) owns bit 32·d+i and lists its nodes in visit order in
+// walks[d][i].seen, whose unexpanded suffix is its frontier.
+type race struct {
+	at    []uint32
+	mask  []uint64
+	epoch uint32
+	walks [2][]struct {
+		seen []derive.NodeID
+		head int
+	}
+}
+
+var racePool = sync.Pool{New: func() any { return new(race) }}
+
+// begin starts a request over a run of n nodes: no node is marked.
+func (r *race) begin(n int) {
+	if r.epoch++; len(r.at) < n || r.epoch == 0 {
+		r.at, r.mask, r.epoch = make([]uint32, n), make([]uint64, n), 1
+	}
+}
+
+// side races one walk per tag (the first 32: any subset of the required tags
+// bounds the candidates soundly), backward over incoming edges from the
+// tags' occurrence sources (d = 0) or forward from their targets (d = 1),
+// one node expansion per walk per turn, and returns the bit and nodes of the
+// first to run out of frontier: it reached the fewest nodes. The bit is 0
+// when a tag does not occur, or once ctx is done.
+func (r *race) side(ctx context.Context, run *derive.Run, ix *index.Index, tags []string, d int) (uint64, []derive.NodeID) {
+	ws := slices.Grow(r.walks[d][:0], 32)[:min(len(tags), 32)]
+	r.walks[d] = ws
+	visit := func(i int, v derive.NodeID) {
+		if r.at[v] != r.epoch {
+			r.at[v], r.mask[v] = r.epoch, 0
+		}
+		if bit := uint64(1) << (32*d + i); r.mask[v]&bit == 0 {
+			r.mask[v] |= bit
+			ws[i].seen = append(ws[i].seen, v)
+		}
+	}
+	for i, tag := range tags[:len(ws)] {
+		ws[i].seen, ws[i].head = ws[i].seen[:0], 0
+		ix.EachPair(tag, func(p index.Pair) { visit(i, [2]derive.NodeID{p.From, p.To}[d]) })
+		if len(ws[i].seen) == 0 {
+			return 0, nil
+		}
+	}
+	for step := 0; ; step++ {
+		i := step % len(ws)
+		w := &ws[i]
 		switch {
-		case t2 != nil:
-		case len(l1) == len(l2) && len(l1) > 0 && &l1[0] == &l2[0]:
-			t2 = sources()
-		default:
-			t2 = trie(l2)
+		case step%1024 == 1023 && ctx.Err() != nil:
+			return 0, nil
+		case w.head == len(w.seen):
+			return 1 << (32*d + i), w.seen
 		}
-		return t2
+		v := w.seen[w.head]
+		w.head++
+		edges := run.In(v)
+		if d == 1 {
+			edges = run.Out(v)
+		}
+		for _, ei := range edges {
+			visit(i, [2]derive.NodeID{run.Edges[ei].From, run.Edges[ei].To}[d])
+		}
 	}
-	seed := requiredSeed(env, dec)
-	if seed == "" {
-		return sources(), targets(), nil, nil, nil
-	}
-	if ix.Count(seed) == 0 {
-		return nil, nil, nil, nil, nil // required tag absent from the run
-	}
+}
 
-	// Distinct seed endpoints: several occurrences often share sources or
-	// targets, and the candidate joins only care about the distinct sets.
-	var srcs, dsts []derive.NodeID
-	srcSeen := map[derive.NodeID]struct{}{}
-	dstSeen := map[derive.NodeID]struct{}{}
-	ix.EachPair(seed, func(p index.Pair) {
-		if _, ok := srcSeen[p.From]; !ok {
-			srcSeen[p.From] = struct{}{}
-			srcs = append(srcs, p.From)
+// pick returns, in list order, the indices of l's entries that the walk of
+// bit reached; for a nil l, that walk's nodes.
+func (r *race) pick(l []derive.NodeID, bit uint64, nodes []derive.NodeID) []int {
+	var out []int
+	if l == nil {
+		for _, v := range nodes {
+			out = append(out, int(v))
 		}
-		if _, ok := dstSeen[p.To]; !ok {
-			dstSeen[p.To] = struct{}{}
-			dsts = append(dsts, p.To)
+	}
+	for i, v := range l {
+		if r.at[v] == r.epoch && r.mask[v]&bit != 0 {
+			out = append(out, i)
 		}
-	})
-	inL, inR = make([]bool, len(l1)), make([]bool, len(l2))
-	// join reports whether the join of two tries emitted a pair; while ctx is
-	// live, both were built.
-	join := func(a, b *reach.Trie, emit reach.EmitFunc) (hit bool) {
-		if ctx.Err() == nil {
-			reach.AllPairsTries(ctx.Done(), run.Spec, a, b, func(i, j int) { emit(i, j); hit = true })
-		}
-		return hit
 	}
-	candSources := func() bool { return join(sources(), trie(srcs), func(i, _ int) { inL[i] = true }) }
-	candTargets := func() bool { return join(trie(dsts), targets(), func(_, j int) { inR[j] = true }) }
-	first, second := candSources, candTargets
-	if dec.Reverse {
-		first, second = candTargets, candSources
-	}
-	if !first() || !second() {
-		return nil, nil, nil, nil, nil
-	}
-	return t1, t2, inL, inR, nil
+	return out
 }
 
 // expandPairs verifies candidate pairs by product traversal of the run with
-// the query DFA. Forward mode expands from each source candidate with the
-// compiled minimal DFA; reverse mode (rev, chosen when the target side is
-// smaller) expands from each target candidate over incoming edges with the
-// DFA of the reversed query, which accepts exactly the reversals of the
-// query's words. Emission is deterministic: candidate-major in the
-// expansion side's order, list order on the other side.
-func expandPairs(env *core.Env, run *derive.Run, L, R []int, l1, l2 []derive.NodeID, rev bool, emit func(i, j int)) error {
-	if len(L) == 0 || len(R) == 0 {
-		return nil
+// the query DFA, from each candidate of the smaller side: forward from
+// sources, or backward from targets with the reversed query's DFA, which
+// accepts exactly the reversals of the query's words. An expansion stamps the
+// nodes it reaches in an accepting state into pooled scratch. Emission is
+// candidate-major in the expanded side's order, list order on the other.
+func expandPairs(env *core.Env, run *derive.Run, L, R []int, l1, l2 []derive.NodeID, emit func(i, j int)) error {
+	rev := len(R) < len(L)
+	dfa, from, to, lf, lt, pair := env.DFA, L, R, l1, l2, emit
+	if rev {
+		dfa, from, to, lf, lt = env.ReverseDFA(), R, L, l2, l1
+		pair = func(j, i int) { emit(i, j) }
 	}
-	if !rev {
-		for _, i := range L {
-			hits := expand(run, env.DFA, l1[i], false)
-			for _, j := range R {
-				if hits[l2[j]] {
-					emit(i, j)
-				}
+	r := racePool.Get().(*race)
+	defer racePool.Put(r)
+	for _, i := range from {
+		r.begin(run.NumNodes())
+		rel.Walk(run, dfa, lf[i], dfa.Start, rev, func(v derive.NodeID, q int) bool {
+			if dfa.Accept[q] {
+				r.at[v] = r.epoch
 			}
-		}
-		return nil
-	}
-	rdfa := automata.CompileDFA(env.Query.Reverse(), run.Spec.Tags())
-	for _, j := range R {
-		hits := expand(run, rdfa, l2[j], true)
-		for _, i := range L {
-			if hits[l1[i]] {
-				emit(i, j)
+			return true
+		})
+		for _, j := range to {
+			if r.at[lt[j]] == r.epoch {
+				pair(i, j)
 			}
 		}
 	}
 	return nil
 }
 
-// expand walks run × dfa from one node and returns the set of nodes reached
-// in an accepting state; the start node itself is included when the start
-// state accepts (the empty path). backward walks incoming edges instead of
-// outgoing ones.
-func expand(run *derive.Run, dfa *automata.DFA, from derive.NodeID, backward bool) map[derive.NodeID]bool {
-	hits := map[derive.NodeID]bool{}
-	rel.Walk(run, dfa, from, dfa.Start, backward, func(n derive.NodeID, q int) bool {
-		if dfa.Accept[q] {
-			hits[n] = true
-		}
-		return true
-	})
-	return hits
-}
-
 func allIdx(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
-	}
-	return out
-}
-
-func collect(in []bool) []int {
-	var out []int
-	for i, ok := range in {
-		if ok {
-			out = append(out, i)
-		}
 	}
 	return out
 }
