@@ -63,8 +63,6 @@ func main() {
 			}
 			fmt.Printf("  estimated decodes: rpl=%.0f optrpl=%.0f seeded=%.0f\n",
 				rep.CostRPL, rep.CostOptRPL, rep.CostSeeded)
-			fmt.Printf("  unit costs (%s): rpl=%.1fns optrpl=%.1fns seeded=%.1fns\n",
-				rep.CostSource, rep.UnitNanosRPL, rep.UnitNanosOptRPL, rep.UnitNanosSeeded)
 			return
 		}
 		fmt.Printf("plan: decomposition; safe subtrees evaluated with labels: %v (%d relational node(s))\n",

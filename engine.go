@@ -30,8 +30,8 @@ var (
 		metrics.WorkBuckets, "strategy")
 )
 
-// observeEvalLatency records latency for evaluation paths outside the
-// measured cost model (unsafe-query decomposition).
+// observeEvalLatency records latency for evaluation paths the cost model
+// does not price (unsafe-query decomposition).
 func observeEvalLatency(name string, start time.Time) {
 	mEvalSeconds.With(name).Observe(time.Since(start).Seconds())
 }
@@ -258,7 +258,7 @@ func (e *Engine) index() *index.Index {
 }
 
 func (e *Engine) planner() *plan.Planner {
-	e.plOnce.Do(func() { e.pl = plan.NewWithTimings(e.index(), plan.SharedTimings()) })
+	e.plOnce.Do(func() { e.pl = plan.New(e.index()) })
 	return e.pl
 }
 
@@ -465,7 +465,7 @@ func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strate
 		err = env.AllPairsSafeParallel(la, lb, labelScan(strategy), e.workers, emit)
 	}
 	if err == nil {
-		observeScan(dec, strategy, start, time.Now())
+		observeScan(dec, strategy, start)
 	}
 	return err
 }
@@ -478,16 +478,12 @@ func labelScan(s plan.Strategy) core.AllPairsStrategy {
 	return core.OptRPL
 }
 
-// observeScan records one evaluation by a strategy that began at start and
-// wrote its last pair at scanned. The scan alone, with the decode units the
-// model estimated for it, feeds the measured cost model — the calibration loop
-// behind plan.NewWithTimings, which once warm weighs estimates by what a unit
-// of each strategy costs here, not by the static constant; the whole of it,
-// ordering the result included, is what provrpq_eval_seconds reports.
-func observeScan(dec plan.Decision, strategy plan.Strategy, start, scanned time.Time) {
-	units := dec.UnitCost(strategy)
-	plan.SharedTimings().Observe(strategy, units, scanned.Sub(start))
-	if units > 0 {
+// observeScan records one evaluation by a strategy that began at start:
+// the decode units the model estimated for it (provrpq_eval_decode_units)
+// and its latency so far, ordering the result included
+// (provrpq_eval_seconds).
+func observeScan(dec plan.Decision, strategy plan.Strategy, start time.Time) {
+	if units := dec.UnitCost(strategy); units > 0 {
 		mEvalUnits.With(strategy.String()).Observe(units)
 	}
 	observeEvalLatency(strategy.String(), start)
@@ -508,9 +504,8 @@ func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision,
 	if err != nil {
 		return nil, err
 	}
-	scanned := time.Now()
 	rows.Order()
-	observeScan(dec, strategy, start, scanned)
+	observeScan(dec, strategy, start)
 	return &Rows{rows}, nil
 }
 
@@ -543,15 +538,6 @@ type PlanReport struct {
 	// CostRPL, CostOptRPL and CostSeeded are the planner's estimates for a
 	// full scan; CostSeeded is meaningful only when SeedTag != "".
 	CostRPL, CostOptRPL, CostSeeded float64
-	// UnitNanosRPL, UnitNanosOptRPL and UnitNanosSeeded are the
-	// per-decode-unit costs (nanoseconds) the comparison weighted each
-	// estimate by: the static constant until a strategy's measured
-	// timings are warm, then its live EWMA of observed evaluations.
-	UnitNanosRPL, UnitNanosOptRPL, UnitNanosSeeded float64
-	// CostSource reports where the chosen strategy's per-unit cost came
-	// from: "measured" (warm EWMA) or "static" (constant). Empty for
-	// decomposed plans, where the decode-count model does not apply.
-	CostSource string
 	// SafeSubtrees and RelationalNodes describe the decomposition of an
 	// unsafe query (empty / zero for safe ones: the whole query is one
 	// safe scan).
@@ -561,11 +547,9 @@ type PlanReport struct {
 
 // Explain reports the evaluation plan without evaluating: for safe queries
 // the planner's strategy choice with its cost estimates, for unsafe ones
-// the safe-subtree decomposition. The unit estimates are deterministic for
-// a given run version (the planner's statistics are sampled with a fixed
-// seed); the per-unit costs weighting them come from the process-wide
-// measured timings once warm (CostSource reports which applied), so the
-// chosen strategy can shift as calibration accumulates.
+// the safe-subtree decomposition. The plan is deterministic for a given
+// run version and query: the planner's statistics are sampled with a fixed
+// seed, and no earlier evaluation feeds into it.
 func (e *Engine) Explain(q *Query) (*PlanReport, error) {
 	env, err := e.env(q)
 	if err != nil {
@@ -584,19 +568,13 @@ func (e *Engine) Explain(q *Query) (*PlanReport, error) {
 
 // safeReport renders the planner's decision for a safe query.
 func safeReport(q *Query, dec plan.Decision) *PlanReport {
-	rep := &PlanReport{
+	return &PlanReport{
 		Query:    q.str,
 		Safe:     true,
 		Strategy: fromPlanStrategy(dec.Strategy),
 		SeedTag:  dec.SeedTag, SeedCount: dec.SeedCount, Reverse: dec.Reverse,
 		CostRPL: dec.CostRPL, CostOptRPL: dec.CostOptRPL, CostSeeded: dec.CostSeeded,
-		UnitNanosRPL: dec.UnitNanosRPL, UnitNanosOptRPL: dec.UnitNanosOptRPL, UnitNanosSeeded: dec.UnitNanosSeeded,
-		CostSource: "static",
 	}
-	if dec.Measured() {
-		rep.CostSource = "measured"
-	}
-	return rep
 }
 
 // decomposedReport renders the safe-subtree decomposition of an unsafe

@@ -83,26 +83,6 @@ type Decision struct {
 	// decode units; CostSeeded is +Inf-free but only meaningful when
 	// SeedTag != "".
 	CostRPL, CostOptRPL, CostSeeded float64
-	// UnitNanosRPL, UnitNanosOptRPL and UnitNanosSeeded are the
-	// per-decode-unit costs (nanoseconds) the comparison weighted each
-	// estimate by; MeasuredRPL/MeasuredOptRPL/MeasuredSeeded report
-	// whether each came from the live EWMA of observed evaluations
-	// (warm) or from the static StaticUnitNanos constant (cold). A
-	// planner built without timings (New) is always static.
-	UnitNanosRPL, UnitNanosOptRPL, UnitNanosSeeded float64
-	MeasuredRPL, MeasuredOptRPL, MeasuredSeeded    bool
-}
-
-// Measured reports whether the chosen strategy's unit cost came from
-// measured timings rather than the static constant.
-func (d Decision) Measured() bool {
-	switch d.Strategy {
-	case RPL:
-		return d.MeasuredRPL
-	case Seeded:
-		return d.MeasuredSeeded
-	}
-	return d.MeasuredOptRPL
 }
 
 // UnitCost returns the decode units the model estimates for strategy s
@@ -124,24 +104,15 @@ const densitySamples = 1024
 // Planner owns the per-run statistics and the cost model.
 type Planner struct {
 	ix *index.Index
-	tm *Timings // nil = static unit costs only
 
 	densityOnce sync.Once
 	density     float64
 }
 
-// New returns a planner over the run the index was built from, using the
-// static unit-cost constants — decisions depend only on the run's
-// statistics, so they are fully deterministic.
+// New returns a planner over the run the index was built from. Its
+// decisions depend only on the run's statistics and the query, so they
+// are fully deterministic.
 func New(ix *index.Index) *Planner { return &Planner{ix: ix} }
-
-// NewWithTimings is New with measured decode-unit timings attached: once
-// a strategy is warm, its observed nanoseconds-per-unit EWMA replaces
-// the static constant in the cost comparison (cold strategies keep the
-// constant, in the same nanosecond unit, so the comparison stays
-// consistent). Engines pass SharedTimings so calibration survives engine
-// swaps on run growth.
-func NewWithTimings(ix *index.Index, tm *Timings) *Planner { return &Planner{ix: ix, tm: tm} }
 
 // ReachDensity estimates P(u ⇝ v) for a uniform random ordered node pair by
 // a fixed-seed sample of constant-time label decodes (so the estimate — and
@@ -178,11 +149,6 @@ func (p *Planner) ReachDensity() float64 {
 //	        + ρ·(n1·ds + n2·dt)                    join outputs
 //	        + estL·estR                            surviving candidate pairs
 //
-// Only RPL's unit is a literal decode. The OptRPL walk and the seeded
-// verification do a few vector steps per label plus one per emitted pair,
-// so their formulae are estimates that rank the strategies by the shape of
-// the run; what a unit of each costs is what the measured EWMA rescales.
-//
 // where ρ is the sampled reachability density, ds/dt the seed tag's
 // distinct source/target counts, and estL = n1·min(1, ρ·ds) (resp. estR)
 // estimates the candidate set sizes — the probability a random endpoint
@@ -190,11 +156,10 @@ func (p *Planner) ReachDensity() float64 {
 // gracefully: an empty run, an empty list or an absent seed tag yields
 // zero estimates, never a division.
 //
-// The decision compares the unit estimates weighted by per-strategy
-// per-unit costs: the static StaticUnitNanos constant for every strategy
-// on a planner built with New, and each strategy's measured EWMA (once
-// warm) on a planner built with NewWithTimings. With uniform constants
-// the weighting cancels and the comparison reduces to the unit counts.
+// Only RPL's unit is a literal decode. The OptRPL walk and the seeded
+// verification do a few vector steps per label plus one per emitted pair,
+// so their formulae are rank-only estimates: the decision compares the
+// unit counts directly and picks the smallest.
 func (p *Planner) Plan(env *core.Env, n1, n2 int) Decision {
 	f1, f2 := float64(n1), float64(n2)
 	rho := p.ReachDensity()
@@ -203,9 +168,6 @@ func (p *Planner) Plan(env *core.Env, n1, n2 int) Decision {
 		CostRPL:    f1 * f2,
 		CostOptRPL: f1 + f2 + rho*f1*f2,
 	}
-	d.UnitNanosRPL, d.MeasuredRPL = p.tm.UnitNanos(RPL)
-	d.UnitNanosOptRPL, d.MeasuredOptRPL = p.tm.UnitNanos(OptRPL)
-	d.UnitNanosSeeded, d.MeasuredSeeded = p.tm.UnitNanos(Seeded)
 
 	seed, count := "", -1
 	for _, sym := range env.RequiredSyms() {
@@ -221,26 +183,14 @@ func (p *Planner) Plan(env *core.Env, n1, n2 int) Decision {
 		d.SeedTag, d.SeedCount = seed, count
 		d.Reverse = de.Targets < de.Sources
 		d.CostSeeded = (f1 + f2 + ds + dt) + rho*(f1*ds+f2*dt) + estL*estR
-		if d.CostSeeded*d.UnitNanosSeeded < d.CostOptRPL*d.UnitNanosOptRPL {
+		if d.CostSeeded < d.CostOptRPL {
 			d.Strategy = Seeded
 		}
 	}
-	if d.CostRPL*d.UnitNanosRPL < d.weighted() {
+	if d.CostRPL < d.UnitCost(d.Strategy) {
 		d.Strategy = RPL
 	}
 	return d
-}
-
-// weighted returns the nanosecond estimate of the currently chosen
-// strategy (units × per-unit cost).
-func (d Decision) weighted() float64 {
-	switch d.Strategy {
-	case RPL:
-		return d.CostRPL * d.UnitNanosRPL
-	case Seeded:
-		return d.CostSeeded * d.UnitNanosSeeded
-	}
-	return d.CostOptRPL * d.UnitNanosOptRPL
 }
 
 func minf(a, b float64) float64 {

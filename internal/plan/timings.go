@@ -1,121 +1,17 @@
 package plan
 
-import (
-	"math"
-	"sync/atomic"
-	"time"
-)
+import "provrpq/internal/index"
 
-// StaticUnitNanos is the cost model's static per-decode-unit constant:
-// with no measurements, every strategy's cost estimate is
-// units × StaticUnitNanos, which preserves the unit-count comparison the
-// planner shipped with (the constant cancels out of every comparison).
-// Once a strategy is warm its measured per-unit timing replaces the
-// constant, so strategies whose "decode unit" is systematically more or
-// less expensive than the model assumed — the seeded strategy's join
-// outputs versus OptRPL's trie probes — compete on observed wall time
-// instead of on the modeled unit count alone.
-const StaticUnitNanos = 100.0
+// Timings, SharedTimings and NewWithTimings are inert: plans come from
+// the run's statistics alone. They are kept only because the benchmark
+// module still compiles against them (ROADMAP item 1a deletes them).
+type Timings struct{}
 
-// timingsWarmSamples is how many observations a strategy needs before
-// its EWMA replaces the static constant: a single measurement of a
-// cold-cache run would otherwise swing plans by an order of magnitude.
-const timingsWarmSamples = 8
+// SharedTimings returns an inert Timings.
+func SharedTimings() *Timings { return &Timings{} }
 
-// timingsAlpha is the EWMA smoothing factor. 0.2 means the estimate
-// reflects roughly the last dozen evaluations — responsive to a run
-// growing or caches warming, stable against one outlier.
-const timingsAlpha = 0.2
+// Reset does nothing.
+func (*Timings) Reset() {}
 
-// Timings accumulates measured per-strategy decode-unit timings: after
-// each all-pairs evaluation the engine reports the strategy that ran,
-// the cost model's unit estimate for it, and the observed wall time, and
-// Timings maintains an exponentially-weighted moving average of
-// nanoseconds per unit. This is the feedback loop that replaces the cost
-// model's static constants: the model keeps predicting unit counts from
-// statistics, and Timings calibrates what a unit of each strategy
-// actually costs on this machine, under this workload, right now.
-//
-// All methods are safe for concurrent use and wait-free except for a
-// bounded CAS loop; observation sits on the evaluation path, so it must
-// cost nanoseconds.
-type Timings struct {
-	strat [3]stratTiming // indexed by Strategy
-}
-
-type stratTiming struct {
-	bits atomic.Uint64 // float64 bits of the EWMA (ns per unit)
-	n    atomic.Uint64 // observation count
-}
-
-// sharedTimings is the process-wide instance: warmth survives engine
-// swaps on run growth and is shared across every run of every
-// specification — the quantity being estimated (time per decode unit on
-// this hardware) is a property of the process, not of one run.
-var sharedTimings Timings
-
-// SharedTimings returns the process-wide measured-timings instance.
-func SharedTimings() *Timings { return &sharedTimings }
-
-// Observe records one evaluation: strategy s processed an estimated
-// units decode units in d. Non-positive units or durations are ignored
-// (an empty run's estimate is 0 units; there is nothing to calibrate).
-func (t *Timings) Observe(s Strategy, units float64, d time.Duration) {
-	if t == nil || units <= 0 || d <= 0 || s < 0 || int(s) >= len(t.strat) {
-		return
-	}
-	ratio := float64(d.Nanoseconds()) / units
-	if math.IsInf(ratio, 0) || math.IsNaN(ratio) {
-		return
-	}
-	st := &t.strat[s]
-	for {
-		old := st.bits.Load()
-		cur := math.Float64frombits(old)
-		next := cur + timingsAlpha*(ratio-cur)
-		if old == 0 && st.n.Load() == 0 {
-			next = ratio // first sample seeds the average
-		}
-		if st.bits.CompareAndSwap(old, math.Float64bits(next)) {
-			break
-		}
-	}
-	st.n.Add(1)
-}
-
-// UnitNanos returns the strategy's estimated cost per decode unit in
-// nanoseconds and whether it is measured: once warm
-// (>= timingsWarmSamples observations) the live EWMA, otherwise the
-// static constant. The static constant is returned in the same unit, so
-// a comparison mixing warm and cold strategies stays consistent.
-func (t *Timings) UnitNanos(s Strategy) (ns float64, measured bool) {
-	if t == nil || s < 0 || int(s) >= len(t.strat) {
-		return StaticUnitNanos, false
-	}
-	st := &t.strat[s]
-	if st.n.Load() < timingsWarmSamples {
-		return StaticUnitNanos, false
-	}
-	v := math.Float64frombits(st.bits.Load())
-	if v <= 0 {
-		return StaticUnitNanos, false
-	}
-	return v, true
-}
-
-// Samples returns the strategy's observation count.
-func (t *Timings) Samples(s Strategy) uint64 {
-	if t == nil || s < 0 || int(s) >= len(t.strat) {
-		return 0
-	}
-	return t.strat[s].n.Load()
-}
-
-// Reset clears every strategy back to cold (tests; a fleet-wide config
-// change that invalidates old measurements).
-func (t *Timings) Reset() {
-	for i := range t.strat {
-		t.strat[i].bits.Store(0)
-		t.strat[i].n.Store(0)
-	}
-}
+// NewWithTimings returns New(ix).
+func NewWithTimings(ix *index.Index, _ *Timings) *Planner { return New(ix) }

@@ -580,15 +580,9 @@ type explainResponse struct {
 	// SeedCount accompanies every reported seed tag — zero is meaningful
 	// (the required tag is absent from the run, so the query matches
 	// nothing), so it must not be dropped by omitempty.
-	SeedCount *int           `json:"seed_count,omitempty"`
-	Reverse   bool           `json:"reverse,omitempty"`
-	Costs     *planCostsJSON `json:"costs,omitempty"`
-	// UnitNanos carries the per-decode-unit costs (nanoseconds) the
-	// comparison weighted the estimates by; CostSource reports whether
-	// the chosen strategy's came from "measured" timings (warm EWMA of
-	// observed evaluations) or the "static" constant.
-	UnitNanos       *planCostsJSON `json:"unit_nanos,omitempty"`
-	CostSource      string         `json:"cost_source,omitempty"`
+	SeedCount       *int           `json:"seed_count,omitempty"`
+	Reverse         bool           `json:"reverse,omitempty"`
+	Costs           *planCostsJSON `json:"costs,omitempty"`
 	SafeSubtrees    []string       `json:"safe_subtrees,omitempty"`
 	RelationalNodes int            `json:"relational_nodes,omitempty"`
 }
@@ -992,8 +986,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	if rep.Safe {
 		resp.Costs = &planCostsJSON{RPL: rep.CostRPL, OptRPL: rep.CostOptRPL, Seeded: rep.CostSeeded}
-		resp.UnitNanos = &planCostsJSON{RPL: rep.UnitNanosRPL, OptRPL: rep.UnitNanosOptRPL, Seeded: rep.UnitNanosSeeded}
-		resp.CostSource = rep.CostSource
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

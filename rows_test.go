@@ -190,10 +190,10 @@ func allocsOf(fn func()) (allocs float64, bytes uint64) {
 
 // TestEvaluateRowsScratch bounds what an evaluation allocates besides its
 // answer. A selective one on a 16K-edge run (the benchmark's read-point
-// evaluate: one pair) stays within 8 allocations and 128 KB — the result's
-// index is one 4-byte counter per node, 64 KB here — of what the parent
-// commit's EvaluatePlanned measured on the same run and query: 127
-// allocations, 6,569,547 B (go1.24, amd64; nearly all of it the label trie).
+// evaluate: one pair, answered by the seeded strategy) stays within 8
+// allocations and 128 KB of what it measured on that run and query: 33
+// allocations, 70,984 B (go1.24, amd64; most of it the result's index, one
+// 4-byte counter per node). OptRPL's label trie would take about 7 MB.
 // A dense one (117,827 pairs on the 4K-edge run) costs 4 B per pair on top of
 // a per-run constant under 512 B per node — the parent's doubling []Pair took
 // 8.7 MB, 56 B per pair, over that — and a page of it costs the constant and
@@ -212,8 +212,8 @@ func TestEvaluateRowsScratch(t *testing.T) {
 	}
 	eng, q := NewEngine(bioRunAt(t, 16000)), MustParseQuery("_*.L1._*.s_tail._*")
 	eval(eng, q, 0, -1)() // the engine's lazy parts
-	if allocs, bytes := allocsOf(eval(eng, q, 0, -1)); allocs > 127+8 || bytes > 6_569_547+128<<10 {
-		t.Errorf("selective evaluate on %d nodes: %.0f allocs, %d B; the parent took 127 and 6569547", eng.run.NumNodes(), allocs, bytes)
+	if allocs, bytes := allocsOf(eval(eng, q, 0, -1)); allocs > 33+8 || bytes > 70_984+128<<10 {
+		t.Errorf("selective evaluate on %d nodes: %.0f allocs, %d B; seeded took 33 and 70984", eng.run.NumNodes(), allocs, bytes)
 	}
 
 	eng, q = NewEngine(bioRunAt(t, 4000)), MustParseQuery("_*.p6_8._*")
@@ -227,6 +227,46 @@ func TestEvaluateRowsScratch(t *testing.T) {
 	}
 	if _, bytes := allocsOf(eval(eng, q, rows.Total()/2, 1000)); bytes > perRun+4*(1000+2*uint64(eng.run.NumNodes())) {
 		t.Errorf("page of a dense evaluate: %d B, want at most its window's rows + 512 B per node", bytes)
+	}
+}
+
+// TestPlanIgnoresHistory: a plan depends on the run and the query, never on
+// what evaluated before it. The selective 16K query TestEvaluateRowsScratch
+// bounds is seeded 2.1× below OptRPL in decode units, so any timing of
+// earlier requests fed back into the comparison — here, many small
+// evaluates on other runs and engines — could flip it.
+func TestPlanIgnoresHistory(t *testing.T) {
+	run, q := bioRunAt(t, 16000), MustParseQuery("_*.L1._*.s_tail._*")
+	type planned struct {
+		Strategy            Strategy
+		RPL, OptRPL, Seeded float64
+	}
+	explain := func() planned {
+		rep, err := NewEngine(run).Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planned{rep.Strategy, rep.CostRPL, rep.CostOptRPL, rep.CostSeeded}
+	}
+	before := explain()
+	spec := introSpec(t)
+	qs := []*Query{MustParseQuery("_*.s._*"), MustParseQuery("_*.a1._*"), MustParseQuery("_*")}
+	for _, edges := range []int{20, 120} {
+		for round := 0; round < 12; round++ {
+			small, err := spec.Derive(DeriveOptions{Seed: int64(round + 1), TargetEdges: edges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine(small)
+			for _, sq := range qs {
+				if _, err := eng.Evaluate(sq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if after := explain(); after != before {
+		t.Errorf("plan for %s changed after unrelated evaluates: %+v, was %+v", q, after, before)
 	}
 }
 
