@@ -125,18 +125,22 @@ func BenchmarkSafetyCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkAllPairsReachable measures the output-linear all-pairs
-// reachability (Lemma 4.1) over all nodes of a 2K-edge run.
+// BenchmarkAllPairsReachable measures Engine.AllPairsReachable, the
+// output-linear all-pairs reachability (Lemma 4.1), over all nodes of a
+// 2K-edge run.
 func BenchmarkAllPairsReachable(b *testing.B) {
-	_, run := bioRun(b, 2000)
-	labels := make([]label.Label, run.NumNodes())
-	for i := range labels {
-		labels[i] = run.Label(derive.NodeID(i))
+	d, dr := bioRun(b, 2000)
+	run := rehydrate(b, d, dr)
+	eng := provrpq.NewEngine(run)
+	all := run.AllNodes()
+	if _, err := eng.AllPairsReachable(all[:1], all[:1]); err != nil { // warm the plan and labels
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		count := 0
-		reach.AllPairs(run.Spec, labels, labels, 1, func(int, int) { count++ })
+		if _, err := eng.AllPairsReachable(all, all); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -307,7 +311,7 @@ func decomposeFixture(tb testing.TB) (*derive.Run, *core.General, []*automata.No
 	}
 	ix := index.Build(run)
 	tag := run.Edges[len(run.Edges)/2].Tag
-	gen := core.NewGeneralOpts(run, ix, core.CostBased, core.GeneralOptions{Workers: 2})
+	gen := core.NewGeneral(run, ix, core.CostBased)
 	var qs []*automata.Node
 	for _, shape := range []string{"%s._*._", "(_._*.%s).(_._)"} {
 		q := automata.MustParse(fmt.Sprintf(shape, tag))
@@ -348,7 +352,7 @@ func BenchmarkGeneralEvalDecompose(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fx := fixture{gen: core.NewGeneralOpts(run, index.Build(run), core.CostBased, core.GeneralOptions{Workers: 2})}
+		fx := fixture{gen: core.NewGeneral(run, index.Build(run), core.CostBased)}
 		for _, qs := range f.queries {
 			fx.qs = append(fx.qs, automata.MustParse(qs))
 		}
@@ -372,7 +376,7 @@ func BenchmarkGeneralEvalDecompose(b *testing.B) {
 // BenchmarkUnsafeAllPairs measures Engine.AllPairs on an unsafe query over 16
 // sources × every node of a 4K-edge QBLast run, where _* alone is 5.9 million
 // pairs: the lists go down the decomposition, so the cost is what 16 sources
-// reach, on any worker count.
+// reach.
 func BenchmarkUnsafeAllPairs(b *testing.B) {
 	d := workload.QBLast()
 	dr, err := derive.Derive(d.Spec, derive.Options{Seed: 1, TargetEdges: 4000})
@@ -392,23 +396,19 @@ func BenchmarkUnsafeAllPairs(b *testing.B) {
 	for i := 0; len(l1) < 16; i++ {
 		l1 = append(l1, l2[i*len(l2)/16])
 	}
+	eng := provrpq.NewEngine(run)
+	if safe, err := eng.IsSafe(q); err != nil || safe {
+		b.Fatalf("%s: safe=%v err=%v, want an unsafe query", q, safe, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	want := -1
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: w})
-			if safe, err := eng.IsSafe(q); err != nil || safe {
-				b.Fatalf("%s: safe=%v err=%v, want an unsafe query", q, safe, err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pairs, err := eng.AllPairs(q, l1, l2, provrpq.Auto)
-				if err != nil || len(pairs) == 0 || (want >= 0 && len(pairs) != want) {
-					b.Fatalf("workers=%d: %d pairs (%v), want %d", w, len(pairs), err, want)
-				}
-				want = len(pairs)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		pairs, err := eng.AllPairs(q, l1, l2, provrpq.Auto)
+		if err != nil || len(pairs) == 0 || (want >= 0 && len(pairs) != want) {
+			b.Fatalf("%d pairs (%v), want %d", len(pairs), err, want)
+		}
+		want = len(pairs)
 	}
 }
 
@@ -430,110 +430,6 @@ func TestGeneralEvalAllocatesPerRowNotPerPair(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per Eval on %d nodes (%d result pairs), want at most %.0f",
 				q, allocs, run.NumNodes(), pairs, bound)
 		}
-	}
-}
-
-// Parallel-scaling benches for the sharded all-pairs scans: the same
-// 16K-edge scan at 1, 2 and 4 workers (workers=1 is the serial scan). The
-// result sets are asserted identical across worker counts.
-
-// forkLoopSpec mirrors the datasets' fork workload through the public API:
-// an outer loop FL starts fresh fork chains F (capped at derive time), and
-// both FL bodies route the fork's output over an "fl" edge so every FL
-// execution spells a^j fl… and the Kleene star a* stays safe.
-func forkLoopSpec(b testing.TB) *provrpq.Spec {
-	b.Helper()
-	spec, err := provrpq.NewSpecBuilder().
-		Start("S").
-		Prod("S", []string{"in", "FL", "out"}, []provrpq.BodyEdge{
-			{From: 0, To: 1, Tag: "s"}, {From: 1, To: 2, Tag: "t"},
-		}).
-		Prod("FL", []string{"F", "FL"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "fl"}}).
-		Prod("FL", []string{"F", "fstop"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "fl"}}).
-		Prod("F", []string{"a", "F"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "a"}}).
-		Prod("F", []string{"a"}, nil).
-		Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return spec
-}
-
-// BenchmarkParallelAllPairs16K measures Engine.AllPairs over fork
-// distributor nodes of a 16K-edge run: the RPL nested-loop scan is pure
-// decode work, OptRPL the tree walk (below its fan-out cut-off at this list
-// size, so its worker counts time the same inline scan). The lists are
-// capped at 2048 nodes to keep one RPL iteration in the seconds range (the
-// run itself stays at 16K edges). Wall-clock speedup needs real cores: on a
-// single-CPU host the worker counts time-share and only overhead shows.
-func BenchmarkParallelAllPairs16K(b *testing.B) {
-	spec := forkLoopSpec(b)
-	run, err := spec.Derive(provrpq.DeriveOptions{
-		Seed: 1, TargetEdges: 16000,
-		FavorModules: []string{"F", "FL"},
-		FavorCaps:    map[string]int{"F": 150},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	anodes := run.NodesOfModule("a")
-	if len(anodes) > 2048 {
-		anodes = anodes[:2048]
-	}
-	q := provrpq.MustParseQuery("a*")
-	for _, strat := range []struct {
-		name string
-		s    provrpq.Strategy
-	}{{"RPL", provrpq.StrategyRPL}, {"OptRPL", provrpq.StrategyOptRPL}} {
-		serialLen := -1
-		for _, w := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers=%d", strat.name, w), func(b *testing.B) {
-				eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: w})
-				if _, err := eng.IsSafe(q); err != nil { // warm the plan
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pairs, err := eng.AllPairs(q, anodes, anodes, strat.s)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if serialLen < 0 {
-						serialLen = len(pairs)
-					} else if len(pairs) != serialLen {
-						b.Fatalf("workers=%d found %d pairs, serial found %d", w, len(pairs), serialLen)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelEvaluate16K measures the general evaluator (the engine's
-// Evaluate path) on a safe low-selectivity IFQ over every node pair of a
-// 16K-edge BioAID run, with the safe-subtree scan sharded across workers.
-func BenchmarkParallelEvaluate16K(b *testing.B) {
-	d, run := bioRun(b, 16000)
-	ix := index.Build(run)
-	r := rand.New(rand.NewSource(6))
-	q := automata.MustParse(d.SafeIFQ(r, 3, true))
-	serialLen := -1
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			gen := core.NewGeneralOpts(run, ix, core.CostBased, core.GeneralOptions{Workers: w})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rel, _, err := gen.Eval(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if serialLen < 0 {
-					serialLen = rel.Len()
-				} else if rel.Len() != serialLen {
-					b.Fatalf("workers=%d found %d pairs, serial found %d", w, rel.Len(), serialLen)
-				}
-			}
-		})
 	}
 }
 

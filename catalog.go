@@ -90,8 +90,10 @@ type CatalogOptions struct {
 	// PlanCache overrides the catalog's dedicated compiled-plan cache
 	// (nil builds a private cache with the default bound).
 	PlanCache *PlanCache
-	// Workers bounds each engine's parallel all-pairs scans (0 means one
-	// worker per CPU).
+	// Workers bounds the fan-out of EvaluateBatch over its (run, query)
+	// pairs and of NewCatalogFromStore over the runs it decodes (0 means
+	// one worker per CPU). A single evaluation always runs on its caller's
+	// goroutine.
 	Workers int
 	// Store, when non-nil, makes the catalog durable: every successful
 	// RegisterSpec, AddRun and DeriveRun is persisted to the store before
@@ -378,7 +380,7 @@ func (c *Catalog) EngineAt(name string) (*Engine, int, bool) {
 	if en == nil {
 		return nil, 0, false
 	}
-	en.once.Do(func() { en.eng = NewEngineOpts(en.run, EngineOptions{Workers: c.workers, PlanCache: c.plans}) })
+	en.once.Do(func() { en.eng = NewEngineOpts(en.run, EngineOptions{PlanCache: c.plans}) })
 	return en.eng, en.gen, true
 }
 
@@ -457,7 +459,7 @@ func (c *Catalog) EvaluateBatchRows(ctx context.Context, runNames []string, quer
 }
 
 // CatalogStats is a point-in-time snapshot of a catalog's size, its
-// plan-cache traffic and its resolved per-engine worker-pool width.
+// plan-cache traffic and its resolved batch fan-out width.
 type CatalogStats struct {
 	Specs, Runs int
 	PlanCache   CacheStats

@@ -59,7 +59,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
 	timeout := flag.Duration("timeout", server.DefaultTimeout, "per-request handling deadline")
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently-served requests (negative = unlimited)")
-	workers := flag.Int("workers", 0, "per-engine scan workers (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "store-boot and batch fan-out (0 = one per CPU)")
 	planCap := flag.Int("plan-cache", 0, "plan-cache capacity in compiled plans (0 = default)")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "drain window for graceful shutdown")
 	dataDir := flag.String("data-dir", "", "durable catalog directory (created if missing); registered specs and runs survive restarts")

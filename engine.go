@@ -14,7 +14,6 @@ import (
 	"provrpq/internal/index"
 	"provrpq/internal/label"
 	"provrpq/internal/metrics"
-	"provrpq/internal/parallel"
 	"provrpq/internal/plan"
 	"provrpq/internal/plancache"
 	"provrpq/internal/reach"
@@ -156,9 +155,9 @@ func DefaultPlanCache() *PlanCache { return defaultPlanCache }
 
 // EngineOptions configure an Engine beyond its run.
 type EngineOptions struct {
-	// Workers bounds the worker pool of parallel all-pairs evaluation
-	// (AllPairs, AllPairsReachable, Evaluate): 0 means one worker per CPU,
-	// 1 forces serial scans.
+	// Workers is ignored: every scan runs on its caller's goroutine. It is
+	// kept only because the benchmark module still compiles against it
+	// (ROADMAP item 1a deletes it).
 	Workers int
 	// PlanCache overrides the process-wide shared compiled-plan cache.
 	PlanCache *PlanCache
@@ -171,15 +170,12 @@ type EngineOptions struct {
 // exactly once.
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
-// any mix of its methods. All-pairs scans additionally fan the work out
-// across a bounded worker pool (EngineOptions.Workers) by contiguous shards of
-// sources, so a parallel scan returns what a serial one does: Evaluate and
-// EvaluateRows in (From, To) order always, AllPairs with the shards merged
-// back in shard order.
+// any mix of its methods. Each call runs on its caller's goroutine, so
+// concurrent requests are the only parallelism. Evaluate and EvaluateRows
+// answer in (From, To) order.
 type Engine struct {
-	run     *Run
-	plans   *plancache.Cache
-	workers int
+	run   *Run
+	plans *plancache.Cache
 
 	// lblOnce/lbls defer the materialized per-node label slice to the
 	// first all-pairs scan: the pairwise entry points answer straight from
@@ -213,7 +209,7 @@ type Engine struct {
 }
 
 // NewEngine prepares an engine over a run with default options (shared
-// process-wide plan cache, one worker per CPU).
+// process-wide plan cache).
 func NewEngine(run *Run) *Engine {
 	return NewEngineOpts(run, EngineOptions{})
 }
@@ -224,11 +220,7 @@ func NewEngineOpts(run *Run, opts EngineOptions) *Engine {
 	if opts.PlanCache != nil {
 		plans = opts.PlanCache.c
 	}
-	return &Engine{
-		run:     run,
-		plans:   plans,
-		workers: parallel.Workers(opts.Workers),
-	}
+	return &Engine{run: run, plans: plans}
 }
 
 // labels returns the materialized per-node label slice, built on first use.
@@ -264,10 +256,7 @@ func (e *Engine) planner() *plan.Planner {
 
 func (e *Engine) general() *core.General {
 	e.genOnce.Do(func() {
-		e.gen = core.NewGeneralOpts(e.run.r, e.index(), core.CostBased, core.GeneralOptions{
-			Envs:    e.plans,
-			Workers: e.workers,
-		})
+		e.gen = core.NewGeneralOpts(e.run.r, e.index(), core.CostBased, core.GeneralOptions{Envs: e.plans})
 	})
 	return e.gen
 }
@@ -346,21 +335,14 @@ func (e *Engine) Reachable(u, v NodeID) (bool, error) {
 	return reach.PairwiseBytes(e.run.r.Spec, e.run.r.LabelBytes(derive.NodeID(u)), e.run.r.LabelBytes(derive.NodeID(v))), nil
 }
 
+// reachQuery is plain reachability: any path, the empty one included.
+var reachQuery = MustParseQuery("_*")
+
 // AllPairsReachable returns all reachable pairs of l1 × l2 in time linear
-// in the lists and the output (Lemma 4.1's side effect), sharded across the
-// engine's worker pool.
+// in the lists and the output (Lemma 4.1's side effect): the OptRPL walk of
+// the safe query _*.
 func (e *Engine) AllPairsReachable(l1, l2 []NodeID) ([]Pair, error) {
-	if err := e.checkNodes(l1); err != nil {
-		return nil, err
-	}
-	if err := e.checkNodes(l2); err != nil {
-		return nil, err
-	}
-	var out []Pair
-	reach.AllPairs(e.run.r.Spec, e.labelsOf(l1), e.labelsOf(l2), e.workers, func(i, j int) {
-		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
-	})
-	return out, nil
+	return e.AllPairs(reachQuery, l1, l2, StrategyOptRPL)
 }
 
 // forcedStrategies maps the caller-forced public strategies onto the
@@ -462,7 +444,7 @@ func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strate
 		if !oneList {
 			lb = e.labelsOf(l2)
 		}
-		err = env.AllPairsSafeParallel(la, lb, labelScan(strategy), e.workers, emit)
+		err = env.AllPairsSafeParallel(la, lb, labelScan(strategy), 1, emit)
 	}
 	if err == nil {
 		observeScan(dec, strategy, start)
@@ -499,7 +481,7 @@ func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision,
 	if strategy == plan.Seeded {
 		rows, err = plan.SeededRows(ctx, env, e.index(), dec, offset, limit)
 	} else {
-		rows, err = env.SafeRows(ctx, e.labels(), labelScan(strategy), e.workers, offset, limit)
+		rows, err = env.SafeRows(ctx, e.labels(), labelScan(strategy), offset, limit)
 	}
 	if err != nil {
 		return nil, err
@@ -644,7 +626,7 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 // EvaluateRows evaluates the query over all node pairs and returns the
 // window [offset, offset+limit) of its result — to the end when limit < 0 —
 // with the plan report: safe queries run the planner-chosen all-pairs
-// strategy on the engine's worker pool, unsafe queries are decomposed into
+// strategy on the calling goroutine, unsafe queries are decomposed into
 // maximal safe subtrees plus a relational remainder (Section IV-B), with the
 // cost model choosing per subtree. A safe query is planned exactly once: the
 // report, the scan and the strategy label on provrpq_eval_seconds all come

@@ -64,7 +64,7 @@ func samePairs(a, b []provrpq.Pair) bool {
 // TestEngineConcurrentMixedCalls hammers one shared Engine with every entry
 // point at once — safe decodes, the unsafe G2 fallback, all-pairs scans,
 // the general evaluator, and the relaxation state transition — and checks
-// each answer against a serial engine's.
+// each answer against one engine's called from a single goroutine.
 func TestEngineConcurrentMixedCalls(t *testing.T) {
 	spec := forkSpec(t)
 	run := forkRun(t, spec, 7, 120)
@@ -77,11 +77,8 @@ func TestEngineConcurrentMixedCalls(t *testing.T) {
 		t.Fatalf("run too small: %d a-nodes", len(anodes))
 	}
 
-	// Serial ground truth from a private, serial engine.
-	serial := provrpq.NewEngineOpts(run, provrpq.EngineOptions{
-		Workers:   1,
-		PlanCache: provrpq.NewPlanCache(64),
-	})
+	// Ground truth from a private engine, called from this goroutine alone.
+	serial := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(64)})
 	type pw struct{ u, v provrpq.NodeID }
 	samples := make([]pw, 0, 16)
 	for i := 0; i < 4; i++ {
@@ -117,8 +114,8 @@ func TestEngineConcurrentMixedCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The engine under test: default worker pool, private cache so the
-	// relaxation transition runs inside this test.
+	// The engine under test: a private cache so the relaxation transition
+	// runs inside this test.
 	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(64)})
 
 	const goroutines = 16
@@ -215,11 +212,11 @@ func TestEnginesSharePlanCache(t *testing.T) {
 	qRelax := provrpq.MustParseQuery("a*.b")
 
 	// Serial ground truth per engine.
-	want1, err := provrpq.NewEngineOpts(run1, provrpq.EngineOptions{Workers: 1, PlanCache: provrpq.NewPlanCache(8)}).Evaluate(qSafe)
+	want1, err := provrpq.NewEngineOpts(run1, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(8)}).Evaluate(qSafe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := provrpq.NewEngineOpts(run2, provrpq.EngineOptions{Workers: 1, PlanCache: provrpq.NewPlanCache(8)}).Evaluate(qSafe)
+	want2, err := provrpq.NewEngineOpts(run2, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(8)}).Evaluate(qSafe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +270,7 @@ func TestRelaxationSurvivesPlanEviction(t *testing.T) {
 	spec := forkSpec(t)
 	run := forkRun(t, spec, 5, 150)
 	pc := provrpq.NewPlanCache(1)
-	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: 1, PlanCache: pc})
+	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: pc})
 	qRelax := provrpq.MustParseQuery("a*.b")
 	if ok, err := eng.IsSafeRelaxed(qRelax); err != nil || !ok {
 		t.Fatalf("IsSafeRelaxed(a*.b) = %v, %v", ok, err)
@@ -294,89 +291,17 @@ func TestRelaxationSurvivesPlanEviction(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial asserts the parallel scans return the same
-// result sets as the serial ones — and, for AllPairs, in exactly the same
-// order.
-func TestParallelMatchesSerial(t *testing.T) {
-	spec := forkSpec(t)
-	run := forkRun(t, spec, 3, 900)
-	anodes := run.NodesOfModule("a")
-	all := run.AllNodes()
-	qSafe := provrpq.MustParseQuery("a*")
-
-	serial := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: 1, PlanCache: provrpq.NewPlanCache(16)})
-	strategies := []provrpq.Strategy{provrpq.StrategyRPL, provrpq.StrategyOptRPL, provrpq.Auto}
-	wants := map[provrpq.Strategy][]provrpq.Pair{}
-	for _, strat := range strategies {
-		w, err := serial.AllPairs(qSafe, anodes, anodes, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[strat] = w
-	}
-	wantReach, err := serial.AllPairsReachable(all, anodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEval, err := serial.Evaluate(qSafe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		par := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: workers, PlanCache: provrpq.NewPlanCache(16)})
-		for _, strat := range strategies {
-			want := wants[strat]
-			got, err := par.AllPairs(qSafe, anodes, anodes, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePairs(got, want) {
-				t.Fatalf("workers=%d strategy=%d: %d pairs, want %d", workers, strat, len(got), len(want))
-			}
-			if strat == provrpq.StrategyRPL {
-				// The sharded nested-loop scan must preserve the serial
-				// emit order exactly.
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d RPL: pair %d = %v, want %v (order must match serial)",
-							workers, i, got[i], want[i])
-					}
-				}
-			}
-		}
-		gotReach, err := par.AllPairsReachable(all, anodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePairs(gotReach, wantReach) {
-			t.Fatalf("workers=%d: AllPairsReachable %d pairs, want %d", workers, len(gotReach), len(wantReach))
-		}
-		gotEval, err := par.Evaluate(qSafe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gotEval) != len(wantEval) {
-			t.Fatalf("workers=%d: Evaluate %d pairs, want %d", workers, len(gotEval), len(wantEval))
-		}
-		for i := range gotEval {
-			if gotEval[i] != wantEval[i] {
-				t.Fatalf("workers=%d: Evaluate pair %d differs", workers, i)
-			}
-		}
-	}
-}
-
 // TestUnsafeAllPairsShardsReadOneRelation answers an unsafe query over two
-// lists on an engine with four workers — the lists go down the decomposition
-// as node sets, so no shard reads the relation any more; the name is from when
-// four did: the answer is the nested loop's — l1-major, l2 order, a node
-// listed twice matched at both positions — whatever order the lists are in.
+// lists — the lists go down the decomposition as node sets, so no shard reads
+// the relation any more; the name is from when four did: the answer is the
+// nested loop's — l1-major, l2 order, a node listed twice matched at both
+// positions — whatever order the lists are in.
 // The G1 baseline restricts its full relation the same way.
 func TestUnsafeAllPairsShardsReadOneRelation(t *testing.T) {
 	spec := forkSpec(t)
 	run := forkRun(t, spec, 3, 900)
 	q := provrpq.MustParseQuery("a+")
-	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{Workers: 4, PlanCache: provrpq.NewPlanCache(16)})
+	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(16)})
 	if safe, err := eng.IsSafe(q); err != nil || safe {
 		t.Fatalf("a+ should be unsafe on the fork grammar (safe=%v, err=%v)", safe, err)
 	}

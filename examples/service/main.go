@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	// 1. The service: a catalog (shared plan cache, per-CPU workers)
+	// 1. The service: a catalog (shared plan cache, per-CPU batch fan-out)
 	//    behind the HTTP handler, on a random local port.
 	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
 	srv := server.New(cat, server.Options{})

@@ -4,7 +4,6 @@ import (
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
-	"provrpq/internal/label"
 	"provrpq/internal/reach"
 )
 
@@ -108,20 +107,19 @@ func (g *G3) Pairwise(u, v derive.NodeID) bool {
 
 // AllPairs evaluates the IFQ over l1 × l2. The occurrence chain is
 // materialized once (pairs of first-occurrence sources and last-occurrence
-// targets), then joined to the endpoint lists with the output-linear
-// all-pairs reachability of Section IV-A.
+// targets), then joined to the endpoint lists with reachability-label tests;
+// plain reachability (k = 0) is those tests over l1 × l2 alone.
 func (g *G3) AllPairs(l1, l2 []derive.NodeID, emit func(i, j int)) {
 	run := g.ix.Run()
 	spec := run.Spec
-	labelsOf := func(ids []derive.NodeID) []label.Label {
-		ls := make([]label.Label, len(ids))
-		for i, id := range ids {
-			ls[i] = run.Label(id)
-		}
-		return ls
-	}
 	if len(g.syms) == 0 {
-		reach.AllPairs(spec, labelsOf(l1), labelsOf(l2), 1, emit)
+		for i, u := range l1 {
+			for j, v := range l2 {
+				if reach.Pairwise(spec, run.Label(u), run.Label(v)) {
+					emit(i, j)
+				}
+			}
+		}
 		return
 	}
 

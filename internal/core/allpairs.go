@@ -2,7 +2,7 @@ package core
 
 import (
 	"provrpq/internal/label"
-	"provrpq/internal/parallel"
+	"provrpq/internal/reach"
 )
 
 // AllPairsStrategy selects how a safe all-pairs query is evaluated.
@@ -20,68 +20,52 @@ const (
 	OptRPL
 )
 
-// rplParallelCutoff is the nested-loop pair-count floor below which the RPL
-// scan stays on one worker, and optParallelCutoff the l1 size floor for
-// OptRPL: goroutine fan-out only pays off once there is enough per-shard
-// work to amortize it. The walk costs under a microsecond per label and the
-// l2 half of it (one trie, one set of vectors) is not sharded, so two
-// workers measured no gain below several thousand labels.
-const (
-	rplParallelCutoff = 2048
-	optParallelCutoff = 4096
-)
-
 // AllPairsSafeParallel evaluates the safe all-pairs query over two label
-// lists and emits each matching pair by list indices, sharded across a
-// bounded worker pool of the given size (0 means one worker per CPU; 1, or
-// a scan below the cut-offs, is the serial scan, run inline on the calling
-// goroutine). l1 is split into contiguous shards, each scanned by its own
-// goroutine with its own Decoder; per-shard emits are buffered and merged
-// in shard order, so the emit callback runs on the calling goroutine and —
-// for a fixed worker count — observes a deterministic pair sequence. The
-// RPL scan emits in l1-major nested-loop order whatever the worker count;
-// the OptRPL scan walks each shard's own sub-trie against one shared l2
-// trie (and its state vectors, built once), so its order is shard-major —
-// the walk order with one worker — but the pair set is always identical.
-// Nothing built for a scan outlives it.
-func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrategy, workers int, emit func(i, j int)) error {
-	if strategy == OptRPL {
-		s, err := e.newOptScan(l1, l2, workers)
-		if err != nil {
-			return err
-		}
-		s.blocks(func(b block) { b.each(emit) })
-		return nil
-	}
-	return e.rplPairs(nil, l1, l2, workers, emit)
-}
-
-// rplPairs is the RPL scan; once done fires (nil never does) every shard
-// stops at its next l1 label.
-func (e *Env) rplPairs(done <-chan struct{}, l1, l2 []label.Label, workers int, emit func(i, j int)) error {
-	st := e.state.Load()
-	if !st.safe {
+// lists and emits each matching pair by list indices, serially on the
+// calling goroutine: RPL in l1-major nested-loop order, OptRPL in the walk's
+// order over one trie per list — one trie in all when l1 is l2. Nothing
+// built for a scan outlives it. The worker count is ignored: it is kept only
+// because the benchmark module still compiles against it (ROADMAP item 1a
+// deletes it).
+func (e *Env) AllPairsSafeParallel(l1, l2 []label.Label, strategy AllPairsStrategy, _ int, emit func(i, j int)) error {
+	if !e.Safe() {
 		return ErrUnsafe
 	}
-	e.artifactsFor(st) // build once up front, not per worker
-	if len(l1)*len(l2) < rplParallelCutoff {
-		workers = 1
+	if strategy == RPL {
+		return e.rplPairs(nil, l1, l2, emit)
 	}
-	parallel.Gather(len(l1), workers, func(_, lo, hi int, out func([2]int)) {
-		d := e.decoder() // pooled: each worker borrows a warm decoder
-		defer e.release(d)
-		for i := lo; i < hi; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			for j, b := range l2 {
-				if d.PairwiseUnchecked(l1[i], b) {
-					out([2]int{i, j})
-				}
+	t2 := reach.NewTrie(l2)
+	t1 := t2
+	if !sameList(l1, l2) {
+		t1 = reach.NewTrie(l1)
+	}
+	return e.AllPairsSafeTries(t1, t2, emit)
+}
+
+// sameList reports whether a and b are one slice.
+func sameList(a, b []label.Label) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// rplPairs is the RPL scan; once done fires (nil never does) it stops at its
+// next l1 label.
+func (e *Env) rplPairs(done <-chan struct{}, l1, l2 []label.Label, emit func(i, j int)) error {
+	d := e.decoder()
+	if d == nil {
+		return ErrUnsafe
+	}
+	defer e.release(d)
+	for i, a := range l1 {
+		select {
+		case <-done:
+			return nil
+		default:
+		}
+		for j, b := range l2 {
+			if d.PairwiseUnchecked(a, b) {
+				emit(i, j)
 			}
 		}
-	}, func(p [2]int) { emit(p[0], p[1]) })
+	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
 	"provrpq/internal/label"
-	"provrpq/internal/parallel"
 	"provrpq/internal/reach"
 	"provrpq/internal/rel"
 	"provrpq/internal/wf"
@@ -50,8 +49,9 @@ type GeneralOptions struct {
 	// evaluators over different runs of one spec share plans). When nil the
 	// evaluator compiles and caches privately.
 	Envs EnvSource
-	// Workers bounds the worker pool of safe-subtree all-pairs scans:
-	// 0 means one worker per CPU, 1 forces serial scans.
+	// Workers is ignored: every scan runs on its caller's goroutine. It is
+	// kept only because the benchmark module still compiles against it
+	// (ROADMAP item 1a deletes it).
 	Workers int
 }
 
@@ -64,7 +64,6 @@ type General struct {
 	run      *derive.Run
 	ix       *index.Index
 	strategy GeneralStrategy
-	workers  int
 
 	source EnvSource
 	// envs fronts the source (or the private compiles when source is nil)
@@ -93,9 +92,9 @@ type EvalReport struct {
 }
 
 // NewGeneral builds a general evaluator over a run and its index with
-// default options (private plan cache, serial scans).
+// default options (private plan cache).
 func NewGeneral(run *derive.Run, ix *index.Index, strategy GeneralStrategy) *General {
-	return NewGeneralOpts(run, ix, strategy, GeneralOptions{Workers: 1})
+	return NewGeneralOpts(run, ix, strategy, GeneralOptions{})
 }
 
 // NewGeneralOpts builds a general evaluator with explicit options.
@@ -104,7 +103,6 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 		run:      run,
 		ix:       ix,
 		strategy: strategy,
-		workers:  opts.Workers,
 		source:   opts.Envs,
 		labels:   run.MaterializeLabels(),
 		ids:      run.AllNodes(),
@@ -343,24 +341,14 @@ func (g *General) trie(set []int32) *reach.Trie {
 
 // safeEval computes a safe subquery's pairs inside from × to with the optRPL
 // walk over the two sets' labels; the relation takes over its rows (rows.go).
-// Only the scan of every pair of a large run is sharded across the workers.
 func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*rel.Rel, error) {
 	n := len(g.labels)
-	var r *Rows
-	var err error
-	if all := g.whole(from) && g.whole(to); all && n >= optParallelCutoff && parallel.Workers(g.workers) > 1 {
-		var s *optScan
-		if s, err = env.newOptScan(g.labels, g.labels, g.workers); err == nil {
-			r, err = s.rows(ctx, 0, -1)
-		}
-	} else {
-		t1 := g.trie(from)
-		t2 := t1
-		if !all {
-			t2 = g.trie(to)
-		}
-		r, err = env.RowsSafeTries(ctx, t1, t2, n, 0, -1)
+	t1 := g.trie(from)
+	t2 := t1
+	if !g.whole(from) || !g.whole(to) {
+		t2 = g.trie(to)
 	}
+	r, err := env.RowsSafeTries(ctx, t1, t2, n, 0, -1)
 	if err != nil {
 		return nil, err
 	}

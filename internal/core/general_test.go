@@ -87,8 +87,8 @@ func TestGeneralMatchesOracle(t *testing.T) {
 // TestGeneralMatchesOracleOnServedShapes runs the decomposition shapes the
 // served unsafe workload is made of — a selective tag around _*, a closure
 // beside it, a closure over it, an alternation of two of them — on runs of
-// its size, serial and sharded: the safe subtree is tens of thousands of
-// pairs filled block by block, the remainder joins over rows.
+// its size: the safe subtree is tens of thousands of pairs filled block by
+// block, the remainder joins over rows.
 func TestGeneralMatchesOracleOnServedShapes(t *testing.T) {
 	cases := []struct {
 		d       *workload.Dataset
@@ -109,12 +109,9 @@ func TestGeneralMatchesOracleOnServedShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix := index.Build(run)
-		for _, workers := range []int{1, 2} {
-			for _, strategy := range []GeneralStrategy{LargestSafeSubtree, CostBased} {
-				gen := NewGeneralOpts(run, ix, strategy, GeneralOptions{Workers: workers})
-				what := fmt.Sprintf("%s strategy %d workers %d", c.d.Name, strategy, workers)
-				checkGeneralAgainstOracle(t, what, run, gen, c.queries)
-			}
+		for _, strategy := range []GeneralStrategy{LargestSafeSubtree, CostBased} {
+			what := fmt.Sprintf("%s strategy %d", c.d.Name, strategy)
+			checkGeneralAgainstOracle(t, what, run, NewGeneral(run, ix, strategy), c.queries)
 		}
 		// The alternation really has two safe subtrees to fill and unite.
 		alt := c.queries[len(c.queries)-1]
@@ -125,37 +122,6 @@ func TestGeneralMatchesOracleOnServedShapes(t *testing.T) {
 		if rep.Safe || len(rep.SafeSubtrees) != 2 {
 			t.Errorf("%s %q: want an unsafe query with two safe subtrees, got %+v", c.d.Name, alt, rep)
 		}
-	}
-}
-
-// TestGeneralShardedFillMatchesSerial runs a safe subtree above the OptRPL
-// cut-off, where two workers fill disjoint row ranges of one relation side
-// by side: the relation must equal the one a single worker fills.
-func TestGeneralShardedFillMatchesSerial(t *testing.T) {
-	d := workload.BioAID()
-	run, err := derive.Derive(d.Spec, derive.Options{Seed: 5, TargetEdges: optParallelCutoff + 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.NumNodes() < optParallelCutoff {
-		t.Fatalf("fixture has %d nodes, below the cut-off %d", run.NumNodes(), optParallelCutoff)
-	}
-	ix := index.Build(run)
-	q := automata.MustParse("_*.p3_2._*.p5_2._*")
-	var rels [2]*rel.Rel
-	for i, workers := range []int{1, 2} {
-		gen := NewGeneralOpts(run, ix, LargestSafeSubtree, GeneralOptions{Workers: workers})
-		rel, rep, err := gen.Eval(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.SafeSubtrees) != 1 || rel.Len() == 0 {
-			t.Fatalf("workers %d: want a non-empty result filled from one safe subtree, got %d pairs, %+v", workers, rel.Len(), rep)
-		}
-		rels[i] = rel
-	}
-	if !slices.Equal(rels[0].Pairs(), rels[1].Pairs()) {
-		t.Fatalf("1 worker found %d pairs, 2 workers %d", rels[0].Len(), rels[1].Len())
 	}
 }
 
@@ -266,7 +232,7 @@ func servedDecomposeFixtures(t *testing.T) map[string]*servedFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := NewGeneralOpts(run, index.Build(run), CostBased, GeneralOptions{Workers: 2})
+		gen := NewGeneral(run, index.Build(run), CostBased)
 		out[name] = &servedFixture{d: f.d, run: run, gen: gen, counts: map[string]int{}}
 	}
 	for _, pq := range pf.Workloads["read-decompose"] {
@@ -406,7 +372,7 @@ func TestGeneralSafeSubtreeWorkIsOutputBound(t *testing.T) {
 // labels all see one order and the same relations (run under -race).
 func TestGeneralConcurrentEvalSharesOrder(t *testing.T) {
 	fx := servedDecomposeFixtures(t)["bio300"]
-	gen := NewGeneralOpts(fx.run, index.Build(fx.run), CostBased, GeneralOptions{Workers: 2})
+	gen := NewGeneral(fx.run, index.Build(fx.run), CostBased)
 	var wg sync.WaitGroup
 	off := make([]int, 8)
 	for i := range off {

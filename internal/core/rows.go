@@ -9,6 +9,7 @@ import (
 
 	"provrpq/internal/derive"
 	"provrpq/internal/label"
+	"provrpq/internal/reach"
 	"provrpq/internal/rel"
 )
 
@@ -83,12 +84,11 @@ func (r *Rows) window(offset, limit int) (held int, err error) {
 
 // buildRows is the count-then-fill sink of the label walks. walk hands its
 // consumer every block of one scan over n sources, the same blocks on every
-// call, possibly from several goroutines that each own a range of sources. It
-// runs once to add block sizes into row lengths, which gives the total and
-// every row's position before a pair is written, and once more to copy each
-// block's targets into the rows the window meets, held in one array of their
-// exact size. off[u] is row u's write cursor meanwhile, so the only scratch is
-// the result's own index: four bytes per source.
+// call. It runs once to add block sizes into row lengths, which gives the
+// total and every row's position before a pair is written, and once more to
+// copy each block's targets into the rows the window meets, held in one array
+// of their exact size. off[u] is row u's write cursor meanwhile, so the only
+// scratch is the result's own index: four bytes per source.
 func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(block))) (*Rows, error) {
 	r := &Rows{off: make([]int32, n+1)}
 	walk(func(b block) {
@@ -122,23 +122,20 @@ func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(bl
 }
 
 // SafeRows evaluates the safe query over every pair of one label list into
-// Rows, sharded like AllPairsSafeParallel. The RPL nested loop hands buildRows
-// its pairs as blocks of one, in order. Once ctx is done the scan ends at its
-// next block (RPL: source) with ctx.Err().
-func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsStrategy, workers, offset, limit int) (*Rows, error) {
-	if strategy == OptRPL {
-		s, err := e.newOptScan(l, l, workers)
-		if err != nil {
-			return nil, err
-		}
-		return s.rows(ctx, offset, limit)
-	}
+// Rows: OptRPL walks one trie of the list against itself, and the RPL nested
+// loop hands buildRows its pairs as blocks of one, in order. Once ctx is done
+// the scan ends at its next block (RPL: source) with ctx.Err().
+func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsStrategy, offset, limit int) (*Rows, error) {
 	if !e.Safe() {
 		return nil, ErrUnsafe
 	}
+	if strategy == OptRPL {
+		t := reach.NewTrie(l)
+		return e.RowsSafeTries(ctx, t, t, len(l), offset, limit)
+	}
 	pair := block{xs: []int32{0}, ys: []int32{0}}
 	return buildRows(ctx, len(l), offset, limit, func(emit func(block)) {
-		_ = e.rplPairs(ctx.Done(), l, l, workers, func(i, j int) { // safe: just checked
+		_ = e.rplPairs(ctx.Done(), l, l, func(i, j int) { // safe: just checked
 			pair.lo, pair.ys[0] = i, int32(j)
 			emit(pair)
 		})

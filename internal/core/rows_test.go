@@ -61,12 +61,11 @@ func checkWindows(t *testing.T, r *rand.Rand, name string, want [][2]int, build 
 }
 
 // TestRowsMatchTheWalk: for every test specification × safe query, the rows
-// built from the sharded walk (1, 2 and 4 workers, driven below the cut-off),
-// from the RPL nested loop, from a pair of prebuilt tries and from the
-// relation of the same pairs are, once ordered, the walk's emitted pairs under
-// a comparison sort — and every window of them is that slice of the list. A
-// list in shuffled order, where label order is not index order, is what makes
-// rows arrive unsorted.
+// built from the walk, from the RPL nested loop, from a pair of prebuilt
+// tries and from the relation of the same pairs are, once ordered, the walk's
+// emitted pairs under a comparison sort — and every window of them is that
+// slice of the list. A list in shuffled order, where label order is not index
+// order, is what makes rows arrive unsorted.
 func TestRowsMatchTheWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	ctx := context.Background()
@@ -98,18 +97,11 @@ func TestRowsMatchTheWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			sortIndexPairs(want)
-			for _, workers := range []int{1, 2, 4} {
-				checkWindows(t, r, name+" "+q+" optrpl", want, func(offset, limit int) *Rows {
-					scan, err := env.newOptScan(labels, labels, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					scan.workers = workers // shard below the cut-off too
-					return must(scan.rows(ctx, offset, limit))
-				})
-			}
+			checkWindows(t, r, name+" "+q+" optrpl", want, func(offset, limit int) *Rows {
+				return must(env.SafeRows(ctx, labels, OptRPL, offset, limit))
+			})
 			checkWindows(t, r, name+" "+q+" rpl", want, func(offset, limit int) *Rows {
-				return must(env.SafeRows(ctx, labels, RPL, 2, offset, limit))
+				return must(env.SafeRows(ctx, labels, RPL, offset, limit))
 			})
 			trie := reach.NewTrie(labels)
 			checkWindows(t, r, name+" "+q+" tries", want, func(offset, limit int) *Rows {
@@ -125,14 +117,14 @@ func TestRowsMatchTheWalk(t *testing.T) {
 			if err := env.AllPairsSafeParallel(shuffled, shuffled, RPL, 1, func(i, j int) { want = append(want, [2]int{i, j}) }); err != nil {
 				t.Fatal(err)
 			}
-			must(env.SafeRows(ctx, shuffled, OptRPL, 1, 0, -1)).Each(func(_ int, to []int32) bool {
+			must(env.SafeRows(ctx, shuffled, OptRPL, 0, -1)).Each(func(_ int, to []int32) bool {
 				if !slices.IsSorted(to) {
 					unsorted++
 				}
 				return true
 			})
 			checkWindows(t, r, name+" "+q+" shuffled", want, func(offset, limit int) *Rows {
-				return must(env.SafeRows(ctx, shuffled, OptRPL, 1, offset, limit))
+				return must(env.SafeRows(ctx, shuffled, OptRPL, offset, limit))
 			})
 		}
 	}
@@ -155,7 +147,7 @@ func TestWalkStopsAtTheNextBlock(t *testing.T) {
 	env := compile(t, spec, "a*")
 	d := env.NewDecoder()
 	trie := reach.NewTrie(run.MaterializeLabels())
-	w := d.newWalk(trie, trie, d.leafVectors(trie, true), d.leafVectors(trie, false), 0)
+	w := d.newWalk(trie, trie, d.leafVectors(trie, true), d.leafVectors(trie, false))
 
 	timer := make(chan struct{})
 	time.AfterFunc(time.Second, func() { close(timer) })

@@ -82,8 +82,8 @@ func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
 		s.Rebuilds++
 	}
 	base := s.base
-	walk := func(w *fusedWalk, toBase int) {
-		w.run(func(b block) { b.each(func(i, j int) { emit(i, toBase+j) }) })
+	walk := func(w *fusedWalk, fromBase, toBase int) {
+		w.run(func(b block) { b.each(func(i, j int) { emit(fromBase+i, toBase+j) }) })
 		s.tests += w.tests
 	}
 	// One sort serves the three small tries: Sub inherits the order, and
@@ -95,14 +95,14 @@ func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
 	}
 	batch := all.Sub(inBatch)
 	bx, by := s.d.leafVectors(batch, true), s.d.leafVectors(batch, false)
-	walk(s.d.newWalk(batch, s.t, bx, s.y, base), 0)
-	walk(s.d.newWalk(s.t, batch, s.x, by, 0), base)
-	walk(s.d.newWalk(batch, all, bx, s.d.leafVectors(all, false), base), base)
+	walk(s.d.newWalk(batch, s.t, bx, s.y), base, 0)
+	walk(s.d.newWalk(s.t, batch, s.x, by), 0, base)
+	walk(s.d.newWalk(batch, all, bx, s.d.leafVectors(all, false)), base, base)
 	if lo > base {
 		for i := range inBatch {
 			inBatch[i] = !inBatch[i]
 		}
 		tail := all.Sub(inBatch)
-		walk(s.d.newWalk(tail, batch, s.d.leafVectors(tail, true), by, base), base)
+		walk(s.d.newWalk(tail, batch, s.d.leafVectors(tail, true), by), base, base)
 	}
 }

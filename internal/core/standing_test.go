@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"provrpq/internal/derive"
+	"provrpq/internal/reach"
 	"provrpq/internal/workload"
 )
 
@@ -55,11 +56,10 @@ func TestStandingDeltaEqualsNestedLoop(t *testing.T) {
 					}
 					dec := env.NewDecoder()
 					count := func(hi int) (total int) {
-						scan, err := env.newOptScan(labels[:hi], labels[:hi], 1)
-						if err != nil {
-							t.Fatal(err)
-						}
-						scan.blocks(func(b block) { total += len(b.xs) * len(b.ys) })
+						trie := reach.NewTrie(labels[:hi])
+						dec.newWalk(trie, trie, dec.leafVectors(trie, true), dec.leafVectors(trie, false)).run(func(b block) {
+							total += len(b.xs) * len(b.ys)
+						})
 						return total
 					}
 					lo := n - 220

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"provrpq/internal/label"
-	"provrpq/internal/parallel"
 	"provrpq/internal/reach"
 )
 
@@ -172,9 +171,10 @@ func ownLeavesEnd(n *reach.TrieNode) int {
 }
 
 // block is one cross product of a scan's result: l1 index lo+x matches l2
-// index y for every x in xs and y in ys. The slices are read-only windows of
-// the scan's bucket tables, valid for as long as the consumer holds them. No
-// pair of indices lies in two blocks of one scan.
+// index y for every x in xs and y in ys. A walk's blocks have lo 0 and
+// slices that are read-only windows of its bucket tables, valid for as long
+// as the consumer holds them; the RPL sink and RowsOf put their one source
+// in lo. No pair of indices lies in two blocks of one scan.
 type block struct {
 	lo     int
 	xs, ys []int32
@@ -189,98 +189,16 @@ func (b *block) each(emit func(i, j int)) {
 	}
 }
 
-// optScan is a prepared OptRPL scan of l1 × l2: contiguous shards of l1, one
-// sub-trie and one Decoder each, walked against a single l2 trie whose
-// vectors are built once and only read by the shards.
-type optScan struct {
-	e       *Env
-	l1, l2  []label.Label
-	workers int // 1 below the cut-off
-	t2      *reach.Trie
-	y       leafVecs
-}
-
-// newOptScan checks that the query is safe and builds the l2 half.
-func (e *Env) newOptScan(l1, l2 []label.Label, workers int) (*optScan, error) {
-	st := e.state.Load()
-	if !st.safe {
-		return nil, ErrUnsafe
-	}
-	e.artifactsFor(st) // build once up front, not per worker
-	if len(l1) < optParallelCutoff {
-		workers = 1
-	}
-	if len(l2) == 0 {
-		l1 = nil // nothing to walk against
-	}
-	s := &optScan{e: e, l1: l1, l2: l2, workers: workers}
-	if len(l1) > 0 {
-		d := e.decoder()
-		s.t2 = reach.NewTrie(l2)
-		s.y = d.leafVectors(s.t2, false)
-		e.release(d)
-	}
-	return s, nil
-}
-
-// shardWalk prepares the walk of the l1 shard [lo, hi) on a Decoder borrowed
-// from the pool, for the caller to hand back (e.release(w.d)). A shard that is
-// l2 itself — an unsharded scan of a list against itself — walks the l2 trie
-// against itself.
-func (s *optScan) shardWalk(lo, hi int) *fusedWalk {
-	d := s.e.decoder()
-	t1 := s.t2
-	if hi-lo != len(s.l2) || &s.l1[lo] != &s.l2[0] {
-		t1 = reach.NewTrie(s.l1[lo:hi])
-	}
-	return d.newWalk(t1, s.t2, d.leafVectors(t1, true), s.y, lo)
-}
-
-// blocks runs the scan and hands its blocks to emit on the calling
-// goroutine, shard after shard.
-func (s *optScan) blocks(emit func(block)) {
-	parallel.Gather(len(s.l1), s.workers, func(_, lo, hi int, out func(block)) {
-		w := s.shardWalk(lo, hi)
-		defer s.e.release(w.d)
-		w.run(out)
-	}, emit)
-}
-
-// rows runs the scan into Rows (rows.go): each shard's walk is built once,
-// runs in both passes, and owns the rows of its sources.
-func (s *optScan) rows(ctx context.Context, offset, limit int) (*Rows, error) {
-	walks := make([]*fusedWalk, parallel.Workers(s.workers))
-	defer func() {
-		for _, w := range walks {
-			if w != nil {
-				s.e.release(w.d)
-			}
-		}
-	}()
-	return buildRows(ctx, len(s.l1), offset, limit, func(emit func(block)) {
-		parallel.Do(len(s.l1), s.workers, func(shard, lo, hi int) {
-			if walks[shard] == nil && ctx.Err() == nil {
-				walks[shard] = s.shardWalk(lo, hi)
-				walks[shard].done = ctx.Done()
-			}
-			if w := walks[shard]; w != nil {
-				w.run(emit)
-			}
-		})
-	})
-}
-
-// AllPairsSafeTries is the OptRPL scan over prebuilt tree representations,
-// for a caller that already has them (the seeded strategy's candidate
-// joins): it emits by the indices of the lists the tries were built from,
-// on the calling goroutine.
+// AllPairsSafeTries is the OptRPL scan over prebuilt tree representations:
+// it emits by the indices of the lists the tries were built from, on the
+// calling goroutine. t1 and t2 may be one trie, for a list against itself.
 func (e *Env) AllPairsSafeTries(t1, t2 *reach.Trie, emit func(i, j int)) error {
 	d := e.decoder()
 	if d == nil {
 		return ErrUnsafe
 	}
 	defer e.release(d)
-	d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false), 0).run(func(b block) { b.each(emit) })
+	d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false)).run(func(b block) { b.each(emit) })
 	return nil
 }
 
@@ -292,15 +210,15 @@ func (e *Env) RowsSafeTries(ctx context.Context, t1, t2 *reach.Trie, n, offset, 
 		return nil, ErrUnsafe
 	}
 	defer e.release(d)
-	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false), 0)
+	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false))
 	w.done = ctx.Done()
 	return buildRows(ctx, n, offset, limit, w.run)
 }
 
-// newWalk prepares the walk of t1 — the trie of the l1 shard starting at
-// index lo, with its up vectors x — against t2 with its down vectors y.
-func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y leafVecs, lo int) *fusedWalk {
-	return &fusedWalk{d: d, t1: t1, t2: t2, x: x.vecs, y: y.vecs, permX: x.perm, permY: y.perm, lo: lo}
+// newWalk prepares the walk of t1, with its up vectors x, against t2 with its
+// down vectors y.
+func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y leafVecs) *fusedWalk {
+	return &fusedWalk{d: d, t1: t1, t2: t2, x: x.vecs, y: y.vecs, permX: x.perm, permY: y.perm}
 }
 
 // fusedWalk is one walk of an l1 trie against an l2 trie.
@@ -309,7 +227,6 @@ type fusedWalk struct {
 	t1, t2       *reach.Trie
 	x, y         [][]bucket // leafVectors of t1 (up) and t2 (down)
 	permX, permY []int32    // t1.Perm and t2.Perm
-	lo           int        // every emitted block's lo
 	emit         func(block)
 	// done, once it fires (nil never does), ends a run at its next block:
 	// nothing more is emitted and the recursion unwinds.
@@ -347,7 +264,7 @@ func (w *fusedWalk) walk(a, b *reach.TrieNode) {
 	// Own leaves on both sides carry the same full label: the same run
 	// node, matched by the empty path alone.
 	if ai, bj := ownLeavesEnd(a), ownLeavesEnd(b); ai > a.Lo && bj > b.Lo && w.d.e.MatchesEmpty() {
-		w.out(block{w.lo, w.permX[a.Lo:ai], w.permY[b.Lo:bj]})
+		w.out(block{xs: w.permX[a.Lo:ai], ys: w.permY[b.Lo:bj]})
 	}
 	if len(a.Children) == 0 || len(b.Children) == 0 {
 		return
@@ -365,7 +282,7 @@ func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 	for _, yb := range ys {
 		w.tests++
 		if z&yb.vec != 0 {
-			w.out(block{w.lo, leaves, yb.leaves})
+			w.out(block{xs: leaves, ys: yb.leaves})
 		}
 	}
 }

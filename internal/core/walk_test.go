@@ -47,10 +47,8 @@ func walkQueries(t *testing.T, spec *wf.Spec, extra []string, r *rand.Rand) map[
 
 // TestFusedWalkMatchesRPLAndOracle: over every test specification × safe
 // query × list shape, the fused OptRPL walk emits exactly the RPL scan's
-// pair set, which is exactly the product-BFS oracle's — on 1, 2 and 4
-// workers (driven below the public entry's cut-off, so small lists are
-// really sharded), each pair once, in a sequence that is deterministic for
-// a fixed worker count.
+// pair set, which is exactly the product-BFS oracle's — each pair once, in
+// a deterministic sequence.
 func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for name, suite := range specsAndQueries() {
@@ -104,23 +102,19 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 					if !slices.Equal(rpl, want) {
 						t.Fatalf("%s seed %d %q shape %d: RPL found %d pairs, oracle %d", name, seed, q, si, len(rpl), len(want))
 					}
-					for _, workers := range []int{1, 2, 4} {
-						var seq, again [][2]int
-						scan, err := env.newOptScan(l1, l2, workers)
-						if err != nil {
+					var seq, again [][2]int
+					for _, out := range []*[][2]int{&seq, &again} {
+						if err := env.AllPairsSafeParallel(l1, l2, OptRPL, 1, func(i, j int) { *out = append(*out, [2]int{i, j}) }); err != nil {
 							t.Fatal(err)
 						}
-						scan.workers = workers // shard below the cut-off too
-						scan.blocks(func(b block) { b.each(func(i, j int) { seq = append(seq, [2]int{i, j}) }) })
-						scan.blocks(func(b block) { b.each(func(i, j int) { again = append(again, [2]int{i, j}) }) })
-						if !slices.Equal(seq, again) {
-							t.Fatalf("%s seed %d %q shape %d workers %d: two walks emitted different sequences", name, seed, q, si, workers)
-						}
-						sortIndexPairs(seq)
-						if !slices.Equal(seq, want) {
-							t.Fatalf("%s seed %d %q shape %d workers %d: walk found %d pairs, oracle %d (first diff %v)",
-								name, seed, q, si, workers, len(seq), len(want), firstDiff(seq, want))
-						}
+					}
+					if !slices.Equal(seq, again) {
+						t.Fatalf("%s seed %d %q shape %d: two walks emitted different sequences", name, seed, q, si)
+					}
+					sortIndexPairs(seq)
+					if !slices.Equal(seq, want) {
+						t.Fatalf("%s seed %d %q shape %d: walk found %d pairs, oracle %d (first diff %v)",
+							name, seed, q, si, len(seq), len(want), firstDiff(seq, want))
 					}
 				}
 			}
@@ -153,12 +147,18 @@ func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 		depth = max(depth, len(l))
 	}
 	reachable := 0
-	reach.AllPairs(spec, labels, labels, 1, func(int, int) { reachable++ })
+	for _, a := range labels {
+		for _, b := range labels {
+			if reach.Pairwise(spec, a, b) {
+				reachable++
+			}
+		}
+	}
 
 	d := env.NewDecoder()
 	t1, t2 := reach.NewTrie(labels), reach.NewTrie(labels)
 	matches := 0
-	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false), 0)
+	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false))
 	w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
 
 	n := len(labels)

@@ -1,7 +1,7 @@
-// Package parallel provides the bounded worker pool the engine's all-pairs
-// scans shard over: contiguous index chunks fanned out across goroutines,
-// with per-shard result buffers merged back in shard order so a parallel
-// scan emits exactly the same deterministic sequence a serial one would.
+// Package parallel provides the bounded worker pool that work spanning
+// several runs fans out over — store boot decoding runs, a catalog batch
+// evaluating (run, query) pairs: contiguous index chunks, one goroutine
+// each. A single scan never shards; it runs on its caller's goroutine.
 package parallel
 
 import (
@@ -64,35 +64,4 @@ func Do(n, workers int, fn func(shard, lo, hi int)) {
 		}(s, c[0], c[1])
 	}
 	wg.Wait()
-}
-
-// Gather shards [0, n) across workers, buffers each shard's emitted values
-// privately, and replays the buffers to consume in shard order once every
-// shard has finished. produce runs concurrently (its emit callback is
-// shard-local and needs no locking); consume runs on the calling goroutine,
-// so a parallel scan over contiguous shards preserves the serial emit order.
-func Gather[T any](n, workers int, produce func(shard, lo, hi int, emit func(T)), consume func(T)) {
-	chunks := Chunks(n, Workers(workers))
-	if len(chunks) == 0 {
-		return
-	}
-	if len(chunks) == 1 {
-		produce(0, chunks[0][0], chunks[0][1], consume)
-		return
-	}
-	bufs := make([][]T, len(chunks))
-	var wg sync.WaitGroup
-	for s, c := range chunks {
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			produce(s, lo, hi, func(v T) { bufs[s] = append(bufs[s], v) })
-		}(s, c[0], c[1])
-	}
-	wg.Wait()
-	for _, buf := range bufs {
-		for _, v := range buf {
-			consume(v)
-		}
-	}
 }

@@ -59,29 +59,3 @@ func TestDoVisitsEveryIndex(t *testing.T) {
 		}
 	}
 }
-
-// TestGatherPreservesOrder: values emitted per shard in index order must be
-// consumed in global index order, regardless of worker interleaving.
-func TestGatherPreservesOrder(t *testing.T) {
-	const n = 2000
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		var got []int
-		Gather(n, workers, func(_, lo, hi int, emit func(int)) {
-			for i := lo; i < hi; i++ {
-				if i%3 != 0 { // filter: emits need not be dense
-					emit(i)
-				}
-			}
-		}, func(v int) { got = append(got, v) })
-		prev := -1
-		for _, v := range got {
-			if v <= prev {
-				t.Fatalf("workers=%d: out of order value %d after %d", workers, v, prev)
-			}
-			prev = v
-		}
-		if len(got) != n-(n+2)/3 {
-			t.Fatalf("workers=%d: %d values", workers, len(got))
-		}
-	}
-}

@@ -1,7 +1,8 @@
 // Package reach implements constant-time pairwise reachability decoding from
-// derivation-based labels and the output-linear all-pairs reachability
-// algorithm (the reconstruction of reference [4]'s decoder π and the
-// skeleton of the paper's Algorithm 2).
+// derivation-based labels (the reconstruction of reference [4]'s decoder π)
+// and the tree representation of a label list (Section IV-A) that core's
+// Algorithm 2 walk runs over; all-pairs reachability is that walk for the
+// query _*.
 //
 // Pairwise decoding never touches the run: it compares the two labels, finds
 // the compressed-parse-tree divergence (their longest common prefix) and

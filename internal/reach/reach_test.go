@@ -1,7 +1,6 @@
 package reach
 
 import (
-	"fmt"
 	"testing"
 
 	"provrpq/internal/derive"
@@ -264,136 +263,5 @@ func TestTrieSub(t *testing.T) {
 	}
 	if full.Sub(keep) != full {
 		t.Error("a keep that admits every label should return the trie itself")
-	}
-}
-
-func TestAllPairsMatchesPairwise(t *testing.T) {
-	specs := map[string]*wf.Spec{
-		"paper": wf.PaperSpec(),
-		"fork":  wf.ForkSpec(),
-	}
-	for name, spec := range specs {
-		for seed := int64(0); seed < 8; seed++ {
-			r, err := derive.Derive(spec, derive.Options{Seed: seed, TargetEdges: 150})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Use two overlapping sublists to exercise asymmetric tries.
-			var l1, l2 []label.Label
-			var ids1, ids2 []derive.NodeID
-			for i, n := range r.Nodes {
-				if i%2 == 0 {
-					l1 = append(l1, n.Label)
-					ids1 = append(ids1, derive.NodeID(i))
-				}
-				if i%3 == 0 || i%5 == 1 {
-					l2 = append(l2, n.Label)
-					ids2 = append(ids2, derive.NodeID(i))
-				}
-			}
-			got := map[string]bool{}
-			AllPairs(spec, l1, l2, 1, func(i, j int) {
-				got[fmt.Sprintf("%d-%d", ids1[i], ids2[j])] = true
-			})
-			want := map[string]bool{}
-			for i, a := range l1 {
-				for j, b := range l2 {
-					if Pairwise(spec, a, b) {
-						want[fmt.Sprintf("%d-%d", ids1[i], ids2[j])] = true
-					}
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s seed %d: AllPairs %d pairs, nested loop %d", name, seed, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("%s seed %d: missing pair %s", name, seed, k)
-				}
-			}
-		}
-	}
-}
-
-func TestAllPairsEmptyLists(t *testing.T) {
-	spec := wf.PaperSpec()
-	called := false
-	AllPairs(spec, nil, nil, 1, func(i, j int) { called = true })
-	if called {
-		t.Error("no pairs expected for empty lists")
-	}
-	AllPairs(spec, []label.Label{{label.Prod(0, 0)}}, nil, 1, func(i, j int) { called = true })
-	if called {
-		t.Error("no pairs expected for one empty list")
-	}
-}
-
-func TestAllPairsIdenticalLists(t *testing.T) {
-	r := paperRun(t)
-	var labels []label.Label
-	for _, n := range r.Nodes {
-		labels = append(labels, n.Label)
-	}
-	count := 0
-	AllPairs(r.Spec, labels, labels, 1, func(i, j int) { count++ })
-	truth := bfsReach(r)
-	want := 0
-	for i := range truth {
-		for j := range truth[i] {
-			if truth[i][j] {
-				want++
-			}
-		}
-	}
-	if count != want {
-		t.Errorf("AllPairs over all nodes = %d pairs, BFS says %d", count, want)
-	}
-}
-
-// TestAllPairsTriesStopsWhenDone: a walk whose done has fired emits nothing;
-// a nil done never stops one.
-func TestAllPairsTriesStopsWhenDone(t *testing.T) {
-	r := paperRun(t)
-	tr := NewTrie(r.MaterializeLabels())
-	done := make(chan struct{})
-	close(done)
-	count := 0
-	AllPairsTries(done, r.Spec, tr, tr, func(i, j int) { count++ })
-	if count != 0 {
-		t.Fatalf("walk with done fired emitted %d pairs", count)
-	}
-	AllPairsTries(nil, r.Spec, tr, tr, func(i, j int) { count++ })
-	if count < r.NumNodes() {
-		t.Fatalf("walk with a nil done emitted %d pairs, fewer than the %d nodes reaching themselves", count, r.NumNodes())
-	}
-}
-
-func TestPaperExampleAllPairs(t *testing.T) {
-	// Example 3.1's reachability structure, adjusted for creation-order
-	// names: paper l1={d:1,d:2,e:2}, l2={b:1,b:2}; paper's d:1/d:2 are our
-	// d:2/d:1 and paper's b:1 (the W1 b) is our b:3, paper's b:2 is our b:1.
-	r := paperRun(t)
-	names1 := []string{"d:2", "d:1", "e:2"}
-	names2 := []string{"b:3", "b:1"}
-	var l1, l2 []label.Label
-	for _, n := range names1 {
-		id, _ := r.NodeByName(n)
-		l1 = append(l1, r.Label(id))
-	}
-	for _, n := range names2 {
-		id, _ := r.NodeByName(n)
-		l2 = append(l2, r.Label(id))
-	}
-	got := map[string]bool{}
-	AllPairs(r.Spec, l1, l2, 1, func(i, j int) {
-		got[names1[i]+">"+names2[j]] = true
-	})
-	// All three reach both b's in the chain run.
-	for _, u := range names1 {
-		for _, v := range names2 {
-			if !got[u+">"+v] {
-				t.Errorf("missing %s -> %s", u, v)
-			}
-		}
 	}
 }

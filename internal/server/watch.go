@@ -134,8 +134,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// The registered version, its number and its engine come from one
 	// registry entry, which is immutable: a concurrent append swaps in a new
 	// entry, so the snapshot cannot slide forward past events already
-	// queued, and it runs on the catalog's plan cache, worker pool and
-	// whatever index that engine already built.
+	// queued, and it runs on the catalog's plan cache and whatever index
+	// that engine already built.
 	eng, snapVer, ok := s.cat.EngineAt(req.Run)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("run %q is not registered", req.Run))

@@ -35,12 +35,10 @@
 // methods. Compiled query plans depend only on (specification, query), so
 // they live in a plan cache shared across engines — process-wide by
 // default, or an explicit NewPlanCache passed through EngineOptions —
-// with concurrent compiles of the same query deduplicated. All-pairs scans
-// (AllPairs, AllPairsReachable, Evaluate) shard their per-pair work across
-// a bounded worker pool sized by EngineOptions.Workers (default: one
-// worker per CPU); per-shard results are merged in shard order, so a
-// parallel scan returns exactly the pair set a serial one would, in an
-// order that is deterministic for a given worker count.
+// with concurrent compiles of the same query deduplicated. Every call runs
+// on its caller's goroutine — an all-pairs scan (AllPairs,
+// AllPairsReachable, Evaluate) is one serial walk — so concurrent requests
+// are the only parallelism, and a scan's pair order is deterministic.
 package provrpq
 
 import (

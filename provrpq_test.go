@@ -1,12 +1,17 @@
 package provrpq
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"provrpq/internal/derive"
+	"provrpq/internal/wf"
 )
 
 // introSpec builds the workflow of the paper's introduction: data of type x,
@@ -215,6 +220,172 @@ func TestReachability(t *testing.T) {
 	if len(pairs) != run.NumNodes() {
 		t.Errorf("all %d nodes should reach the final publish; got %d", run.NumNodes(), len(pairs))
 	}
+}
+
+// TestAllPairsReachableMatchesReachable holds the all-pairs reachability of
+// Lemma 4.1 — the OptRPL walk of _* — against the constant-time pairwise
+// decode and a BFS of the run, on the paper's grammar, a fork grammar, two
+// mutually recursive modules and a diamond body with a recursive arm, three
+// runs each: random sublists in random order give exactly the nested loop of
+// Reachable, each pair once; an empty list gives nothing; a list against
+// itself gives every pair the BFS finds. On the paper's sample run the
+// example's three nodes reach both b's (Example 3.1).
+func TestAllPairsReachableMatchesReachable(t *testing.T) {
+	build := func(sb *SpecBuilder) *wf.Spec {
+		spec, err := sb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.s
+	}
+	specs := map[string]*wf.Spec{
+		"paper": wf.PaperSpec(),
+		"fork":  wf.ForkSpec(),
+		"multi-cycle": build(NewSpecBuilder().
+			Start("S").
+			Atomic("x", "y", "z").
+			Chain("S", "x", "A").
+			Chain("A", "x", "B", "y").
+			Chain("A", "z").
+			Chain("B", "y", "A", "x").
+			Chain("B", "z", "z")),
+		"branchy": build(NewSpecBuilder().
+			Start("S").
+			Atomic("src", "l", "r", "snk", "t").
+			Prod("S", []string{"src", "L", "R", "snk"}, []BodyEdge{
+				{From: 0, To: 1, Tag: "l"}, {From: 0, To: 2, Tag: "r"},
+				{From: 1, To: 3, Tag: "s"}, {From: 2, To: 3, Tag: "s"},
+			}).
+			Prod("L", []string{"src", "L", "snk"}, []BodyEdge{
+				{From: 0, To: 1, Tag: "l"}, {From: 1, To: 2, Tag: "l"},
+			}).
+			Chain("L", "l").
+			Prod("R", []string{"r", "t"}, []BodyEdge{{From: 0, To: 1, Tag: "t"}})),
+	}
+	r := rand.New(rand.NewSource(32))
+	for name, spec := range specs {
+		for seed := int64(0); seed < 3; seed++ {
+			dr, err := derive.Derive(spec, derive.Options{Seed: seed, TargetEdges: 150})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := &Run{r: dr, spec: &Spec{s: spec}}
+			eng := NewEngine(run)
+			what := fmt.Sprintf("%s seed %d", name, seed)
+			all := run.AllNodes()
+			sublist := func() []NodeID {
+				var l []NodeID
+				for _, i := range r.Perm(len(all)) {
+					if r.Intn(2) == 0 {
+						l = append(l, all[i])
+					}
+				}
+				return l
+			}
+			for i := 0; i < 4; i++ {
+				l1, l2 := sublist(), sublist()
+				got, err := eng.AllPairsReachable(l1, l2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[Pair]bool{}
+				for _, p := range got {
+					if seen[p] {
+						t.Fatalf("%s: pair %v emitted twice", what, p)
+					}
+					seen[p] = true
+				}
+				want := 0
+				for _, u := range l1 {
+					for _, v := range l2 {
+						ok, err := eng.Reachable(u, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ok {
+							want++
+							if !seen[Pair{From: u, To: v}] {
+								t.Fatalf("%s: %v ⇝ %v missing", what, u, v)
+							}
+						}
+					}
+				}
+				if len(got) != want {
+					t.Fatalf("%s: %d pairs, the nested loop of Reachable %d", what, len(got), want)
+				}
+			}
+			for _, ls := range [][2][]NodeID{{nil, nil}, {all, nil}, {nil, all}} {
+				if got, err := eng.AllPairsReachable(ls[0], ls[1]); err != nil || len(got) != 0 {
+					t.Fatalf("%s: %d pairs (%v) over %d × %d nodes, want none", what, len(got), err, len(ls[0]), len(ls[1]))
+				}
+			}
+			got, err := eng.AllPairsReachable(all, all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bfsReachable(dr); len(got) != want {
+				t.Fatalf("%s: %d pairs over every node, BFS finds %d", what, len(got), want)
+			}
+		}
+	}
+
+	// Example 3.1 on the paper's sample run, in creation-order names: the
+	// paper's l1 = {d:1, d:2, e:2} and l2 = {b:1, b:2} are our d:2, d:1, e:2
+	// and b:3, b:1.
+	dr, err := derive.Derive(wf.PaperSpec(), derive.Options{Policy: func(_ wf.ModuleID, prods []int, iter int) int {
+		switch {
+		case len(prods) == 1:
+			return prods[0]
+		case iter < 3:
+			return 1
+		}
+		return 2
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &Run{r: dr, spec: &Spec{s: wf.PaperSpec()}}
+	nodes := func(names ...string) []NodeID {
+		var out []NodeID
+		for _, n := range names {
+			id, ok := run.NodeByName(n)
+			if !ok {
+				t.Fatalf("node %s missing", n)
+			}
+			out = append(out, id)
+		}
+		return out
+	}
+	l1, l2 := nodes("d:2", "d:1", "e:2"), nodes("b:3", "b:1")
+	got, err := NewEngine(run).AllPairsReachable(l1, l2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(l1)*len(l2) {
+		t.Fatalf("Example 3.1: %v, want every one of the %d pairs", got, len(l1)*len(l2))
+	}
+}
+
+// bfsReachable counts the pairs (u, v) with a path from u to v, the empty one
+// included, by a search of the run from every node.
+func bfsReachable(r *derive.Run) int {
+	count := 0
+	for s := 0; s < r.NumNodes(); s++ {
+		seen := map[derive.NodeID]bool{derive.NodeID(s): true}
+		stack := []derive.NodeID{derive.NodeID(s)}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, ei := range r.Out(v) {
+				if to := r.Edges[ei].To; !seen[to] {
+					seen[to] = true
+					stack = append(stack, to)
+				}
+			}
+		}
+		count += len(seen)
+	}
+	return count
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {

@@ -66,9 +66,8 @@ func shuffledUpload(t *testing.T, run *Run, r *rand.Rand) *Run {
 // pairs its strategy emits, in the (From, To) order of a comparison sort —
 // kept here, now that the product has none on this path — and every window of
 // them is that slice of the list with the same total. Strategies RPL, OptRPL
-// and seeded plus an unsafe decomposed query, on 1, 2 and 4 workers, over
-// paper, fork and BioAID runs (the last past the 4,096-label cut-off, so its
-// OptRPL scans really shard; it takes the label scans only), and over a run
+// and seeded plus an unsafe decomposed query, over paper, fork and BioAID runs
+// (the last a 4,200-edge run that takes the label scans only), and over a run
 // uploaded with shuffled node ids, whose rows arrive unsorted.
 func TestSortPairsMatchesComparisonSort(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
@@ -95,79 +94,77 @@ func TestSortPairsMatchesComparisonSort(t *testing.T) {
 	ctx := context.Background()
 	for _, fx := range fixtures {
 		all := fx.run.AllNodes()
-		for _, workers := range []int{1, 2, 4} {
-			eng := NewEngineOpts(fx.run, EngineOptions{Workers: workers})
-			for _, qs := range append(fx.queries, fx.unsafe) {
-				if qs == "" {
-					continue
+		eng := NewEngine(fx.run)
+		for _, qs := range append(fx.queries, fx.unsafe) {
+			if qs == "" {
+				continue
+			}
+			q := MustParseQuery(qs)
+			env, err := eng.env(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if env.Safe() == (qs == fx.unsafe) {
+				t.Fatalf("%s: %q: safe=%v, the fixture lists it as the other kind", fx.name, qs, env.Safe())
+			}
+			strategies := map[Strategy]plan.Strategy{Auto: 0}
+			if env.Safe() {
+				strategies = map[Strategy]plan.Strategy{StrategyOptRPL: plan.OptRPL, StrategySeeded: plan.Seeded}
+				if fx.rpl {
+					strategies[StrategyRPL] = plan.RPL
 				}
-				q := MustParseQuery(qs)
-				env, err := eng.env(q)
+			}
+			for st, ps := range strategies {
+				name := fmt.Sprintf("%s %q %v", fx.name, qs, st)
+				want, err := eng.AllPairs(q, all, all, st)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				if env.Safe() == (qs == fx.unsafe) {
-					t.Fatalf("%s: %q: safe=%v, the fixture lists it as the other kind", fx.name, qs, env.Safe())
-				}
-				strategies := map[Strategy]plan.Strategy{Auto: 0}
-				if env.Safe() {
-					strategies = map[Strategy]plan.Strategy{StrategyOptRPL: plan.OptRPL, StrategySeeded: plan.Seeded}
-					if fx.rpl {
-						strategies[StrategyRPL] = plan.RPL
+				sort.Slice(want, func(i, j int) bool {
+					if want[i].From != want[j].From {
+						return want[i].From < want[j].From
 					}
-				}
-				for st, ps := range strategies {
-					name := fmt.Sprintf("%s %q %v workers=%d", fx.name, qs, st, workers)
-					want, err := eng.AllPairs(q, all, all, st)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					sort.Slice(want, func(i, j int) bool {
-						if want[i].From != want[j].From {
-							return want[i].From < want[j].From
-						}
-						return want[i].To < want[j].To
-					})
-					window := func(offset, limit int) *Rows {
-						if !env.Safe() {
-							rows, _, err := eng.EvaluateRows(ctx, q, offset, limit)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							return rows
-						}
-						n := fx.run.NumNodes()
-						rows, err := eng.scanRows(ctx, env, eng.planner().Plan(env, n, n), ps, offset, limit)
+					return want[i].To < want[j].To
+				})
+				window := func(offset, limit int) *Rows {
+					if !env.Safe() {
+						rows, _, err := eng.EvaluateRows(ctx, q, offset, limit)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 						return rows
 					}
-					if got := window(0, -1).Pairs(); !slices.Equal(got, want) {
-						t.Fatalf("%s: %d pairs, the sorted emitted set has %d", name, len(got), len(want))
+					n := fx.run.NumNodes()
+					rows, err := eng.scanRows(ctx, env, eng.planner().Plan(env, n, n), ps, offset, limit)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					n := len(want)
-					inRow := 0 // a window of one pair inside the first row of three or more
-					for i := 0; i+2 < n && inRow == 0; i++ {
-						if want[i].From == want[i+2].From {
-							inRow = i + 1
-						}
+					return rows
+				}
+				if got := window(0, -1).Pairs(); !slices.Equal(got, want) {
+					t.Fatalf("%s: %d pairs, the sorted emitted set has %d", name, len(got), len(want))
+				}
+				n := len(want)
+				inRow := 0 // a window of one pair inside the first row of three or more
+				for i := 0; i+2 < n && inRow == 0; i++ {
+					if want[i].From == want[i+2].From {
+						inRow = i + 1
 					}
-					windows := [][2]int{{0, 0}, {n / 2, 0}, {n, 10}, {n + 7, -1}, {inRow, 1}, {max(n-1, 0), 5}}
-					for i := 0; i < 6 && (i < 2 || n < 50000); i++ { // a dense result takes fewer
-						windows = append(windows, [2]int{r.Intn(n + 2), r.Intn(n + 2)})
+				}
+				windows := [][2]int{{0, 0}, {n / 2, 0}, {n, 10}, {n + 7, -1}, {inRow, 1}, {max(n-1, 0), 5}}
+				for i := 0; i < 6 && (i < 2 || n < 50000); i++ { // a dense result takes fewer
+					windows = append(windows, [2]int{r.Intn(n + 2), r.Intn(n + 2)})
+				}
+				for _, w := range windows {
+					lo := min(w[0], n)
+					hi := n
+					if w[1] >= 0 {
+						hi = min(lo+w[1], n)
 					}
-					for _, w := range windows {
-						lo := min(w[0], n)
-						hi := n
-						if w[1] >= 0 {
-							hi = min(lo+w[1], n)
-						}
-						rows := window(w[0], w[1])
-						if got := rows.Pairs(); !slices.Equal(got, want[lo:hi]) || rows.Total() != n || rows.Len() != hi-lo {
-							t.Fatalf("%s: window (offset %d, limit %d): %d pairs (Len %d) of %d, want [%d:%d] of %d",
-								name, w[0], w[1], len(got), rows.Len(), rows.Total(), lo, hi, n)
-						}
+					rows := window(w[0], w[1])
+					if got := rows.Pairs(); !slices.Equal(got, want[lo:hi]) || rows.Total() != n || rows.Len() != hi-lo {
+						t.Fatalf("%s: window (offset %d, limit %d): %d pairs (Len %d) of %d, want [%d:%d] of %d",
+							name, w[0], w[1], len(got), rows.Len(), rows.Total(), lo, hi, n)
 					}
 				}
 			}
@@ -353,7 +350,7 @@ func TestAllPairsDecomposedEqualsFiltered(t *testing.T) {
 		if name == "bio300" {
 			queries = []string{"p6_2._*._", "_._*.(_.p1_12)", "p2_6*._*.p5_2", "(_.p6_12)+._*.p4_8*", "p2_4._*.p5_11|(p3_10|p2_14)"}
 		}
-		eng := NewEngineOpts(run, EngineOptions{Workers: 2})
+		eng := NewEngine(run)
 		all := run.AllNodes()
 		list := func() []NodeID {
 			switch r.Intn(5) {
