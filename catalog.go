@@ -401,8 +401,8 @@ func (c *Catalog) Explain(runName string, q *Query) (*PlanReport, error) {
 
 // BatchResult is one (run, query) cell of an EvaluateBatch answer. Err is
 // per-item: one failing cell (unknown run, failing compile) never blocks
-// the rest of the batch. Rows is the cell's whole result; Pairs is its
-// expansion, which only EvaluateBatch fills.
+// the rest of the batch. Rows is the cell's window (the whole result, in
+// EvaluateBatch); Pairs is its expansion, which only EvaluateBatch fills.
 type BatchResult struct {
 	Run   string
 	Query string
@@ -421,7 +421,7 @@ type BatchResult struct {
 //
 //provrpq:ctxroot
 func (c *Catalog) EvaluateBatch(runNames []string, queries []*Query) []BatchResult {
-	out := c.EvaluateBatchRows(context.Background(), runNames, queries)
+	out := c.EvaluateBatchRows(context.Background(), runNames, queries, 0, -1)
 	for i := range out {
 		if out[i].Err == nil {
 			out[i].Pairs = out[i].Rows.Pairs()
@@ -430,10 +430,10 @@ func (c *Catalog) EvaluateBatch(runNames []string, queries []*Query) []BatchResu
 	return out
 }
 
-// EvaluateBatchRows is EvaluateBatch leaving each cell's result as rows
+// EvaluateBatchRows is EvaluateBatch leaving each cell's window as rows
 // (Engine.EvaluateRows), for a caller that serializes them; once ctx is done
 // the cells still running or not yet begun fail with ctx.Err().
-func (c *Catalog) EvaluateBatchRows(ctx context.Context, runNames []string, queries []*Query) []BatchResult {
+func (c *Catalog) EvaluateBatchRows(ctx context.Context, runNames []string, queries []*Query, offset, limit int) []BatchResult {
 	if len(runNames) == 0 {
 		runNames = c.RunNames()
 	}
@@ -450,7 +450,7 @@ func (c *Catalog) EvaluateBatchRows(ctx context.Context, runNames []string, quer
 			if err != nil {
 				res.Err = err
 			} else {
-				res.Rows, _, res.Err = eng.EvaluateRows(ctx, q, 0, -1)
+				res.Rows, _, res.Err = eng.EvaluateRows(ctx, q, offset, limit)
 			}
 			out[i] = res
 		}

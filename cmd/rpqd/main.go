@@ -57,7 +57,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:0 picks a free port)")
-	timeout := flag.Duration("timeout", server.DefaultTimeout, "per-request handling deadline")
+	timeout := flag.Duration("timeout", server.DefaultTimeout, "request deadline: evaluate and batch answer 503 timeout once it passes; other routes have no server deadline")
 	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently-served requests (negative = unlimited)")
 	workers := flag.Int("workers", 0, "store-boot and batch fan-out (0 = one per CPU)")
 	planCap := flag.Int("plan-cache", 0, "plan-cache capacity in compiled plans (0 = default)")

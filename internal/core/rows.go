@@ -85,10 +85,11 @@ func (r *Rows) window(offset, limit int) (held int, err error) {
 // buildRows is the count-then-fill sink of the label walks. walk hands its
 // consumer every block of one scan over n sources, the same blocks on every
 // call. It runs once to add block sizes into row lengths, which gives the
-// total and every row's position before a pair is written, and once more to
-// copy each block's targets into the rows the window meets, held in one array
-// of their exact size. off[u] is row u's write cursor meanwhile, so the only
-// scratch is the result's own index: four bytes per source.
+// total and every row's position before a pair is written, and, unless the
+// window holds no pair (a count), once more to copy each block's targets into
+// the rows the window meets, held in one array of their exact size. off[u] is
+// row u's write cursor meanwhile, so the only scratch is the result's own
+// index: four bytes per source.
 func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(block))) (*Rows, error) {
 	r := &Rows{off: make([]int32, n+1)}
 	walk(func(b block) {
@@ -102,6 +103,10 @@ func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(bl
 	}
 	if err != nil {
 		return nil, err
+	}
+	if r.Len() == 0 { // a count: no row is held
+		r.last = r.first
+		return r, nil
 	}
 	r.to = make([]int32, held)
 	walk(func(b block) {

@@ -183,3 +183,47 @@ func TestWalkStopsAtTheNextBlock(t *testing.T) {
 		t.Errorf("cancelled sink returned (%v, %v) after %d passes, want (nil, context.Canceled) after the count pass", rows, err, passes)
 	}
 }
+
+// TestCountTakesOneWalk: a window that holds no pair — limit 0, or an offset
+// at or past the end — is a count. The sink runs the walk once, for the
+// count pass, and still reports the whole result's total; a window that
+// holds a pair runs it twice, the second time to fill.
+func TestCountTakesOneWalk(t *testing.T) {
+	spec := wf.ForkSpec()
+	run, err := derive.Derive(spec, derive.Options{Seed: 1, TargetEdges: 300, FavorModule: "M"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := compile(t, spec, "a*")
+	d := env.NewDecoder()
+	trie := reach.NewTrie(run.MaterializeLabels())
+	w := d.newWalk(trie, trie, d.leafVectors(trie, true), d.leafVectors(trie, false))
+	build := func(offset, limit int) (*Rows, int) {
+		t.Helper()
+		passes := 0
+		rows, err := buildRows(context.Background(), run.NumNodes(), offset, limit, func(emit func(block)) {
+			passes++
+			w.run(emit)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, passes
+	}
+	full, passes := build(0, -1)
+	total := full.Total()
+	if total == 0 || passes != 2 {
+		t.Fatalf("full window: %d pairs in %d passes, want some pairs in 2", total, passes)
+	}
+	for _, win := range [][2]int{{0, 0}, {total / 2, 0}, {total, -1}, {total + 5, 3}} {
+		rows, passes := build(win[0], win[1])
+		rows.Order()
+		if passes != 1 || rows.Total() != total || len(pairsOf(t, rows)) != 0 {
+			t.Errorf("window (offset %d, limit %d): %d passes, total %d, %d pairs; want 1 pass, total %d, no pair",
+				win[0], win[1], passes, rows.Total(), rows.Len(), total)
+		}
+	}
+	if rows, passes := build(total/2, 1); passes != 2 || len(pairsOf(t, rows)) != 1 {
+		t.Errorf("one-pair window: %d passes, %d pairs; want 2 passes, 1 pair", passes, rows.Len())
+	}
+}

@@ -33,13 +33,15 @@
 // successful POST /v1/specs and POST /v1/runs is committed to disk before
 // the 201 is written; a persist failure leaves the catalog unchanged and
 // answers 500 store_failed. The handler enforces a bounded number of
-// in-flight requests (excess
-// requests are rejected immediately with 429, protecting latency under
-// overload) and a per-request timeout (503 on expiry).
+// in-flight requests (excess requests are rejected immediately with 429,
+// protecting latency under overload) and a per-request deadline: evaluate and
+// batch answer 503 timeout once it passes; other routes have no server
+// deadline.
 package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,7 +60,7 @@ import (
 	"provrpq/internal/metrics"
 )
 
-// DefaultTimeout bounds one request's total handling time.
+// DefaultTimeout is the default request deadline (Options.Timeout).
 const DefaultTimeout = 30 * time.Second
 
 // DefaultMaxInFlight bounds concurrently-served requests.
@@ -86,8 +88,8 @@ const (
 
 // Options configure a Server.
 type Options struct {
-	// Timeout bounds one request's handling time (0 selects DefaultTimeout,
-	// negative disables the limit).
+	// Timeout is the deadline on a request's context, which only evaluate
+	// and batch consult (0 selects DefaultTimeout, negative disables it).
 	Timeout time.Duration
 	// MaxInFlight bounds concurrently-served requests (0 selects
 	// DefaultMaxInFlight, negative disables the limit).
@@ -146,7 +148,7 @@ type Server struct {
 	maxWatchers   int
 	maxStreams    int
 
-	inFlight atomic.Int64  // handlers currently doing work (held across a timeout)
+	inFlight atomic.Int64  // handlers currently doing work (a slot is held until its handler returns)
 	reqSeq   atomic.Uint64 // request-id source
 	watchers atomic.Int64  // open standing-query (SSE) streams
 	streams  atomic.Int64  // open NDJSON ingest streams
@@ -170,10 +172,6 @@ type Server struct {
 	mWatchDropped  *metrics.Counter    // watchers dropped for lagging behind the append rate
 	mWatchRebuilds *metrics.Counter    // rebuilds of a watch group's retained evaluator state
 	mWatchSeconds  *metrics.Histogram  // evaluate + encode per append event per watch group
-
-	// testDelay, when set (tests only), runs inside the timeout scope
-	// before every routed request, making deadline expiry deterministic.
-	testDelay func()
 }
 
 // New returns a server over the catalog.
@@ -250,7 +248,7 @@ func New(cat *provrpq.Catalog, opts Options) *Server {
 		"Time to evaluate and encode one append event's delta, once per watch group.", metrics.LatencyBuckets)
 	// Callback metrics sample live state at scrape time; re-registration
 	// rebinds them, so the newest server over a shared registry wins.
-	s.reg.Func("provrpq_http_in_flight", "Handlers currently doing work (held across a timeout).",
+	s.reg.Func("provrpq_http_in_flight", "Handlers currently doing work (a slot is held until its handler returns).",
 		metrics.KindGauge, func() float64 { return float64(s.inFlight.Load()) })
 	s.reg.Func("provrpq_watchers", "Open standing-query (SSE) streams.",
 		metrics.KindGauge, func() float64 { return float64(s.watchers.Load()) })
@@ -291,8 +289,8 @@ func New(cat *provrpq.Catalog, opts Options) *Server {
 }
 
 // Handler returns the fully-wrapped HTTP handler: JSON routes behind the
-// in-flight limiter and the request timeout, with /healthz outside both so
-// liveness probes succeed even under overload.
+// in-flight limiter, which also puts the request deadline on their context,
+// with /healthz outside so liveness probes succeed even under overload.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/specs", s.handleRegisterSpec)
@@ -310,66 +308,44 @@ func (s *Server) Handler() http.Handler {
 		s.writeError(w, http.StatusNotFound, "not_found", "no such endpoint: "+r.URL.Path)
 	})
 
-	var inner http.Handler = mux
-	if s.testDelay != nil {
-		base, delay := inner, s.testDelay
-		inner = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			delay()
-			base.ServeHTTP(w, r)
-		})
-	}
-	// work runs on the TimeoutHandler's handler goroutine, so its defers
-	// fire when the routed handler actually returns: the bound limits real
-	// concurrent work, not just unanswered connections. An evaluation runs
-	// under the request's context, which the deadline and a client's hang-up
-	// cancel, and returns at its next block of pairs, so its slot comes
-	// back then; a handler that consults no context holds on until it is
-	// done.
-	work := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.sem != nil {
-			defer func() { <-s.sem }()
-		}
-		s.inFlight.Add(1)
-		defer s.inFlight.Add(-1)
-		inner.ServeHTTP(w, r)
-	}))
-	if s.timeout > 0 {
-		work = http.TimeoutHandler(work, s.timeout,
-			`{"error":{"code":"timeout","message":"request exceeded the server's handling deadline"}}`)
-	}
-	limited := http.Handler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Every response below is JSON, including the TimeoutHandler's 503
-		// body (which writes without setting a Content-Type itself);
-		// handlers that produce something else override this.
-		w.Header().Set("Content-Type", "application/json")
+	// A request holds its in-flight slot until its handler returns, so the
+	// bound limits real concurrent work. Evaluate and batch return at their
+	// next block of pairs once the deadline or a client's hang-up ends the
+	// request's context; other routes have no server deadline.
+	limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.mRequests.Inc()
 		if s.sem != nil {
 			select {
 			case s.sem <- struct{}{}:
-				// Released by the work wrapper when the handler finishes.
+				defer func() { <-s.sem }()
 			default:
 				s.mRejected.Inc()
 				// Not routed through writeError: a rejection is tallied in
 				// rejected, never double-counted in failed.
-				var body errorBody
-				body.Error.Code = "overloaded"
-				body.Error.Message = fmt.Sprintf("server is at its in-flight request limit (%d)", s.maxInFlight)
-				s.writeJSON(w, http.StatusTooManyRequests, body)
+				s.writeJSON(w, http.StatusTooManyRequests, errorBody{errorDetail{"overloaded",
+					fmt.Sprintf("server is at its in-flight request limit (%d)", s.maxInFlight)}})
 				return
 			}
 		}
+		s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
+		if s.timeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
-		work.ServeHTTP(w, r)
-	}))
+		mux.ServeHTTP(w, r)
+	})
 
-	// healthz and metrics live outside the limiter and the timeout:
+	// healthz and metrics live outside the limiter and the deadline:
 	// probes must succeed and metrics must stay scrapeable precisely when
 	// the server is saturated — both are reads of atomic state. The two
 	// long-lived routes — NDJSON ingest streams and standing-query SSE
-	// subscriptions — live here too: the TimeoutHandler would kill them
-	// mid-stream (and buffer SSE writes), and MaxBytesReader would cap an
-	// ingest stream's total size; each carries its own bound (MaxStreams /
-	// MaxWatchers, per-record limits) instead.
+	// subscriptions — live here too: the deadline would end them
+	// mid-stream, and MaxBytesReader would cap an ingest stream's total
+	// size; each carries its own bound (MaxStreams / MaxWatchers,
+	// per-record limits) instead.
 	outer := http.NewServeMux()
 	outer.HandleFunc("GET /healthz", s.handleHealth)
 	outer.HandleFunc("GET /metrics", s.handleMetrics)
@@ -382,9 +358,9 @@ func (s *Server) Handler() http.Handler {
 // instrument wraps the whole route tree with per-request accounting:
 // the (route, status) counter and per-route latency histogram, the
 // X-Request-Id header, and one structured log line when a logger is
-// configured. It observes the response as written to the wire — a
-// request the TimeoutHandler answered 503 for counts as 503 even
-// though its handler is still running.
+// configured. It observes the response as written to the wire once the
+// handler has returned: evaluate and batch answer 503 timeout when their
+// deadline passes; other routes have no server deadline.
 func (s *Server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := fmt.Sprintf("%d-%06d", s.start.UnixMilli(), s.reqSeq.Add(1))
@@ -470,10 +446,12 @@ func routeOf(r *http.Request) string {
 // ---- request / response shapes ----
 
 type errorBody struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+	Error errorDetail `json:"error"`
+}
+
+type errorDetail struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 type registerSpecRequest struct {
@@ -821,12 +799,12 @@ func (s *Server) handleCompactRun(w http.ResponseWriter, r *http.Request) {
 // a catalog with a store, and the run's engine is swapped atomically — the
 // very next evaluate sees the grown run.
 //
-// An append is not naturally idempotent (an edges-only batch applied
-// twice duplicates its edges), so a client that may retry — after a 503
-// timeout the server can still have finished the commit — passes the
-// ?expected_version=N query parameter with the version it grew the batch
-// against; a mismatch answers 409 conflict with the current version
-// instead of double-applying.
+// An append has no server deadline and is not naturally idempotent (an
+// edges-only batch applied twice duplicates its edges), so a client that may
+// retry — after its own timeout the server can still have finished the
+// commit — passes the ?expected_version=N query parameter with the version it
+// grew the batch against; a mismatch answers 409 conflict with the current
+// version instead of double-applying.
 func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	expected := -1
@@ -916,10 +894,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	// A page is cut by the evaluation, not from its result: the count pass
 	// gives the total and the window's rows before a pair is written. A
-	// count is read off the whole result, like a list's.
+	// count is the count pass alone, a window of no pair.
 	offset, limit := req.Offset, -1
 	if req.CountOnly {
-		offset = 0
+		offset, limit = 0, 0
 	} else if req.Limit != nil {
 		limit = *req.Limit
 	}
@@ -937,18 +915,24 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pw := pairWriter{run: eng.Run(), buf: appendHead(nil, resp)}
-	if pw.rows(r.Context(), rows) == nil {
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(append(pw.buf, '\n'))
+	if err := pw.rows(r.Context(), rows); err != nil {
+		s.writeEvalError(w, r, err)
+		return
 	}
+	writeBody(w, append(pw.buf, '\n'))
 }
 
-// writeEvalError answers a failed evaluation — unless it was the request's
-// context that ended it: the TimeoutHandler has then answered 503, or the
-// client is gone, and all that is left to do is return the in-flight slot.
+// writeEvalError answers a failed evaluation. Once the request's context has
+// ended, that is what failed it: evaluate and batch answer 503 timeout when
+// the server's deadline passed — like a rejection, not tallied in failed —
+// and nothing when the client is gone.
 func (s *Server) writeEvalError(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() == nil {
+	switch r.Context().Err() {
+	case nil:
 		s.writeError(w, http.StatusInternalServerError, "evaluate_failed", err.Error())
+	case context.DeadlineExceeded:
+		s.writeJSON(w, http.StatusServiceUnavailable,
+			errorBody{errorDetail{"timeout", "request exceeded the server's handling deadline"}})
 	}
 }
 
@@ -1050,7 +1034,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		queries[i] = q
 	}
-	results := s.cat.EvaluateBatchRows(r.Context(), req.Runs, queries)
+	limit := -1
+	if req.CountOnly {
+		limit = 0 // the count pass alone
+	}
+	results := s.cat.EvaluateBatchRows(r.Context(), req.Runs, queries, 0, limit)
 	buf := []byte(`{"results":[`)
 	for _, res := range results {
 		item := batchItem{Run: res.Run, Query: res.Query}
@@ -1063,15 +1051,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		pw := pairWriter{run: run, buf: appendHead(buf, item)}
 		if !ok || item.Count == 0 || req.CountOnly {
 			pw.buf = append(pw.buf, '}')
-		} else if pw.rows(r.Context(), res.Rows) != nil {
+		} else if err := pw.rows(r.Context(), res.Rows); err != nil {
+			s.writeEvalError(w, r, err)
 			return
 		}
 		buf = append(pw.buf, ',')
 	}
-	if r.Context().Err() == nil { // else some cells were not evaluated, and nobody waits
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(append(bytes.TrimSuffix(buf, []byte{','}), "]}\n"...))
+	if err := r.Context().Err(); err != nil { // some cells were not evaluated
+		s.writeEvalError(w, r, err)
+		return
 	}
+	writeBody(w, append(bytes.TrimSuffix(buf, []byte{','}), "]}\n"...))
 }
 
 // resolve maps (run name, query string) to an engine and parsed query,
@@ -1135,6 +1125,12 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	_ = json.NewEncoder(w).Encode(body)
 }
 
+// writeBody answers 200 with a JSON body encoded already.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
 // writeCatalogError maps a catalog registration error: a duplicate name
 // is a 409 conflict, a failed store persist is the server's 500 (nothing
 // was registered; the client may retry), anything else is the client's
@@ -1152,8 +1148,5 @@ func (s *Server) writeCatalogError(w http.ResponseWriter, err error) {
 
 func (s *Server) writeError(w http.ResponseWriter, status int, code, message string) {
 	s.mFailed.Inc()
-	var body errorBody
-	body.Error.Code = code
-	body.Error.Message = message
-	s.writeJSON(w, status, body)
+	s.writeJSON(w, status, errorBody{errorDetail{code, message}})
 }

@@ -550,90 +550,12 @@ func TestServerInFlightLimit(t *testing.T) {
 	}
 }
 
-// TestServerTimeout pins a delay longer than the deadline inside the
-// timeout scope; the request must come back 503 with the timeout body —
-// and because the delay, unlike an evaluation, consults no context, the
-// timed-out request must keep holding its in-flight slot until the work
-// actually finishes, so the limit bounds real concurrent work.
-func TestServerTimeout(t *testing.T) {
-	release := make(chan struct{})
-	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
-	srv := New(cat, Options{Timeout: 5 * time.Millisecond, MaxInFlight: 1})
-	srv.testDelay = func() { <-release }
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer func() {
-		select {
-		case <-release:
-		default:
-			close(release)
-		}
-	}()
-
-	resp, err := ts.Client().Get(ts.URL + "/v1/specs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("timed-out request answered %d, want 503", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("timeout Content-Type = %q, want application/json", ct)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(raw), "timeout") {
-		t.Errorf("timeout body = %s", raw)
-	}
-
-	// The 503 went out, but the handler goroutine is still blocked in
-	// testDelay, which knows no context: the slot must still be occupied. (An
-	// evaluation does, and lets go at its next block of pairs:
-	// TestServerCancelledEvaluateFreesSlot.)
-	busy, err := ts.Client().Get(ts.URL + "/v1/specs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy.Body.Close()
-	if busy.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("request during a timed-out handler answered %d, want 429 (slot released too early)", busy.StatusCode)
-	}
-
-	// healthz sits outside both wrappers and still answers.
-	hr, err := ts.Client().Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusOK {
-		t.Errorf("healthz = %d, want 200", hr.StatusCode)
-	}
-
-	// Once the stuck work finishes the slot frees up again.
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ok, err := ts.Client().Get(ts.URL + "/v1/specs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok.Body.Close()
-		if ok.StatusCode == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot never released after work finished (last status %d)", ok.StatusCode)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestServerCancelledEvaluateFreesSlot: an evaluation whose request timed out
-// (503 from the TimeoutHandler) or whose client hung up stops at its next
-// block of pairs, so its in-flight slot comes back while the scan it gave up
-// — a* over a fork chain of 30K iterations, seconds of walk — would still be
-// running; and giving up is not tallied as a failed evaluation.
-func TestServerCancelledEvaluateFreesSlot(t *testing.T) {
+// chainServer serves one fork run, "chain", of 30K iterations of M → a.M,
+// under a 300ms deadline, its index, labels and planner built by a first
+// request. a* over it pairs every iteration with every later one: seconds of
+// walk, even for the count pass alone.
+func chainServer(t *testing.T) (*Server, *httptest.Server, *testClient) {
+	t.Helper()
 	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
 	spec, err := provrpq.NewSpecBuilder().
 		Start("S").
@@ -652,12 +574,64 @@ func TestServerCancelledEvaluateFreesSlot(t *testing.T) {
 	}
 	srv := New(cat, Options{Timeout: 300 * time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	c := &testClient{t: t, base: ts.URL, hc: ts.Client()}
 	// The run's index, labels and planner are built by its first request, and
-	// not interruptibly: keep them out of the timing. limit 0 keeps a scan that
-	// is not stopped from also allocating its 450M pairs.
+	// not interruptibly: keep them out of the timing.
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "chain", "query": "b", "count_only": true}, http.StatusOK, nil)
+	return srv, ts, c
+}
+
+// TestServerTimeout: an evaluate and a count_only batch whose deadline ends
+// their evaluation answer 503 with the JSON timeout body, which is not
+// tallied as a failure; /healthz, outside the deadline, still answers.
+func TestServerTimeout(t *testing.T) {
+	_, ts, c := chainServer(t)
+	failed := c.scrape()["provrpq_http_failed_total"]
+	for _, call := range []struct{ path, body string }{
+		{"/v1/evaluate", `{"run":"chain","query":"a*","count_only":true}`},
+		{"/v1/batch", `{"runs":["chain"],"queries":["a*"],"count_only":true}`},
+	} {
+		resp, err := ts.Client().Post(ts.URL+call.path, "application/json", strings.NewReader(call.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s of a* over the chain answered %d within the 300ms deadline; the fixture is too small to time out", call.path, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s timeout Content-Type = %q, want application/json", call.path, ct)
+		}
+		if !strings.Contains(string(raw), `"code":"timeout"`) {
+			t.Errorf("%s timeout body = %s", call.path, raw)
+		}
+	}
+	if got := c.scrape()["provrpq_http_failed_total"]; got != failed {
+		t.Errorf("provrpq_http_failed_total went from %v to %v: a timeout is not a failed request", failed, got)
+	}
+
+	// healthz sits outside the limiter and the deadline, and still answers.
+	hr, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Errorf("healthz = %d, want 200", hr.StatusCode)
+	}
+}
+
+// TestServerCancelledEvaluateFreesSlot: an evaluation whose request timed out
+// (503 timeout) or whose client hung up stops at its next block of pairs, so
+// its in-flight slot comes back while the scan it gave up — a* over a fork
+// chain of 30K iterations, seconds of walk — would still be running; and
+// giving up is not tallied as a failed evaluation.
+func TestServerCancelledEvaluateFreesSlot(t *testing.T) {
+	srv, ts, c := chainServer(t)
+	// limit 0 keeps a scan that is not stopped from also allocating its 450M
+	// pairs.
 	body := `{"run":"chain","query":"a*","limit":0}`
 	failed := c.scrape()["provrpq_http_failed_total"]
 
