@@ -373,6 +373,46 @@ func BenchmarkGeneralEvalDecompose(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateDecomposeCount is the evaluate of the served
+// read-decompose benchmark: a count_only window (limit 0) of the four pool
+// queries above, through the engine over its runs reopened from their
+// columnar encoding as the daemon boots them. A warm count walks the safe
+// subtrees against the engine's one trie of every node and reads the
+// relation's size.
+func BenchmarkEvaluateDecomposeCount(b *testing.B) {
+	for _, f := range []struct {
+		d       *workload.Dataset
+		name    string
+		edges   int
+		queries []string
+	}{
+		{workload.BioAID(), "bio300/", 300, []string{"p6_2._*._", "_._*.(_.p1_12)"}},
+		{workload.QBLast(), "qbl400/", 400, []string{"q1_7*._*.((q2_13|a)._*.q1_7*)", "P2*._*._"}},
+	} {
+		run, err := derive.Derive(f.d.Spec, derive.Options{Seed: 20150413, TargetEdges: f.edges})
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := provrpq.ReopenColumnar(rehydrate(b, f.d, run))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := provrpq.NewEngine(col)
+		for _, qs := range f.queries {
+			q := provrpq.MustParseQuery(qs)
+			b.Run(f.name+qs, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rows, rep, err := eng.EvaluateRows(context.Background(), q, 0, 0)
+					if err != nil || rows.Len() != 0 || rows.Total() == 0 || !rep.Decomposed {
+						b.Fatalf("%s: %v, %d of %d pairs held; want a decomposed count", qs, err, rows.Len(), rows.Total())
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkUnsafeAllPairs measures Engine.AllPairs on an unsafe query over 16
 // sources × every node of a 4K-edge QBLast run, where _* alone is 5.9 million
 // pairs: the lists go down the decomposition, so the cost is what 16 sources

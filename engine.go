@@ -650,7 +650,8 @@ func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) 
 		return rows, safeReport(q, dec), err
 	}
 	// The evaluation itself produces the decomposition report — no separate
-	// planning pass — and its relation is rows in order already.
+	// planning pass — and its relation is rows in order already, or, for a
+	// count, just its size.
 	start := time.Now()
 	r, grep, err := e.general().EvalContext(ctx, q.node, nil, nil)
 	if err != nil {

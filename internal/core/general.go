@@ -12,7 +12,6 @@ import (
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
-	"provrpq/internal/label"
 	"provrpq/internal/reach"
 	"provrpq/internal/rel"
 	"provrpq/internal/wf"
@@ -59,7 +58,8 @@ type GeneralOptions struct {
 // over one run by composing safe-subtree results with relational joins
 // (Section IV-B), every subtree for the sources and targets its neighbours
 // can use (eval): a decomposition costs its restricted inputs and outputs,
-// not its largest safe subtree. A General is safe for concurrent use.
+// not its largest safe subtree, and the trie of every node is built once per
+// General, that is, per run version. A General is safe for concurrent use.
 type General struct {
 	run      *derive.Run
 	ix       *index.Index
@@ -71,12 +71,12 @@ type General struct {
 	// resolved against shared-cache eviction.
 	envs sync.Map // query string -> *Env
 
-	labels []label.Label // per node id
-	ids    []derive.NodeID
-	// rank is every label's place in label order, the one thing kept between
-	// evaluations: a run version's labels never change (Section II-B), so
-	// they are sorted once and the trie of a node set costs only that set.
-	rankOnce  sync.Once
+	// all is the trie of every node and rank each node's place in its label
+	// order, the things kept between evaluations: a run version's labels
+	// never change (Section II-B), so they are built once, on first use, and
+	// the trie of a smaller node set costs only that set.
+	allOnce   sync.Once
+	all       *reach.Trie
 	rank      []int32
 	safePairs atomic.Int64 // pairs safe subtrees materialised: the work-bound test's
 }
@@ -104,8 +104,6 @@ func NewGeneralOpts(run *derive.Run, ix *index.Index, strategy GeneralStrategy, 
 		ix:       ix,
 		strategy: strategy,
 		source:   opts.Envs,
-		labels:   run.MaterializeLabels(),
-		ids:      run.AllNodes(),
 	}
 }
 
@@ -313,42 +311,40 @@ func (g *General) concat(ctx context.Context, cs []*automata.Node, rep *EvalRepo
 
 // whole reports whether a node set is every node, as nil is, or over half of
 // them: not worth telling apart from all when it comes to labels.
-func (g *General) whole(set []int32) bool { return set == nil || 2*len(set) > len(g.labels) }
+func (g *General) whole(set []int32) bool { return set == nil || 2*len(set) > g.run.NumNodes() }
 
-// trie returns the tree representation of a node set's labels, put in label
-// order by their ranks; a list index is a node id.
+// trie returns the tree representation of a node set's labels; a list index
+// is a node id. A whole set gets the shared trie of every node, a smaller one
+// decodes its own labels, put in label order by their ranks.
 func (g *General) trie(set []int32) *reach.Trie {
-	g.rankOnce.Do(func() {
-		g.rank = make([]int32, len(g.labels))
-		for i, u := range reach.Sorted(g.labels) {
+	g.allOnce.Do(func() {
+		g.all = reach.NewTrie(g.run.MaterializeLabels())
+		g.all.Labels = nil // the walks read nodes and Perm only
+		g.rank = make([]int32, len(g.all.Perm))
+		for i, u := range g.all.Perm {
 			g.rank[u] = int32(i)
 		}
 	})
 	if g.whole(set) {
-		perm := make([]int, len(g.rank))
-		for u, i := range g.rank {
-			perm[i] = u
-		}
-		return reach.NewTrieOf(g.labels, perm)
+		return g.all
 	}
-	perm := make([]int, len(set))
+	ids := make([]derive.NodeID, len(set))
 	for i, u := range set {
+		ids[i] = derive.NodeID(u)
+	}
+	slices.SortFunc(ids, func(a, b derive.NodeID) int { return cmp.Compare(g.rank[a], g.rank[b]) })
+	perm := make([]int, len(ids))
+	for i, u := range ids {
 		perm[i] = int(u)
 	}
-	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(g.rank[a], g.rank[b]) })
-	return reach.NewTrieOf(g.labels, perm)
+	return reach.NewTrieOf(g.run.LabelsOf(ids), perm)
 }
 
 // safeEval computes a safe subquery's pairs inside from × to with the optRPL
 // walk over the two sets' labels; the relation takes over its rows (rows.go).
 func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*rel.Rel, error) {
-	n := len(g.labels)
-	t1 := g.trie(from)
-	t2 := t1
-	if !g.whole(from) || !g.whole(to) {
-		t2 = g.trie(to)
-	}
-	r, err := env.RowsSafeTries(ctx, t1, t2, n, 0, -1)
+	n := g.run.NumNodes()
+	r, err := env.RowsSafeTries(ctx, g.trie(from), g.trie(to), n, 0, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +363,7 @@ func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*re
 // n²; the relational evaluation costs roughly the sum of its intermediate
 // result sizes, estimated from index statistics.
 func (g *General) safeCheaper(q *automata.Node) bool {
-	n := len(g.ids)
+	n := g.run.NumNodes()
 	safeCost := float64(n) * float64(n) / 4 // coarse filter prunes; decodes dominate
 	return g.relCost(q) >= safeCost
 }
@@ -381,7 +377,7 @@ func (g *General) relCost(q *automata.Node) float64 {
 
 // relEstimate returns (estimated result size, estimated total cost).
 func (g *General) relEstimate(q *automata.Node) (size, cost float64) {
-	n := float64(len(g.ids))
+	n := float64(g.run.NumNodes())
 	switch q.Kind {
 	case automata.KindSym:
 		s := float64(g.ix.Count(q.Sym))

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
+	"provrpq/internal/label"
 	"provrpq/internal/reach"
 	"provrpq/internal/rel"
 	"provrpq/internal/wf"
@@ -368,13 +370,15 @@ func TestGeneralSafeSubtreeWorkIsOutputBound(t *testing.T) {
 	}
 }
 
-// TestGeneralConcurrentEvalSharesOrder: evaluations that race to sort the
-// labels all see one order and the same relations (run under -race).
+// TestGeneralConcurrentEvalSharesOrder: evaluations that race to build the
+// trie of every node all get one, and the same relations (run under -race);
+// rank is the label order of every node.
 func TestGeneralConcurrentEvalSharesOrder(t *testing.T) {
 	fx := servedDecomposeFixtures(t)["bio300"]
 	gen := NewGeneral(fx.run, index.Build(fx.run), CostBased)
 	var wg sync.WaitGroup
 	off := make([]int, 8)
+	tries := make([]*reach.Trie, len(off))
 	for i := range off {
 		wg.Add(1)
 		go func() {
@@ -385,17 +389,65 @@ func TestGeneralConcurrentEvalSharesOrder(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			off[i] = rel.Len() - fx.counts[qs]
+			off[i], tries[i] = rel.Len()-fx.counts[qs], gen.trie(nil)
 		}()
 	}
 	wg.Wait()
 	if !slices.Equal(off, make([]int, len(off))) {
 		t.Errorf("concurrent evaluations differ from the frozen counts by %v", off)
 	}
-	for i, u := range reach.Sorted(gen.labels) {
-		if gen.rank[u] != int32(i) {
-			t.Fatalf("label %d of the sorted order has the retained rank %d", i, gen.rank[u])
+	for i, tr := range tries {
+		if tr != tries[0] || tr == nil {
+			t.Fatalf("evaluation %d got the whole trie %p, evaluation 0 got %p", i, tr, tries[0])
 		}
+	}
+	labels := fx.run.MaterializeLabels()
+	order := make([]int, len(labels))
+	seen := make([]bool, len(labels))
+	for u, i := range gen.rank {
+		if seen[i] {
+			t.Fatalf("rank %d is given twice", i)
+		}
+		order[i], seen[i] = u, true
+	}
+	for i := 1; i < len(order); i++ {
+		if label.Compare(labels[order[i-1]], labels[order[i]]) > 0 {
+			t.Fatalf("rank %d holds %v, after %v", i, labels[order[i]], labels[order[i-1]])
+		}
+	}
+}
+
+// TestGeneralWarmDecompositionBuildsNoWholeTrie: the trie of every node is
+// built once per General. p6_2._*._ on bio300 walks _* from p6_2's few targets
+// to every node, so its first evaluation builds that trie; a second one
+// allocates at least such a build less than a fresh General's first does.
+func TestGeneralWarmDecompositionBuildsNoWholeTrie(t *testing.T) {
+	fx := servedDecomposeFixtures(t)["bio300"]
+	q := automata.MustParse("p6_2._*._")
+	bytesOf := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	eval := func(g *General) func() {
+		return func() {
+			if _, _, err := g.Eval(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	eval(fx.gen)()
+	fresh := NewGeneral(fx.run, fx.gen.ix, CostBased)
+	fx.gen.envs.Range(func(k, v any) bool { fresh.envs.Store(k, v); return true }) // the same plans
+	first, second := bytesOf(eval(fresh)), ^uint64(0)
+	for i := 0; i < 3; i++ { // a pooled decoder a collection dropped is not the trie
+		second = min(second, bytesOf(eval(fx.gen)))
+	}
+	build := bytesOf(func() { reach.NewTrie(fx.run.MaterializeLabels()) })
+	if first < second+build {
+		t.Errorf("a warm evaluation allocates %d B, a cold one %d B: not the %d B of the whole trie less", second, first, build)
 	}
 }
 

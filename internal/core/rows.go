@@ -148,8 +148,13 @@ func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsSt
 }
 
 // RowsOf returns the window of a relation over n nodes as Rows: what the label
-// scans produce, for the relations the decomposition does.
+// scans produce, for the relations the decomposition does. A count (limit 0)
+// reads the relation's size and holds no row.
 func RowsOf(ctx context.Context, r *rel.Rel, n, offset, limit int) (*Rows, error) {
+	if limit == 0 {
+		lo := min(offset, r.Len())
+		return &Rows{total: r.Len(), lo: lo, hi: lo}, nil
+	}
 	one := []int32{0}
 	return buildRows(ctx, n, offset, limit, func(emit func(block)) {
 		for u := 0; u < n; u++ {

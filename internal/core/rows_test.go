@@ -187,7 +187,8 @@ func TestWalkStopsAtTheNextBlock(t *testing.T) {
 // TestCountTakesOneWalk: a window that holds no pair — limit 0, or an offset
 // at or past the end — is a count. The sink runs the walk once, for the
 // count pass, and still reports the whole result's total; a window that
-// holds a pair runs it twice, the second time to fill.
+// holds a pair runs it twice, the second time to fill. A relation's count
+// (the decomposition's) reads its size and allocates nothing per node.
 func TestCountTakesOneWalk(t *testing.T) {
 	spec := wf.ForkSpec()
 	run, err := derive.Derive(spec, derive.Options{Seed: 1, TargetEdges: 300, FavorModule: "M"})
@@ -225,5 +226,17 @@ func TestCountTakesOneWalk(t *testing.T) {
 	}
 	if rows, passes := build(total/2, 1); passes != 2 || len(pairsOf(t, rows)) != 1 {
 		t.Errorf("one-pair window: %d passes, %d pairs; want 2 passes, 1 pair", passes, rows.Len())
+	}
+	r := rel.NewRel()
+	full.Each(func(u int, to []int32) bool {
+		for _, v := range to {
+			r.Add(derive.NodeID(u), derive.NodeID(v))
+		}
+		return true
+	})
+	var count *Rows
+	allocs := testing.AllocsPerRun(5, func() { count, _ = RowsOf(context.Background(), r, run.NumNodes(), total/2, 0) })
+	if allocs > 1 || count.Total() != total || len(pairsOf(t, count)) != 0 {
+		t.Errorf("a relation's count: %v allocations, total %d, %d pairs; want the Rows alone, total %d, no pair", allocs, count.Total(), count.Len(), total)
 	}
 }

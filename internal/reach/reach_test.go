@@ -6,6 +6,7 @@ import (
 	"provrpq/internal/derive"
 	"provrpq/internal/label"
 	"provrpq/internal/wf"
+	"provrpq/internal/workload"
 )
 
 // scriptW2W2W3 reproduces the paper's sample run on wf.PaperSpec.
@@ -263,5 +264,41 @@ func TestTrieSub(t *testing.T) {
 	}
 	if full.Sub(keep) != full {
 		t.Error("a keep that admits every label should return the trie itself")
+	}
+}
+
+// TestTrieExactSize: a trie's node and child-pointer arrays are sized to
+// the trie before it is built — NumNodes entries, and one pointer per node
+// but the root — for NewTrie and Sub alike, so building one is a fixed
+// number of allocations whatever the list's length.
+func TestTrieExactSize(t *testing.T) {
+	exact := func(what string, tr *Trie) {
+		t.Helper()
+		if tr.NumNodes != len(tr.nodes) || len(tr.nodes) != cap(tr.nodes) ||
+			len(tr.kids) != tr.NumNodes-1 || cap(tr.kids) != len(tr.kids) {
+			t.Errorf("%s: %d nodes in a node array of len %d cap %d, child array len %d cap %d",
+				what, tr.NumNodes, len(tr.nodes), cap(tr.nodes), len(tr.kids), cap(tr.kids))
+		}
+	}
+	for _, d := range []*workload.Dataset{workload.BioAID(), workload.QBLast()} {
+		allocs := map[int]float64{}
+		for _, edges := range []int{300, 3000} {
+			r, err := derive.Derive(d.Spec, derive.Options{Seed: 7, TargetEdges: edges})
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels := r.MaterializeLabels()
+			full := NewTrie(labels)
+			exact(d.Name+" NewTrie", full)
+			keep := make([]bool, len(labels))
+			for i := range keep {
+				keep[i] = i%4 == 1
+			}
+			exact(d.Name+" Sub", full.Sub(keep))
+			allocs[edges] = testing.AllocsPerRun(5, func() { NewTrie(labels) })
+		}
+		if allocs[300] != allocs[3000] {
+			t.Errorf("%s: NewTrie takes %v allocations on 300 edges, %v on 3000", d.Name, allocs[300], allocs[3000])
+		}
 	}
 }

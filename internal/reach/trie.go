@@ -12,16 +12,15 @@ import (
 // subtree occupy a contiguous range of the sorted order, recorded as
 // [Lo, Hi) index ranges into the sorted permutation.
 type Trie struct {
-	Labels []label.Label // sorted
+	Labels []label.Label // sorted; an owner that keeps only the walk's part drops them
 	Perm   []int         // Perm[sorted position] = caller's original index
 	Root   *TrieNode
 	// NumNodes counts the trie's nodes; TrieNode.ID ranges over [0, NumNodes).
 	NumNodes int
 
-	// nodes and kids are the slabs build carves TrieNodes and their
-	// Children slices from: a trie is built for one scan and dropped, so
-	// its thousands of small objects cost one allocation per slab instead
-	// of two per node.
+	// nodes holds every TrieNode and kids every Children slice, both sized
+	// exactly before the build: two allocations for a trie of any size, and
+	// no spare capacity stranded in one that is kept.
 	nodes []TrieNode
 	kids  []*TrieNode
 }
@@ -41,35 +40,42 @@ type TrieNode struct {
 
 // NewTrie builds the tree representation of the given labels (in any order;
 // the constructor sorts them and records the permutation).
-func NewTrie(labels []label.Label) *Trie { return NewTrieOf(labels, Sorted(labels)) }
-
-// Sorted returns the indices of labels in label order: the part of a trie's
-// construction that is more than a pass over the list, worth keeping where
-// tries of parts of one list are built again and again.
-func Sorted(labels []label.Label) []int {
-	order := make([]int, len(labels))
-	for i := range order {
-		order[i] = i
+func NewTrie(labels []label.Label) *Trie {
+	perm := make([]int, len(labels))
+	for i := range perm {
+		perm[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int { return label.Compare(labels[a], labels[b]) })
-	return order
+	slices.SortFunc(perm, func(a, b int) int { return label.Compare(labels[a], labels[b]) })
+	sorted := make([]label.Label, len(perm))
+	for i, p := range perm {
+		sorted[i] = labels[p]
+	}
+	return NewTrieOf(sorted, perm)
 }
 
-// NewTrieOf builds, without sorting, the trie of the labels perm lists by
-// index, in label order: any part of Sorted(labels). It keeps perm as Perm.
-func NewTrieOf(labels []label.Label, perm []int) *Trie {
-	t := &Trie{Labels: make([]label.Label, len(perm)), Perm: perm}
-	for i, p := range perm {
-		t.Labels[i] = labels[p]
+// NewTrieOf builds, without sorting, the trie of labels already in label
+// order, sorted[i] being entry perm[i] of the caller's list. It keeps both.
+func NewTrieOf(sorted []label.Label, perm []int) *Trie {
+	// A node is the root or one distinct non-empty prefix: in label order,
+	// each label adds those past its common prefix lcp[i] with the one before.
+	lcp, n := make([]int32, len(sorted)), 1
+	for i, l := range sorted {
+		if i > 0 {
+			lcp[i] = int32(label.LCP(sorted[i-1], l))
+		}
+		n += len(l) - int(lcp[i])
 	}
-	t.Root = t.build(0, len(t.Labels), 0)
+	t := &Trie{Labels: sorted, Perm: perm, NumNodes: n,
+		nodes: make([]TrieNode, 0, n), kids: make([]*TrieNode, 0, n-1)}
+	t.Root = t.build(lcp, 0, len(sorted), 0)
 	return t
 }
 
 // Sub returns the trie of the labels keep admits, keep being indexed like
-// the list t was built from; Perm keeps referring to that list. The sorted
-// order is inherited, so a sub-trie costs one pass and no sort, and a keep
-// that admits every label — as a nil one does — returns t itself.
+// the list t was built from; Perm keeps referring to that list, and t must
+// still hold its Labels. The sorted order is inherited, so a sub-trie costs
+// one pass and no sort, and a keep that admits every label — as a nil one
+// does — returns t itself.
 func (t *Trie) Sub(keep []bool) *Trie {
 	if keep == nil {
 		return t
@@ -83,28 +89,22 @@ func (t *Trie) Sub(keep []bool) *Trie {
 	if kept == len(t.Perm) {
 		return t
 	}
-	sub := &Trie{Labels: make([]label.Label, 0, kept), Perm: make([]int, 0, kept)}
+	labels, perm := make([]label.Label, 0, kept), make([]int, 0, kept)
 	for i, p := range t.Perm {
 		if keep[p] {
-			sub.Labels = append(sub.Labels, t.Labels[i])
-			sub.Perm = append(sub.Perm, p)
+			labels, perm = append(labels, t.Labels[i]), append(perm, p)
 		}
 	}
-	sub.Root = sub.build(0, len(sub.Labels), 0)
-	return sub
+	return NewTrieOf(labels, perm)
 }
 
-// slabNodes caps a slab, so the last one of a large trie strands little.
-const slabNodes = 1024
-
-// build groups the sorted slice [lo,hi) by the entry at the given depth.
-func (t *Trie) build(lo, hi, depth int) *TrieNode {
-	if len(t.nodes) == cap(t.nodes) {
-		t.nodes = make([]TrieNode, 0, min(len(t.Labels)+16, slabNodes))
-	}
-	t.nodes = append(t.nodes, TrieNode{ID: t.NumNodes, Lo: lo, Hi: hi})
-	t.NumNodes++
+// build groups the sorted slice [lo,hi) by the entry at the given depth. Its
+// labels share their first depth entries, so label i starts a group exactly
+// where lcp[i] is depth.
+func (t *Trie) build(lcp []int32, lo, hi, depth int) *TrieNode {
+	t.nodes = t.nodes[:len(t.nodes)+1] // zeroed, and exactly sized
 	n := &t.nodes[len(t.nodes)-1]
+	n.ID, n.Lo, n.Hi = len(t.nodes)-1, lo, hi
 
 	labels := t.Labels
 	// Skip exhausted labels (they are leaves at this node; sorted first).
@@ -113,26 +113,22 @@ func (t *Trie) build(lo, hi, depth int) *TrieNode {
 	}
 	groups := 0
 	for i := lo; i < hi; i++ {
-		if i == lo || labels[i][depth] != labels[i-1][depth] {
+		if i == lo || int(lcp[i]) == depth {
 			groups++
 		}
 	}
 	if groups == 0 {
 		return n
 	}
-	if cap(t.kids)-len(t.kids) < groups {
-		t.kids = make([]*TrieNode, 0, max(groups, min(len(t.Labels)+16, slabNodes)))
-	}
 	t.kids = t.kids[:len(t.kids)+groups]
 	n.Children = t.kids[len(t.kids)-groups : len(t.kids) : len(t.kids)]
 	for c, i := 0, lo; i < hi; c++ {
-		e := labels[i][depth]
 		j := i + 1
-		for j < hi && labels[j][depth] == e {
+		for j < hi && int(lcp[j]) > depth {
 			j++
 		}
-		child := t.build(i, j, depth+1)
-		child.Entry = e
+		child := t.build(lcp, i, j, depth+1)
+		child.Entry = labels[i][depth]
 		n.Children[c] = child
 		i = j
 	}
