@@ -262,6 +262,83 @@ func BenchmarkSeededSelective16K(b *testing.B) {
 	}
 }
 
+// BenchmarkSeededWholeSide8K is the evaluate of mixed's cycle: _*.L1._* on
+// the 8K-edge BioAID fixture, whose candidate sources are 8,068 of its 8,069
+// nodes, over the derived run and over one reopened from its columnar
+// encoding. Such a side walks the engine's one trie of every node, so a warm
+// evaluate decodes and sorts only the small side's labels.
+func BenchmarkSeededWholeSide8K(b *testing.B) {
+	d := workload.BioAID()
+	run, err := derive.Derive(d.Spec, derive.Options{Seed: 20150413, TargetEdges: 8000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	derived := rehydrate(b, d, run)
+	col, err := provrpq.ReopenColumnar(derived)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := provrpq.MustParseQuery("_*.L1._*")
+	for _, c := range []struct {
+		name string
+		run  *provrpq.Run
+	}{{"derived", derived}, {"columnar", col}} {
+		eng := provrpq.NewEngine(c.run)
+		if rep, err := eng.Explain(q); err != nil || rep.Strategy != provrpq.StrategySeeded {
+			b.Fatalf("%v, strategy %v; want seeded", err, rep.Strategy)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, _, err := eng.EvaluateRows(context.Background(), q, 0, -1)
+				if err != nil || rows.Total() != 8068 {
+					b.Fatalf("%v, %d pairs, want 8068", err, rows.Total())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEvaluateScanCount is the evaluate of the served read-scan
+// benchmark: count_only windows (limit 0) of tag-free safe queries, which
+// the planner answers by OptRPL, on the 350-edge fork run and the 720-edge
+// BioAID run, reopened from their columnar encoding as the daemon boots them.
+// A warm count walks the engine's one trie of every node against itself.
+func BenchmarkEvaluateScanCount(b *testing.B) {
+	d := workload.BioAID()
+	for _, f := range []struct {
+		name   string
+		opts   derive.Options
+		counts map[string]int
+	}{
+		{"fork350/", derive.Options{Seed: 20150413, TargetEdges: 350, FavorModules: d.ForkFavor, FavorCaps: d.ForkCaps},
+			map[string]int{"a*": 21309, "(a|fl)*": 42890}},
+		{"std720/", derive.Options{Seed: 20150413, TargetEdges: 720}, map[string]int{"a*": 816, "(a|fl)*": 817}},
+	} {
+		run, err := derive.Derive(d.Spec, f.opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		col, err := provrpq.ReopenColumnar(rehydrate(b, d, run))
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := provrpq.NewEngine(col)
+		for _, qs := range []string{"a*", "(a|fl)*"} {
+			q := provrpq.MustParseQuery(qs)
+			b.Run(f.name+qs, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rows, rep, err := eng.EvaluateRows(context.Background(), q, 0, 0)
+					if err != nil || rows.Total() != f.counts[qs] || rep.Strategy != provrpq.StrategyOptRPL {
+						b.Fatalf("%s: %v, %d pairs by %v; want %d by optrpl", qs, err, rows.Total(), rep.Strategy, f.counts[qs])
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkUnsafePairwise measures Engine.Pairwise on unsafe queries over an
 // 8K-edge QBLast run — the search behind /v1/pairwise when the label decode
 // does not apply. "a" requires a tag that occurs 1,277 times in the run,

@@ -167,7 +167,11 @@ type EngineOptions struct {
 // (minimal DFA, λ matrices, safety verdict, decode artifacts) come from a
 // plan cache shared across engines — by default one process-wide cache —
 // and the run's inverted edge index and general evaluator are built lazily
-// exactly once.
+// exactly once. The general evaluator holds the one trie of every node
+// (core.General.Trie) that OptRPL full scans, seeded evaluates with a
+// candidate side over half the run and the decomposition all walk; no
+// per-node label arena is kept: the pairwise entry points answer straight
+// from the run's label column, and other scans decode only what they pair.
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
 // any mix of its methods. Each call runs on its caller's goroutine, so
@@ -176,14 +180,6 @@ type EngineOptions struct {
 type Engine struct {
 	run   *Run
 	plans *plancache.Cache
-
-	// lblOnce/lbls defer the materialized per-node label slice to the
-	// first all-pairs scan: the pairwise entry points answer straight from
-	// the run's label column (LabelBytes), so an engine over a
-	// columnar-opened run serves point queries without ever decoding every
-	// label.
-	lblOnce sync.Once
-	lbls    []label.Label
 
 	// envMemo fronts the shared plan cache with a per-engine, lock-free
 	// hit path (the pairwise decode is nanosecond-scale; a contended
@@ -221,12 +217,6 @@ func NewEngineOpts(run *Run, opts EngineOptions) *Engine {
 		plans = opts.PlanCache.c
 	}
 	return &Engine{run: run, plans: plans}
-}
-
-// labels returns the materialized per-node label slice, built on first use.
-func (e *Engine) labels() []label.Label {
-	e.lblOnce.Do(func() { e.lbls = e.run.r.MaterializeLabels() })
-	return e.lbls
 }
 
 // Run returns the engine's run.
@@ -478,10 +468,14 @@ func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision,
 	start := time.Now()
 	var rows *core.Rows
 	var err error
-	if strategy == plan.Seeded {
-		rows, err = plan.SeededRows(ctx, env, e.index(), dec, offset, limit)
-	} else {
-		rows, err = env.SafeRows(ctx, e.labels(), labelScan(strategy), offset, limit)
+	switch strategy {
+	case plan.Seeded:
+		rows, err = plan.SeededRows(ctx, env, e.index(), dec, e.general().Trie, offset, limit)
+	case plan.OptRPL:
+		t := e.general().Trie()
+		rows, err = env.RowsSafeTries(ctx, t, t, e.run.NumNodes(), offset, limit)
+	default: // RPL decodes the labels it pairs for this scan alone
+		rows, err = env.SafeRows(ctx, e.run.r.MaterializeLabels(), core.RPL, offset, limit)
 	}
 	if err != nil {
 		return nil, err
@@ -696,15 +690,9 @@ func fromPlanStrategy(s plan.Strategy) Strategy {
 	return StrategyOptRPL
 }
 
-// labelsOf gathers the materialized labels of ids the caller already
-// validated.
+// labelsOf decodes the labels of ids the caller already validated.
 func (e *Engine) labelsOf(ids []NodeID) []label.Label {
-	lbls := e.labels()
-	out := make([]label.Label, len(ids))
-	for i, id := range ids {
-		out[i] = lbls[id]
-	}
-	return out
+	return e.run.r.LabelsOf(toDerive(ids))
 }
 
 func (e *Engine) checkNodes(ids []NodeID) error {

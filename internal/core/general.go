@@ -58,8 +58,9 @@ type GeneralOptions struct {
 // over one run by composing safe-subtree results with relational joins
 // (Section IV-B), every subtree for the sources and targets its neighbours
 // can use (eval): a decomposition costs its restricted inputs and outputs,
-// not its largest safe subtree, and the trie of every node is built once per
-// General, that is, per run version. A General is safe for concurrent use.
+// not its largest safe subtree, and the trie of every node (Trie) is built
+// once per General, that is, per run version, for the engine's full scans as
+// well. A General is safe for concurrent use.
 type General struct {
 	run      *derive.Run
 	ix       *index.Index
@@ -73,12 +74,12 @@ type General struct {
 
 	// all is the trie of every node and rank each node's place in its label
 	// order, the things kept between evaluations: a run version's labels
-	// never change (Section II-B), so they are built once, on first use, and
+	// never change (Section II-B), so each is built once, on first use, and
 	// the trie of a smaller node set costs only that set.
-	allOnce   sync.Once
-	all       *reach.Trie
-	rank      []int32
-	safePairs atomic.Int64 // pairs safe subtrees materialised: the work-bound test's
+	allOnce, rankOnce sync.Once
+	all               *reach.Trie
+	rank              []int32
+	safePairs         atomic.Int64 // pairs safe subtrees materialised: the work-bound test's
 }
 
 // EvalReport describes how a query was decomposed.
@@ -313,29 +314,36 @@ func (g *General) concat(ctx context.Context, cs []*automata.Node, rep *EvalRepo
 // them: not worth telling apart from all when it comes to labels.
 func (g *General) whole(set []int32) bool { return set == nil || 2*len(set) > g.run.NumNodes() }
 
+// Trie returns the trie of every node of the run, its Perm holding node ids,
+// built on first use and shared by every scan that covers most of the run:
+// the decomposition's safe subtrees, OptRPL full scans and seeded full
+// evaluates. Read-only; it holds no Labels.
+func (g *General) Trie() *reach.Trie {
+	g.allOnce.Do(func() {
+		g.all = reach.NewTrie(g.run.MaterializeLabels())
+		g.all.Labels = nil // the walks read nodes and Perm only
+	})
+	return g.all
+}
+
 // trie returns the tree representation of a node set's labels; a list index
 // is a node id. A whole set gets the shared trie of every node, a smaller one
 // decodes its own labels, put in label order by their ranks.
 func (g *General) trie(set []int32) *reach.Trie {
-	g.allOnce.Do(func() {
-		g.all = reach.NewTrie(g.run.MaterializeLabels())
-		g.all.Labels = nil // the walks read nodes and Perm only
-		g.rank = make([]int32, len(g.all.Perm))
+	if g.whole(set) {
+		return g.Trie()
+	}
+	g.rankOnce.Do(func() {
+		g.rank = make([]int32, len(g.Trie().Perm))
 		for i, u := range g.all.Perm {
 			g.rank[u] = int32(i)
 		}
 	})
-	if g.whole(set) {
-		return g.all
-	}
-	ids := make([]derive.NodeID, len(set))
-	for i, u := range set {
+	perm := slices.Clone(set)
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(g.rank[a], g.rank[b]) })
+	ids := make([]derive.NodeID, len(perm))
+	for i, u := range perm {
 		ids[i] = derive.NodeID(u)
-	}
-	slices.SortFunc(ids, func(a, b derive.NodeID) int { return cmp.Compare(g.rank[a], g.rank[b]) })
-	perm := make([]int, len(ids))
-	for i, u := range ids {
-		perm[i] = int(u)
 	}
 	return reach.NewTrieOf(g.run.LabelsOf(ids), perm)
 }

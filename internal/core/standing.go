@@ -38,7 +38,7 @@ type Standing struct {
 	// nil until the first event and after Reset.
 	base int
 	t    *reach.Trie
-	x, y leafVecs
+	x, y [][]bucket
 	ids  []derive.NodeID // the identity list, as far as any event reached
 	// Rebuilds counts builds of the retained half, the first included; tests
 	// is the last Delta's bucket-pair tests, for the work-bound test.
@@ -77,7 +77,7 @@ func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
 	if tail := hi - s.base; s.t == nil || lo < s.base || tail*tail > 4*s.base {
 		s.t = reach.NewTrie(r.LabelsOf(s.ids[:lo]))
 		s.x, s.y = s.d.leafVectors(s.t, true), s.d.leafVectors(s.t, false)
-		s.t.Labels, s.t.Perm = nil, nil // the walks read nodes and vectors only
+		s.t.Labels = nil // the walks read nodes, Perm and vectors only
 		s.base = lo
 		s.Rebuilds++
 	}

@@ -34,7 +34,8 @@ type bucket struct {
 	// at is the sorted position of leaves[0] while leaves is still a window
 	// of the trie's permutation — a subtree's leaves are contiguous there, so
 	// buckets merge by widening the window instead of copying — and -1 once
-	// a merge had to copy.
+	// a merge had to copy. A window's capacity ends with it, so an append
+	// copies: concurrent scans share one trie's Perm, which none may write.
 	at int
 }
 
@@ -65,9 +66,9 @@ func applyCol(m Mat, y uint64) uint64 {
 // vectorFill computes the live buckets of every node of one trie.
 type vectorFill struct {
 	d    *Decoder
-	up   bool    // x vectors of an l1 trie, else y vectors of an l2 trie
-	leaf uint64  // a leaf's own vector: the start state, or the accept set
-	perm []int32 // the trie's Perm
+	t    *reach.Trie
+	up   bool   // x vectors of an l1 trie, else y vectors of an l2 trie
+	leaf uint64 // a leaf's own vector: the start state, or the accept set
 	vecs [][]bucket
 	// pool backs every vecs[id]; a finished node's buckets are never
 	// touched again, so growing it only strands the old array until the
@@ -75,50 +76,41 @@ type vectorFill struct {
 	pool []bucket
 }
 
-// leafVecs is what leafVectors computes for one trie: the live buckets of
-// every node, indexed by TrieNode.ID, and the trie's Perm in the buckets'
-// element type, which most of them are windows of. Read-only once built.
-type leafVecs struct {
-	vecs [][]bucket
-	perm []int32
-}
-
-// leafVectors computes the live buckets of every node of t: the x vectors of
-// an l1 trie (up) or the y vectors of an l2 trie. O(leaves · depth) vector
-// steps.
-func (d *Decoder) leafVectors(t *reach.Trie, up bool) leafVecs {
-	f := vectorFill{d: d, up: up, leaf: uint64(1) << uint(d.e.DFA.Start),
-		perm: make([]int32, len(t.Perm)),
-		vecs: make([][]bucket, t.NumNodes),
-		pool: make([]bucket, 0, t.NumNodes+t.NumNodes/4+16)}
+// leafVectors computes the live buckets of every node of t, indexed like
+// t.Nodes: the x vectors of an l1 trie (up) or the y vectors of an l2 trie.
+// Most buckets are windows of t.Perm. O(leaves · depth) vector steps;
+// read-only once built.
+func (d *Decoder) leafVectors(t *reach.Trie, up bool) [][]bucket {
+	n := len(t.Nodes)
+	f := vectorFill{d: d, t: t, up: up, leaf: uint64(1) << uint(d.e.DFA.Start),
+		vecs: make([][]bucket, n),
+		pool: make([]bucket, 0, n+n/4+16)}
 	if !up {
 		f.leaf = d.e.AcceptMask()
 	}
 	f.leaf &= d.live
-	for i, p := range t.Perm {
-		f.perm[i] = int32(p)
-	}
-	f.fill(t.Root)
-	return leafVecs{f.vecs, f.perm}
+	f.fill(0)
+	return f.vecs
 }
 
-func (f *vectorFill) fill(n *reach.TrieNode) {
-	for _, c := range n.Children {
+func (f *vectorFill) fill(i int32) {
+	nodes := f.t.Nodes
+	for c := i + 1; c < nodes[i].Next; c = nodes[c].Next {
 		f.fill(c)
 	}
 	mark := len(f.pool)
-	if hi := ownLeavesEnd(n); hi > n.Lo && f.leaf != 0 {
-		f.pool = append(f.pool, bucket{f.leaf, f.perm[n.Lo:hi:hi], n.Lo})
+	if lo, hi := nodes[i].Lo, f.t.OwnEnd(i); hi > lo && f.leaf != 0 {
+		f.pool = append(f.pool, bucket{f.leaf, f.t.Perm[lo:hi:hi], int(lo)})
 	}
 	d := f.d
-	for _, c := range n.Children {
-		if len(f.vecs[c.ID]) == 0 {
+	for c := i + 1; c < nodes[i].Next; c = nodes[c].Next {
+		if len(f.vecs[c]) == 0 {
 			continue
 		}
 		// The factor of c's entry: out of (or into) body position Y of
 		// production X, or across iterations Z-1..1 of a recursion chain.
 		var m Mat
-		switch en := c.Entry; {
+		switch en := nodes[c].Entry(); {
 		case f.up && !en.Rec:
 			m = d.art.out[en.X][en.Y]
 		case f.up:
@@ -128,7 +120,7 @@ func (f *vectorFill) fill(n *reach.TrieNode) {
 		default:
 			m = d.chainIn(en.X, en.Y, 1, en.Z-1)
 		}
-		for _, b := range f.vecs[c.ID] {
+		for _, b := range f.vecs[c] {
 			v := applyCol(m, b.vec)
 			if f.up {
 				v = applyRow(b.vec, m)
@@ -138,19 +130,20 @@ func (f *vectorFill) fill(n *reach.TrieNode) {
 			}
 		}
 	}
-	f.vecs[n.ID] = f.pool[mark:len(f.pool):len(f.pool)]
+	f.vecs[i] = f.pool[mark:len(f.pool):len(f.pool)]
 }
 
 // add files a child's bucket b under vector v among the open node's buckets
 // pool[mark:].
 func (f *vectorFill) add(mark int, v uint64, b bucket) {
+	perm := f.t.Perm
 	for i := mark; i < len(f.pool); i++ {
 		have := &f.pool[i]
 		if have.vec != v {
 			continue
 		}
 		if have.at >= 0 && have.at+len(have.leaves) == b.at {
-			have.leaves = f.perm[have.at : b.at+len(b.leaves) : b.at+len(b.leaves)]
+			have.leaves = perm[have.at : b.at+len(b.leaves) : b.at+len(b.leaves)]
 		} else {
 			have.leaves = append(have.leaves, b.leaves...)
 			have.at = -1
@@ -158,16 +151,6 @@ func (f *vectorFill) add(mark int, v uint64, b bucket) {
 		return
 	}
 	f.pool = append(f.pool, bucket{v, b.leaves[:len(b.leaves):len(b.leaves)], b.at})
-}
-
-// ownLeavesEnd returns the end of the node's own leaves [n.Lo, end): the
-// list entries whose full label is the node's prefix sort before every
-// longer label below it.
-func ownLeavesEnd(n *reach.TrieNode) int {
-	if len(n.Children) > 0 {
-		return n.Children[0].Lo
-	}
-	return n.Hi
 }
 
 // block is one cross product of a scan's result: l1 index lo+x matches l2
@@ -217,17 +200,16 @@ func (e *Env) RowsSafeTries(ctx context.Context, t1, t2 *reach.Trie, n, offset, 
 
 // newWalk prepares the walk of t1, with its up vectors x, against t2 with its
 // down vectors y.
-func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y leafVecs) *fusedWalk {
-	return &fusedWalk{d: d, t1: t1, t2: t2, x: x.vecs, y: y.vecs, permX: x.perm, permY: y.perm}
+func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y [][]bucket) *fusedWalk {
+	return &fusedWalk{d: d, t1: t1, t2: t2, x: x, y: y}
 }
 
 // fusedWalk is one walk of an l1 trie against an l2 trie.
 type fusedWalk struct {
-	d            *Decoder
-	t1, t2       *reach.Trie
-	x, y         [][]bucket // leafVectors of t1 (up) and t2 (down)
-	permX, permY []int32    // t1.Perm and t2.Perm
-	emit         func(block)
+	d      *Decoder
+	t1, t2 *reach.Trie
+	x, y   [][]bucket // leafVectors of t1 (up) and t2 (down)
+	emit   func(block)
 	// done, once it fires (nil never does), ends a run at its next block:
 	// nothing more is emitted and the recursion unwinds.
 	done    <-chan struct{}
@@ -242,7 +224,7 @@ type fusedWalk struct {
 // may run more than once: each run emits the same blocks in the same order.
 func (w *fusedWalk) run(emit func(block)) {
 	w.emit, w.stopped = emit, false
-	w.walk(w.t1.Root, w.t2.Root)
+	w.walk(0, 0)
 }
 
 // out hands one block to the consumer, or stops the run if done has fired.
@@ -255,21 +237,22 @@ func (w *fusedWalk) out(b block) {
 	}
 }
 
-// walk processes two trie nodes known to represent the same parse-tree node
-// (equal label prefixes).
-func (w *fusedWalk) walk(a, b *reach.TrieNode) {
+// walk processes node a of t1 and node b of t2, known to represent the same
+// parse-tree node (equal label prefixes).
+func (w *fusedWalk) walk(a, b int32) {
 	if w.stopped {
 		return
 	}
+	na, nb := &w.t1.Nodes[a], &w.t2.Nodes[b]
 	// Own leaves on both sides carry the same full label: the same run
 	// node, matched by the empty path alone.
-	if ai, bj := ownLeavesEnd(a), ownLeavesEnd(b); ai > a.Lo && bj > b.Lo && w.d.e.MatchesEmpty() {
-		w.out(block{xs: w.permX[a.Lo:ai], ys: w.permY[b.Lo:bj]})
+	if ai, bj := w.t1.OwnEnd(a), w.t2.OwnEnd(b); ai > na.Lo && bj > nb.Lo && w.d.e.MatchesEmpty() {
+		w.out(block{xs: w.t1.Perm[na.Lo:ai], ys: w.t2.Perm[nb.Lo:bj]})
 	}
-	if len(a.Children) == 0 || len(b.Children) == 0 {
+	if a+1 == na.Next || b+1 == nb.Next {
 		return
 	}
-	if !a.Children[0].Entry.Rec {
+	if !w.t1.Nodes[a+1].Rec {
 		w.walkComposite(a, b)
 	} else {
 		w.walkRecursive(a, b)
@@ -290,18 +273,20 @@ func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 // walkComposite is Case 1 of Algorithm 2: the children are body positions
 // of one production firing, and two distinct positions c1, c2 connect
 // through mid[c1→c2] — zero when c1 cannot reach c2 at all.
-func (w *fusedWalk) walkComposite(a, b *reach.TrieNode) {
-	for _, ca := range a.Children {
+func (w *fusedWalk) walkComposite(a, b int32) {
+	n1, n2 := w.t1.Nodes, w.t2.Nodes
+	for ca := a + 1; ca < n1[a].Next; ca = n1[ca].Next {
 		if w.stopped {
 			return
 		}
-		for _, cb := range b.Children {
-			ea, eb := ca.Entry, cb.Entry
+		ea := n1[ca].Entry()
+		for cb := b + 1; cb < n2[b].Next; cb = n2[cb].Next {
+			eb := n2[cb].Entry()
 			if ea == eb {
 				w.walk(ca, cb)
 				continue
 			}
-			if ea.Rec || eb.Rec || ea.X != eb.X || len(w.x[ca.ID]) == 0 || len(w.y[cb.ID]) == 0 {
+			if ea.Rec || eb.Rec || ea.X != eb.X || len(w.x[ca]) == 0 || len(w.y[cb]) == 0 {
 				continue
 			}
 			n := len(w.d.e.Spec.Prods[ea.X].Body.Nodes)
@@ -309,9 +294,9 @@ func (w *fusedWalk) walkComposite(a, b *reach.TrieNode) {
 			if mid.IsZero() {
 				continue
 			}
-			for _, xb := range w.x[ca.ID] {
+			for _, xb := range w.x[ca] {
 				if z := applyRow(xb.vec, mid) & w.d.live; z != 0 {
-					w.match(z, xb.leaves, w.y[cb.ID])
+					w.match(z, xb.leaves, w.y[cb])
 				}
 			}
 		}
@@ -348,45 +333,45 @@ func (w *fusedWalk) cyclePort(en label.Entry, red bool) Mat {
 // i-1..j+1, then through mid from the cycle successor. The mid factor is
 // applied once per iteration, the chain factor once per iteration pair, and
 // iterations left without a live bucket are never paired.
-func (w *fusedWalk) walkRecursive(a, b *reach.TrieNode) {
-	ac, bc := a.Children, b.Children
-	for i, j := 0, 0; i < len(ac) && j < len(bc); {
-		switch c := label.CompareEntry(ac[i].Entry, bc[j].Entry); {
+func (w *fusedWalk) walkRecursive(a, b int32) {
+	n1, n2 := w.t1.Nodes, w.t2.Nodes
+	for i, j := a+1, b+1; i < n1[a].Next && j < n2[b].Next; {
+		switch c := label.CompareEntry(n1[i].Entry(), n2[j].Entry()); {
 		case c == 0:
-			w.walk(ac[i], bc[j])
-			i++
-			j++
+			w.walk(i, j)
+			i, j = n1[i].Next, n2[j].Next
 		case c < 0:
-			i++
+			i = n1[i].Next
 		default:
-			j++
+			j = n2[j].Next
 		}
 	}
 	// later reports that eb is a later iteration than ea of the same chain.
 	later := func(ea, eb label.Entry) bool {
 		return ea.Rec && eb.Rec && ea.X == eb.X && ea.Y == eb.Y && ea.Z < eb.Z
 	}
-	live := func(cs []*reach.TrieNode, vecs [][]bucket) []*reach.TrieNode {
-		var out []*reach.TrieNode
-		for _, c := range cs {
-			if len(vecs[c.ID]) > 0 {
+	// live lists node p's children with a live bucket in vecs.
+	live := func(ns []reach.TrieNode, p int32, vecs [][]bucket) []int32 {
+		var out []int32
+		for c := p + 1; c < ns[p].Next; c = ns[c].Next {
+			if len(vecs[c]) > 0 {
 				out = append(out, c)
 			}
 		}
 		return out
 	}
-	liveB := live(bc, w.y)
-	for _, ca := range ac {
+	liveB := live(n2, b, w.y)
+	for ca := a + 1; ca < n1[a].Next; ca = n1[ca].Next {
 		if len(liveB) == 0 || w.stopped {
 			break
 		}
 		w.parts = w.parts[:0]
-		for _, g := range ca.Children {
-			mid := w.cyclePort(g.Entry, true)
+		for g := ca + 1; g < n1[ca].Next; g = n1[g].Next {
+			mid := w.cyclePort(n1[g].Entry(), true)
 			if mid.IsZero() { // nil included
 				continue
 			}
-			for _, xb := range w.x[g.ID] {
+			for _, xb := range w.x[g] {
 				if z := applyRow(xb.vec, mid) & w.d.live; z != 0 {
 					w.parts = append(w.parts, bucket{vec: z, leaves: xb.leaves})
 				}
@@ -395,32 +380,32 @@ func (w *fusedWalk) walkRecursive(a, b *reach.TrieNode) {
 		if len(w.parts) == 0 {
 			continue
 		}
-		ea := ca.Entry
+		ea := n1[ca].Entry()
 		for _, cb := range liveB {
-			eb := cb.Entry
+			eb := n2[cb].Entry()
 			if !later(ea, eb) {
 				continue
 			}
 			chain := w.d.chainIn(ea.X, ea.Y, ea.Z+1, eb.Z-1)
 			for _, p := range w.parts {
 				if z := applyRow(p.vec, chain) & w.d.live; z != 0 {
-					w.match(z, p.leaves, w.y[cb.ID])
+					w.match(z, p.leaves, w.y[cb])
 				}
 			}
 		}
 	}
-	liveA := live(ac, w.x)
-	for _, cb := range bc {
+	liveA := live(n1, a, w.x)
+	for cb := b + 1; cb < n2[b].Next; cb = n2[cb].Next {
 		if len(liveA) == 0 || w.stopped {
 			break
 		}
 		w.parts = w.parts[:0]
-		for _, g := range cb.Children {
-			mid := w.cyclePort(g.Entry, false)
+		for g := cb + 1; g < n2[cb].Next; g = n2[g].Next {
+			mid := w.cyclePort(n2[g].Entry(), false)
 			if mid.IsZero() { // nil included
 				continue
 			}
-			for _, yb := range w.y[g.ID] {
+			for _, yb := range w.y[g] {
 				if y := applyCol(mid, yb.vec) & w.d.live; y != 0 {
 					w.parts = append(w.parts, bucket{vec: y, leaves: yb.leaves})
 				}
@@ -429,14 +414,14 @@ func (w *fusedWalk) walkRecursive(a, b *reach.TrieNode) {
 		if len(w.parts) == 0 {
 			continue
 		}
-		eb := cb.Entry
+		eb := n2[cb].Entry()
 		for _, ca := range liveA {
-			ea := ca.Entry
+			ea := n1[ca].Entry()
 			if !later(eb, ea) {
 				continue
 			}
 			chain := w.d.chainOut(ea.X, ea.Y, ea.Z-1, eb.Z+1)
-			for _, xb := range w.x[ca.ID] {
+			for _, xb := range w.x[ca] {
 				if z := applyRow(xb.vec, chain) & w.d.live; z != 0 {
 					w.match(z, xb.leaves, w.parts)
 				}

@@ -243,7 +243,7 @@ func TestSeededRowsCancelled(t *testing.T) {
 			dec.Reverse = rev
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			rows, err := SeededRows(ctx, env, ix, dec, 0, -1)
+			rows, err := SeededRows(ctx, env, ix, dec, noWholeTrie(t), 0, -1)
 			runtime.ReadMemStats(&after)
 			if rows != nil || !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s reverse=%v: SeededRows = %v, %v; want context.Canceled", qs, rev, rows, err)

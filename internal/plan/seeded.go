@@ -37,19 +37,24 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, _ Decision, l1, l2 []derive.
 	if !env.Safe() {
 		return expandPairs(env, ix.Run(), L, R, l1, l2, emit)
 	}
-	if t1, t2 := candidateTries(ctx, ix.Run(), l1, l2, L, R); t1 != nil {
+	if t1, t2 := candidateTries(ctx, ix.Run(), l1, l2, L, R, nil); t1 != nil {
 		return env.AllPairsSafeTries(t1, t2, emit)
 	}
 	return nil
 }
 
 // SeededRows is AllPairsSeeded of a safe query over every pair of the run's
-// nodes, into rows (core.Rows): the tries' Perm holds node ids. It ends with
-// ctx.Err() once ctx is done: before the candidate walks, within their next
-// 1,024 expansions, before each trie build, or at the next block of the walk.
-func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, _ Decision, offset, limit int) (*core.Rows, error) {
+// nodes, into rows (core.Rows): the tries' Perm holds node ids. A candidate
+// side over half the run walks all(), the trie of every node, instead of one
+// of its own: the candidates only prune, every match's endpoints are among
+// them, and the walk decides every pair exactly, so walking more nodes finds
+// the same rows. A smaller side decodes only its own labels and never calls
+// all. It ends with ctx.Err() once ctx is done: before the candidate walks,
+// within their next 1,024 expansions, before each trie build, or at the next
+// block of the walk.
+func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, _ Decision, all func() *reach.Trie, offset, limit int) (*core.Rows, error) {
 	L, R := candidates(ctx, env, ix, nil, nil)
-	t1, t2 := candidateTries(ctx, ix.Run(), nil, nil, L, R)
+	t1, t2 := candidateTries(ctx, ix.Run(), nil, nil, L, R, all)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -93,15 +98,23 @@ func candidates(ctx context.Context, env *core.Env, ix *index.Index, l1, l2 []de
 }
 
 // candidateTries builds the tries of l1's entries at L and l2's at R, one for
-// both when L is R — nil when a side is empty or ctx is done first.
-func candidateTries(ctx context.Context, run *derive.Run, l1, l2 []derive.NodeID, L, R []int) (t1, t2 *reach.Trie) {
+// both when L is R — nil when a side is empty or ctx is done first. With a
+// non-nil all, a side of nil list that holds over half the run's nodes is
+// all's trie of every node instead.
+func candidateTries(ctx context.Context, run *derive.Run, l1, l2 []derive.NodeID, L, R []int, all func() *reach.Trie) (t1, t2 *reach.Trie) {
 	if len(L) == 0 || len(R) == 0 {
 		return nil, nil
 	}
-	if t1 = listTrie(ctx, run, l1, L); t1 == nil || &L[0] == &R[0] {
+	side := func(l []derive.NodeID, keep []int) *reach.Trie {
+		if l == nil && all != nil && 2*len(keep) > run.NumNodes() && ctx.Err() == nil {
+			return all()
+		}
+		return listTrie(ctx, run, l, keep)
+	}
+	if t1 = side(l1, L); t1 == nil || &L[0] == &R[0] {
 		return t1, t1
 	}
-	if t2 = listTrie(ctx, run, l2, R); t2 == nil {
+	if t2 = side(l2, R); t2 == nil {
 		return nil, nil
 	}
 	return t1, t2
@@ -129,7 +142,7 @@ func listTrie(ctx context.Context, run *derive.Run, l []derive.NodeID, keep []in
 	labelsDecoded.Add(int64(len(ids)))
 	t := reach.NewTrie(run.LabelsOf(ids))
 	for k, p := range t.Perm {
-		t.Perm[k] = keep[p]
+		t.Perm[k] = int32(keep[p])
 	}
 	return t
 }
@@ -151,9 +164,12 @@ type race struct {
 
 var racePool = sync.Pool{New: func() any { return new(race) }}
 
-// begin starts a request over a run of n nodes: no node is marked.
+// begin starts a request over a run of n nodes: no node is marked. Scratch a
+// run outgrew is replaced with a quarter to spare, so a run growing by small
+// batches reallocates it once per a quarter's growth, not once per version.
 func (r *race) begin(n int) {
 	if r.epoch++; len(r.at) < n || r.epoch == 0 {
+		n += n / 4
 		r.at, r.mask, r.epoch = make([]uint32, n), make([]uint64, n), 1
 	}
 }
@@ -209,8 +225,9 @@ func (r *race) side(ctx context.Context, run *derive.Run, ix *index.Index, tags 
 func (r *race) pick(l []derive.NodeID, bit uint64, nodes []derive.NodeID) []int {
 	var out []int
 	if l == nil {
-		for _, v := range nodes {
-			out = append(out, int(v))
+		out = make([]int, len(nodes))
+		for i, v := range nodes {
+			out[i] = int(v)
 		}
 	}
 	for i, v := range l {

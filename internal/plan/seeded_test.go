@@ -11,6 +11,7 @@ import (
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
 	"provrpq/internal/index"
+	"provrpq/internal/reach"
 	"provrpq/internal/workload"
 )
 
@@ -40,6 +41,15 @@ func rowPairs(rows *core.Rows) [][2]int {
 	})
 	sortPairs(out)
 	return out
+}
+
+// noWholeTrie stands in for the trie of every node where a scan must not
+// build it.
+func noWholeTrie(t *testing.T) func() *reach.Trie {
+	return func() *reach.Trie {
+		t.Error("the trie of every node was asked for")
+		return nil
+	}
 }
 
 // TestSeededProperty: on BioAID and QBLast runs, derived and columnar-opened,
@@ -94,7 +104,7 @@ func TestSeededProperty(t *testing.T) {
 				if !env.Safe() {
 					continue
 				}
-				rows, err := SeededRows(context.Background(), env, ix, dec, 0, -1)
+				rows, err := SeededRows(context.Background(), env, ix, dec, core.NewGeneral(run, ix, core.CostBased).Trie, 0, -1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -161,7 +171,7 @@ func TestSeededDecodesOnlyCandidates(t *testing.T) {
 		ix := index.Build(run)
 		_, env := compile(t, c.d.Spec, c.query)
 		before := labelsDecoded.Load()
-		rows, err := SeededRows(context.Background(), env, ix, Decision{}, 0, -1)
+		rows, err := SeededRows(context.Background(), env, ix, Decision{}, noWholeTrie(t), 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,5 +210,25 @@ func TestReversedExpansionSharesDFA(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { _ = expandPairs(env, run, idx, idx[:1], all, all, func(int, int) {}) }); allocs > 2 {
 		t.Errorf("a warm reversed expansion from one candidate allocated %.0f times", allocs)
+	}
+}
+
+// TestRaceScratchGrowsGeometrically: a pooled race that begins 100 versions
+// of a run growing by 3 nodes each reallocates its scratch a logarithmic
+// number of times, not once per version.
+func TestRaceScratchGrowsGeometrically(t *testing.T) {
+	r, reallocs := new(race), 0
+	for n := 100; n < 400; n += 3 {
+		had := len(r.at)
+		r.begin(n)
+		if len(r.at) < n || len(r.mask) != len(r.at) {
+			t.Fatalf("a run of %d nodes began with scratch of %d and %d", n, len(r.at), len(r.mask))
+		}
+		if len(r.at) != had {
+			reallocs++
+		}
+	}
+	if reallocs > 8 {
+		t.Errorf("100 versions from 100 to 400 nodes reallocated the scratch %d times, want at most 8", reallocs)
 	}
 }

@@ -2,6 +2,7 @@ package reach
 
 import (
 	"testing"
+	"unsafe"
 
 	"provrpq/internal/derive"
 	"provrpq/internal/label"
@@ -179,6 +180,15 @@ func TestPairwisePrefixLabels(t *testing.T) {
 	}
 }
 
+// kids lists the children of node i of tr.
+func kids(tr *Trie, i int32) []int32 {
+	var out []int32
+	for c := i + 1; c < tr.Nodes[i].Next; c = tr.Nodes[c].Next {
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestTrieStructure(t *testing.T) {
 	r := paperRun(t)
 	var labels []label.Label
@@ -186,34 +196,36 @@ func TestTrieStructure(t *testing.T) {
 		labels = append(labels, n.Label)
 	}
 	tr := NewTrie(labels)
-	if tr.Root.Lo != 0 || tr.Root.Hi != len(labels) {
-		t.Fatalf("root range [%d,%d), want [0,%d)", tr.Root.Lo, tr.Root.Hi, len(labels))
+	root := tr.Nodes[0]
+	if root.Lo != 0 || int(root.Hi) != len(labels) || int(root.Next) != len(tr.Nodes) {
+		t.Fatalf("root range [%d,%d) over nodes [0,%d), want [0,%d) over [0,%d)", root.Lo, root.Hi, root.Next, len(labels), len(tr.Nodes))
 	}
 	// Root children = the 4 positions of W1: (0,0) c, (0,1) A-subtree,
 	// (0,2) B-subtree, (0,3) b.
-	if len(tr.Root.Children) != 4 {
-		t.Fatalf("root has %d children, want 4", len(tr.Root.Children))
+	rootKids := kids(tr, 0)
+	if len(rootKids) != 4 {
+		t.Fatalf("root has %d children, want 4", len(rootKids))
 	}
 	// The A-subtree child is the R node: its children are the 3 iterations.
-	rnode := tr.Root.Children[1]
-	if got := rnode.Entry; got != label.Prod(0, 1) {
+	rnode := rootKids[1]
+	if got := tr.Nodes[rnode].Entry(); got != label.Prod(0, 1) {
 		t.Fatalf("second child entry = %v", got)
 	}
-	if len(rnode.Children) != 3 {
-		t.Fatalf("R node has %d children, want 3 iterations", len(rnode.Children))
+	if its := kids(tr, rnode); len(its) != 3 {
+		t.Fatalf("R node has %d children, want 3 iterations", len(its))
 	}
-	for i, it := range rnode.Children {
-		if !it.Entry.Rec || it.Entry.Z != i+1 {
-			t.Errorf("iteration %d entry = %v", i, it.Entry)
+	for i, it := range kids(tr, rnode) {
+		if e := tr.Nodes[it].Entry(); !e.Rec || e.Z != i+1 {
+			t.Errorf("iteration %d entry = %v", i, e)
 		}
 	}
 	// Leaf ranges are contiguous and ordered.
-	last := 0
-	for _, c := range tr.Root.Children {
-		if c.Lo != last {
-			t.Errorf("child range starts at %d, want %d", c.Lo, last)
+	last := int32(0)
+	for _, c := range rootKids {
+		if tr.Nodes[c].Lo != last {
+			t.Errorf("child range starts at %d, want %d", tr.Nodes[c].Lo, last)
 		}
-		last = c.Hi
+		last = tr.Nodes[c].Hi
 	}
 }
 
@@ -236,29 +248,31 @@ func TestTrieSub(t *testing.T) {
 		}
 	}
 	sub, want := full.Sub(keep), NewTrie(kept)
-	if len(sub.Perm) != len(kept) || sub.NumNodes != want.NumNodes {
-		t.Fatalf("sub-trie: %d leaves %d nodes, want %d leaves %d nodes", len(sub.Perm), sub.NumNodes, len(kept), want.NumNodes)
+	if len(sub.Perm) != len(kept) || len(sub.Nodes) != len(want.Nodes) {
+		t.Fatalf("sub-trie: %d leaves %d nodes, want %d leaves %d nodes", len(sub.Perm), len(sub.Nodes), len(kept), len(want.Nodes))
 	}
 	for i, p := range sub.Perm {
 		if !keep[p] || !label.Equal(labels[p], sub.Labels[i]) || !label.Equal(sub.Labels[i], want.Labels[i]) {
 			t.Fatalf("sorted position %d: sub-trie holds %v (list index %d), want %v", i, sub.Labels[i], p, want.Labels[i])
 		}
 	}
-	next := 0
-	var same func(a, b *TrieNode)
-	same = func(a, b *TrieNode) {
-		if a.ID != next || b.ID != next {
-			t.Fatalf("node ids %d/%d, want preorder id %d", a.ID, b.ID, next)
+	next := int32(0)
+	var same func(a, b int32)
+	same = func(a, b int32) {
+		if a != next || b != next {
+			t.Fatalf("node ids %d/%d, want preorder id %d", a, b, next)
 		}
 		next++
-		if a.Entry != b.Entry || a.Lo != b.Lo || a.Hi != b.Hi || len(a.Children) != len(b.Children) {
-			t.Fatalf("node %v [%d,%d) with %d children, want %v [%d,%d) with %d", a.Entry, a.Lo, a.Hi, len(a.Children), b.Entry, b.Lo, b.Hi, len(b.Children))
+		na, nb := sub.Nodes[a], want.Nodes[b]
+		ka, kb := kids(sub, a), kids(want, b)
+		if na != nb || len(ka) != len(kb) {
+			t.Fatalf("node %v [%d,%d) with %d children, want %v [%d,%d) with %d", na.Entry(), na.Lo, na.Hi, len(ka), nb.Entry(), nb.Lo, nb.Hi, len(kb))
 		}
-		for i := range a.Children {
-			same(a.Children[i], b.Children[i])
+		for i := range ka {
+			same(ka[i], kb[i])
 		}
 	}
-	same(sub.Root, want.Root)
+	same(0, 0)
 	for i := range keep {
 		keep[i] = true
 	}
@@ -267,17 +281,19 @@ func TestTrieSub(t *testing.T) {
 	}
 }
 
-// TestTrieExactSize: a trie's node and child-pointer arrays are sized to
-// the trie before it is built — NumNodes entries, and one pointer per node
-// but the root — for NewTrie and Sub alike, so building one is a fixed
-// number of allocations whatever the list's length.
+// TestTrieExactSize: a trie is one array of pointer-free nodes of at most
+// 32 bytes each, sized to the trie before it is built — len == cap, for
+// NewTrie and Sub alike — so building one is a fixed number of allocations
+// whatever the list's length.
 func TestTrieExactSize(t *testing.T) {
+	if size := unsafe.Sizeof(TrieNode{}); size > 32 {
+		t.Errorf("a TrieNode takes %d bytes, want at most 32", size)
+	}
 	exact := func(what string, tr *Trie) {
 		t.Helper()
-		if tr.NumNodes != len(tr.nodes) || len(tr.nodes) != cap(tr.nodes) ||
-			len(tr.kids) != tr.NumNodes-1 || cap(tr.kids) != len(tr.kids) {
-			t.Errorf("%s: %d nodes in a node array of len %d cap %d, child array len %d cap %d",
-				what, tr.NumNodes, len(tr.nodes), cap(tr.nodes), len(tr.kids), cap(tr.kids))
+		if len(tr.Nodes) != cap(tr.Nodes) || int(tr.Nodes[0].Next) != len(tr.Nodes) {
+			t.Errorf("%s: a node array of len %d cap %d, whose root spans %d nodes",
+				what, len(tr.Nodes), cap(tr.Nodes), tr.Nodes[0].Next)
 		}
 	}
 	for _, d := range []*workload.Dataset{workload.BioAID(), workload.QBLast()} {

@@ -11,41 +11,57 @@ import (
 // entries. It is built in one pass over the label-sorted list; leaves of any
 // subtree occupy a contiguous range of the sorted order, recorded as
 // [Lo, Hi) index ranges into the sorted permutation.
+//
+// The nodes live in one pointer-free array in preorder, so a node is its
+// index: the root is 0, a node's first child is the next index, and each
+// child's Next is its next sibling. The array is sized exactly before the
+// build, and the garbage collector never scans it; a trie kept for a run
+// version costs 28 bytes per node and 4 per leaf.
 type Trie struct {
 	Labels []label.Label // sorted; an owner that keeps only the walk's part drops them
-	Perm   []int         // Perm[sorted position] = caller's original index
-	Root   *TrieNode
-	// NumNodes counts the trie's nodes; TrieNode.ID ranges over [0, NumNodes).
-	NumNodes int
-
-	// nodes holds every TrieNode and kids every Children slice, both sized
-	// exactly before the build: two allocations for a trie of any size, and
-	// no spare capacity stranded in one that is kept.
-	nodes []TrieNode
-	kids  []*TrieNode
+	Perm   []int32       // Perm[sorted position] = caller's original index
+	// Nodes holds every node in preorder, len == cap; per-node annotations
+	// of a walk (core's state vectors) live in a slice beside it, indexed
+	// alike.
+	Nodes []TrieNode
 }
 
 // TrieNode is one node of the tree representation.
 type TrieNode struct {
-	// ID numbers the node in preorder, so per-node annotations of a walk
-	// (core's state vectors) live in a slice beside the read-only trie.
-	ID int
-	// Entry is the label entry on the incoming edge (zero for the root).
-	Entry label.Entry
-	// Children in sorted entry order.
-	Children []*TrieNode
+	// Rec, X, Y and Z are the label entry on the incoming edge (zero for
+	// the root), as Entry returns it.
+	Rec     bool
+	X, Y, Z int32
 	// Lo, Hi delimit the subtree's leaves in the sorted order.
-	Lo, Hi int
+	Lo, Hi int32
+	// Next is the index just past the node's subtree. The node's children
+	// are the indices i+1, Nodes[i+1].Next, … below it.
+	Next int32
+}
+
+// Entry returns the label entry on the node's incoming edge.
+func (n *TrieNode) Entry() label.Entry {
+	return label.Entry{Rec: n.Rec, X: int(n.X), Y: int(n.Y), Z: int(n.Z)}
+}
+
+// OwnEnd returns the end of node i's own leaves [Lo, end): the list entries
+// whose full label is the node's prefix sort before every longer label below
+// it, so they end where the first child's leaves begin.
+func (t *Trie) OwnEnd(i int32) int32 {
+	if i+1 < t.Nodes[i].Next {
+		return t.Nodes[i+1].Lo
+	}
+	return t.Nodes[i].Hi
 }
 
 // NewTrie builds the tree representation of the given labels (in any order;
 // the constructor sorts them and records the permutation).
 func NewTrie(labels []label.Label) *Trie {
-	perm := make([]int, len(labels))
+	perm := make([]int32, len(labels))
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	slices.SortFunc(perm, func(a, b int) int { return label.Compare(labels[a], labels[b]) })
+	slices.SortFunc(perm, func(a, b int32) int { return label.Compare(labels[a], labels[b]) })
 	sorted := make([]label.Label, len(perm))
 	for i, p := range perm {
 		sorted[i] = labels[p]
@@ -55,7 +71,7 @@ func NewTrie(labels []label.Label) *Trie {
 
 // NewTrieOf builds, without sorting, the trie of labels already in label
 // order, sorted[i] being entry perm[i] of the caller's list. It keeps both.
-func NewTrieOf(sorted []label.Label, perm []int) *Trie {
+func NewTrieOf(sorted []label.Label, perm []int32) *Trie {
 	// A node is the root or one distinct non-empty prefix: in label order,
 	// each label adds those past its common prefix lcp[i] with the one before.
 	lcp, n := make([]int32, len(sorted)), 1
@@ -65,9 +81,8 @@ func NewTrieOf(sorted []label.Label, perm []int) *Trie {
 		}
 		n += len(l) - int(lcp[i])
 	}
-	t := &Trie{Labels: sorted, Perm: perm, NumNodes: n,
-		nodes: make([]TrieNode, 0, n), kids: make([]*TrieNode, 0, n-1)}
-	t.Root = t.build(lcp, 0, len(sorted), 0)
+	t := &Trie{Labels: sorted, Perm: perm, Nodes: make([]TrieNode, 0, n)}
+	t.build(lcp, 0, len(sorted), 0, label.Entry{})
 	return t
 }
 
@@ -89,7 +104,7 @@ func (t *Trie) Sub(keep []bool) *Trie {
 	if kept == len(t.Perm) {
 		return t
 	}
-	labels, perm := make([]label.Label, 0, kept), make([]int, 0, kept)
+	labels, perm := make([]label.Label, 0, kept), make([]int32, 0, kept)
 	for i, p := range t.Perm {
 		if keep[p] {
 			labels, perm = append(labels, t.Labels[i]), append(perm, p)
@@ -98,39 +113,26 @@ func (t *Trie) Sub(keep []bool) *Trie {
 	return NewTrieOf(labels, perm)
 }
 
-// build groups the sorted slice [lo,hi) by the entry at the given depth. Its
-// labels share their first depth entries, so label i starts a group exactly
-// where lcp[i] is depth.
-func (t *Trie) build(lcp []int32, lo, hi, depth int) *TrieNode {
-	t.nodes = t.nodes[:len(t.nodes)+1] // zeroed, and exactly sized
-	n := &t.nodes[len(t.nodes)-1]
-	n.ID, n.Lo, n.Hi = len(t.nodes)-1, lo, hi
-
+// build appends the node of the sorted slice [lo,hi), entered by entry e,
+// then its subtree: the labels grouped by the entry at the given depth. They
+// share their first depth entries, so label i starts a group exactly where
+// lcp[i] is depth.
+func (t *Trie) build(lcp []int32, lo, hi, depth int, e label.Entry) {
+	at := len(t.Nodes)
+	t.Nodes = append(t.Nodes, TrieNode{Rec: e.Rec, X: int32(e.X), Y: int32(e.Y), Z: int32(e.Z),
+		Lo: int32(lo), Hi: int32(hi)}) // never grows: sized exactly
 	labels := t.Labels
 	// Skip exhausted labels (they are leaves at this node; sorted first).
 	for lo < hi && len(labels[lo]) <= depth {
 		lo++
 	}
-	groups := 0
-	for i := lo; i < hi; i++ {
-		if i == lo || int(lcp[i]) == depth {
-			groups++
-		}
-	}
-	if groups == 0 {
-		return n
-	}
-	t.kids = t.kids[:len(t.kids)+groups]
-	n.Children = t.kids[len(t.kids)-groups : len(t.kids) : len(t.kids)]
-	for c, i := 0, lo; i < hi; c++ {
+	for i := lo; i < hi; {
 		j := i + 1
 		for j < hi && int(lcp[j]) > depth {
 			j++
 		}
-		child := t.build(lcp, i, j, depth+1)
-		child.Entry = labels[i][depth]
-		n.Children[c] = child
+		t.build(lcp, i, j, depth+1, labels[i][depth])
 		i = j
 	}
-	return n
+	t.Nodes[at].Next = int32(len(t.Nodes))
 }

@@ -13,6 +13,7 @@ import (
 
 	"provrpq/internal/derive"
 	"provrpq/internal/plan"
+	"provrpq/internal/reach"
 	"provrpq/internal/wf"
 	"provrpq/internal/workload"
 )
@@ -224,6 +225,135 @@ func TestEvaluateRowsScratch(t *testing.T) {
 	}
 	if _, bytes := allocsOf(eval(eng, q, rows.Total()/2, 1000)); bytes > perRun+4*(1000+2*uint64(eng.run.NumNodes())) {
 		t.Errorf("page of a dense evaluate: %d B, want at most its window's rows + 512 B per node", bytes)
+	}
+}
+
+// TestEngineScansShareOneTrie: on one engine over a BioAID run, a tag-free
+// OptRPL evaluate, a seeded evaluate with a candidate side over half the run
+// and an unsafe decomposition all walk the engine's one trie of every node:
+// each, run first on a fresh engine, leaves that engine's trie built, and on
+// the shared engine the trie stays one object. A version grown by an append
+// gets its own trie. Every answer is G1's.
+func TestEngineScansShareOneTrie(t *testing.T) {
+	ctx := context.Background()
+	d := workload.BioAID()
+	full, err := derive.Derive(d.Spec, derive.Options{Seed: 20150413, TargetEdges: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{s: d.Spec}
+	data, err := EncodeRun(&Run{r: full, spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := full.NumNodes()
+	baseJSON, batchJSONs := splitEncodedRun(t, data, []int{n - 9, n})
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.RegisterSpec("bio", spec); err != nil {
+		t.Fatal(err)
+	}
+	base, err := DecodeRun(spec, baseJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddRun("r", "bio", base); err != nil {
+		t.Fatal(err)
+	}
+	queries := []struct {
+		q        string
+		strategy Strategy
+	}{{"a*", StrategyOptRPL}, {"_*.L1._*", StrategySeeded}, {"p6_2._*._", Auto}}
+	// shared evaluates every query on eng, checks its answer and its trie,
+	// and returns the trie.
+	shared := func(eng *Engine) *reach.Trie {
+		t.Helper()
+		var first *reach.Trie
+		all := eng.Run().AllNodes()
+		for _, c := range queries {
+			q := MustParseQuery(c.q)
+			fresh := NewEngine(eng.Run())
+			if _, _, err := fresh.EvaluateRows(ctx, q, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fresh.general().Trie()
+			runtime.ReadMemStats(&after)
+			if after.Mallocs != before.Mallocs {
+				t.Errorf("%s on %d nodes left the engine's trie unbuilt", c.q, eng.Run().NumNodes())
+			}
+			rows, rep, err := eng.EvaluateRows(ctx, q, 0, -1)
+			if err != nil || rep.Strategy != c.strategy || rep.Decomposed != (c.strategy == Auto) {
+				t.Fatalf("%s: %v, strategy %v (decomposed %v), want %v", c.q, err, rep.Strategy, rep.Decomposed, c.strategy)
+			}
+			if got, want := rows.Pairs(), G1AllPairs(eng, q, all, all); len(want) == 0 || !slices.Equal(got, want) {
+				t.Errorf("%s on %d nodes: %d pairs, G1 %d", c.q, len(all), len(got), len(want))
+			}
+			tr := eng.general().Trie()
+			if first == nil {
+				first = tr
+			}
+			if tr != first || len(tr.Perm) != len(all) {
+				t.Errorf("%s: trie %p of %d leaves, want the engine's one %p of %d", c.q, tr, len(tr.Perm), first, len(all))
+			}
+		}
+		return first
+	}
+	old, err := cat.Engine("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := shared(old)
+	b, err := DecodeBatch(spec, batchJSONs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.AppendEdges("r", b); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := cat.Engine("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := shared(grown); after == before || len(after.Perm) != n {
+		t.Errorf("the grown version walks trie %p of %d leaves, the base %p; want its own of %d", after, len(after.Perm), before, n)
+	}
+}
+
+// TestSeededWarmWholeSideBuildsNoTrie: the seeded evaluate of mixed's query,
+// _*.L1._*, has a candidate side over half the run, which walks the engine's
+// trie of every node. A warm evaluate allocates at least one such trie's
+// build less than the first on an engine whose index, planner and plan are
+// ready.
+func TestSeededWarmWholeSideBuildsNoTrie(t *testing.T) {
+	run, q := bioRunAt(t, 2000), MustParseQuery("_*.L1._*")
+	bytesOf := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	eval := func(eng *Engine) func() {
+		return func() {
+			if _, rep, err := eng.EvaluateRows(context.Background(), q, 0, -1); err != nil || rep.Strategy != StrategySeeded {
+				t.Fatalf("%v, strategy %v; want seeded", err, rep.Strategy)
+			}
+		}
+	}
+	warm := NewEngine(run)
+	eval(warm)()
+	cold := NewEngine(run)
+	if _, err := cold.Explain(q); err != nil { // the plan, the index and the planner's sample
+		t.Fatal(err)
+	}
+	first, second := bytesOf(eval(cold)), ^uint64(0)
+	for i := 0; i < 3; i++ { // a pooled decoder a collection dropped is not the trie
+		second = min(second, bytesOf(eval(warm)))
+	}
+	build := bytesOf(func() { reach.NewTrie(run.r.MaterializeLabels()) })
+	if first < second+build {
+		t.Errorf("a warm evaluate allocates %d B, a cold one %d B: not the %d B of the whole trie less", second, first, build)
 	}
 }
 
