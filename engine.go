@@ -182,11 +182,12 @@ type Engine struct {
 	plans *plancache.Cache
 
 	// envMemo fronts the shared plan cache with a per-engine, lock-free
-	// hit path (the pairwise decode is nanosecond-scale; a contended
-	// process-wide mutex per call would serialize it). It also pins every
-	// plan this engine has resolved, so an LRU eviction in the shared
-	// cache never invalidates an engine's working set — in particular a
-	// RelaxSafety upgrade survives for the engine that performed it.
+	// hit keyed by the query's canonical string, so a hit neither locks
+	// nor re-renders the query (the pairwise decode is nanosecond-scale; a
+	// contended process-wide mutex per call would serialize it). It also
+	// pins every plan this engine has resolved, so an LRU eviction in the
+	// shared cache never costs the engine a recompile or the warm decoders
+	// of its working set.
 	envMemo sync.Map // query string -> *core.Env
 
 	ixOnce sync.Once
@@ -259,25 +260,6 @@ func (e *Engine) IsSafe(q *Query) (bool, error) {
 		return false, err
 	}
 	return env.Safe(), nil
-}
-
-// IsSafeRelaxed additionally tries *context-restricted safety*, an
-// extension beyond the paper: determinism is required only for DFA states
-// that can actually arrive at a module's input on some run path. Strictly
-// more queries qualify (e.g. a query whose ambiguity involves a state no
-// path upstream of the module can produce). When relaxation succeeds, the
-// compiled environment becomes safe, so subsequent Pairwise and AllPairs
-// calls on the same query use the constant-time label decode — permanently
-// for this engine (its plan memo pins the upgraded plan), and for other
-// engines sharing the plan cache while the plan stays resident there. The
-// upgrade is published atomically; concurrent readers see either the
-// strict or the fully relaxed verdict.
-func (e *Engine) IsSafeRelaxed(q *Query) (bool, error) {
-	env, err := e.env(q)
-	if err != nil {
-		return false, err
-	}
-	return env.RelaxSafety(), nil
 }
 
 // Pairwise answers u —R→ v. Safe queries are answered in constant time from
@@ -495,7 +477,7 @@ func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision,
 type PlanReport struct {
 	// Query is the canonical query rendering.
 	Query string
-	// Safe is the (possibly relaxed) safety verdict.
+	// Safe is the safety verdict (Definition 13).
 	Safe bool
 	// Strategy is what Auto uses: StrategyRPL, StrategyOptRPL or
 	// StrategySeeded for safe queries; Auto (decomposition) when unsafe.
@@ -628,8 +610,12 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 // and every row's place, then writes the rows the window meets into one
 // array of their size: a page costs the count pass plus its own pairs, and
 // nothing is sorted but a row whose targets arrived out of order. Once ctx is
-// done the evaluation returns ctx.Err() at its next block of pairs.
+// done the evaluation returns ctx.Err() at its next block of pairs. A
+// negative offset is an error.
 func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) (*Rows, *PlanReport, error) {
+	if offset < 0 {
+		return nil, nil, fmt.Errorf("provrpq: offset %d is negative", offset)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

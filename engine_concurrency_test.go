@@ -2,7 +2,7 @@ package provrpq_test
 
 // Concurrency tests for the engine stack: one shared Engine (and two
 // engines sharing a plan cache) hammered from many goroutines with a mix of
-// Pairwise / AllPairs / Evaluate / IsSafeRelaxed calls, asserting every
+// Pairwise / AllPairs / Evaluate / IsSafe calls, asserting every
 // answer matches the serial one. Run with -race; the suite exists to fail
 // under it.
 
@@ -15,8 +15,8 @@ import (
 )
 
 // forkSpec is the public-API equivalent of the Fig. 14 fork pattern: every
-// execution of M spells a^j, so a* is safe, a*.b is strict-unsafe but
-// relaxed-safe, and a+ is genuinely unsafe (G2 fallback).
+// execution of M spells a^j, so a* is safe while a*.b and a+ are unsafe
+// (answered by the search fallback and the decomposition).
 func forkSpec(t testing.TB) *provrpq.Spec {
 	t.Helper()
 	spec, err := provrpq.NewSpecBuilder().
@@ -62,14 +62,14 @@ func samePairs(a, b []provrpq.Pair) bool {
 }
 
 // TestEngineConcurrentMixedCalls hammers one shared Engine with every entry
-// point at once — safe decodes, the unsafe G2 fallback, all-pairs scans,
-// the general evaluator, and the relaxation state transition — and checks
-// each answer against one engine's called from a single goroutine.
+// point at once — safe decodes, the unsafe search fallback, all-pairs
+// scans, the general evaluator and the safety verdicts — and checks each
+// answer against one engine's called from a single goroutine.
 func TestEngineConcurrentMixedCalls(t *testing.T) {
 	spec := forkSpec(t)
 	run := forkRun(t, spec, 7, 120)
 	qSafe := provrpq.MustParseQuery("a*")
-	qRelax := provrpq.MustParseQuery("a*.b")
+	qStrict := provrpq.MustParseQuery("a*.b") // unsafe: M's two productions disagree
 	qUnsafe := provrpq.MustParseQuery("a+")
 
 	anodes := run.NodesOfModule("a")
@@ -87,14 +87,14 @@ func TestEngineConcurrentMixedCalls(t *testing.T) {
 		}
 	}
 	wantSafe := map[pw]bool{}
-	wantRelax := map[pw]bool{}
+	wantStrict := map[pw]bool{}
 	wantUnsafe := map[pw]bool{}
 	for _, s := range samples {
 		var err error
 		if wantSafe[s], err = serial.Pairwise(qSafe, s.u, s.v); err != nil {
 			t.Fatal(err)
 		}
-		if wantRelax[s], err = serial.Pairwise(qRelax, s.u, s.v); err != nil {
+		if wantStrict[s], err = serial.Pairwise(qStrict, s.u, s.v); err != nil {
 			t.Fatal(err)
 		}
 		if wantUnsafe[s], err = serial.Pairwise(qUnsafe, s.u, s.v); err != nil {
@@ -109,13 +109,17 @@ func TestEngineConcurrentMixedCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantStrictEval, err := serial.Evaluate(qStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantReach, err := serial.AllPairsReachable(anodes, anodes)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The engine under test: a private cache so the relaxation transition
-	// runs inside this test.
+	// The engine under test: a private cache so every compile runs inside
+	// this test, raced by the calls that need it.
 	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(64)})
 
 	const goroutines = 16
@@ -137,26 +141,24 @@ func TestEngineConcurrentMixedCalls(t *testing.T) {
 						errs <- fmt.Errorf("Pairwise(a*, %d, %d) = %v, want %v", s.u, s.v, got, wantSafe[s])
 					}
 				case 1:
-					// The relaxable query races the IsSafeRelaxed upgrade:
-					// before it lands the G2 fallback answers, afterwards
-					// the label decode does — both must agree with serial.
 					s := samples[(g*iters+it)%len(samples)]
-					got, err := eng.Pairwise(qRelax, s.u, s.v)
+					got, err := eng.Pairwise(qStrict, s.u, s.v)
 					if err != nil {
 						errs <- err
-					} else if got != wantRelax[s] {
-						errs <- fmt.Errorf("Pairwise(a*.b, %d, %d) = %v, want %v", s.u, s.v, got, wantRelax[s])
+					} else if got != wantStrict[s] {
+						errs <- fmt.Errorf("Pairwise(a*.b, %d, %d) = %v, want %v", s.u, s.v, got, wantStrict[s])
 					}
 				case 2:
-					if ok, err := eng.IsSafeRelaxed(qRelax); err != nil {
-						errs <- err
-					} else if !ok {
-						errs <- fmt.Errorf("IsSafeRelaxed(a*.b) = false, want true")
-					}
-					if ok, err := eng.IsSafeRelaxed(qUnsafe); err != nil {
+					if ok, err := eng.IsSafe(qStrict); err != nil {
 						errs <- err
 					} else if ok {
-						errs <- fmt.Errorf("IsSafeRelaxed(a+) = true, want false")
+						errs <- fmt.Errorf("IsSafe(a*.b) = true, want false")
+					}
+					got, err := eng.Evaluate(qStrict)
+					if err != nil {
+						errs <- err
+					} else if !samePairs(got, wantStrictEval) {
+						errs <- fmt.Errorf("Evaluate(a*.b): %d pairs, want %d", len(got), len(wantStrictEval))
 					}
 				case 3:
 					got, err := eng.AllPairs(qSafe, anodes, anodes, provrpq.Auto)
@@ -199,8 +201,8 @@ func TestEngineConcurrentMixedCalls(t *testing.T) {
 
 // TestEnginesSharePlanCache runs two engines over different runs of one
 // specification against one explicit plan cache, concurrently, and checks
-// that plans are genuinely shared: a relaxation upgrade performed through
-// one engine is visible to the other.
+// that plans are genuinely shared: a plan compiled through one engine is a
+// cache hit for the other.
 func TestEnginesSharePlanCache(t *testing.T) {
 	spec := forkSpec(t)
 	run1 := forkRun(t, spec, 11, 300)
@@ -209,7 +211,7 @@ func TestEnginesSharePlanCache(t *testing.T) {
 	e1 := provrpq.NewEngineOpts(run1, provrpq.EngineOptions{PlanCache: pc})
 	e2 := provrpq.NewEngineOpts(run2, provrpq.EngineOptions{PlanCache: pc})
 	qSafe := provrpq.MustParseQuery("a*")
-	qRelax := provrpq.MustParseQuery("a*.b")
+	qStrict := provrpq.MustParseQuery("a*.b")
 
 	// Serial ground truth per engine.
 	want1, err := provrpq.NewEngineOpts(run1, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(8)}).Evaluate(qSafe)
@@ -250,44 +252,16 @@ func TestEnginesSharePlanCache(t *testing.T) {
 		t.Fatal("plan cache unused")
 	}
 
-	// Plan sharing makes the relaxation upgrade visible across engines.
-	if ok, err := e1.IsSafe(qRelax); err != nil || ok {
-		t.Fatalf("IsSafe(a*.b) = %v, %v; want false before relaxation", ok, err)
+	// A plan e1 compiles is a hit for e2: no second compile.
+	if ok, err := e1.IsSafe(qStrict); err != nil || ok {
+		t.Fatalf("IsSafe(a*.b) = %v, %v; want false", ok, err)
 	}
-	if ok, err := e1.IsSafeRelaxed(qRelax); err != nil || !ok {
-		t.Fatalf("IsSafeRelaxed(a*.b) = %v, %v; want true", ok, err)
+	before := pc.Stats()
+	if ok, err := e2.IsSafe(qStrict); err != nil || ok {
+		t.Fatalf("IsSafe(a*.b) on the sharing engine = %v, %v; want false", ok, err)
 	}
-	if ok, err := e2.IsSafe(qRelax); err != nil || !ok {
-		t.Fatalf("IsSafe(a*.b) on the sharing engine = %v, %v; want true after relaxation", ok, err)
-	}
-}
-
-// TestRelaxationSurvivesPlanEviction churns a capacity-1 plan cache until
-// the relaxed plan is long evicted: the engine that performed the upgrade
-// must keep answering with the constant-time decode (its memo pins the
-// plan), per the IsSafeRelaxed contract.
-func TestRelaxationSurvivesPlanEviction(t *testing.T) {
-	spec := forkSpec(t)
-	run := forkRun(t, spec, 5, 150)
-	pc := provrpq.NewPlanCache(1)
-	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: pc})
-	qRelax := provrpq.MustParseQuery("a*.b")
-	if ok, err := eng.IsSafeRelaxed(qRelax); err != nil || !ok {
-		t.Fatalf("IsSafeRelaxed(a*.b) = %v, %v", ok, err)
-	}
-	// Evict a*.b from the shared cache by compiling other queries.
-	for _, qs := range []string{"a*", "a+", "_*", "_+"} {
-		if _, err := eng.IsSafe(provrpq.MustParseQuery(qs)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// StrategyRPL demands a safe plan: it must still see the upgrade.
-	anodes := run.NodesOfModule("a")
-	if _, err := eng.AllPairs(qRelax, anodes, anodes, provrpq.StrategyRPL); err != nil {
-		t.Fatalf("AllPairs(a*.b, RPL) after eviction: %v", err)
-	}
-	if ok, err := eng.IsSafe(qRelax); err != nil || !ok {
-		t.Fatalf("IsSafe(a*.b) after eviction = %v, %v; the memo must pin the relaxed plan", ok, err)
+	if after := pc.Stats(); after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("e2's IsSafe(a*.b): stats %+v → %+v; want one more hit and no miss", before, after)
 	}
 }
 

@@ -1,7 +1,7 @@
 package provrpq_test
 
 // Tests for the plan report surface: Engine.Explain / EvaluatePlanned
-// across safe, unsafe and relaxed queries, the empty-run and absent-tag
+// across safe and unsafe queries, the empty-run and absent-tag
 // edge cases the cost model must stay finite on, and the catalog wiring
 // (per-run-generation plan refresh after growth).
 
@@ -136,47 +136,6 @@ func TestExplainUnsafeQuery(t *testing.T) {
 		t.Error("decomposition reports zero relational nodes")
 	}
 	checkCosts(t, rep) // zeroed, but must not be NaN
-}
-
-// TestExplainRelaxedQuery: a strict-unsafe, relaxed-safe query reports the
-// decomposition before RelaxSafety and a single safe scan after — the
-// upgrade flows through to the planner.
-func TestExplainRelaxedQuery(t *testing.T) {
-	spec := forkSpec(t)
-	run := forkRun(t, spec, 3, 120)
-	eng := provrpq.NewEngineOpts(run, provrpq.EngineOptions{PlanCache: provrpq.NewPlanCache(0)})
-	q := provrpq.MustParseQuery("a*.b")
-
-	before, err := eng.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Safe || !before.Decomposed {
-		t.Fatalf("a*.b should be strictly unsafe before relaxation, got %+v", before)
-	}
-	if ok, err := eng.IsSafeRelaxed(q); err != nil || !ok {
-		t.Fatalf("IsSafeRelaxed(a*.b) = %v, %v; want true", ok, err)
-	}
-	after, err := eng.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.Safe || after.Decomposed {
-		t.Fatalf("a*.b should report a safe single scan after relaxation, got %+v", after)
-	}
-	if after.SeedTag != "b" {
-		t.Errorf("relaxed a*.b seed = %q, want \"b\" (the required terminal tag)", after.SeedTag)
-	}
-	checkCosts(t, after)
-	// The relaxed safe scan must answer exactly like the relational baseline.
-	g1 := provrpq.G1AllPairs(eng, q, run.AllNodes(), run.AllNodes())
-	planned, _, err := eng.EvaluatePlanned(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePairs(planned, g1) {
-		t.Errorf("relaxed planned evaluation (%d pairs) disagrees with G1 (%d pairs)", len(planned), len(g1))
-	}
 }
 
 // TestExplainEmptyRun: a run with zero nodes must plan and evaluate

@@ -66,53 +66,6 @@ func TestEngineAgreesWithOracleOnDatasets(t *testing.T) {
 	}
 }
 
-// TestRelaxedSafetyEndToEnd drives the context-restricted safety extension
-// through the public API on the fork dataset shape.
-func TestRelaxedSafetyEndToEnd(t *testing.T) {
-	spec, err := provrpq.NewSpecBuilder().
-		Start("S").
-		Prod("S", []string{"M", "b"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "b"}}).
-		Prod("M", []string{"a", "M"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "a"}}).
-		Prod("M", []string{"a"}, nil).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := spec.Derive(provrpq.DeriveOptions{Seed: 1, TargetEdges: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := provrpq.NewEngine(run)
-	q := provrpq.MustParseQuery("a*.b")
-	strict, err := eng.IsSafe(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strict {
-		t.Fatal("a*.b should be strictly unsafe")
-	}
-	relaxed, err := eng.IsSafeRelaxed(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relaxed {
-		t.Fatal("a*.b should be relaxed-safe")
-	}
-	// After relaxation the constant-time strategies are available and agree
-	// with the G1 baseline.
-	as := run.NodesOfModule("a")
-	bs := run.NodesOfModule("b")
-	fast, err := eng.AllPairs(q, as, bs, provrpq.StrategyOptRPL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := provrpq.G1AllPairs(eng, q, as, bs)
-	if len(fast) != len(slow) || len(fast) != len(as) {
-		t.Fatalf("relaxed decode: optRPL %d, G1 %d, want %d (every a reaches b via a*)",
-			len(fast), len(slow), len(as))
-	}
-}
-
 // rehydrate converts an internal run to a public one through the JSON
 // persistence layer, exercising it on dataset-scale runs.
 func rehydrate(t testing.TB, d *workload.Dataset, run *derive.Run) *provrpq.Run {

@@ -28,14 +28,16 @@ type artifacts struct {
 	stepOut [][]Mat
 }
 
-// artifactsFor returns the state's decode structures, building them exactly
-// once; callers must have verified st.safe.
-func (e *Env) artifactsFor(st *envState) *artifacts {
-	if !st.safe {
+// artifacts returns the decode structures, building them exactly once;
+// callers must have verified Safe.
+//
+//provrpq:mutator
+func (e *Env) artifacts() *artifacts {
+	if !e.Safe() {
 		panic("core: decode artifacts requested for an unsafe query")
 	}
-	st.artOnce.Do(func() { st.art = e.buildArtifacts(st.lambda) })
-	return st.art
+	e.artOnce.Do(func() { e.art = e.buildArtifacts(e.lambda) })
+	return e.art
 }
 
 // buildArtifacts materializes the port-transition tables against one λ
@@ -112,7 +114,6 @@ func (e *Env) bodyMidMats(lam []Mat, k int) []Mat {
 // artifacts and λ tables are shared and immutable.
 type Decoder struct {
 	e   *Env
-	st  *envState
 	art *artifacts
 
 	// id is the identity every empty chain range answers with; live masks
@@ -143,12 +144,10 @@ const (
 	flavorOut
 )
 
-// NewDecoder returns a fresh decoder over the environment's current state.
-// It panics when the query is not (relaxed-)safe.
-func (e *Env) NewDecoder() *Decoder { return e.newDecoder(e.state.Load()) }
-
-func (e *Env) newDecoder(st *envState) *Decoder {
-	d := &Decoder{e: e, st: st, art: e.artifactsFor(st), id: Identity(e.NQ), live: e.liveMask()}
+// NewDecoder returns a fresh decoder with empty memo tables. It panics when
+// the query is not safe.
+func (e *Env) NewDecoder() *Decoder {
+	d := &Decoder{e: e, art: e.artifacts(), id: Identity(e.NQ), live: e.liveMask()}
 	for f, steps := range [2][][]Mat{d.art.stepIn, d.art.stepOut} {
 		d.chains[f] = make([][][]Mat, len(steps))
 		d.loops[f] = make([][]*powSeq, len(steps))
@@ -160,18 +159,17 @@ func (e *Env) newDecoder(st *envState) *Decoder {
 	return d
 }
 
-// decoder borrows a pooled decoder for the current state; release returns
-// it. The pool keeps memo tables warm across the convenience entry points
-// without sharing them between goroutines.
+// decoder borrows a pooled decoder, nil when the query is unsafe; release
+// returns it. The pool keeps memo tables warm across the convenience entry
+// points without sharing them between goroutines.
 func (e *Env) decoder() *Decoder {
-	st := e.state.Load()
-	if !st.safe {
+	if !e.Safe() {
 		return nil
 	}
-	return st.decPool.Get().(*Decoder)
+	return e.decPool.Get().(*Decoder)
 }
 
-func (e *Env) release(d *Decoder) { d.st.decPool.Put(d) }
+func (e *Env) release(d *Decoder) { e.decPool.Put(d) }
 
 // powSeq caches successive powers of a loop-product matrix until the
 // sequence becomes periodic, giving O(1) lookups of arbitrary powers. A

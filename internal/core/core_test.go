@@ -207,8 +207,8 @@ func specsAndQueries() map[string]querySuite {
 		},
 		"fork": {
 			spec:    wf.ForkSpec(),
-			queries: []string{"_*", "a*", "a*.b", "a+", "a+.b", "ε"},
-			minSafe: 2,
+			queries: []string{"_*", "a*", "a*.b", "a+", "a+.b", "ε", "(a|b)*", "a*.b._*"},
+			minSafe: 4,
 		},
 		"multicycle": {
 			spec:    multi,

@@ -22,19 +22,18 @@
 //
 // A compiled Env depends only on (Spec, query), never on a run, so it is
 // shared freely: after Compile returns, every exported method is safe for
-// concurrent use by any number of goroutines. The safety verdict, λ table
-// and decode artifacts live in an immutable state record behind an atomic
-// pointer; RelaxSafety is the only transition, publishing a complete
-// replacement state at most once. The mutable per-scan memo tables
-// (chain range products and loop powers) are owned by Decoder values — one per
-// goroutine in parallel scans, pooled per state for the convenience entry
-// points — so the decode hot path never locks.
+// concurrent use by any number of goroutines. Compile fixes the safety
+// verdict and the λ table for good (Definitions 12/13 decide safety once
+// per specification and query); the decode artifacts are built once, on
+// first use. The mutable per-scan memo tables (chain range products and
+// loop powers) are owned by Decoder values — one per goroutine, pooled on
+// the Env for the convenience entry points — so the decode hot path never
+// locks.
 package core
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"provrpq/internal/automata"
 	"provrpq/internal/wf"
@@ -42,9 +41,9 @@ import (
 
 // Env is a query compiled against a specification: the minimal DFA, the
 // per-module dependency matrices λ, the safety verdict, and (for safe
-// queries) the decode artifacts. An Env is immutable up to the single
-// RelaxSafety transition and safe for concurrent use; see the package
-// comment.
+// queries) the decode artifacts. An Env is immutable once Compile returns
+// (its lazily built artifacts and memos are once-guarded) and safe for
+// concurrent use; see the package comment.
 //
 //provrpq:immutable
 type Env struct {
@@ -54,16 +53,17 @@ type Env struct {
 	// NQ is the minimal DFA's state count.
 	NQ int
 
-	// state holds everything the safety verdict governs. It is replaced
-	// wholesale (never mutated) when RelaxSafety upgrades the verdict.
-	state atomic.Pointer[envState]
+	// lambda is the per-module λ table; unsafeModule/unsafeProd witness an
+	// unsafe verdict and are -1 when the query is safe.
+	lambda       []Mat
+	unsafeModule wf.ModuleID
+	unsafeProd   int
 
-	// relaxMu serializes RelaxSafety; relaxTried (guarded by it) makes a
-	// failed relaxation sticky so the fixpoint never reruns.
-	//
-	//provrpq:lockrank relaxMu 50
-	relaxMu    sync.Mutex
-	relaxTried bool
+	// art holds the decode artifacts of a safe query, built once on first
+	// use; decPool holds decoders warmed against them.
+	artOnce sync.Once
+	art     *artifacts
+	decPool sync.Pool // of *Decoder
 
 	// reqOnce/reqSyms memoize RequiredSyms. They depend only on the minimal
 	// DFA (never on the safety verdict), so one computation serves every
@@ -72,21 +72,6 @@ type Env struct {
 	reqSyms []string
 	revOnce sync.Once // memoizes revDFA (ReverseDFA), likewise
 	revDFA  *automata.DFA
-}
-
-// envState is one published safety verdict: the λ table that produced it
-// and, for safe verdicts, the lazily built decode artifacts plus a pool of
-// decoders warmed against them. All fields except the sync.Once-guarded art
-// are written before the state is published and read-only afterwards.
-type envState struct {
-	lambda       []Mat
-	safe         bool
-	unsafeModule wf.ModuleID
-	unsafeProd   int
-
-	artOnce sync.Once
-	art     *artifacts
-	decPool sync.Pool // of *Decoder bound to this state
 }
 
 // Compile builds the query environment: minimal DFA over the specification's
@@ -104,35 +89,29 @@ func Compile(spec *wf.Spec, query *automata.Node) (*Env, error) {
 		DFA:   dfa,
 		NQ:    dfa.NumStates(),
 	}
-	e.publish(e.computeLambda())
+	e.lambda, e.unsafeModule, e.unsafeProd = e.computeLambda()
+	e.decPool.New = func() any { return e.NewDecoder() }
 	return e, nil
 }
 
-// publish installs a state record and arms its decoder pool.
-func (e *Env) publish(st *envState) {
-	st.decPool.New = func() any { return e.newDecoder(st) }
-	e.state.Store(st)
-}
-
 // Safe reports whether the query is safe w.r.t. the specification
-// (Definition 13, checked on the minimal DFA per Lemma 3.2), or has been
-// upgraded by RelaxSafety.
-func (e *Env) Safe() bool { return e.state.Load().safe }
+// (Definition 13, checked on the minimal DFA per Lemma 3.2).
+func (e *Env) Safe() bool { return e.unsafeProd < 0 }
 
 // Lambda returns the per-module input-to-output transition matrices shared
 // by all executions of each module. The table is valid only when Safe (for
 // unsafe queries the matrices of some module differ across executions).
 // Callers must not mutate the returned matrices.
-func (e *Env) Lambda() []Mat { return e.state.Load().lambda }
+func (e *Env) Lambda() []Mat { return e.lambda }
 
 // UnsafeModule and UnsafeProd witness the violation when !Safe(): the
 // production whose matrix disagreed with the module's established λ. Both
 // return -1 when the query is safe.
-func (e *Env) UnsafeModule() wf.ModuleID { return e.state.Load().unsafeModule }
+func (e *Env) UnsafeModule() wf.ModuleID { return e.unsafeModule }
 
 // UnsafeProd returns the production index of the unsafety witness, -1 when
 // safe.
-func (e *Env) UnsafeProd() int { return e.state.Load().unsafeProd }
+func (e *Env) UnsafeProd() int { return e.unsafeProd }
 
 // tagMat returns the single-symbol transition matrix T of an edge tag:
 // T[q][δ(q,tag)] = 1.
@@ -149,16 +128,13 @@ func (e *Env) tagMat(tag string) Mat {
 // production is verifiable once every body module has λ; the first
 // verifiable production of a module defines λ, later ones must agree or the
 // DFA is unsafe. Productivity of the grammar (enforced by wf.New) guarantees
-// every module's λ is eventually defined.
-func (e *Env) computeLambda() *envState {
+// every module's λ is eventually defined. It returns the table and the
+// first disagreeing production and its module, both -1 when the query is
+// safe.
+func (e *Env) computeLambda() (lam []Mat, unsafeModule wf.ModuleID, unsafeProd int) {
 	s := e.Spec
-	st := &envState{
-		lambda:       make([]Mat, len(s.Modules)),
-		safe:         true,
-		unsafeModule: -1,
-		unsafeProd:   -1,
-	}
-	lam := st.lambda
+	lam = make([]Mat, len(s.Modules))
+	unsafeModule, unsafeProd = -1, -1
 	for i := range s.Modules {
 		if !s.IsComposite(wf.ModuleID(i)) {
 			lam[i] = Identity(e.NQ)
@@ -191,16 +167,12 @@ func (e *Env) computeLambda() *envState {
 			switch {
 			case lam[p.LHS] == nil:
 				lam[p.LHS] = cand
-			case !lam[p.LHS].Eq(cand):
-				if st.safe {
-					st.safe = false
-					st.unsafeModule = p.LHS
-					st.unsafeProd = k
-				}
+			case !lam[p.LHS].Eq(cand) && unsafeProd < 0:
+				unsafeModule, unsafeProd = p.LHS, k
 			}
 		}
 	}
-	return st
+	return lam, unsafeModule, unsafeProd
 }
 
 // prodLambda computes the input-to-output matrix of one production body by

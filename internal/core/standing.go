@@ -30,8 +30,8 @@ import (
 // buckets hold node ids. Not safe for concurrent use.
 type Standing struct {
 	e *Env
-	// d is owned, not pooled: it pins the envState the vectors below were
-	// built under, and keeps its chain memo warm from event to event.
+	// d is owned, not pooled: it keeps its chain memo warm from event to
+	// event.
 	d *Decoder
 
 	// t is the trie of nodes [0, base), x and y its up and down vectors;
@@ -48,11 +48,10 @@ type Standing struct {
 // NewStanding returns an evaluator with nothing retained yet; the query must
 // be safe.
 func (e *Env) NewStanding() (*Standing, error) {
-	st := e.state.Load()
-	if !st.safe {
+	if !e.Safe() {
 		return nil, ErrUnsafe
 	}
-	return &Standing{e: e, d: e.newDecoder(st)}, nil
+	return &Standing{e: e, d: e.NewDecoder()}, nil
 }
 
 // Reset drops the retained half, so the next Delta rebuilds it: for an event
@@ -67,9 +66,6 @@ func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
 	s.tests = 0
 	if lo == hi {
 		return
-	}
-	if st := s.e.state.Load(); st != s.d.st {
-		s.d, s.t = s.e.newDecoder(st), nil
 	}
 	for len(s.ids) < hi {
 		s.ids = append(s.ids, derive.NodeID(len(s.ids)))

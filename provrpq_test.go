@@ -507,3 +507,39 @@ func TestWarmSafePairwiseAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestEnginePinsPlansAcrossEviction churns a capacity-1 plan cache until a
+// plan the engine resolved is long evicted there: the engine's memo still
+// holds it, so a warm safe Pairwise neither recompiles nor allocates.
+func TestEnginePinsPlansAcrossEviction(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop decoders")
+	}
+	spec := introSpec(t)
+	run, err := spec.Derive(DeriveOptions{Seed: 1, TargetEdges: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := NewPlanCache(1)
+	eng := NewEngineOpts(run, EngineOptions{PlanCache: pc})
+	q := MustParseQuery("_*.s._*")
+	u, v := NodeID(0), NodeID(run.NumNodes()-1)
+	if _, err := eng.Pairwise(q, u, v); err != nil {
+		t.Fatal(err)
+	}
+	for _, qs := range []string{"_*", "_+", "s*", "_*.s"} {
+		if _, err := eng.IsSafe(MustParseQuery(qs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := pc.Stats()
+	if before.Evictions < 4 {
+		t.Fatalf("cache stats %+v: the churn should have evicted _*.s._*", before)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = eng.Pairwise(q, u, v) }); n != 0 {
+		t.Errorf("warm Pairwise after eviction allocates %.1f times per call, want 0", n)
+	}
+	if after := pc.Stats(); after.Misses != before.Misses {
+		t.Errorf("Pairwise after eviction recompiled: misses %d → %d", before.Misses, after.Misses)
+	}
+}

@@ -228,6 +228,38 @@ func TestEvaluateRowsScratch(t *testing.T) {
 	}
 }
 
+// TestEvaluateRowsRejectsNegativeOffset: a window cannot start before the
+// first row. A negative offset is an error on the safe path, the unsafe one
+// and every batch cell, not a window whose Len() disagrees with its pairs.
+func TestEvaluateRowsRejectsNegativeOffset(t *testing.T) {
+	spec := &Spec{s: wf.ForkSpec()}
+	run, err := spec.Derive(DeriveOptions{Seed: 1, TargetEdges: 200, FavorModule: "M"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(run)
+	queries := []*Query{MustParseQuery("_*"), MustParseQuery("a+")}
+	for _, q := range queries {
+		for _, limit := range []int{10, -1} {
+			if rows, _, err := eng.EvaluateRows(context.Background(), q, -5, limit); err == nil {
+				t.Errorf("EvaluateRows(%s, -5, %d): Len() %d, %d pairs; want an error", q, limit, rows.Len(), len(rows.Pairs()))
+			}
+		}
+	}
+	cat := NewCatalog(CatalogOptions{})
+	if err := cat.RegisterSpec("fork", spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddRun("r", "fork", run); err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range cat.EvaluateBatchRows(context.Background(), nil, queries, -5, 10) {
+		if res.Err == nil {
+			t.Errorf("EvaluateBatchRows(%s, -5, 10): no error", res.Query)
+		}
+	}
+}
+
 // TestEngineScansShareOneTrie: on one engine over a BioAID run, a tag-free
 // OptRPL evaluate, a seeded evaluate with a candidate side over half the run
 // and an unsafe decomposition all walk the engine's one trie of every node:
