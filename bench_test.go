@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"provrpq"
@@ -18,6 +20,7 @@ import (
 	"provrpq/internal/plan"
 	"provrpq/internal/reach"
 	"provrpq/internal/rel"
+	"provrpq/internal/wf"
 	"provrpq/internal/workload"
 )
 
@@ -304,27 +307,31 @@ func BenchmarkSeededWholeSide8K(b *testing.B) {
 // the planner answers by OptRPL, on the 350-edge fork run and the 720-edge
 // BioAID run, reopened from their columnar encoding as the daemon boots them.
 // A warm count walks the engine's one trie of every node against itself.
+// paper1500 is a run where both halves of every Case 2 sweep fire: _* on
+// the paper's specification, 384K blocks for 772K pairs.
 func BenchmarkEvaluateScanCount(b *testing.B) {
-	d := workload.BioAID()
+	bio := workload.BioAID()
 	for _, f := range []struct {
 		name   string
+		d      *workload.Dataset
 		opts   derive.Options
 		counts map[string]int
 	}{
-		{"fork350/", derive.Options{Seed: 20150413, TargetEdges: 350, FavorModules: d.ForkFavor, FavorCaps: d.ForkCaps},
+		{"fork350/", bio, derive.Options{Seed: 20150413, TargetEdges: 350, FavorModules: bio.ForkFavor, FavorCaps: bio.ForkCaps},
 			map[string]int{"a*": 21309, "(a|fl)*": 42890}},
-		{"std720/", derive.Options{Seed: 20150413, TargetEdges: 720}, map[string]int{"a*": 816, "(a|fl)*": 817}},
+		{"std720/", bio, derive.Options{Seed: 20150413, TargetEdges: 720}, map[string]int{"a*": 816, "(a|fl)*": 817}},
+		{"paper1500/", &workload.Dataset{Spec: wf.PaperSpec()}, derive.Options{Seed: 3, TargetEdges: 1500}, map[string]int{"_*": 771903}},
 	} {
-		run, err := derive.Derive(d.Spec, f.opts)
+		run, err := derive.Derive(f.d.Spec, f.opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		col, err := provrpq.ReopenColumnar(rehydrate(b, d, run))
+		col, err := provrpq.ReopenColumnar(rehydrate(b, f.d, run))
 		if err != nil {
 			b.Fatal(err)
 		}
 		eng := provrpq.NewEngine(col)
-		for _, qs := range []string{"a*", "(a|fl)*"} {
+		for _, qs := range slices.Sorted(maps.Keys(f.counts)) {
 			q := provrpq.MustParseQuery(qs)
 			b.Run(f.name+qs, func(b *testing.B) {
 				b.ReportAllocs()

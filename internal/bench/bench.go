@@ -451,11 +451,16 @@ func kleene(cfg Config, d *workload.Dataset) error {
 		if err != nil {
 			return err
 		}
+		optMatches := 0
 		optT, err := timeOfErr(func() error {
-			return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) {})
+			optMatches = 0
+			return env.AllPairsSafeParallel(labels, labels, core.OptRPL, 1, func(i, j int) { optMatches++ })
 		})
 		if err != nil {
 			return err
+		}
+		if optMatches != matches {
+			return fmt.Errorf("bench: %s on %d edges: optRPL found %d matches, RPL %d", d.StarQuery(), size, optMatches, matches)
 		}
 		// The paper-faithful baseline self-joins naively until a fixpoint.
 		g1 := baseline.NewG1Naive(ix)

@@ -16,7 +16,9 @@ const (
 	// of the two lists' tree representations that carries DFA state vectors
 	// (walk.go), so a label's decode factors are applied once per tree node
 	// rather than once per pair and subtrees no match can come from are
-	// never enumerated. O((|l1|+|l2|)·depth) vector steps plus the output.
+	// never enumerated. O((|l1|+|l2|)·depth·G) vector steps plus the output,
+	// G the number of distinct live state vectors: a recursion chain is
+	// swept once per direction, not pair by pair.
 	OptRPL
 )
 

@@ -107,11 +107,12 @@ func (e *Env) bodyMidMats(lam []Mat, k int) []Mat {
 	return mid
 }
 
-// Decoder answers pairwise decodes against one compiled environment. It
-// owns the mutable memo tables of the decode hot path (the chain range
-// products and loop powers), so a Decoder is NOT safe for concurrent use —
-// parallel scans give every worker goroutine its own. The underlying
-// artifacts and λ tables are shared and immutable.
+// Decoder answers pairwise decodes and runs walks against one compiled
+// environment. It owns the mutable memo tables of the decode hot path (the
+// chain range products and loop powers) and the scratch of a walk's chain
+// sweeps, so a Decoder is NOT safe for concurrent use — concurrent requests
+// each borrow their own. The underlying artifacts and λ tables are shared
+// and immutable.
 type Decoder struct {
 	e   *Env
 	art *artifacts
@@ -136,6 +137,11 @@ type Decoder struct {
 	// decode, so byte-path pairwise answers stop allocating once the
 	// scratch has grown to the label depth.
 	sa, sb label.Label
+
+	// parts and groups are the scratch of a walk's Case 2 sweeps (walk.go),
+	// reused from sweep to sweep and, through the pool, from scan to scan.
+	parts  []sweepPart
+	groups []sweepGroup
 }
 
 // The two chain flavors, indexing Decoder.chains and Decoder.loops.

@@ -51,8 +51,9 @@ func (r *Rows) Each(fn func(from int, to []int32) bool) {
 }
 
 // Order sorts the targets of every held row. A walk hands a source its targets
-// in label order, which is id order wherever ids follow the derivation: such a
-// row is only scanned.
+// in label order, which is id order wherever ids follow the derivation, except
+// the targets an up sweep of Case 2 adds (walk.go): a row still in order is
+// only scanned.
 func (r *Rows) Order() {
 	for u := r.first; u < r.last; u++ {
 		if row := r.row(u); !slices.IsSorted(row) {
@@ -61,13 +62,22 @@ func (r *Rows) Order() {
 	}
 }
 
+// errTooLarge refuses a result whose positions an int32 cannot hold.
+var errTooLarge = fmt.Errorf("core: result exceeds %d pairs", math.MaxInt32)
+
+// counted returns the Rows of a count: the whole result's total, and no row.
+func counted(total, offset int) *Rows {
+	lo := min(offset, total)
+	return &Rows{total: total, lo: lo, hi: lo}
+}
+
 // window turns the row lengths counted into off[1:] into offsets, fixes the
 // window [offset, offset+limit) — to the end when limit < 0 — and returns the
 // number of targets in the rows that meet it.
 func (r *Rows) window(offset, limit int) (held int, err error) {
 	for u := 1; u < len(r.off); u++ {
 		if r.total += int(r.off[u]); r.total > math.MaxInt32 {
-			return 0, fmt.Errorf("core: result exceeds %d pairs", math.MaxInt32)
+			return 0, errTooLarge
 		}
 		r.off[u] = int32(r.total)
 	}
@@ -89,8 +99,20 @@ func (r *Rows) window(offset, limit int) (held int, err error) {
 // window holds no pair (a count), once more to copy each block's targets into
 // the rows the window meets, held in one array of their exact size. off[u] is
 // row u's write cursor meanwhile, so the only scratch is the result's own
-// index: four bytes per source.
+// index: four bytes per source. A count (limit 0) sums the blocks' sizes
+// and holds no index.
 func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(block))) (*Rows, error) {
+	if limit == 0 {
+		total := 0
+		walk(func(b block) { total += len(b.xs) * len(b.ys) })
+		if total > math.MaxInt32 {
+			return nil, errTooLarge
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return counted(total, offset), nil
+	}
 	r := &Rows{off: make([]int32, n+1)}
 	walk(func(b block) {
 		for _, x := range b.xs {
@@ -152,8 +174,7 @@ func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsSt
 // reads the relation's size and holds no row.
 func RowsOf(ctx context.Context, r *rel.Rel, n, offset, limit int) (*Rows, error) {
 	if limit == 0 {
-		lo := min(offset, r.Len())
-		return &Rows{total: r.Len(), lo: lo, hi: lo}, nil
+		return counted(r.Len(), offset), nil
 	}
 	one := []int32{0}
 	return buildRows(ctx, n, offset, limit, func(emit func(block)) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -133,11 +134,11 @@ func TestRowsMatchTheWalk(t *testing.T) {
 	}
 }
 
-// TestWalkStopsAtTheNextBlock: on a scan that runs for more than a second —
-// a* over one fork chain of 30K iterations, whose walk pairs every iteration
-// with every later one — a done channel closed from the first block's
-// callback ends the run before a second block, in under 50 ms; the sink over
-// the same walk returns the context's error, and writes no row.
+// TestWalkStopsAtTheNextBlock: on a scan of many blocks — a* over one fork
+// chain of 30K iterations, whose Case 2 sweep emits a block at nearly every
+// iteration — a done channel closed from the first block's callback ends the
+// run before a second block, in under 50 ms; the sink over the same walk
+// returns the context's error, and writes no row.
 func TestWalkStopsAtTheNextBlock(t *testing.T) {
 	spec := wf.ForkSpec()
 	run, err := derive.Derive(spec, derive.Options{Seed: 1, TargetEdges: 30000, FavorModule: "M"})
@@ -149,15 +150,13 @@ func TestWalkStopsAtTheNextBlock(t *testing.T) {
 	trie := reach.NewTrie(run.MaterializeLabels())
 	w := d.newWalk(trie, trie, d.leafVectors(trie, true), d.leafVectors(trie, false))
 
-	timer := make(chan struct{})
-	time.AfterFunc(time.Second, func() { close(timer) })
-	w.done = timer
-	if w.run(func(block) {}); !w.stopped {
-		t.Skip("the scan finished within a second: too fast here to tell a stop from an end")
+	blocks := 0
+	if w.run(func(block) { blocks++ }); blocks < 1000 || w.stopped {
+		t.Fatalf("an unstopped run emitted %d blocks (stopped %v), want at least 1000", blocks, w.stopped)
 	}
 
 	first := make(chan struct{})
-	blocks := 0
+	blocks = 0
 	w.done = first
 	start := time.Now()
 	w.run(func(block) {
@@ -239,4 +238,47 @@ func TestCountTakesOneWalk(t *testing.T) {
 	if allocs > 1 || count.Total() != total || len(pairsOf(t, count)) != 0 {
 		t.Errorf("a relation's count: %v allocations, total %d, %d pairs; want the Rows alone, total %d, no pair", allocs, count.Total(), count.Len(), total)
 	}
+}
+
+// TestWalkCountHoldsNoIndex: a walk's count (limit 0) sums its blocks' sizes.
+// Its total is the full build's, and the bytes it allocates do not grow with
+// the run: no offset per node is kept for a window that holds no pair.
+func TestWalkCountHoldsNoIndex(t *testing.T) {
+	spec := wf.ForkSpec()
+	env := compile(t, spec, "a*")
+	bytesOfCount := func(edges int) uint64 {
+		t.Helper()
+		run, err := derive.Derive(spec, derive.Options{Seed: 1, TargetEdges: edges, FavorModule: "M"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := env.NewDecoder()
+		trie := reach.NewTrie(run.MaterializeLabels())
+		w := d.newWalk(trie, trie, d.leafVectors(trie, true), d.leafVectors(trie, false))
+		build := func(limit int) *Rows {
+			rows, err := buildRows(context.Background(), run.NumNodes(), 0, limit, w.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+		if full, count := build(-1), build(0); count.Total() != full.Total() || full.Total() == 0 || count.Len() != 0 {
+			t.Fatalf("%d edges: the count says %d pairs (%d in its window), the full build %d", edges, count.Total(), count.Len(), full.Total())
+		}
+		// As testing.AllocsPerRun, but for bytes: one P, warm scratch.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build(0)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := bytesOfCount(300), bytesOfCount(1200)
+	if large > small {
+		t.Errorf("a count allocates %d B on the larger run, %d B on the smaller: it grows with the run", large, small)
+	}
+	t.Logf("bytes per count: %d and %d", small, large)
 }

@@ -214,9 +214,7 @@ type fusedWalk struct {
 	// nothing more is emitted and the recursion unwinds.
 	done    <-chan struct{}
 	stopped bool
-	// parts is scratch for one iteration's mid-applied buckets in
-	// walkRecursive; tests counts bucket-pair tests for the work-bound test.
-	parts []bucket
+	// tests counts bucket-pair tests, for the work-bound tests.
 	tests int
 }
 
@@ -330,9 +328,8 @@ func (w *fusedWalk) cyclePort(en label.Entry, red bool) Mat {
 // red grandchildren — through mid to the cycle successor, then down the
 // chain over iterations i+1..j-1; a later l1 iteration i reaches the blue
 // grandchildren of an earlier l2 iteration j — up the chain over iterations
-// i-1..j+1, then through mid from the cycle successor. The mid factor is
-// applied once per iteration, the chain factor once per iteration pair, and
-// iterations left without a live bucket are never paired.
+// i-1..j+1, then through mid from the cycle successor. Each half is one
+// sweep of the chain, so no iteration pair is ever enumerated.
 func (w *fusedWalk) walkRecursive(a, b int32) {
 	n1, n2 := w.t1.Nodes, w.t2.Nodes
 	for i, j := a+1, b+1; i < n1[a].Next && j < n2[b].Next; {
@@ -346,86 +343,145 @@ func (w *fusedWalk) walkRecursive(a, b int32) {
 			j = n2[j].Next
 		}
 	}
-	// later reports that eb is a later iteration than ea of the same chain.
-	later := func(ea, eb label.Entry) bool {
-		return ea.Rec && eb.Rec && ea.X == eb.X && ea.Y == eb.Y && ea.Z < eb.Z
+	w.sweep(a, b, true)
+	w.sweep(b, a, false)
+}
+
+// sweepPart is one mid-applied bucket of a sweep: pending at the port of
+// iteration pos until the next test files it into a group, then one window
+// of its group's list, which next links.
+type sweepPart struct {
+	bucket
+	pos  int
+	next int32
+}
+
+// sweepGroup is the carried parts that share one vector, a list of windows.
+type sweepGroup struct {
+	vec        uint64
+	head, tail int32
+}
+
+// sweep is one half of Case 2 over the iterations of the R nodes p and q.
+// Down, p is l1's node and the red parts of its iterations, row vectors at
+// the cycle successor's input port, reach the y buckets of later iterations
+// of l2's q; up, p is l2's node and the blue parts of its iterations, column
+// vectors at the successor's output port, are reached from the x buckets of
+// later iterations of l1's q. The sweep merges the two iteration lists in
+// order and visits only tested iterations, those of q with a live bucket.
+// There every part filed since the last test pays one chain product to reach
+// it and joins the group of its vector, every group pays one, and each group
+// is tested once per bucket and emits one block per window on a hit. The
+// iteration's own parts are filed after its test: a pair needs the part's
+// iteration to be the earlier. So a chain costs O(parts + tested iterations
+// · groups + blocks), with at most one group per distinct live vector.
+func (w *fusedWalk) sweep(p, q int32, down bool) {
+	d := w.d
+	pt, pv, qt, qv := w.t1, w.x, w.t2, w.y
+	if !down {
+		pt, pv, qt, qv = w.t2, w.y, w.t1, w.x
 	}
-	// live lists node p's children with a live bucket in vecs.
-	live := func(ns []reach.TrieNode, p int32, vecs [][]bucket) []int32 {
-		var out []int32
-		for c := p + 1; c < ns[p].Next; c = ns[c].Next {
-			if len(vecs[c]) > 0 {
-				out = append(out, c)
-			}
+	pn, qn := pt.Nodes, qt.Nodes
+	var chain label.Entry // X and Y of the chain the groups belong to
+	at := 0               // the iteration whose port the groups' vectors stand at
+	d.parts, d.groups = d.parts[:0], d.groups[:0]
+	pending := 0 // parts[pending:] wait for the next test
+	// carry brings vector v from the port of iteration from to the port of
+	// iteration to of the chain.
+	carry := func(v uint64, from, to int) uint64 {
+		if from == to {
+			return v
 		}
-		return out
+		if down {
+			return applyRow(v, d.chainIn(chain.X, chain.Y, from, to-1)) & d.live
+		}
+		return applyCol(d.chainOut(chain.X, chain.Y, to-1, from), v) & d.live
 	}
-	liveB := live(n2, b, w.y)
-	for ca := a + 1; ca < n1[a].Next; ca = n1[ca].Next {
-		if len(liveB) == 0 || w.stopped {
-			break
-		}
-		w.parts = w.parts[:0]
-		for g := ca + 1; g < n1[ca].Next; g = n1[g].Next {
-			mid := w.cyclePort(n1[g].Entry(), true)
-			if mid.IsZero() { // nil included
-				continue
-			}
-			for _, xb := range w.x[g] {
-				if z := applyRow(xb.vec, mid) & w.d.live; z != 0 {
-					w.parts = append(w.parts, bucket{vec: z, leaves: xb.leaves})
-				}
-			}
-		}
-		if len(w.parts) == 0 {
+	i := p + 1
+	for j := q + 1; j < qn[q].Next && !w.stopped; j = qn[j].Next {
+		if len(qv[j]) == 0 {
 			continue
 		}
-		ea := n1[ca].Entry()
-		for _, cb := range liveB {
-			eb := n2[cb].Entry()
-			if !later(ea, eb) {
-				continue
+		ej := qn[j].Entry()
+		for ; i < pn[p].Next; i = pn[i].Next {
+			ei := pn[i].Entry()
+			if label.CompareEntry(ei, ej) >= 0 {
+				break
 			}
-			chain := w.d.chainIn(ea.X, ea.Y, ea.Z+1, eb.Z-1)
-			for _, p := range w.parts {
-				if z := applyRow(p.vec, chain) & w.d.live; z != 0 {
-					w.match(z, p.leaves, w.y[cb])
+			if ei.X != chain.X || ei.Y != chain.Y {
+				chain, at = ei, 0
+				d.parts, d.groups, pending = d.parts[:0], d.groups[:0], 0
+			}
+			for g := i + 1; g < pn[i].Next; g = pn[g].Next {
+				mid := w.cyclePort(pn[g].Entry(), down)
+				if mid.IsZero() { // nil included
+					continue
+				}
+				for _, b := range pv[g] {
+					v := applyCol(mid, b.vec)
+					if down {
+						v = applyRow(b.vec, mid)
+					}
+					if v &= d.live; v != 0 {
+						d.parts = append(d.parts, sweepPart{bucket{v, b.leaves, b.at}, ei.Z + 1, -1})
+					}
 				}
 			}
 		}
-	}
-	liveA := live(n1, a, w.x)
-	for cb := b + 1; cb < n2[b].Next; cb = n2[cb].Next {
-		if len(liveA) == 0 || w.stopped {
-			break
-		}
-		w.parts = w.parts[:0]
-		for g := cb + 1; g < n2[cb].Next; g = n2[g].Next {
-			mid := w.cyclePort(n2[g].Entry(), false)
-			if mid.IsZero() { // nil included
-				continue
-			}
-			for _, yb := range w.y[g] {
-				if y := applyCol(mid, yb.vec) & w.d.live; y != 0 {
-					w.parts = append(w.parts, bucket{vec: y, leaves: yb.leaves})
-				}
-			}
-		}
-		if len(w.parts) == 0 {
+		if ej.X != chain.X || ej.Y != chain.Y || len(d.parts) == 0 {
 			continue
 		}
-		eb := n2[cb].Entry()
-		for _, ca := range liveA {
-			ea := n1[ca].Entry()
-			if !later(eb, ea) {
-				continue
+		// Advance the groups, merging those whose vectors meet.
+		kept := d.groups[:0]
+		for _, g := range d.groups {
+			if g.vec = carry(g.vec, at, ej.Z); g.vec != 0 {
+				kept = w.join(kept, g, pt.Perm)
 			}
-			chain := w.d.chainOut(ea.X, ea.Y, ea.Z-1, eb.Z+1)
-			for _, xb := range w.x[ca] {
-				if z := applyRow(xb.vec, chain) & w.d.live; z != 0 {
-					w.match(z, xb.leaves, w.parts)
+		}
+		for k := pending; k < len(d.parts); k++ {
+			pa := &d.parts[k]
+			if v := carry(pa.vec, pa.pos, ej.Z); v != 0 {
+				kept = w.join(kept, sweepGroup{v, int32(k), int32(k)}, pt.Perm)
+			}
+		}
+		d.groups, pending, at = kept, len(d.parts), ej.Z
+		for _, g := range d.groups {
+			for _, b := range qv[j] {
+				w.tests++
+				if g.vec&b.vec == 0 {
+					continue
+				}
+				for k := g.head; k >= 0 && !w.stopped; k = d.parts[k].next {
+					if down {
+						w.out(block{xs: d.parts[k].leaves, ys: b.leaves})
+					} else {
+						w.out(block{xs: b.leaves, ys: d.parts[k].leaves})
+					}
 				}
 			}
 		}
 	}
+}
+
+// join files group g among groups: onto the list of the group with g's
+// vector, widening that list's last window when g's first one continues it
+// in perm, or as a group of its own.
+func (w *fusedWalk) join(groups []sweepGroup, g sweepGroup, perm []int32) []sweepGroup {
+	parts := w.d.parts
+	for k := range groups {
+		have := &groups[k]
+		if have.vec != g.vec {
+			continue
+		}
+		last, first, next := &parts[have.tail], &parts[g.head], g.head
+		if last.at >= 0 && last.at+len(last.leaves) == first.at {
+			hi := first.at + len(first.leaves)
+			last.leaves, next = perm[last.at:hi:hi], first.next
+		}
+		if next >= 0 {
+			last.next, have.tail = next, g.tail
+		}
+		return groups
+	}
+	return append(groups, g)
 }

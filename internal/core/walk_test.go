@@ -125,9 +125,12 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 
 // TestFusedWalkWorkIsInputPlusOutput is the regression this walk exists to
 // prevent: on a run where almost every node pair is reachable but almost
-// none matches (a* where no edge is tagged a, so only the empty path
-// matches), the walk's bucket-pair tests stay within a constant of
-// n·depth + matches instead of growing with the reachable pairs.
+// none matches, the walk's bucket-pair tests stay within a constant of
+// n·depth + matches instead of growing with the reachable pairs. nowhere*,
+// whose tag no edge carries, matches the empty paths alone and prunes every
+// divergence; _*.e._*.e._* and _*.b._* keep live vectors across the run's
+// recursion chains, so both halves of every Case 2 sweep run, and find
+// nothing and a few blocks of pairs.
 func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 	spec := wf.PaperSpec()
 	run, err := derive.Derive(spec, derive.Options{Seed: 3, TargetEdges: 1500})
@@ -137,10 +140,6 @@ func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 	tag := "nowhere"
 	if slices.Contains(spec.Tags(), tag) {
 		t.Fatalf("tag %q is in the specification", tag)
-	}
-	env := compile(t, spec, tag+"*")
-	if !env.Safe() {
-		t.Fatalf("%s* should be safe: it matches the empty path only", tag)
 	}
 	labels := run.MaterializeLabels()
 	depth := 0
@@ -155,25 +154,36 @@ func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 			}
 		}
 	}
-
-	d := env.NewDecoder()
-	t1, t2 := reach.NewTrie(labels), reach.NewTrie(labels)
-	matches := 0
-	w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false))
-	w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
-
 	n := len(labels)
-	if matches != n {
-		t.Fatalf("%d matches, want the %d empty paths", matches, n)
+	t1, t2 := reach.NewTrie(labels), reach.NewTrie(labels)
+	for _, c := range []struct {
+		query   string
+		matches int
+	}{
+		{tag + "*", n}, // the empty paths
+		{"_*.e._*.e._*", 0},
+		{"_*.b._*", 2481},
+	} {
+		env := compile(t, spec, c.query)
+		if !env.Safe() {
+			t.Fatalf("%s should be safe", c.query)
+		}
+		d := env.NewDecoder()
+		matches := 0
+		w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false))
+		w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
+		if matches != c.matches {
+			t.Fatalf("%s: %d matches, want %d", c.query, matches, c.matches)
+		}
+		if reachable < 100*max(matches, 1) {
+			t.Fatalf("%s: fixture too sparse: %d reachable pairs for %d matches", c.query, reachable, matches)
+		}
+		if bound := 2 * (n*depth + matches); w.tests > bound {
+			t.Errorf("%s: %d bucket-pair tests for n=%d depth=%d matches=%d (bound %d; %d reachable pairs)",
+				c.query, w.tests, n, depth, matches, bound, reachable)
+		}
+		t.Logf("%s: n=%d depth=%d reachable=%d matches=%d tests=%d", c.query, n, depth, reachable, matches, w.tests)
 	}
-	if reachable < 100*matches {
-		t.Fatalf("fixture too sparse: %d reachable pairs for %d matches", reachable, matches)
-	}
-	if bound := 2 * (n*depth + matches); w.tests > bound {
-		t.Errorf("%d bucket-pair tests for n=%d depth=%d matches=%d (bound %d; %d reachable pairs)",
-			w.tests, n, depth, matches, bound, reachable)
-	}
-	t.Logf("n=%d depth=%d reachable=%d matches=%d tests=%d", n, depth, reachable, matches, w.tests)
 }
 
 func labelsOfRun(run *derive.Run, ids []derive.NodeID) []label.Label {

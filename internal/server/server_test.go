@@ -17,6 +17,7 @@ import (
 
 	"provrpq"
 	"provrpq/internal/store"
+	"provrpq/internal/wf"
 )
 
 // introSpec is the workflow of the paper's introduction (same shape as the
@@ -550,26 +551,25 @@ func TestServerInFlightLimit(t *testing.T) {
 	}
 }
 
-// chainServer serves one fork run, "chain", of 30K iterations of M → a.M,
+// scanServer serves one 30K-edge run of the paper's specification, "big",
 // under a 300ms deadline, its index, labels and planner built by a first
-// request. a* over it pairs every iteration with every later one: seconds of
-// walk, even for the count pass alone.
-func chainServer(t *testing.T) (*Server, *httptest.Server, *testClient) {
+// request. Nearly every pair of its nodes is connected, so _* has 424M
+// pairs in 212M blocks: seconds of walk, even for the count pass alone.
+func scanServer(t *testing.T) (*Server, *httptest.Server, *testClient) {
 	t.Helper()
 	cat := provrpq.NewCatalog(provrpq.CatalogOptions{})
-	spec, err := provrpq.NewSpecBuilder().
-		Start("S").
-		Prod("S", []string{"M", "b"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "b"}}).
-		Prod("M", []string{"a", "M"}, []provrpq.BodyEdge{{From: 0, To: 1, Tag: "a"}}).
-		Prod("M", []string{"a"}, nil).
-		Build()
+	specJSON, err := wf.PaperSpec().MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.RegisterSpec("fork", spec); err != nil {
+	spec := &provrpq.Spec{}
+	if err := spec.UnmarshalJSON(specJSON); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cat.DeriveRun("chain", "fork", provrpq.DeriveOptions{Seed: 1, TargetEdges: 30000, FavorModule: "M"}); err != nil {
+	if err := cat.RegisterSpec("paper", spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cat.DeriveRun("big", "paper", provrpq.DeriveOptions{Seed: 1, TargetEdges: 30000}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(cat, Options{Timeout: 300 * time.Millisecond})
@@ -578,7 +578,7 @@ func chainServer(t *testing.T) (*Server, *httptest.Server, *testClient) {
 	c := &testClient{t: t, base: ts.URL, hc: ts.Client()}
 	// The run's index, labels and planner are built by its first request, and
 	// not interruptibly: keep them out of the timing.
-	c.do("POST", "/v1/evaluate", map[string]any{"run": "chain", "query": "b", "count_only": true}, http.StatusOK, nil)
+	c.do("POST", "/v1/evaluate", map[string]any{"run": "big", "query": "e", "count_only": true}, http.StatusOK, nil)
 	return srv, ts, c
 }
 
@@ -586,11 +586,11 @@ func chainServer(t *testing.T) (*Server, *httptest.Server, *testClient) {
 // their evaluation answer 503 with the JSON timeout body, which is not
 // tallied as a failure; /healthz, outside the deadline, still answers.
 func TestServerTimeout(t *testing.T) {
-	_, ts, c := chainServer(t)
+	_, ts, c := scanServer(t)
 	failed := c.scrape()["provrpq_http_failed_total"]
 	for _, call := range []struct{ path, body string }{
-		{"/v1/evaluate", `{"run":"chain","query":"a*","count_only":true}`},
-		{"/v1/batch", `{"runs":["chain"],"queries":["a*"],"count_only":true}`},
+		{"/v1/evaluate", `{"run":"big","query":"_*","count_only":true}`},
+		{"/v1/batch", `{"runs":["big"],"queries":["_*"],"count_only":true}`},
 	} {
 		resp, err := ts.Client().Post(ts.URL+call.path, "application/json", strings.NewReader(call.body))
 		if err != nil {
@@ -599,7 +599,7 @@ func TestServerTimeout(t *testing.T) {
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s of a* over the chain answered %d within the 300ms deadline; the fixture is too small to time out", call.path, resp.StatusCode)
+			t.Fatalf("%s of _* over the run answered %d within the 300ms deadline; the fixture is too small to time out", call.path, resp.StatusCode)
 		}
 		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 			t.Errorf("%s timeout Content-Type = %q, want application/json", call.path, ct)
@@ -625,14 +625,14 @@ func TestServerTimeout(t *testing.T) {
 
 // TestServerCancelledEvaluateFreesSlot: an evaluation whose request timed out
 // (503 timeout) or whose client hung up stops at its next block of pairs, so
-// its in-flight slot comes back while the scan it gave up — a* over a fork
-// chain of 30K iterations, seconds of walk — would still be running; and
-// giving up is not tallied as a failed evaluation.
+// its in-flight slot comes back while the scan it gave up — _* over a 30K-edge
+// run, seconds of walk — would still be running; and giving up is not tallied
+// as a failed evaluation.
 func TestServerCancelledEvaluateFreesSlot(t *testing.T) {
-	srv, ts, c := chainServer(t)
-	// limit 0 keeps a scan that is not stopped from also allocating its 450M
+	srv, ts, c := scanServer(t)
+	// limit 0 keeps a scan that is not stopped from also allocating its 424M
 	// pairs.
-	body := `{"run":"chain","query":"a*","limit":0}`
+	body := `{"run":"big","query":"_*","limit":0}`
 	failed := c.scrape()["provrpq_http_failed_total"]
 
 	freed := func(what string, since time.Time) {
@@ -650,7 +650,7 @@ func TestServerCancelledEvaluateFreesSlot(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("a* over the chain answered %d within the 300ms deadline; the fixture is too small to time out", resp.StatusCode)
+		t.Fatalf("_* over the run answered %d within the 300ms deadline; the fixture is too small to time out", resp.StatusCode)
 	}
 	freed("timed out", time.Now())
 
