@@ -25,14 +25,19 @@ var (
 		"All-pairs evaluation latency, by the strategy that ran.",
 		metrics.LatencyBuckets, "strategy")
 	mEvalUnits = metrics.Default().HistogramVec("provrpq_eval_decode_units",
-		"Cost model decode-unit estimate per all-pairs evaluation, by the strategy that ran.",
+		"Labels decoded per evaluation, by the strategy that ran.",
 		metrics.WorkBuckets, "strategy")
 )
 
-// observeEvalLatency records latency for evaluation paths the cost model
-// does not price (unsafe-query decomposition).
-func observeEvalLatency(name string, start time.Time) {
-	mEvalSeconds.With(name).Observe(time.Since(start).Seconds())
+// observeEval records one evaluation by a strategy ("decompose" for an unsafe
+// query) that began at start: its latency, ordering the result included
+// (provrpq_eval_seconds), and the labels it decoded (provrpq_eval_decode_units).
+// The AllPairs scans report no work, so they pass nil and record latency alone.
+func observeEval(strategy string, start time.Time, work *core.Work) {
+	mEvalSeconds.With(strategy).Observe(time.Since(start).Seconds())
+	if work != nil {
+		mEvalUnits.With(strategy).Observe(float64(work.Labels))
+	}
 }
 
 // Query is a parsed regular path query and its canonical rendering.
@@ -379,7 +384,7 @@ func (e *Engine) crossDecomposed(q *Query, l1, l2 []NodeID) ([]Pair, error) {
 	rel.AllPairsIn(r, toDerive(l1), toDerive(l2), func(i, j int) {
 		out = appendPair(out, Pair{From: l1[i], To: l2[j]})
 	})
-	observeEvalLatency("decompose", start)
+	observeEval("decompose", start, nil)
 	return out, nil
 }
 
@@ -419,7 +424,7 @@ func (e *Engine) scanSafe(env *core.Env, dec plan.Decision, strategy plan.Strate
 		err = env.AllPairsSafeParallel(la, lb, labelScan(strategy), 1, emit)
 	}
 	if err == nil {
-		observeScan(dec, strategy, start)
+		observeEval(strategy.String(), start, nil)
 	}
 	return err
 }
@@ -430,17 +435,6 @@ func labelScan(s plan.Strategy) core.AllPairsStrategy {
 		return core.RPL
 	}
 	return core.OptRPL
-}
-
-// observeScan records one evaluation by a strategy that began at start:
-// the decode units the model estimated for it (provrpq_eval_decode_units)
-// and its latency so far, ordering the result included
-// (provrpq_eval_seconds).
-func observeScan(dec plan.Decision, strategy plan.Strategy, start time.Time) {
-	if units := dec.UnitCost(strategy); units > 0 {
-		mEvalUnits.With(strategy.String()).Observe(units)
-	}
-	observeEvalLatency(strategy.String(), start)
 }
 
 // scanRows is scanSafe for a full evaluation into the window's rows: the
@@ -457,13 +451,16 @@ func (e *Engine) scanRows(ctx context.Context, env *core.Env, dec plan.Decision,
 		t := e.general().Trie()
 		rows, err = env.RowsSafeTries(ctx, t, t, e.run.NumNodes(), offset, limit)
 	default: // RPL decodes the labels it pairs for this scan alone
-		rows, err = env.SafeRows(ctx, e.run.r.MaterializeLabels(), core.RPL, offset, limit)
+		l := e.run.r.MaterializeLabels()
+		if rows, err = env.SafeRows(ctx, l, core.RPL, offset, limit); err == nil {
+			rows.Work.Labels = len(l)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
 	rows.Order()
-	observeScan(dec, strategy, start)
+	observeEval(strategy.String(), start, &rows.Work)
 	return &Rows{rows}, nil
 }
 
@@ -605,7 +602,7 @@ func (e *Engine) EvaluatePlanned(q *Query) ([]Pair, *PlanReport, error) {
 // strategy on the calling goroutine, unsafe queries are decomposed into
 // maximal safe subtrees plus a relational remainder (Section IV-B), with the
 // cost model choosing per subtree. A safe query is planned exactly once: the
-// report, the scan and the strategy label on provrpq_eval_seconds all come
+// report, the scan and the strategy label on the evaluation metrics all come
 // from that one decision. Its scan first only counts, which gives the total
 // and every row's place, then writes the rows the window meets into one
 // array of their size: a page costs the count pass plus its own pairs, and
@@ -629,9 +626,9 @@ func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) 
 		rows, err := e.scanRows(ctx, env, dec, dec.Strategy, offset, limit)
 		return rows, safeReport(q, dec), err
 	}
-	// The evaluation itself produces the decomposition report — no separate
-	// planning pass — and its relation is rows in order already, or, for a
-	// count, just its size.
+	// The evaluation itself produces the decomposition report and its Work —
+	// no separate planning pass — and its relation is rows in order already,
+	// or, for a count, just its size.
 	start := time.Now()
 	r, grep, err := e.general().EvalContext(ctx, q.node, nil, nil)
 	if err != nil {
@@ -641,7 +638,7 @@ func (e *Engine) EvaluateRows(ctx context.Context, q *Query, offset, limit int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	observeEvalLatency("decompose", start)
+	observeEval("decompose", start, &grep.Work)
 	return &Rows{rows}, decomposedReport(q, grep), nil
 }
 

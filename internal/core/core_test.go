@@ -40,9 +40,9 @@ func TestSafetyVerdictsPaperSpec(t *testing.T) {
 		e := compile(t, spec, c.q)
 		if e.Safe() != c.safe {
 			t.Errorf("Safe(%q) = %v, want %v (witness module %d prod %d)",
-				c.q, e.Safe(), c.safe, e.UnsafeModule(), e.UnsafeProd())
+				c.q, e.Safe(), c.safe, e.unsafeModule, e.unsafeProd)
 		}
-		if !e.Safe() && (e.UnsafeModule() < 0 || e.UnsafeProd() < 0) {
+		if !e.Safe() && (e.unsafeModule < 0 || e.unsafeProd < 0) {
 			t.Errorf("unsafe verdict for %q lacks a witness", c.q)
 		}
 	}
@@ -105,13 +105,13 @@ func TestLambdaPaperSpecR3(t *testing.T) {
 	aMod, _ := spec.ModuleByName("A")
 	bMod, _ := spec.ModuleByName("B")
 	sMod, _ := spec.ModuleByName("S")
-	if la := e.Lambda()[aMod]; !la.Get(q0, qf) || la.Get(q0, q0) || !la.Get(qf, qf) {
+	if la := e.lambda[aMod]; !la.Get(q0, qf) || la.Get(q0, q0) || !la.Get(qf, qf) {
 		t.Errorf("λ(A) = %s: want q0->qf only from q0", la)
 	}
-	if lb := e.Lambda()[bMod]; !lb.Get(q0, q0) || lb.Get(q0, qf) || !lb.Get(qf, qf) {
+	if lb := e.lambda[bMod]; !lb.Get(q0, q0) || lb.Get(q0, qf) || !lb.Get(qf, qf) {
 		t.Errorf("λ(B) = %s: want state-preserving", lb)
 	}
-	if ls := e.Lambda()[sMod]; !ls.Get(q0, qf) || ls.Get(q0, q0) {
+	if ls := e.lambda[sMod]; !ls.Get(q0, qf) || ls.Get(q0, q0) {
 		t.Errorf("λ(S) = %s: S's executions always pass e", ls)
 	}
 }
@@ -385,9 +385,9 @@ func TestSafetyMeansExecutionMatricesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := executionMatrix(env, run)
-				if !got.Eq(env.Lambda()[mod]) {
+				if !got.Eq(env.lambda[mod]) {
 					t.Fatalf("query %q module %s seed %d: execution matrix %s != λ %s",
-						q, spec.Name(mod), seed, got, env.Lambda()[mod])
+						q, spec.Name(mod), seed, got, env.lambda[mod])
 				}
 			}
 		}

@@ -98,21 +98,6 @@ func Compile(spec *wf.Spec, query *automata.Node) (*Env, error) {
 // (Definition 13, checked on the minimal DFA per Lemma 3.2).
 func (e *Env) Safe() bool { return e.unsafeProd < 0 }
 
-// Lambda returns the per-module input-to-output transition matrices shared
-// by all executions of each module. The table is valid only when Safe (for
-// unsafe queries the matrices of some module differ across executions).
-// Callers must not mutate the returned matrices.
-func (e *Env) Lambda() []Mat { return e.lambda }
-
-// UnsafeModule and UnsafeProd witness the violation when !Safe(): the
-// production whose matrix disagreed with the module's established λ. Both
-// return -1 when the query is safe.
-func (e *Env) UnsafeModule() wf.ModuleID { return e.unsafeModule }
-
-// UnsafeProd returns the production index of the unsafety witness, -1 when
-// safe.
-func (e *Env) UnsafeProd() int { return e.unsafeProd }
-
 // tagMat returns the single-symbol transition matrix T of an edge tag:
 // T[q][δ(q,tag)] = 1.
 func (e *Env) tagMat(tag string) Mat {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"provrpq/internal/automata"
 	"provrpq/internal/derive"
@@ -79,7 +78,6 @@ type General struct {
 	allOnce, rankOnce sync.Once
 	all               *reach.Trie
 	rank              []int32
-	safePairs         atomic.Int64 // pairs safe subtrees materialised: the work-bound test's
 }
 
 // EvalReport describes how a query was decomposed.
@@ -90,6 +88,8 @@ type EvalReport struct {
 	RelationalNodes int
 	// Safe reports whether the whole query was safe.
 	Safe bool
+	// Work is what evaluating the safe subtrees took; zero from Plan.
+	Work Work
 }
 
 // NewGeneral builds a general evaluator over a run and its index with
@@ -121,7 +121,7 @@ func (g *General) Eval(q *automata.Node) (*rel.Rel, *EvalReport, error) {
 // result inside from × to and no pair outside the result, which it therefore
 // is when both are nil. Once ctx is done it ends with ctx.Err(): at the next
 // block of a safe subtree's walk or of a relational operator's rows. The
-// report is Plan's, whatever order the evaluation took.
+// report is Plan's, whatever order the evaluation took, with its Work.
 func (g *General) EvalContext(ctx context.Context, q *automata.Node, from, to []int32) (*rel.Rel, *EvalReport, error) {
 	rep, err := g.Plan(q)
 	if err != nil {
@@ -221,7 +221,7 @@ func (g *General) eval(ctx context.Context, q *automata.Node, rep *EvalReport, f
 	if env, err := g.labelled(q, rep); err != nil {
 		return nil, err
 	} else if env != nil {
-		return g.safeEval(ctx, env, from, to)
+		return g.safeEval(ctx, env, &rep.Work, from, to)
 	}
 	done := ctx.Done()
 	switch q.Kind {
@@ -317,7 +317,8 @@ func (g *General) whole(set []int32) bool { return set == nil || 2*len(set) > g.
 // Trie returns the trie of every node of the run, its Perm holding node ids,
 // built on first use and shared by every scan that covers most of the run:
 // the decomposition's safe subtrees, OptRPL full scans and seeded full
-// evaluates. Read-only; it holds no Labels.
+// evaluates. Read-only; it holds no Labels. Its decode is a cost of the run
+// version, not of the call that happens to build it, so no Work counts it.
 func (g *General) Trie() *reach.Trie {
 	g.allOnce.Do(func() {
 		g.all = reach.NewTrie(g.run.MaterializeLabels())
@@ -328,8 +329,8 @@ func (g *General) Trie() *reach.Trie {
 
 // trie returns the tree representation of a node set's labels; a list index
 // is a node id. A whole set gets the shared trie of every node, a smaller one
-// decodes its own labels, put in label order by their ranks.
-func (g *General) trie(set []int32) *reach.Trie {
+// decodes its own labels, put in label order by their ranks, into work.
+func (g *General) trie(set []int32, work *Work) *reach.Trie {
 	if g.whole(set) {
 		return g.Trie()
 	}
@@ -345,18 +346,20 @@ func (g *General) trie(set []int32) *reach.Trie {
 	for i, u := range perm {
 		ids[i] = derive.NodeID(u)
 	}
+	work.Labels += len(ids)
 	return reach.NewTrieOf(g.run.LabelsOf(ids), perm)
 }
 
 // safeEval computes a safe subquery's pairs inside from × to with the optRPL
-// walk over the two sets' labels; the relation takes over its rows (rows.go).
-func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*rel.Rel, error) {
+// walk over the two sets' labels, adding what that took into work; the
+// relation takes over its rows (rows.go).
+func (g *General) safeEval(ctx context.Context, env *Env, work *Work, from, to []int32) (*rel.Rel, error) {
 	n := g.run.NumNodes()
-	r, err := env.RowsSafeTries(ctx, g.trie(from), g.trie(to), n, 0, -1)
+	r, err := env.RowsSafeTries(ctx, g.trie(from, work), g.trie(to, work), n, 0, -1)
 	if err != nil {
 		return nil, err
 	}
-	g.safePairs.Add(int64(r.Total()))
+	work.add(r.Work)
 	rows := make([][]int32, n)
 	for u := range rows {
 		rows[u] = r.row(u)
@@ -373,17 +376,13 @@ func (g *General) safeEval(ctx context.Context, env *Env, from, to []int32) (*re
 func (g *General) safeCheaper(q *automata.Node) bool {
 	n := g.run.NumNodes()
 	safeCost := float64(n) * float64(n) / 4 // coarse filter prunes; decodes dominate
-	return g.relCost(q) >= safeCost
+	_, relCost := g.relEstimate(q)
+	return relCost >= safeCost
 }
 
-// relCost estimates the relational evaluation cost of a subtree as the sum
-// of estimated intermediate sizes; closures multiply by an iteration factor.
-func (g *General) relCost(q *automata.Node) float64 {
-	_, cost := g.relEstimate(q)
-	return cost
-}
-
-// relEstimate returns (estimated result size, estimated total cost).
+// relEstimate returns the estimated result size of a subtree and the cost of
+// its relational evaluation: the sum of estimated intermediate sizes, where
+// closures multiply by an iteration factor.
 func (g *General) relEstimate(q *automata.Node) (size, cost float64) {
 	n := float64(g.run.NumNodes())
 	switch q.Kind {

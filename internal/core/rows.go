@@ -24,6 +24,17 @@ type Rows struct {
 	base, total int
 	first, last int
 	lo, hi      int
+	Work        Work // what building the rows took
+}
+
+// Work is what one call did, in the units of the paper's bounds: the labels
+// it decoded for its own tries (not the trie of every node, a cost of the run
+// version), its label walks' bucket-pair tests and the pairs it produced.
+// Each call holds its own and hands it back, to be summed by value.
+type Work struct{ Labels, Tests, Pairs int }
+
+func (w *Work) add(o Work) {
+	w.Labels, w.Tests, w.Pairs = w.Labels+o.Labels, w.Tests+o.Tests, w.Pairs+o.Pairs
 }
 
 // Total returns the number of pairs in the whole result.
@@ -66,9 +77,10 @@ func (r *Rows) Order() {
 var errTooLarge = fmt.Errorf("core: result exceeds %d pairs", math.MaxInt32)
 
 // counted returns the Rows of a count: the whole result's total, and no row.
-func counted(total, offset int) *Rows {
+func counted(total, offset int, work Work) *Rows {
 	lo := min(offset, total)
-	return &Rows{total: total, lo: lo, hi: lo}
+	work.Pairs = total
+	return &Rows{total: total, lo: lo, hi: lo, Work: work}
 }
 
 // window turns the row lengths counted into off[1:] into offsets, fixes the
@@ -93,33 +105,35 @@ func (r *Rows) window(offset, limit int) (held int, err error) {
 }
 
 // buildRows is the count-then-fill sink of the label walks. walk hands its
-// consumer every block of one scan over n sources, the same blocks on every
-// call. It runs once to add block sizes into row lengths, which gives the
-// total and every row's position before a pair is written, and, unless the
-// window holds no pair (a count), once more to copy each block's targets into
-// the rows the window meets, held in one array of their exact size. off[u] is
-// row u's write cursor meanwhile, so the only scratch is the result's own
-// index: four bytes per source. A count (limit 0) sums the blocks' sizes
-// and holds no index.
-func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(block))) (*Rows, error) {
+// consumer every block of one scan over n sources and returns its Work, the
+// same on every call, which the Rows keep with the total as its Pairs. It
+// runs once to add block sizes into row lengths, which gives the total and
+// every row's position before a pair is written, and, unless the window holds
+// no pair (a count), once more to copy each block's targets into the rows the
+// window meets, held in one array of their exact size. off[u] is row u's
+// write cursor meanwhile, so the only scratch is the result's own index: four
+// bytes per source. A count (limit 0) sums the blocks' sizes and holds no
+// index.
+func buildRows(ctx context.Context, n, offset, limit int, walk func(emit func(block)) Work) (*Rows, error) {
 	if limit == 0 {
 		total := 0
-		walk(func(b block) { total += len(b.xs) * len(b.ys) })
+		work := walk(func(b block) { total += len(b.xs) * len(b.ys) })
 		if total > math.MaxInt32 {
 			return nil, errTooLarge
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return counted(total, offset), nil
+		return counted(total, offset, work), nil
 	}
 	r := &Rows{off: make([]int32, n+1)}
-	walk(func(b block) {
+	r.Work = walk(func(b block) {
 		for _, x := range b.xs {
 			r.off[b.lo+int(x)+1] += int32(len(b.ys))
 		}
 	})
 	held, err := r.window(offset, limit)
+	r.Work.Pairs = r.total
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -161,11 +175,12 @@ func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsSt
 		return e.RowsSafeTries(ctx, t, t, len(l), offset, limit)
 	}
 	pair := block{xs: []int32{0}, ys: []int32{0}}
-	return buildRows(ctx, len(l), offset, limit, func(emit func(block)) {
+	return buildRows(ctx, len(l), offset, limit, func(emit func(block)) Work {
 		_ = e.rplPairs(ctx.Done(), l, l, func(i, j int) { // safe: just checked
 			pair.lo, pair.ys[0] = i, int32(j)
 			emit(pair)
 		})
+		return Work{}
 	})
 }
 
@@ -174,12 +189,13 @@ func (e *Env) SafeRows(ctx context.Context, l []label.Label, strategy AllPairsSt
 // reads the relation's size and holds no row.
 func RowsOf(ctx context.Context, r *rel.Rel, n, offset, limit int) (*Rows, error) {
 	if limit == 0 {
-		return counted(r.Len(), offset), nil
+		return counted(r.Len(), offset, Work{}), nil
 	}
 	one := []int32{0}
-	return buildRows(ctx, n, offset, limit, func(emit func(block)) {
+	return buildRows(ctx, n, offset, limit, func(emit func(block)) Work {
 		for u := 0; u < n; u++ {
 			emit(block{u, one, r.Row(derive.NodeID(u))})
 		}
+		return Work{}
 	})
 }

@@ -171,9 +171,9 @@ func TestWalkStopsAtTheNextBlock(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	w.done = ctx.Done()
 	passes := 0
-	rows, err := buildRows(ctx, run.NumNodes(), 0, -1, func(emit func(block)) {
+	rows, err := buildRows(ctx, run.NumNodes(), 0, -1, func(emit func(block)) Work {
 		passes++
-		w.run(func(b block) {
+		return w.run(func(b block) {
 			cancel()
 			emit(b)
 		})
@@ -201,9 +201,9 @@ func TestCountTakesOneWalk(t *testing.T) {
 	build := func(offset, limit int) (*Rows, int) {
 		t.Helper()
 		passes := 0
-		rows, err := buildRows(context.Background(), run.NumNodes(), offset, limit, func(emit func(block)) {
+		rows, err := buildRows(context.Background(), run.NumNodes(), offset, limit, func(emit func(block)) Work {
 			passes++
-			w.run(emit)
+			return w.run(emit)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -40,9 +40,8 @@ type Standing struct {
 	t    *reach.Trie
 	x, y [][]bucket
 	ids  []derive.NodeID // the identity list, as far as any event reached
-	// Rebuilds counts builds of the retained half, the first included; tests
-	// is the last Delta's bucket-pair tests, for the work-bound test.
-	Rebuilds, tests int
+	// Rebuilds counts builds of the retained half, the first included.
+	Rebuilds int
 }
 
 // NewStanding returns an evaluator with nothing retained yet; the query must
@@ -59,13 +58,12 @@ func (e *Env) NewStanding() (*Standing, error) {
 func (s *Standing) Reset() { s.t = nil }
 
 // Delta emits, each once and in no particular order, the matches among nodes
-// [0, hi) of r that involve a batch node [lo, hi). Nodes below hi must carry
-// the labels they carried in every earlier call since the last Reset — true
-// of any two versions of one growing run.
-func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
-	s.tests = 0
+// [0, hi) of r that involve a batch node [lo, hi), and returns its walks'
+// tests. Nodes below hi must carry the labels they carried in every earlier
+// call since the last Reset — true of any two versions of one growing run.
+func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) (work Work) {
 	if lo == hi {
-		return
+		return work
 	}
 	for len(s.ids) < hi {
 		s.ids = append(s.ids, derive.NodeID(len(s.ids)))
@@ -79,8 +77,7 @@ func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
 	}
 	base := s.base
 	walk := func(w *fusedWalk, fromBase, toBase int) {
-		w.run(func(b block) { b.each(func(i, j int) { emit(fromBase+i, toBase+j) }) })
-		s.tests += w.tests
+		work.add(w.run(func(b block) { b.each(func(i, j int) { emit(fromBase+i, toBase+j) }) }))
 	}
 	// One sort serves the three small tries: Sub inherits the order, and
 	// their indices all count from base.
@@ -101,4 +98,5 @@ func (s *Standing) Delta(r *derive.Run, lo, hi int, emit func(from, to int)) {
 		tail := all.Sub(inBatch)
 		walk(s.d.newWalk(tail, batch, s.d.leafVectors(tail, true), by), base, base)
 	}
+	return work
 }

@@ -118,6 +118,7 @@ func TestStandingDeltaEqualsNestedLoop(t *testing.T) {
 // tests a batch iteration once per group of carried vectors, not once per
 // earlier iteration of its chain.
 func TestStandingDeltaWorkIndependentOfRunSize(t *testing.T) {
+	t.Parallel()
 	d := workload.BioAID()
 	env := compile(t, d.Spec, "_*.p3_1._*.p2_13._*")
 	perEvent := func(fork bool, edges int) float64 {
@@ -129,9 +130,8 @@ func TestStandingDeltaWorkIndependentOfRunSize(t *testing.T) {
 		tests, events, n := 0, 0, run.NumNodes()
 		for lo := n / 2; lo+3 <= n; lo += 3 {
 			before := s.Rebuilds
-			s.Delta(run, lo, lo+3, func(int, int) {})
-			if s.Rebuilds == before {
-				tests += s.tests
+			if work := s.Delta(run, lo, lo+3, func(int, int) {}); s.Rebuilds == before {
+				tests += work.Tests
 				events++
 			}
 		}

@@ -186,7 +186,8 @@ func (e *Env) AllPairsSafeTries(t1, t2 *reach.Trie, emit func(i, j int)) error {
 }
 
 // RowsSafeTries is AllPairsSafeTries into Rows, for tries that index one list
-// of n labels on both sides: the seeded strategy's candidate sub-tries.
+// of n labels on both sides: the seeded strategy's candidate sub-tries. Its
+// Work is the walk's: the tries' labels are the caller's to count.
 func (e *Env) RowsSafeTries(ctx context.Context, t1, t2 *reach.Trie, n, offset, limit int) (*Rows, error) {
 	d := e.decoder()
 	if d == nil {
@@ -214,15 +215,16 @@ type fusedWalk struct {
 	// nothing more is emitted and the recursion unwinds.
 	done    <-chan struct{}
 	stopped bool
-	// tests counts bucket-pair tests, for the work-bound tests.
-	tests int
+	work    Work // of the current run: its bucket-pair tests
 }
 
-// run walks the tries and hands every block of the result to emit. A walk
-// may run more than once: each run emits the same blocks in the same order.
-func (w *fusedWalk) run(emit func(block)) {
-	w.emit, w.stopped = emit, false
+// run walks the tries, hands every block of the result to emit and returns
+// the run's Work. A walk may run more than once: each run emits the same
+// blocks in the same order.
+func (w *fusedWalk) run(emit func(block)) Work {
+	w.emit, w.stopped, w.work = emit, false, Work{}
 	w.walk(0, 0)
+	return w.work
 }
 
 // out hands one block to the consumer, or stops the run if done has fired.
@@ -261,7 +263,7 @@ func (w *fusedWalk) walk(a, b int32) {
 // against the l2-side buckets and emits the cross product of each hit.
 func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 	for _, yb := range ys {
-		w.tests++
+		w.work.Tests++
 		if z&yb.vec != 0 {
 			w.out(block{xs: leaves, ys: yb.leaves})
 		}
@@ -447,7 +449,7 @@ func (w *fusedWalk) sweep(p, q int32, down bool) {
 		d.groups, pending, at = kept, len(d.parts), ej.Z
 		for _, g := range d.groups {
 			for _, b := range qv[j] {
-				w.tests++
+				w.work.Tests++
 				if g.vec&b.vec == 0 {
 					continue
 				}

@@ -132,6 +132,7 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 // recursion chains, so both halves of every Case 2 sweep run, and find
 // nothing and a few blocks of pairs.
 func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
+	t.Parallel()
 	spec := wf.PaperSpec()
 	run, err := derive.Derive(spec, derive.Options{Seed: 3, TargetEdges: 1500})
 	if err != nil {
@@ -171,18 +172,18 @@ func TestFusedWalkWorkIsInputPlusOutput(t *testing.T) {
 		d := env.NewDecoder()
 		matches := 0
 		w := d.newWalk(t1, t2, d.leafVectors(t1, true), d.leafVectors(t2, false))
-		w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
+		work := w.run(func(b block) { matches += len(b.xs) * len(b.ys) })
 		if matches != c.matches {
 			t.Fatalf("%s: %d matches, want %d", c.query, matches, c.matches)
 		}
 		if reachable < 100*max(matches, 1) {
 			t.Fatalf("%s: fixture too sparse: %d reachable pairs for %d matches", c.query, reachable, matches)
 		}
-		if bound := 2 * (n*depth + matches); w.tests > bound {
+		if bound := 2 * (n*depth + matches); work.Tests > bound {
 			t.Errorf("%s: %d bucket-pair tests for n=%d depth=%d matches=%d (bound %d; %d reachable pairs)",
-				c.query, w.tests, n, depth, matches, bound, reachable)
+				c.query, work.Tests, n, depth, matches, bound, reachable)
 		}
-		t.Logf("%s: n=%d depth=%d reachable=%d matches=%d tests=%d", c.query, n, depth, reachable, matches, w.tests)
+		t.Logf("%s: n=%d depth=%d reachable=%d matches=%d tests=%d", c.query, n, depth, reachable, matches, work.Tests)
 	}
 }
 

@@ -85,18 +85,6 @@ type Decision struct {
 	CostRPL, CostOptRPL, CostSeeded float64
 }
 
-// UnitCost returns the decode units the model estimates for strategy s
-// under this decision (the Cost* field matching s).
-func (d Decision) UnitCost(s Strategy) float64 {
-	switch s {
-	case RPL:
-		return d.CostRPL
-	case Seeded:
-		return d.CostSeeded
-	}
-	return d.CostOptRPL
-}
-
 // densitySamples is the size of the deterministic reachability sample
 // behind ReachDensity.
 const densitySamples = 1024
@@ -168,6 +156,7 @@ func (p *Planner) Plan(env *core.Env, n1, n2 int) Decision {
 		CostRPL:    f1 * f2,
 		CostOptRPL: f1 + f2 + rho*f1*f2,
 	}
+	best := d.CostOptRPL
 
 	seed, count := "", -1
 	for _, sym := range env.RequiredSyms() {
@@ -183,11 +172,11 @@ func (p *Planner) Plan(env *core.Env, n1, n2 int) Decision {
 		d.SeedTag, d.SeedCount = seed, count
 		d.Reverse = de.Targets < de.Sources
 		d.CostSeeded = (f1 + f2 + ds + dt) + rho*(f1*ds+f2*dt) + estL*estR
-		if d.CostSeeded < d.CostOptRPL {
-			d.Strategy = Seeded
+		if d.CostSeeded < best {
+			d.Strategy, best = Seeded, d.CostSeeded
 		}
 	}
-	if d.CostRPL < d.UnitCost(d.Strategy) {
+	if d.CostRPL < best {
 		d.Strategy = RPL
 	}
 	return d

@@ -5,7 +5,6 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"provrpq/internal/core"
 	"provrpq/internal/derive"
@@ -37,7 +36,7 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, _ Decision, l1, l2 []derive.
 	if !env.Safe() {
 		return expandPairs(env, ix.Run(), L, R, l1, l2, emit)
 	}
-	if t1, t2 := candidateTries(ctx, ix.Run(), l1, l2, L, R, nil); t1 != nil {
+	if t1, t2, _ := candidateTries(ctx, ix.Run(), l1, l2, L, R, nil); t1 != nil {
 		return env.AllPairsSafeTries(t1, t2, emit)
 	}
 	return nil
@@ -48,25 +47,25 @@ func AllPairsSeeded(env *core.Env, ix *index.Index, _ Decision, l1, l2 []derive.
 // side over half the run walks all(), the trie of every node, instead of one
 // of its own: the candidates only prune, every match's endpoints are among
 // them, and the walk decides every pair exactly, so walking more nodes finds
-// the same rows. A smaller side decodes only its own labels and never calls
-// all. It ends with ctx.Err() once ctx is done: before the candidate walks,
-// within their next 1,024 expansions, before each trie build, or at the next
-// block of the walk.
+// the same rows. A smaller side decodes only its own labels, which the
+// rows' Work counts, and never calls all. It ends with ctx.Err() once ctx is
+// done: before the candidate walks, within their next 1,024 expansions,
+// before each trie build, or at the next block of the walk.
 func SeededRows(ctx context.Context, env *core.Env, ix *index.Index, _ Decision, all func() *reach.Trie, offset, limit int) (*core.Rows, error) {
 	L, R := candidates(ctx, env, ix, nil, nil)
-	t1, t2 := candidateTries(ctx, ix.Run(), nil, nil, L, R, all)
+	t1, t2, labels := candidateTries(ctx, ix.Run(), nil, nil, L, R, all)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if t1 == nil {
 		return &core.Rows{}, nil
 	}
-	return env.RowsSafeTries(ctx, t1, t2, ix.Run().NumNodes(), offset, limit)
+	rows, err := env.RowsSafeTries(ctx, t1, t2, ix.Run().NumNodes(), offset, limit)
+	if rows != nil {
+		rows.Work.Labels += labels
+	}
+	return rows, err
 }
-
-// labelsDecoded counts the labels seeded tries were built from: the
-// work-bound test's witness.
-var labelsDecoded atomic.Int64
 
 // candidates returns the indices of l1's candidate sources and of l2's
 // candidate targets — none once ctx is done. A nil list stands for every
@@ -98,26 +97,28 @@ func candidates(ctx context.Context, env *core.Env, ix *index.Index, l1, l2 []de
 }
 
 // candidateTries builds the tries of l1's entries at L and l2's at R, one for
-// both when L is R — nil when a side is empty or ctx is done first. With a
-// non-nil all, a side of nil list that holds over half the run's nodes is
-// all's trie of every node instead.
-func candidateTries(ctx context.Context, run *derive.Run, l1, l2 []derive.NodeID, L, R []int, all func() *reach.Trie) (t1, t2 *reach.Trie) {
+// both when L is R — nil when a side is empty or ctx is done first — and
+// counts the labels it decoded for them. With a non-nil all, a side of nil
+// list that holds over half the run's nodes is all's trie of every node
+// instead, and decodes nothing.
+func candidateTries(ctx context.Context, run *derive.Run, l1, l2 []derive.NodeID, L, R []int, all func() *reach.Trie) (t1, t2 *reach.Trie, labels int) {
 	if len(L) == 0 || len(R) == 0 {
-		return nil, nil
+		return nil, nil, 0
 	}
 	side := func(l []derive.NodeID, keep []int) *reach.Trie {
 		if l == nil && all != nil && 2*len(keep) > run.NumNodes() && ctx.Err() == nil {
 			return all()
 		}
+		labels += len(keep)
 		return listTrie(ctx, run, l, keep)
 	}
 	if t1 = side(l1, L); t1 == nil || &L[0] == &R[0] {
-		return t1, t1
+		return t1, t1, labels
 	}
 	if t2 = side(l2, R); t2 == nil {
-		return nil, nil
+		return nil, nil, labels
 	}
-	return t1, t2
+	return t1, t2, labels
 }
 
 // listTrie returns the trie of the labels of l's entries at keep (a nil l:
@@ -139,7 +140,6 @@ func listTrie(ctx context.Context, run *derive.Run, l []derive.NodeID, keep []in
 	for k, i := range keep {
 		ids[k] = node(i)
 	}
-	labelsDecoded.Add(int64(len(ids)))
 	t := reach.NewTrie(run.LabelsOf(ids))
 	for k, p := range t.Perm {
 		t.Perm[k] = int32(keep[p])

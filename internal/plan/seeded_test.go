@@ -155,10 +155,11 @@ func samePairs(t *testing.T, name string, got, want [][2]int) {
 // TestSeededDecodesOnlyCandidates: on 16K-edge columnar runs a selective
 // query decodes the labels of a handful of candidates, not of every node.
 func TestSeededDecodesOnlyCandidates(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		d     *workload.Dataset
 		query string
-		max   int64
+		max   int
 	}{
 		{workload.BioAID(), "_*.L1._*.s_tail._*", 4},
 		{workload.QBLast(), "_*.C3._*", 16},
@@ -170,12 +171,11 @@ func TestSeededDecodesOnlyCandidates(t *testing.T) {
 		run := columnar(t, derived)
 		ix := index.Build(run)
 		_, env := compile(t, c.d.Spec, c.query)
-		before := labelsDecoded.Load()
 		rows, err := SeededRows(context.Background(), env, ix, Decision{}, noWholeTrie(t), 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := labelsDecoded.Load() - before
+		n := rows.Work.Labels
 		t.Logf("%s %s on %d nodes: %d labels decoded, %d pairs", c.d.Name, c.query, run.NumNodes(), n, rows.Total())
 		if n > c.max || rows.Total() == 0 {
 			t.Errorf("%s %s: decoded %d labels for %d pairs, want ≤ %d labels and some pairs", c.d.Name, c.query, n, rows.Total(), c.max)

@@ -1290,6 +1290,7 @@ func TestServerHealthzWedged(t *testing.T) {
 func TestServerMetrics(t *testing.T) {
 	cat, c := newService(t, Options{})
 	registerFixture(t, c)
+	start := c.scrape()
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-a", "query": "_*.s._*"}, http.StatusOK, nil)
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-b", "query": "ingest._*"}, http.StatusOK, nil)
 
@@ -1300,6 +1301,20 @@ func TestServerMetrics(t *testing.T) {
 	c.do("POST", "/v1/evaluate", map[string]any{"run": "run-a", "query": "a1.(_*.s._*)"}, http.StatusOK, nil)
 	if got := c.scrape()[decomposed]; got != before+1 {
 		t.Errorf("%s = %v after one unsafe evaluate, was %v", decomposed, got, before)
+	}
+	// Every evaluation records the labels it decoded beside its latency,
+	// zero included, under the same strategy label.
+	now, timed := c.scrape(), 0.0
+	for _, s := range []string{"rpl", "optrpl", "seeded", "decompose"} {
+		secs := `provrpq_eval_seconds_count{strategy="` + s + `"}`
+		units := `provrpq_eval_decode_units_count{strategy="` + s + `"}`
+		timed += now[secs] - start[secs]
+		if dt, du := now[secs]-start[secs], now[units]-start[units]; dt != du {
+			t.Errorf("strategy %s: %v evaluations timed, %v with their decoded labels", s, dt, du)
+		}
+	}
+	if timed != 3 {
+		t.Errorf("%v evaluations timed, want the 3 evaluates", timed)
 	}
 
 	// A safe evaluate's histogram covers the whole evaluation, the ordering of
