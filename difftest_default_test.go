@@ -12,3 +12,9 @@ const (
 	diffRunEdges       = 120
 	diffMinCases       = 0
 )
+
+// Enumeration bounds (TestEnumeratedCells): every query of at most
+// enumLeaves[spec] leaf symbols, every run of at most enumNodes nodes.
+const enumNodes = 12
+
+var enumLeaves = map[string]int{"paper": 2, "fork": 2, "multicycle": 2, "branchy": 2}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"provrpq/internal/baseline"
@@ -16,45 +15,14 @@ import (
 // every evaluation path — the forced strategies (RPL, OptRPL, the seeded
 // strategy, the G1 relational baseline), the planner-driven Auto, the
 // Evaluate pipeline, and the G3 baseline where its IFQ shape applies —
-// returns exactly the pair set of the product-BFS oracle. Any divergence
-// between the paper's constant-time label machinery, the planner's new
-// seeded path and the explicit run traversal is a correctness bug, so this
-// is the safety net under which strategies are free to evolve.
+// returns exactly the pairs of the product-BFS oracle, each once. Any
+// divergence between the paper's constant-time label machinery, the
+// planner's new seeded path and the explicit run traversal is a correctness
+// bug, so this is the safety net under which strategies are free to evolve.
 //
 // Tier sizing lives in difftest_default_test.go / difftest_slow_test.go:
 // the regular run stays fast enough for -race in CI, `-tags slow` runs the
 // ≥ 200-case acceptance tier.
-
-// pairKey flattens a Pair for set comparison.
-func pairKey(p Pair) uint64 { return uint64(p.From)<<32 | uint64(uint32(p.To)) }
-
-func pairSet(pairs []Pair) []uint64 {
-	out := make([]uint64, len(pairs))
-	seen := map[uint64]struct{}{}
-	out = out[:0]
-	for _, p := range pairs {
-		k := pairKey(p)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func equalSets(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // diffQueries draws the query mix for one run: random compositions (safe
 // and unsafe arise), plus safe IFQs of both selectivity classes so the
@@ -126,16 +94,17 @@ func diffCheckOne(t *testing.T, eng *Engine, run *Run, qs string) bool {
 	oracle.AllPairs(toDerive(all), toDerive(all), func(i, j int) {
 		want = append(want, Pair{From: all[i], To: all[j]})
 	})
-	wantSet := pairSet(want)
+	sortPairs(want)
 
+	// Lists, not sets: an evaluator that emits a pair twice diverges.
 	check := func(name string, pairs []Pair, err error) {
 		t.Helper()
 		if err != nil {
 			t.Errorf("query %q (safe=%v): %s failed: %v", qs, safe, name, err)
 			return
 		}
-		if got := pairSet(pairs); !equalSets(got, wantSet) {
-			t.Errorf("query %q (safe=%v): %s returned %d pairs, oracle %d", qs, safe, name, len(got), len(wantSet))
+		if sortPairs(pairs); !slices.Equal(pairs, want) {
+			t.Errorf("query %q (safe=%v): %s returned %d pairs, oracle %d", qs, safe, name, len(pairs), len(want))
 		}
 	}
 

@@ -159,106 +159,6 @@ func TestPairwiseR3OnPaperRun(t *testing.T) {
 	}
 }
 
-type querySuite struct {
-	spec    *wf.Spec
-	queries []string
-	minSafe int
-}
-
-// specsAndQueries enumerates the cross-validation workloads: per spec, a
-// list of queries of which the safe ones are oracle-compared exhaustively.
-func specsAndQueries() map[string]querySuite {
-	multi, err := wf.NewBuilder().
-		Start("S").
-		Atomic("x", "y", "z").
-		Chain("S", "x", "A").
-		Chain("A", "x", "B", "y").
-		Chain("A", "z", "z").
-		Chain("B", "y", "A", "x").
-		Chain("B", "z", "z").
-		Build()
-	if err != nil {
-		panic(err)
-	}
-	branchy, err := wf.NewBuilder().
-		Start("S").
-		Atomic("src", "l", "r", "snk", "t").
-		Prod("S", []string{"src", "L", "R", "snk"}, []wf.BodyEdge{
-			{From: 0, To: 1, Tag: "l"}, {From: 0, To: 2, Tag: "r"},
-			{From: 1, To: 3, Tag: "s"}, {From: 2, To: 3, Tag: "s"},
-		}).
-		Prod("L", []string{"src", "L", "snk"}, []wf.BodyEdge{
-			{From: 0, To: 1, Tag: "l"}, {From: 1, To: 2, Tag: "l"},
-		}).
-		Chain("L", "l").
-		Prod("R", []string{"r", "t"}, []wf.BodyEdge{{From: 0, To: 1, Tag: "t"}}).
-		Build()
-	if err != nil {
-		panic(err)
-	}
-	return map[string]querySuite{
-		"paper": {
-			spec: wf.PaperSpec(),
-			queries: []string{
-				"_*", "_+", "_*.e._*", "_*.b._*", "_*.e._*.b._*", "ε",
-				"_*.e._*.e._*", "b.b", "_._*", "(e|b)._*", "_?",
-			},
-			minSafe: 8,
-		},
-		"fork": {
-			spec:    wf.ForkSpec(),
-			queries: []string{"_*", "a*", "a*.b", "a+", "a+.b", "ε", "(a|b)*", "a*.b._*"},
-			minSafe: 4,
-		},
-		"multicycle": {
-			spec:    multi,
-			queries: []string{"_*", "_+", "_*.z._*", "x._*", "ε"},
-			minSafe: 4,
-		},
-		"branchy": {
-			spec:    branchy,
-			queries: []string{"_*", "_+", "_*.s._*", "l*", "_*.t._*", "r.t.s"},
-			minSafe: 4,
-		},
-	}
-}
-
-func TestPairwiseMatchesOracle(t *testing.T) {
-	for name, suite := range specsAndQueries() {
-		safeCount := 0
-		for _, q := range suite.queries {
-			env := compile(t, suite.spec, q)
-			if !env.Safe() {
-				continue
-			}
-			safeCount++
-			for seed := int64(0); seed < 6; seed++ {
-				run, err := derive.Derive(suite.spec, derive.Options{Seed: seed, TargetEdges: 120})
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracle := baseline.NewOracle(run, automata.MustParse(q))
-				dec := env.NewDecoder()
-				n := run.NumNodes()
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						u, v := derive.NodeID(i), derive.NodeID(j)
-						got := dec.PairwiseUnchecked(run.Label(u), run.Label(v))
-						if want := oracle.Pairwise(u, v); got != want {
-							t.Fatalf("%s seed %d query %q: Pairwise(%s,%s)=%v oracle=%v\nlabels %s | %s",
-								name, seed, q, run.Nodes[i].Name, run.Nodes[j].Name,
-								got, want, run.Label(u), run.Label(v))
-						}
-					}
-				}
-			}
-		}
-		if safeCount < suite.minSafe {
-			t.Errorf("%s: only %d safe queries exercised, want >= %d", name, safeCount, suite.minSafe)
-		}
-	}
-}
-
 func TestDeepRecursionChainPowers(t *testing.T) {
 	// Long fork chains force the chain caches through many loop powers.
 	spec := wf.ForkSpec()
@@ -293,74 +193,6 @@ func TestDeepRecursionChainPowers(t *testing.T) {
 					run.Nodes[p[0]].Name, run.Nodes[p[1]].Name, got, want)
 			}
 		}
-	}
-}
-
-// TestVectorAndMatrixDecodeAgree cross-checks the row-vector fast path
-// against the full matrix-product decode over every node pair.
-func TestVectorAndMatrixDecodeAgree(t *testing.T) {
-	spec := wf.PaperSpec()
-	for _, qs := range []string{"_*.e._*", "_*", "_*.e._*.b._*", "b.b"} {
-		env := compile(t, spec, qs)
-		if !env.Safe() {
-			t.Fatalf("%q unexpectedly unsafe", qs)
-		}
-		run, err := derive.Derive(spec, derive.Options{Seed: 11, TargetEdges: 150})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := env.NewDecoder()
-		n := run.NumNodes()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a, b := run.Label(derive.NodeID(i)), run.Label(derive.NodeID(j))
-				fast := dec.PairwiseUnchecked(a, b)
-				slow, err := env.PairwiseMatrix(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fast != slow {
-					t.Fatalf("%q (%s,%s): vector=%v matrix=%v", qs,
-						run.Nodes[i].Name, run.Nodes[j].Name, fast, slow)
-				}
-			}
-		}
-	}
-}
-
-func TestAllPairsStrategiesAgree(t *testing.T) {
-	spec := wf.PaperSpec()
-	env := compile(t, spec, "_*.e._*")
-	run, err := derive.Derive(spec, derive.Options{Seed: 9, TargetEdges: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var l1, l2 []label.Label
-	for i, n := range run.Nodes {
-		if i%2 == 0 {
-			l1 = append(l1, n.Label)
-		} else {
-			l2 = append(l2, n.Label)
-		}
-	}
-	collect := func(s AllPairsStrategy) map[[2]int]bool {
-		out := map[[2]int]bool{}
-		if err := env.AllPairsSafeParallel(l1, l2, s, 1, func(i, j int) { out[[2]int{i, j}] = true }); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := collect(RPL), collect(OptRPL)
-	if len(a) != len(b) {
-		t.Fatalf("RPL %d pairs, OptRPL %d", len(a), len(b))
-	}
-	for k := range a {
-		if !b[k] {
-			t.Fatalf("OptRPL missing %v", k)
-		}
-	}
-	if len(a) == 0 {
-		t.Fatal("expected some matches")
 	}
 }
 

@@ -24,25 +24,6 @@ import (
 	"provrpq/internal/workload"
 )
 
-// generalQueries mixes safe, unsafe and structured queries on PaperSpec.
-var generalQueries = []string{
-	// Safe as a whole.
-	"_*.e._*",
-	"_*",
-	// Unsafe as a whole with safe subtrees.
-	"_*.A._*",     // A occurs only in W2 executions
-	"(_*.e._*).A", // safe prefix, unsafe suffix
-	"d.(_*.e._*)", // unsafe head, safe tail
-	"_*.d._*",     // unsafe IFQ
-	"(A|d)+",      // recursion-ish unsafe
-	"A+",
-	"e",
-	"b|e",
-	"d*._*.e._*",
-	"(b.b)|(e.d)",
-	"_?",
-}
-
 // checkGeneralAgainstOracle evaluates every query with gen and holds the
 // relation against the product-BFS oracle, pair for pair.
 func checkGeneralAgainstOracle(t *testing.T, what string, run *derive.Run, gen *General, queries []string) {
@@ -68,21 +49,6 @@ func checkGeneralAgainstOracle(t *testing.T, what string, run *derive.Run, gen *
 				t.Fatalf("%s query %q: missing (%s,%s)", what, qs, run.Nodes[u].Name, run.Nodes[v].Name)
 			}
 		})
-	}
-}
-
-func TestGeneralMatchesOracle(t *testing.T) {
-	spec := wf.PaperSpec()
-	for seed := int64(0); seed < 4; seed++ {
-		run, err := derive.Derive(spec, derive.Options{Seed: seed, TargetEdges: 80})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := index.Build(run)
-		for _, strategy := range []GeneralStrategy{LargestSafeSubtree, CostBased, RelationalOnly} {
-			what := fmt.Sprintf("strategy %d seed %d", strategy, seed)
-			checkGeneralAgainstOracle(t, what, run, NewGeneral(run, ix, strategy), generalQueries)
-		}
 	}
 }
 

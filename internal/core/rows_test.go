@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"maps"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -61,12 +61,13 @@ func checkWindows(t *testing.T, r *rand.Rand, name string, want [][2]int, build 
 	}
 }
 
-// TestRowsMatchTheWalk: for every test specification × safe query, the rows
-// built from the walk, from the RPL nested loop, from a pair of prebuilt
-// tries and from the relation of the same pairs are, once ordered, the walk's
-// emitted pairs under a comparison sort — and every window of them is that
-// slice of the list. A list in shuffled order, where label order is not index
-// order, is what makes rows arrive unsorted.
+// TestRowsMatchTheWalk: for every enumerated specification × safe language,
+// on the specification's largest enumerated run, the rows built from the
+// walk, from the RPL nested loop, from a pair of prebuilt tries and from the
+// relation of the same pairs are, once ordered, the walk's emitted pairs
+// under a comparison sort — and every window of them is that slice of the
+// list. A list in shuffled order, where
+// label order is not index order, is what makes rows arrive unsorted.
 func TestRowsMatchTheWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	ctx := context.Background()
@@ -77,18 +78,12 @@ func TestRowsMatchTheWalk(t *testing.T) {
 		}
 		return rows
 	}
-	for name, suite := range specsAndQueries() {
-		run, err := derive.Derive(suite.spec, derive.Options{Seed: 5, TargetEdges: 120})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range enumerate(t) {
+		run := slices.MaxFunc(e.runs, func(a, b *derive.Run) int { return a.NumNodes() - b.NumNodes() })
 		labels := run.MaterializeLabels()
-		envs := walkQueries(t, suite.spec, suite.queries, r)
-		for i, q := range slices.Sorted(maps.Keys(envs)) {
-			if i%3 != 0 {
-				continue // a third of the walk test's queries is plenty here
-			}
-			env := envs[q]
+		trie := reach.NewTrie(labels)
+		for _, env := range e.safe {
+			name := fmt.Sprintf("%s %s", e.name, env.Query)
 			var want [][2]int
 			wantRel := rel.NewRel()
 			if err := env.AllPairsSafeParallel(labels, labels, OptRPL, 1, func(i, j int) {
@@ -98,17 +93,16 @@ func TestRowsMatchTheWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			sortIndexPairs(want)
-			checkWindows(t, r, name+" "+q+" optrpl", want, func(offset, limit int) *Rows {
+			checkWindows(t, r, name+" optrpl", want, func(offset, limit int) *Rows {
 				return must(env.SafeRows(ctx, labels, OptRPL, offset, limit))
 			})
-			checkWindows(t, r, name+" "+q+" rpl", want, func(offset, limit int) *Rows {
+			checkWindows(t, r, name+" rpl", want, func(offset, limit int) *Rows {
 				return must(env.SafeRows(ctx, labels, RPL, offset, limit))
 			})
-			trie := reach.NewTrie(labels)
-			checkWindows(t, r, name+" "+q+" tries", want, func(offset, limit int) *Rows {
+			checkWindows(t, r, name+" tries", want, func(offset, limit int) *Rows {
 				return must(env.RowsSafeTries(ctx, trie, trie, len(labels), offset, limit))
 			})
-			checkWindows(t, r, name+" "+q+" relation", want, func(offset, limit int) *Rows {
+			checkWindows(t, r, name+" relation", want, func(offset, limit int) *Rows {
 				return must(RowsOf(ctx, wantRel, len(labels), offset, limit))
 			})
 
@@ -124,7 +118,7 @@ func TestRowsMatchTheWalk(t *testing.T) {
 				}
 				return true
 			})
-			checkWindows(t, r, name+" "+q+" shuffled", want, func(offset, limit int) *Rows {
+			checkWindows(t, r, name+" shuffled", want, func(offset, limit int) *Rows {
 				return must(env.SafeRows(ctx, shuffled, OptRPL, offset, limit))
 			})
 		}

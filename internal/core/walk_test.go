@@ -2,66 +2,53 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
-	"provrpq/internal/automata"
 	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/label"
 	"provrpq/internal/reach"
 	"provrpq/internal/wf"
+	"provrpq/internal/workload"
 )
 
-// walkQueries generates the safe queries of one specification for the walk
-// property test: infrequent-symbol queries _*.t1._*…tk._* for k = 1..4 over
-// random tags, the star of one tag and of an alternation of two, and the
-// hand-picked suite of specsAndQueries — the safe ones among them.
-func walkQueries(t *testing.T, spec *wf.Spec, extra []string, r *rand.Rand) map[string]*Env {
-	tags := spec.Tags()
-	pick := func() string { return tags[r.Intn(len(tags))] }
-	qs := slices.Clone(extra)
-	for k := 1; k <= 4; k++ {
-		for n := 0; n < 6; n++ {
-			syms := make([]string, k)
-			for i := range syms {
-				syms[i] = pick()
+// enumerated is one of workload.SmallSpecs with every run of at most 12
+// nodes and the compiled safe languages of at most 2 leaf symbols: the
+// quick bounds of the root package's TestEnumeratedCells.
+type enumerated struct {
+	name string
+	runs []*derive.Run
+	safe []*Env
+}
+
+func enumerate(t *testing.T) (out []enumerated) {
+	t.Helper()
+	for _, s := range workload.SmallSpecs() {
+		runs, err := workload.Runs(s.Spec, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := enumerated{name: s.Name, runs: runs}
+		for _, q := range workload.Languages(s.Spec, 2) {
+			if env := compile(t, s.Spec, q.String()); env.Safe() {
+				e.safe = append(e.safe, env)
 			}
-			qs = append(qs, "_*."+strings.Join(syms, "._*.")+"._*")
 		}
-	}
-	for _, tag := range tags {
-		qs = append(qs, tag+"*", "("+tag+"|"+pick()+")*")
-	}
-	out := map[string]*Env{}
-	for _, q := range qs {
-		if env := compile(t, spec, q); env.Safe() {
-			out[q] = env
-		}
+		out = append(out, e)
 	}
 	return out
 }
 
-// TestFusedWalkMatchesRPLAndOracle: over every test specification × safe
-// query × list shape, the fused OptRPL walk emits exactly the RPL scan's
-// pair set, which is exactly the product-BFS oracle's — each pair once, in
-// a deterministic sequence.
+// TestFusedWalkMatchesRPLAndOracle: over every enumerated specification ×
+// run × safe language × list shape, the fused OptRPL walk emits exactly the
+// RPL scan's pair list, which is exactly the product-BFS oracle's — each
+// pair once, in a deterministic sequence.
 func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
-	for name, suite := range specsAndQueries() {
-		// One stream per suite: the map's order must not decide the queries.
-		r := rand.New(rand.NewSource(41))
-		envs := walkQueries(t, suite.spec, suite.queries, r)
-		if len(envs) < 8 {
-			t.Errorf("%s: only %d safe queries generated: %v", name, len(envs), slices.Sorted(maps.Keys(envs)))
-		}
-		for seed := int64(0); seed < 3; seed++ {
-			run, err := derive.Derive(suite.spec, derive.Options{Seed: seed, TargetEdges: 90})
-			if err != nil {
-				t.Fatal(err)
-			}
+	r := rand.New(rand.NewSource(41))
+	for _, e := range enumerate(t) {
+		for ri, run := range e.runs {
 			n := run.NumNodes()
 			all := run.AllNodes()
 			var evens, odds, dups []derive.NodeID
@@ -84,8 +71,9 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 				{all[n/2 : n/2+1], all},
 				{all, all[n-1:]},
 			}
-			for q, env := range envs {
-				oracle := baseline.NewOracle(run, automata.MustParse(q))
+			for _, env := range e.safe {
+				q := env.Query.String()
+				oracle := baseline.NewOracle(run, env.Query)
 				for si, sh := range shapes {
 					l1 := labelsOfRun(run, sh[0])
 					l2 := l1
@@ -101,7 +89,7 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 					}
 					sortIndexPairs(rpl)
 					if !slices.Equal(rpl, want) {
-						t.Fatalf("%s seed %d %q shape %d: RPL found %d pairs, oracle %d", name, seed, q, si, len(rpl), len(want))
+						t.Fatalf("%s run %d %q shape %d: RPL found %d pairs, oracle %d", e.name, ri, q, si, len(rpl), len(want))
 					}
 					var seq, again [][2]int
 					for _, out := range []*[][2]int{&seq, &again} {
@@ -110,12 +98,12 @@ func TestFusedWalkMatchesRPLAndOracle(t *testing.T) {
 						}
 					}
 					if !slices.Equal(seq, again) {
-						t.Fatalf("%s seed %d %q shape %d: two walks emitted different sequences", name, seed, q, si)
+						t.Fatalf("%s run %d %q shape %d: two walks emitted different sequences", e.name, ri, q, si)
 					}
 					sortIndexPairs(seq)
 					if !slices.Equal(seq, want) {
-						t.Fatalf("%s seed %d %q shape %d: walk found %d pairs, oracle %d (first diff %v)",
-							name, seed, q, si, len(seq), len(want), firstDiff(seq, want))
+						t.Fatalf("%s run %d %q shape %d: walk found %d pairs, oracle %d (first diff %v)",
+							e.name, ri, q, si, len(seq), len(want), firstDiff(seq, want))
 					}
 				}
 			}

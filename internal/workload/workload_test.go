@@ -226,3 +226,24 @@ func TestIFQRendering(t *testing.T) {
 		t.Errorf("IFQ(x,y) = %q", got)
 	}
 }
+
+// TestEnumeratorCounts pins what the enumerators give at the quick bounds:
+// distinct languages of at most 2 leaves, and runs of at most 12 nodes, one
+// per depth of the specification's recursion.
+func TestEnumeratorCounts(t *testing.T) {
+	want := map[string][2]int{"paper": {1282, 4}, "fork": {190, 11}, "multicycle": {1282, 5}, "branchy": {832, 4}}
+	for _, s := range SmallSpecs() {
+		runs, err := Runs(s.Spec, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range runs {
+			if r.NumNodes() > 12 {
+				t.Errorf("%s: a run of %d nodes", s.Name, r.NumNodes())
+			}
+		}
+		if got := [2]int{len(Languages(s.Spec, 2)), len(runs)}; got != want[s.Name] {
+			t.Errorf("%s: %d languages and %d runs, want %v", s.Name, got[0], got[1], want[s.Name])
+		}
+	}
+}
