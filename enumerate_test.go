@@ -17,20 +17,9 @@ import (
 	"provrpq/internal/workload"
 )
 
-// namedQueries are regression queries outside the enumerated bound — more
-// leaves than the quick tier's, or ε, which no leaf spells — checked on every
-// enumerated run of their specification like the enumerated languages.
-var namedQueries = map[string][]string{
-	"paper": {"ε", "_*.e._*", "_*.b._*", "(e|b)._*", "_*.e._*.b._*", "_*.e._*.e._*",
-		"_*.A._*", "_*.d._*", "(_*.e._*).A", "d.(_*.e._*)", "d*._*.e._*", "(b.b)|(e.d)"},
-	"fork":       {"ε", "a*.b._*"},
-	"multicycle": {"ε", "_*.z._*"},
-	"branchy":    {"_*.s._*", "_*.t._*", "r.t.s"},
-}
-
 // TestEnumeratedCells checks the paper's two label guarantees on every small
 // query and run: for each of workload.SmallSpecs, every language of at most
-// enumLeaves leaf symbols and every named query, on every run of at most
+// enumLeaves leaf symbols and every query it names, on every run of at most
 // enumNodes nodes. Each evaluator answers the product-BFS oracle's pair
 // list, repeats included (Defs. 12/13, Lemma 3.2):
 //   - every query: Engine.Pairwise on every pair, the seeded AllPairs and
@@ -58,7 +47,7 @@ func TestEnumeratedCells(t *testing.T) {
 			}
 			queries := workload.Languages(s.Spec, enumLeaves[s.Name])
 			languages, safe := len(queries), 0
-			for _, q := range namedQueries[s.Name] {
+			for _, q := range s.Named {
 				queries = append(queries, automata.MustParse(q))
 			}
 			for i, q := range queries {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"provrpq/internal/automata"
@@ -155,6 +157,88 @@ func TestPairwiseR3OnPaperRun(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("R3(%s, %s) = %v, want %v", c.u, c.v, got, c.want)
+		}
+	}
+}
+
+// TestPairwiseMatchesOracle: on every enumerated specification × run × safe
+// query, the vector decode of two labels answers the product-BFS oracle on
+// every node pair (Defs. 12/13, Lemma 3.2).
+func TestPairwiseMatchesOracle(t *testing.T) {
+	for _, e := range enumerate(t) {
+		for _, run := range e.runs {
+			labels := run.MaterializeLabels()
+			for _, env := range e.safe {
+				oracle := baseline.NewOracle(run, env.Query)
+				dec := env.NewDecoder()
+				for u := range labels {
+					for v := range labels {
+						got := dec.PairwiseUnchecked(labels[u], labels[v])
+						if want := oracle.Pairwise(derive.NodeID(u), derive.NodeID(v)); got != want {
+							t.Fatalf("%s %v, %q: Pairwise(%s, %s) = %v, oracle %v\nlabels %s | %s", e.name, run.Nodes, env.Query,
+								run.Nodes[u].Name, run.Nodes[v].Name, got, want, labels[u], labels[v])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorAndMatrixDecodeAgree cross-checks the row-vector fast path
+// against the full matrix-product decode on every node pair of every
+// enumerated specification × run × safe query.
+func TestVectorAndMatrixDecodeAgree(t *testing.T) {
+	for _, e := range enumerate(t) {
+		for _, run := range e.runs {
+			labels := run.MaterializeLabels()
+			for _, env := range e.safe {
+				dec := env.NewDecoder()
+				for u := range labels {
+					for v := range labels {
+						fast := dec.PairwiseUnchecked(labels[u], labels[v])
+						slow, err := env.PairwiseMatrix(labels[u], labels[v])
+						if err != nil || fast != slow {
+							t.Fatalf("%s %v, %q (%s, %s): vector=%v matrix=%v, %v", e.name, run.Nodes, env.Query,
+								run.Nodes[u].Name, run.Nodes[v].Name, fast, slow, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllPairsStrategiesAgree: on every enumerated specification × run ×
+// safe query, the rows of the RPL nested loop and of the OptRPL walk over the
+// whole run list the oracle's pairs, each once.
+func TestAllPairsStrategiesAgree(t *testing.T) {
+	ctx := context.Background()
+	for _, e := range enumerate(t) {
+		for _, run := range e.runs {
+			labels, all := run.MaterializeLabels(), run.AllNodes()
+			for _, env := range e.safe {
+				var want [][2]int
+				baseline.NewOracle(run, env.Query).AllPairs(all, all, func(i, j int) { want = append(want, [2]int{i, j}) })
+				sortIndexPairs(want)
+				for _, s := range []AllPairsStrategy{RPL, OptRPL} {
+					rows, err := env.SafeRows(ctx, labels, s, 0, -1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got [][2]int
+					rows.Each(func(u int, to []int32) bool {
+						for _, v := range to {
+							got = append(got, [2]int{u, int(v)})
+						}
+						return true
+					})
+					if sortIndexPairs(got); !slices.Equal(got, want) {
+						t.Fatalf("%s %v, %q: strategy %d found %d pairs, oracle %d (first diff %s)", e.name, run.Nodes, env.Query,
+							s, len(got), len(want), firstDiff(got, want))
+					}
+				}
+			}
 		}
 	}
 }

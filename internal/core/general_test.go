@@ -52,6 +52,24 @@ func checkGeneralAgainstOracle(t *testing.T, what string, run *derive.Run, gen *
 	}
 }
 
+// TestGeneralMatchesOracle: on every enumerated specification × run ×
+// unsafe query, General.Eval under each strategy gives the oracle's relation.
+func TestGeneralMatchesOracle(t *testing.T) {
+	for _, e := range enumerate(t) {
+		queries := make([]string, len(e.unsafe))
+		for i, env := range e.unsafe {
+			queries[i] = env.Query.String()
+		}
+		for ri, run := range e.runs {
+			ix := index.Build(run)
+			for _, strategy := range []GeneralStrategy{LargestSafeSubtree, CostBased, RelationalOnly} {
+				what := fmt.Sprintf("%s run %d strategy %d", e.name, ri, strategy)
+				checkGeneralAgainstOracle(t, what, run, NewGeneral(run, ix, strategy), queries)
+			}
+		}
+	}
+}
+
 // TestGeneralMatchesOracleOnServedShapes runs the decomposition shapes the
 // served unsafe workload is made of — a selective tag around _*, a closure
 // beside it, a closure over it, an alternation of two of them — on runs of

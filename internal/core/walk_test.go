@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
+	"provrpq/internal/automata"
 	"provrpq/internal/baseline"
 	"provrpq/internal/derive"
 	"provrpq/internal/label"
@@ -15,30 +17,56 @@ import (
 )
 
 // enumerated is one of workload.SmallSpecs with every run of at most 12
-// nodes and the compiled safe languages of at most 2 leaf symbols: the
-// quick bounds of the root package's TestEnumeratedCells.
+// nodes and the compiled languages of at most 2 leaf symbols, then the
+// queries the spec names, split into safe and unsafe: the quick bounds of the
+// root package's TestEnumeratedCells.
 type enumerated struct {
-	name string
-	runs []*derive.Run
-	safe []*Env
+	name   string
+	runs   []*derive.Run
+	safe   []*Env
+	unsafe []*Env
 }
 
-func enumerate(t *testing.T) (out []enumerated) {
+var enumeration struct {
+	sync.Once
+	specs []enumerated
+	err   error
+}
+
+// enumerate builds the enumeration once for every test of the package.
+func enumerate(t *testing.T) []enumerated {
 	t.Helper()
-	for _, s := range workload.SmallSpecs() {
-		runs, err := workload.Runs(s.Spec, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := enumerated{name: s.Name, runs: runs}
-		for _, q := range workload.Languages(s.Spec, 2) {
-			if env := compile(t, s.Spec, q.String()); env.Safe() {
-				e.safe = append(e.safe, env)
+	enumeration.Do(func() {
+		for _, s := range workload.SmallSpecs() {
+			runs, err := workload.Runs(s.Spec, 12)
+			if err != nil {
+				enumeration.err = err
+				return
 			}
+			e := enumerated{name: s.Name, runs: runs}
+			queries := workload.Languages(s.Spec, 2)
+			for _, q := range s.Named {
+				queries = append(queries, automata.MustParse(q))
+			}
+			for _, q := range queries {
+				env, err := Compile(s.Spec, q)
+				switch {
+				case err != nil:
+					enumeration.err = fmt.Errorf("%s: Compile(%q): %w", s.Name, q, err)
+					return
+				case env.Safe():
+					e.safe = append(e.safe, env)
+				default:
+					e.unsafe = append(e.unsafe, env)
+				}
+			}
+			enumeration.specs = append(enumeration.specs, e)
 		}
-		out = append(out, e)
+	})
+	if enumeration.err != nil {
+		t.Fatal(enumeration.err)
 	}
-	return out
+	return enumeration.specs
 }
 
 // TestFusedWalkMatchesRPLAndOracle: over every enumerated specification ×

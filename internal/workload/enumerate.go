@@ -14,6 +14,10 @@ import (
 type SmallSpec struct {
 	Name string
 	Spec *wf.Spec
+	// Named are regression queries outside the enumerated bound — more leaf
+	// symbols than the quick tier's, or ε, which no leaf spells — that the
+	// tests check on every enumerated run like the enumerated languages.
+	Named []string
 }
 
 // SmallSpecs returns the specifications the bounded-exhaustive tests cover,
@@ -44,10 +48,11 @@ func SmallSpecs() []SmallSpec {
 		Prod("R", []string{"r", "t"}, []wf.BodyEdge{{From: 0, To: 1, Tag: "t"}}).
 		MustBuild()
 	return []SmallSpec{
-		{"paper", wf.PaperSpec()},
-		{"fork", wf.ForkSpec()},
-		{"multicycle", multicycle},
-		{"branchy", branchy},
+		{"paper", wf.PaperSpec(), []string{"ε", "_*.e._*", "_*.b._*", "(e|b)._*", "_*.e._*.b._*", "_*.e._*.e._*",
+			"_*.A._*", "_*.d._*", "(_*.e._*).A", "d.(_*.e._*)", "d*._*.e._*", "(b.b)|(e.d)"}},
+		{"fork", wf.ForkSpec(), []string{"ε", "a*.b._*"}},
+		{"multicycle", multicycle, []string{"ε", "_*.z._*"}},
+		{"branchy", branchy, []string{"_*.s._*", "_*.t._*", "r.t.s"}},
 	}
 }
 
