@@ -302,13 +302,38 @@ func BenchmarkSeededWholeSide8K(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileDFA is the automaton half of a plan-cache miss: the minimal
+// DFA of 64 queries drawn as read-decompose's pool draws them (RandomQuery of
+// depth 2 or 3, over BioAID and QBLast), each against its spec's tags. One op
+// compiles all 64.
+func BenchmarkCompileDFA(b *testing.B) {
+	type query struct {
+		node *automata.Node
+		tags []string
+	}
+	var qs []query
+	r := rand.New(rand.NewSource(1))
+	for _, d := range []*workload.Dataset{workload.BioAID(), workload.QBLast()} {
+		for range 32 {
+			qs = append(qs, query{automata.MustParse(d.RandomQuery(r, 2+r.Intn(2))), d.Spec.Tags()})
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			automata.CompileDFA(q.node, q.tags)
+		}
+	}
+}
+
 // BenchmarkEvaluateScanCount is the evaluate of the served read-scan
 // benchmark: count_only windows (limit 0) of tag-free safe queries, which
 // the planner answers by OptRPL, on the 350-edge fork run and the 720-edge
 // BioAID run, reopened from their columnar encoding as the daemon boots them.
 // A warm count walks the engine's one trie of every node against itself.
 // paper1500 is a run where both halves of every Case 2 sweep fire: _* on
-// the paper's specification, 384K blocks for 772K pairs.
+// the paper's specification, 384K blocks for 772K pairs. tests/op is the
+// walk's bucket-pair tests (core.Work.Tests), which a faster walk must keep.
 func BenchmarkEvaluateScanCount(b *testing.B) {
 	bio := workload.BioAID()
 	for _, f := range []struct {
@@ -335,12 +360,15 @@ func BenchmarkEvaluateScanCount(b *testing.B) {
 			q := provrpq.MustParseQuery(qs)
 			b.Run(f.name+qs, func(b *testing.B) {
 				b.ReportAllocs()
+				tests := 0
 				for i := 0; i < b.N; i++ {
 					rows, rep, err := eng.EvaluateRows(context.Background(), q, 0, 0)
 					if err != nil || rows.Total() != f.counts[qs] || rep.Strategy != provrpq.StrategyOptRPL {
 						b.Fatalf("%s: %v, %d pairs by %v; want %d by optrpl", qs, err, rows.Total(), rep.Strategy, f.counts[qs])
 					}
+					tests = provrpq.WalkTests(rows)
 				}
+				b.ReportMetric(float64(tests), "tests/op")
 			})
 		}
 	}

@@ -30,3 +30,6 @@ func ReopenColumnar(r *Run) (*Run, error) {
 	}
 	return &Run{r: dr, spec: r.spec}, nil
 }
+
+// WalkTests returns the bucket-pair tests the label walks behind r made.
+func WalkTests(r *Rows) int { return r.r.Work.Tests }

@@ -3,6 +3,7 @@ package automata
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -151,12 +152,15 @@ func determinize(m *NFA) *DFA {
 		d.symIdx[t] = i
 	}
 
-	key := func(set []int) string {
-		var b strings.Builder
+	// buf holds the key of the last subset asked for: its states, each
+	// followed by a comma. A lookup by string(buf) does not allocate.
+	var buf []byte
+	key := func(set []int) []byte {
+		buf = buf[:0]
 		for _, v := range set {
-			fmt.Fprintf(&b, "%d,", v)
+			buf = append(strconv.AppendInt(buf, int64(v), 10), ',')
 		}
-		return b.String()
+		return buf
 	}
 	isAccept := func(set []int) bool {
 		for _, v := range set {
@@ -168,7 +172,7 @@ func determinize(m *NFA) *DFA {
 	}
 
 	start := m.closure([]int{m.start})
-	ids := map[string]int{key(start): 0}
+	ids := map[string]int{string(key(start)): 0}
 	sets := [][]int{start}
 	d.Accept = append(d.Accept, isAccept(start))
 	d.Start = 0
@@ -178,10 +182,10 @@ func determinize(m *NFA) *DFA {
 		for s := 0; s < nsym; s++ {
 			next := m.closure(m.step(sets[at], s))
 			k := key(next)
-			id, ok := ids[k]
+			id, ok := ids[string(k)]
 			if !ok {
 				id = len(sets)
-				ids[k] = id
+				ids[string(k)] = id
 				sets = append(sets, next)
 				d.Accept = append(d.Accept, isAccept(next))
 			}
@@ -226,23 +230,30 @@ func Minimize(d *DFA) *DFA {
 	// Each round refines the partition (the signature starts with the old
 	// class), so the class count is non-decreasing and the loop terminates
 	// exactly when the partition is stable.
+	// A state's signature is written into buf, one buffer for all of them:
+	// its class, "|", then the class of each successor followed by a comma.
+	var buf []byte
 	for {
-		sig := map[string][]int{}
+		sig := map[string]int{} // signature -> index into members
 		var order []string
+		var members [][]int
 		for q := 0; q < n; q++ {
 			if !reach[q] {
 				continue
 			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "%d|", class[q])
+			buf = append(strconv.AppendInt(buf[:0], int64(class[q]), 10), '|')
 			for s := 0; s < nsym; s++ {
-				fmt.Fprintf(&b, "%d,", class[d.Delta[q*nsym+s]])
+				buf = append(strconv.AppendInt(buf, int64(class[d.Delta[q*nsym+s]]), 10), ',')
 			}
-			k := b.String()
-			if _, ok := sig[k]; !ok {
+			i, ok := sig[string(buf)]
+			if !ok {
+				k := string(buf)
+				i = len(members)
+				sig[k] = i
 				order = append(order, k)
+				members = append(members, nil)
 			}
-			sig[k] = append(sig[k], q)
+			members[i] = append(members[i], q)
 		}
 		sort.Strings(order)
 		if len(order) == numClasses {
@@ -251,7 +262,7 @@ func Minimize(d *DFA) *DFA {
 		numClasses = len(order)
 		newClass := make([]int, n)
 		for i, k := range order {
-			for _, q := range sig[k] {
+			for _, q := range members[sig[k]] {
 				newClass[q] = i
 			}
 		}

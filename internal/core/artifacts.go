@@ -16,9 +16,13 @@ type artifacts struct {
 	// production k's body (identity at the sink).
 	out [][]Mat
 	// mid[k][c1*n+c2]: from the output port of body node c1 to the input
-	// port of body node c2 within production k (zero when c1 cannot reach
-	// c2).
+	// port of body node c2 within production k; nil when it moves no live
+	// state to a live one (c1 cannot reach c2, or only into the dead state),
+	// which no matching path crosses.
 	mid [][]Mat
+	// midLive[k][c1*w : (c1+1)*w], w = ⌈n/64⌉, has bit c2 set where
+	// mid[k][c1*n+c2] is not nil: the divergences out of c1 a walk tests.
+	midLive [][]uint64
 
 	// stepIn[s][p]: cycle s, cycle position p — from the input port of an
 	// iteration whose module sits at position p to the input port of the
@@ -48,10 +52,23 @@ func (e *Env) buildArtifacts(lam []Mat) *artifacts {
 	a.in = make([][]Mat, len(s.Prods))
 	a.out = make([][]Mat, len(s.Prods))
 	a.mid = make([][]Mat, len(s.Prods))
-	for k := range s.Prods {
+	a.midLive = make([][]uint64, len(s.Prods))
+	live := e.liveMask()
+	for k, p := range s.Prods {
 		a.in[k] = e.bodyInMats(lam, k)
 		a.out[k] = e.bodyOutMats(lam, k)
 		a.mid[k] = e.bodyMidMats(lam, k)
+		n := len(p.Body.Nodes)
+		w := (n + 63) / 64
+		a.midLive[k] = make([]uint64, n*w)
+		for c, m := range a.mid[k] {
+			if applyRow(live, m)&live == 0 {
+				a.mid[k][c] = nil
+				continue
+			}
+			c1, c2 := c/n, c%n
+			a.midLive[k][c1*w+c2/64] |= 1 << uint(c2%64)
+		}
 	}
 	a.stepIn = make([][]Mat, len(s.Cycles()))
 	a.stepOut = make([][]Mat, len(s.Cycles()))
@@ -139,9 +156,12 @@ type Decoder struct {
 	sa, sb label.Label
 
 	// parts and groups are the scratch of a walk's Case 2 sweeps (walk.go),
-	// reused from sweep to sweep and, through the pool, from scan to scan.
-	parts  []sweepPart
-	groups []sweepGroup
+	// reused from sweep to sweep and, through the pool, from scan to scan;
+	// slots and present are Case 1's, one frame per node on the walk's path.
+	parts   []sweepPart
+	groups  []sweepGroup
+	slots   []int32
+	present []uint64
 }
 
 // The two chain flavors, indexing Decoder.chains and Decoder.loops.

@@ -26,8 +26,9 @@ import (
 // constant bound was (CHANGES.md, PR 20).
 
 // Standing is the retained evaluator of one safe query over one growing
-// run. It references no run version: trie nodes copy their label entries and
-// buckets hold node ids. Not safe for concurrent use.
+// run. It references no run version: trie nodes copy their label entries, and
+// buckets are windows of node ids, of the trie's Perm or of their own spill.
+// Not safe for concurrent use.
 type Standing struct {
 	e *Env
 	// d is owned, not pooled: it keeps its chain memo warm from event to
@@ -38,7 +39,7 @@ type Standing struct {
 	// nil until the first event and after Reset.
 	base int
 	t    *reach.Trie
-	x, y [][]bucket
+	x, y *vectors
 	ids  []derive.NodeID // the identity list, as far as any event reached
 	// Rebuilds counts builds of the retained half, the first included.
 	Rebuilds int

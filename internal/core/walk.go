@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"provrpq/internal/label"
 	"provrpq/internal/reach"
@@ -27,16 +28,59 @@ import (
 // both subtrees without looking at their leaves, and a consumer that fills
 // rows copies a block's targets once per source.
 
-// bucket is the leaves below one trie node that share a state vector.
+// bucket is the leaves below one trie node that share a state vector: the
+// window [lo, hi) of its side's leaf space (see vectors).
 type bucket struct {
 	vec    uint64
-	leaves []int32 // indices into the caller's label list
-	// at is the sorted position of leaves[0] while leaves is still a window
-	// of the trie's permutation — a subtree's leaves are contiguous there, so
-	// buckets merge by widening the window instead of copying — and -1 once
-	// a merge had to copy. A window's capacity ends with it, so an append
-	// copies: concurrent scans share one trie's Perm, which none may write.
-	at int
+	lo, hi int32
+}
+
+// extend widens b by o when o's leaves continue b's in the leaf space.
+func (b *bucket) extend(o bucket) bool {
+	if b.hi != o.lo {
+		return false
+	}
+	b.hi = o.hi
+	return true
+}
+
+// span is one node's buckets, the window [lo, hi) of its side's pool.
+type span struct{ lo, hi int32 }
+
+// vectors is one side of a walk: the live buckets of every node of a trie.
+// A bucket's leaves are a window of one leaf space: the trie's Perm, where a
+// subtree's leaves are contiguous so that buckets merge by widening a window,
+// then, past a one-slot gap that no window spans, spill, where a merge of
+// leaves that are not contiguous copies them. Pointer-free but for its slices
+// and read-only once built: concurrent scans share a trie's Perm.
+type vectors struct {
+	perm, spill []int32
+	pool        []bucket
+	nodes       []span // indexed like the trie's Nodes
+}
+
+// of returns node i's buckets.
+func (v *vectors) of(i int32) []bucket { return v.pool[v.nodes[i].lo:v.nodes[i].hi] }
+
+// leaves returns bucket b's leaves.
+func (v *vectors) leaves(b bucket) []int32 {
+	if p := int32(len(v.perm)) + 1; b.lo >= p {
+		return v.spill[b.lo-p : b.hi-p : b.hi-p]
+	}
+	return v.perm[b.lo:b.hi:b.hi]
+}
+
+// merge returns have widened by b's leaves, both copied to the end of spill
+// unless have's already end it.
+func (v *vectors) merge(have, b bucket) bucket {
+	p := int32(len(v.perm)) + 1
+	if end := p + int32(len(v.spill)); have.hi != end {
+		v.spill = append(v.spill, v.leaves(have)...)
+		have.lo = end
+	}
+	v.spill = append(v.spill, v.leaves(b)...)
+	have.hi = p + int32(len(v.spill))
+	return have
 }
 
 // applyRow returns the row vector v·m: the states reached from v's states
@@ -69,28 +113,22 @@ type vectorFill struct {
 	t    *reach.Trie
 	up   bool   // x vectors of an l1 trie, else y vectors of an l2 trie
 	leaf uint64 // a leaf's own vector: the start state, or the accept set
-	vecs [][]bucket
-	// pool backs every vecs[id]; a finished node's buckets are never
-	// touched again, so growing it only strands the old array until the
-	// scan ends.
-	pool []bucket
+	v    vectors
 }
 
-// leafVectors computes the live buckets of every node of t, indexed like
-// t.Nodes: the x vectors of an l1 trie (up) or the y vectors of an l2 trie.
-// Most buckets are windows of t.Perm. O(leaves · depth) vector steps;
-// read-only once built.
-func (d *Decoder) leafVectors(t *reach.Trie, up bool) [][]bucket {
+// leafVectors computes the live buckets of every node of t: the x vectors of
+// an l1 trie (up) or the y vectors of an l2 trie. Most buckets are windows of
+// t.Perm. O(leaves · depth) vector steps; read-only once built.
+func (d *Decoder) leafVectors(t *reach.Trie, up bool) *vectors {
 	n := len(t.Nodes)
 	f := vectorFill{d: d, t: t, up: up, leaf: uint64(1) << uint(d.e.DFA.Start),
-		vecs: make([][]bucket, n),
-		pool: make([]bucket, 0, n+n/4+16)}
+		v: vectors{perm: t.Perm, nodes: make([]span, n), pool: make([]bucket, 0, n+n/4+16)}}
 	if !up {
 		f.leaf = d.e.AcceptMask()
 	}
 	f.leaf &= d.live
 	f.fill(0)
-	return f.vecs
+	return &f.v
 }
 
 func (f *vectorFill) fill(i int32) {
@@ -98,13 +136,15 @@ func (f *vectorFill) fill(i int32) {
 	for c := i + 1; c < nodes[i].Next; c = nodes[c].Next {
 		f.fill(c)
 	}
-	mark := len(f.pool)
+	mark := int32(len(f.v.pool))
 	if lo, hi := nodes[i].Lo, f.t.OwnEnd(i); hi > lo && f.leaf != 0 {
-		f.pool = append(f.pool, bucket{f.leaf, f.t.Perm[lo:hi:hi], int(lo)})
+		f.v.pool = append(f.v.pool, bucket{f.leaf, lo, hi})
 	}
 	d := f.d
 	for c := i + 1; c < nodes[i].Next; c = nodes[c].Next {
-		if len(f.vecs[c]) == 0 {
+		// bs outlives add's growing the pool: finished nodes are never written.
+		bs := f.v.of(c)
+		if len(bs) == 0 {
 			continue
 		}
 		// The factor of c's entry: out of (or into) body position Y of
@@ -120,7 +160,7 @@ func (f *vectorFill) fill(i int32) {
 		default:
 			m = d.chainIn(en.X, en.Y, 1, en.Z-1)
 		}
-		for _, b := range f.vecs[c] {
+		for _, b := range bs {
 			v := applyCol(m, b.vec)
 			if f.up {
 				v = applyRow(b.vec, m)
@@ -130,32 +170,26 @@ func (f *vectorFill) fill(i int32) {
 			}
 		}
 	}
-	f.vecs[i] = f.pool[mark:len(f.pool):len(f.pool)]
+	f.v.nodes[i] = span{mark, int32(len(f.v.pool))}
 }
 
 // add files a child's bucket b under vector v among the open node's buckets
 // pool[mark:].
-func (f *vectorFill) add(mark int, v uint64, b bucket) {
-	perm := f.t.Perm
-	for i := mark; i < len(f.pool); i++ {
-		have := &f.pool[i]
-		if have.vec != v {
-			continue
+func (f *vectorFill) add(mark int32, v uint64, b bucket) {
+	for i := int(mark); i < len(f.v.pool); i++ {
+		if have := &f.v.pool[i]; have.vec == v {
+			if !have.extend(b) {
+				*have = f.v.merge(*have, b)
+			}
+			return
 		}
-		if have.at >= 0 && have.at+len(have.leaves) == b.at {
-			have.leaves = perm[have.at : b.at+len(b.leaves) : b.at+len(b.leaves)]
-		} else {
-			have.leaves = append(have.leaves, b.leaves...)
-			have.at = -1
-		}
-		return
 	}
-	f.pool = append(f.pool, bucket{v, b.leaves[:len(b.leaves):len(b.leaves)], b.at})
+	f.v.pool = append(f.v.pool, bucket{v, b.lo, b.hi})
 }
 
 // block is one cross product of a scan's result: l1 index lo+x matches l2
 // index y for every x in xs and y in ys. A walk's blocks have lo 0 and
-// slices that are read-only windows of its bucket tables, valid for as long
+// slices that are read-only windows of its leaf spaces, valid for as long
 // as the consumer holds them; the RPL sink and RowsOf put their one source
 // in lo. No pair of indices lies in two blocks of one scan.
 type block struct {
@@ -201,7 +235,7 @@ func (e *Env) RowsSafeTries(ctx context.Context, t1, t2 *reach.Trie, n, offset, 
 
 // newWalk prepares the walk of t1, with its up vectors x, against t2 with its
 // down vectors y.
-func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y [][]bucket) *fusedWalk {
+func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y *vectors) *fusedWalk {
 	return &fusedWalk{d: d, t1: t1, t2: t2, x: x, y: y}
 }
 
@@ -209,7 +243,7 @@ func (d *Decoder) newWalk(t1, t2 *reach.Trie, x, y [][]bucket) *fusedWalk {
 type fusedWalk struct {
 	d      *Decoder
 	t1, t2 *reach.Trie
-	x, y   [][]bucket // leafVectors of t1 (up) and t2 (down)
+	x, y   *vectors // leafVectors of t1 (up) and t2 (down)
 	emit   func(block)
 	// done, once it fires (nil never does), ends a run at its next block:
 	// nothing more is emitted and the recursion unwinds.
@@ -265,42 +299,66 @@ func (w *fusedWalk) match(z uint64, leaves []int32, ys []bucket) {
 	for _, yb := range ys {
 		w.work.Tests++
 		if z&yb.vec != 0 {
-			w.out(block{xs: leaves, ys: yb.leaves})
+			w.out(block{xs: leaves, ys: w.y.leaves(yb)})
 		}
 	}
 }
 
 // walkComposite is Case 1 of Algorithm 2: the children are body positions
-// of one production firing, and two distinct positions c1, c2 connect
-// through mid[c1→c2] — zero when c1 cannot reach c2 at all.
+// of one production firing k, and two distinct positions c1, c2 connect
+// through mid[c1→c2]. l2's children are filed by position in a frame of the
+// decoder's scratch, so an l1 child visits, in position order, its equal
+// child and only those positions whose mid is live and whose l2 child has
+// live buckets: each source gets its targets in label order, and a
+// divergence that no matching path crosses costs nothing.
 func (w *fusedWalk) walkComposite(a, b int32) {
-	n1, n2 := w.t1.Nodes, w.t2.Nodes
-	for ca := a + 1; ca < n1[a].Next; ca = n1[ca].Next {
-		if w.stopped {
-			return
+	d, n1, n2 := w.d, w.t1.Nodes, w.t2.Nodes
+	k := n1[a+1].X
+	n := len(d.e.Spec.Prods[k].Body.Nodes)
+	nw := (n + 63) / 64
+	// The frame: slots[sm+c] is l2's child at position c, or 0 (no child is
+	// a root), and bit c of present[pm:] is set when it has live buckets.
+	sm, pm := len(d.slots), len(d.present)
+	d.slots, d.present = slices.Grow(d.slots, n)[:sm+n], slices.Grow(d.present, nw)[:pm+nw]
+	clear(d.slots[sm:])
+	clear(d.present[pm:])
+	for cb := b + 1; cb < n2[b].Next; cb = n2[cb].Next {
+		if c := int(n2[cb].Y); !n2[cb].Rec && n2[cb].X == k {
+			d.slots[sm+c] = cb
+			if len(w.y.of(cb)) > 0 {
+				d.present[pm+c/64] |= 1 << uint(c%64)
+			}
 		}
-		ea := n1[ca].Entry()
-		for cb := b + 1; cb < n2[b].Next; cb = n2[cb].Next {
-			eb := n2[cb].Entry()
-			if ea == eb {
-				w.walk(ca, cb)
-				continue
+	}
+	for ca := a + 1; ca < n1[a].Next && !w.stopped; ca = n1[ca].Next {
+		c1, xs := int(n1[ca].Y), w.x.of(ca)
+		if n1[ca].Rec || n1[ca].X != k {
+			continue
+		}
+		for i := range nw {
+			var set uint64
+			if len(xs) > 0 {
+				set = d.art.midLive[k][c1*nw+i] & d.present[pm+i]
 			}
-			if ea.Rec || eb.Rec || ea.X != eb.X || len(w.x[ca]) == 0 || len(w.y[cb]) == 0 {
-				continue
+			if i == c1/64 && d.slots[sm+c1] != 0 {
+				set |= 1 << uint(c1%64)
 			}
-			n := len(w.d.e.Spec.Prods[ea.X].Body.Nodes)
-			mid := w.d.art.mid[ea.X][ea.Y*n+eb.Y]
-			if mid.IsZero() {
-				continue
-			}
-			for _, xb := range w.x[ca] {
-				if z := applyRow(xb.vec, mid) & w.d.live; z != 0 {
-					w.match(z, xb.leaves, w.y[cb])
+			for ; set != 0; set &= set - 1 {
+				c2 := i*64 + bits.TrailingZeros64(set)
+				if c2 == c1 {
+					w.walk(ca, d.slots[sm+c2])
+					continue
+				}
+				mid := d.art.mid[k][c1*n+c2]
+				for _, xb := range xs {
+					if z := applyRow(xb.vec, mid) & d.live; z != 0 {
+						w.match(z, w.x.leaves(xb), w.y.of(d.slots[sm+c2]))
+					}
 				}
 			}
 		}
 	}
+	d.slots, d.present = d.slots[:sm], d.present[:pm]
 }
 
 // cyclePort returns the matrix between body position c of the iteration
@@ -354,6 +412,7 @@ func (w *fusedWalk) walkRecursive(a, b int32) {
 // of its group's list, which next links.
 type sweepPart struct {
 	bucket
+	xs   []int32 // its leaves, resolved once for its many emissions
 	pos  int
 	next int32
 }
@@ -401,7 +460,7 @@ func (w *fusedWalk) sweep(p, q int32, down bool) {
 	}
 	i := p + 1
 	for j := q + 1; j < qn[q].Next && !w.stopped; j = qn[j].Next {
-		if len(qv[j]) == 0 {
+		if len(qv.of(j)) == 0 {
 			continue
 		}
 		ej := qn[j].Entry()
@@ -419,13 +478,13 @@ func (w *fusedWalk) sweep(p, q int32, down bool) {
 				if mid.IsZero() { // nil included
 					continue
 				}
-				for _, b := range pv[g] {
+				for _, b := range pv.of(g) {
 					v := applyCol(mid, b.vec)
 					if down {
 						v = applyRow(b.vec, mid)
 					}
 					if v &= d.live; v != 0 {
-						d.parts = append(d.parts, sweepPart{bucket{v, b.leaves, b.at}, ei.Z + 1, -1})
+						d.parts = append(d.parts, sweepPart{bucket{v, b.lo, b.hi}, pv.leaves(b), ei.Z + 1, -1})
 					}
 				}
 			}
@@ -437,27 +496,28 @@ func (w *fusedWalk) sweep(p, q int32, down bool) {
 		kept := d.groups[:0]
 		for _, g := range d.groups {
 			if g.vec = carry(g.vec, at, ej.Z); g.vec != 0 {
-				kept = w.join(kept, g, pt.Perm)
+				kept = w.join(kept, g, pv)
 			}
 		}
 		for k := pending; k < len(d.parts); k++ {
 			pa := &d.parts[k]
 			if v := carry(pa.vec, pa.pos, ej.Z); v != 0 {
-				kept = w.join(kept, sweepGroup{v, int32(k), int32(k)}, pt.Perm)
+				kept = w.join(kept, sweepGroup{v, int32(k), int32(k)}, pv)
 			}
 		}
 		d.groups, pending, at = kept, len(d.parts), ej.Z
 		for _, g := range d.groups {
-			for _, b := range qv[j] {
+			for _, b := range qv.of(j) {
 				w.work.Tests++
 				if g.vec&b.vec == 0 {
 					continue
 				}
+				ys := qv.leaves(b)
 				for k := g.head; k >= 0 && !w.stopped; k = d.parts[k].next {
-					if down {
-						w.out(block{xs: d.parts[k].leaves, ys: b.leaves})
+					if xs := d.parts[k].xs; down {
+						w.out(block{xs: xs, ys: ys})
 					} else {
-						w.out(block{xs: b.leaves, ys: d.parts[k].leaves})
+						w.out(block{xs: ys, ys: xs})
 					}
 				}
 			}
@@ -466,22 +526,21 @@ func (w *fusedWalk) sweep(p, q int32, down bool) {
 }
 
 // join files group g among groups: onto the list of the group with g's
-// vector, widening that list's last window when g's first one continues it
-// in perm, or as a group of its own.
-func (w *fusedWalk) join(groups []sweepGroup, g sweepGroup, perm []int32) []sweepGroup {
+// vector, widening that list's last window when g's first one continues it,
+// or as a group of its own.
+func (w *fusedWalk) join(groups []sweepGroup, g sweepGroup, pv *vectors) []sweepGroup {
 	parts := w.d.parts
 	for k := range groups {
 		have := &groups[k]
 		if have.vec != g.vec {
 			continue
 		}
-		last, first, next := &parts[have.tail], &parts[g.head], g.head
-		if last.at >= 0 && last.at+len(last.leaves) == first.at {
-			hi := first.at + len(first.leaves)
-			last.leaves, next = perm[last.at:hi:hi], first.next
+		next := g.head
+		if last := &parts[have.tail]; last.extend(parts[g.head].bucket) {
+			last.xs, next = pv.leaves(last.bucket), parts[g.head].next
 		}
 		if next >= 0 {
-			last.next, have.tail = next, g.tail
+			parts[have.tail].next, have.tail = next, g.tail
 		}
 		return groups
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -222,4 +223,51 @@ func firstDiff(got, want [][2]int) string {
 		}
 	}
 	return "length"
+}
+
+// TestLeafVectorsCompact: a walk's state holds no pointer per bucket or per
+// node, and a trie has about one bucket per node on each side (ROADMAP item
+// 16): on a BioAID run of 8K edges, under a query whose candidates are half
+// the run and under a*, each side's pool holds at most 1.05 buckets per trie
+// node and its spill at most one entry per leaf.
+func TestLeafVectorsCompact(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		}
+		return ty.Kind() <= reflect.Complex128 // bool, ints, uints, floats
+	}
+	for _, v := range []any{bucket{}, span{}} {
+		if ty := reflect.TypeOf(v); !pointerFree(ty) {
+			t.Errorf("%v holds a pointer", ty)
+		}
+	}
+
+	d := workload.BioAID()
+	run, err := derive.Derive(d.Spec, derive.Options{Seed: 20150413, TargetEdges: 8000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trie := reach.NewTrie(run.MaterializeLabels())
+	for _, q := range []string{"_*.L1._*", "a*"} {
+		dec := compile(t, d.Spec, q).NewDecoder()
+		for _, up := range []bool{true, false} {
+			v := dec.leafVectors(trie, up)
+			nodes, leaves := len(trie.Nodes), len(trie.Perm)
+			t.Logf("%s up=%v: %d buckets, %d spilled leaves for %d nodes, %d leaves", q, up, len(v.pool), len(v.spill), nodes, leaves)
+			if len(v.pool) > nodes+nodes/20 || len(v.spill) > leaves {
+				t.Errorf("%s up=%v: %d buckets and %d spilled leaves for %d nodes and %d leaves; want at most %d and %d",
+					q, up, len(v.pool), len(v.spill), nodes, leaves, nodes+nodes/20, leaves)
+			}
+		}
+	}
 }

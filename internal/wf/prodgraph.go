@@ -19,8 +19,6 @@ type Cycle struct {
 	ID      int
 	Modules []ModuleID
 	Edges   []PGEdge
-
-	posOf map[ModuleID]int
 }
 
 // Len returns the number of modules on the cycle.
@@ -35,12 +33,17 @@ func (c *Cycle) ModuleAt(p int) ModuleID {
 // ProdGraph is the production graph P(G) (Definition 5): one vertex per
 // module, one edge per (production, body position) pair.
 type ProdGraph struct {
-	spec    *Spec
-	Edges   []PGEdge
-	out     [][]int // module -> indices into Edges
-	Cycles  []*Cycle
-	cycleOf []int // module -> cycle id, or -1
+	spec   *Spec
+	Edges  []PGEdge
+	out    [][]int // module -> indices into Edges
+	Cycles []*Cycle
+	spot   []cycleSpot // per module
 }
+
+// cycleSpot places a module on its cycle: the cycle id (-1 when the module is
+// on none), its position there, and the P(G) edge out of it along the cycle —
+// its recursive production and the cycle successor's body position in it.
+type cycleSpot struct{ cycle, pos, prod, succPos int }
 
 func buildProdGraph(s *Spec) *ProdGraph {
 	pg := &ProdGraph{spec: s, out: make([][]int, len(s.Modules))}
@@ -72,9 +75,9 @@ func (pg *ProdGraph) checkStrictLinear() error {
 		members[comp[v]] = append(members[comp[v]], ModuleID(v))
 	}
 
-	pg.cycleOf = make([]int, n)
-	for i := range pg.cycleOf {
-		pg.cycleOf[i] = -1
+	pg.spot = make([]cycleSpot, n)
+	for i := range pg.spot {
+		pg.spot[i] = cycleSpot{-1, -1, -1, -1}
 	}
 
 	// Deterministic order: by smallest member module id.
@@ -122,9 +125,8 @@ func (pg *ProdGraph) checkStrictLinear() error {
 			succ[e.From] = e
 		}
 		start := ms[0]
-		cy := &Cycle{ID: len(pg.Cycles), posOf: map[ModuleID]int{}}
+		cy := &Cycle{ID: len(pg.Cycles)}
 		for at := start; ; {
-			cy.posOf[at] = len(cy.Modules)
 			cy.Modules = append(cy.Modules, at)
 			e := succ[at]
 			cy.Edges = append(cy.Edges, e)
@@ -136,8 +138,8 @@ func (pg *ProdGraph) checkStrictLinear() error {
 		if len(cy.Modules) != len(ms) {
 			return fmt.Errorf("wf: not strictly linear-recursive: component of %q is not a simple cycle", s.Name(start))
 		}
-		for _, m := range cy.Modules {
-			pg.cycleOf[m] = cy.ID
+		for p, m := range cy.Modules {
+			pg.spot[m] = cycleSpot{cy.ID, p, cy.Edges[p].Prod, cy.Edges[p].Pos}
 		}
 		pg.Cycles = append(pg.Cycles, cy)
 	}

@@ -135,31 +135,24 @@ func (s *Spec) ProdGraph() *ProdGraph { return s.pg }
 func (s *Spec) Cycles() []*Cycle { return s.pg.Cycles }
 
 // IsRecursive reports whether module m lies on a cycle of P(G).
-func (s *Spec) IsRecursive(m ModuleID) bool { return s.pg.cycleOf[m] >= 0 }
+func (s *Spec) IsRecursive(m ModuleID) bool { return s.pg.spot[m].cycle >= 0 }
 
 // CycleOf returns the cycle containing module m and m's position within the
 // cycle's module list, or (nil, -1) if m is not recursive.
 func (s *Spec) CycleOf(m ModuleID) (*Cycle, int) {
-	ci := s.pg.cycleOf[m]
-	if ci < 0 {
+	sp := s.pg.spot[m]
+	if sp.cycle < 0 {
 		return nil, -1
 	}
-	c := s.pg.Cycles[ci]
-	return c, c.posOf[m]
+	return s.pg.Cycles[sp.cycle], sp.pos
 }
 
 // RecursiveProd returns, for a recursive module m, the index of its unique
 // recursive production and the body position of the cycle-successor module
 // within that production. It returns (-1, -1) for non-recursive modules.
 func (s *Spec) RecursiveProd(m ModuleID) (prod, cyclePos int) {
-	ci := s.pg.cycleOf[m]
-	if ci < 0 {
-		return -1, -1
-	}
-	c := s.pg.Cycles[ci]
-	p := c.posOf[m]
-	e := c.Edges[p]
-	return e.Prod, e.Pos
+	sp := s.pg.spot[m]
+	return sp.prod, sp.succPos
 }
 
 // Size returns the paper's grammar-size measure: the sum over productions of
