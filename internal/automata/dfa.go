@@ -227,12 +227,12 @@ func Minimize(d *DFA) *DFA {
 			numClasses = 2
 		}
 	}
-	// Each round refines the partition (the signature starts with the old
-	// class), so the class count is non-decreasing and the loop terminates
-	// exactly when the partition is stable.
 	// A state's signature is written into buf, one buffer for all of them:
 	// its class, "|", then the class of each successor followed by a comma.
 	var buf []byte
+	// Each round refines the partition (the signature starts with the old
+	// class), so the class count is non-decreasing and the loop terminates
+	// exactly when the partition is stable.
 	for {
 		sig := map[string]int{} // signature -> index into members
 		var order []string
